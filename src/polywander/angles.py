@@ -188,7 +188,12 @@ class Angle:
         if name not in _GENERATORS:
             raise UnknownGeneratorError(f"unknown generator {name!r}")
         shift = int(params.pop("shift", "0"))
-        offset = Fraction(params.pop("offset", "0"))
+        if shift < 0:
+            raise AngleSyntaxError(f"generator shift must be >= 0, got {shift}")
+        try:
+            offset = Fraction(params.pop("offset", "0"))
+        except ZeroDivisionError:
+            raise AngleSyntaxError("zero denominator in generator offset") from None
         base, fn = _GENERATORS[name](params)
         src = DigitSource(base, fn, name, params)
         return cls(source=src, shift=shift, offset=offset)
@@ -418,6 +423,12 @@ def refine(a: Angle, k: int) -> AngleEnclosure:
         return AngleEnclosure(lower=a.value, width=ZERO)
     lo, hi = a.enclosure_bounds(k)
     return AngleEnclosure(lower=_mod1(lo), width=hi - lo)
+
+
+def midpoint(a: Angle, k: int) -> Fraction:
+    """Midpoint, in [0, 1), of the angle's k-digit enclosure (exact for rationals)."""
+    lo, hi = a.enclosure_bounds(k)
+    return (lo + hi) / 2
 
 
 # ---------------------------------------------------------------------------

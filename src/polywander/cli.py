@@ -21,11 +21,8 @@ from .angles import (
     parse_angle,
 )
 from .errors import (
-    AngleSyntaxError,
     AssertionBreach,
-    BaseMismatchError,
     CrossPairLinked,
-    DegenerateChordError,
     EnclosureTooWide,
     NoHoleExceeds1OverD,
     NonInjectiveAtStep,
@@ -38,7 +35,6 @@ from .errors import (
 )
 from .geometry import Polygon, hole_profile, is_orientation_preserving
 from .orbit import (
-    JumpLog,
     critical_hole_index,
     detect_jumps,
     iterate_orbit,
@@ -76,25 +72,26 @@ def _ser_fraction(fr: Fraction) -> dict:
     }
 
 
+def _ser_bounds(lo: Fraction, hi: Fraction) -> dict:
+    return {
+        "enclosure": {"lo": _ser_fraction(lo), "hi": _ser_fraction(hi)},
+        "decimal_approx_12": _dec12((lo + hi) / 2),
+    }
+
+
 def _ser_angle(a: Angle, k: int = 64) -> dict:
-    out = {"literal": format_angle(a)}
     if a.is_rational:
-        out.update(_ser_fraction(a.value))
+        out = _ser_fraction(a.value)
     else:
-        lo, hi = a.enclosure_bounds(k)
-        out["enclosure"] = {"lo": _ser_fraction(lo), "hi": _ser_fraction(hi)}
-        out["decimal_approx_12"] = _dec12((lo + hi) / 2)
+        out = _ser_bounds(*a.enclosure_bounds(k))
+    out["literal"] = format_angle(a)
     return out
 
 
 def _ser_value(v: Value, k: int = 64) -> dict:
     if isinstance(v, Fraction):
         return _ser_fraction(v)
-    lo, hi = v.bounds(k)
-    return {
-        "enclosure": {"lo": _ser_fraction(lo), "hi": _ser_fraction(hi)},
-        "decimal_approx_12": _dec12((lo + hi) / 2),
-    }
+    return _ser_bounds(*v.bounds(k))
 
 
 def _ser_arc(arc) -> dict:
@@ -209,7 +206,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _parse_epsilon(text: str) -> Fraction:
     text = text.strip()
-    eps = Fraction(text) if "/" in text else Fraction(1, int(text))
+    try:
+        eps = Fraction(text) if "/" in text else Fraction(1, int(text))
+    except ZeroDivisionError:
+        eps = Fraction(0)  # a zero denominator fails the check below
     if eps.numerator != 1 or eps.denominator & (eps.denominator - 1):
         raise PreconditionError(f"epsilon must be 1/2^r, got {text!r}")
     return eps
@@ -460,6 +460,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         eps = _parse_epsilon(args.epsilon)
+        if args.degree < 2:
+            raise PreconditionError(f"degree must be >= 2, got {args.degree}")
         budget = PrecisionBudget(max_digits=args.budget)
         if args.command == "render":
             svg = render_svg(
@@ -476,16 +478,8 @@ def main(argv=None) -> int:
         }
         _emit(json.dumps(report, sort_keys=True, indent=2) + "\n", args.out)
         return 0
-    except (
-        AngleSyntaxError,
-        BaseMismatchError,
-        DegenerateChordError,
-        PreconditionError,
-        NotInjectiveError,
-        NonInjectiveAtStep,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (ValueError, NotInjectiveError, NonInjectiveAtStep, OSError) as exc:
+        # ValueError covers the syntax, base, chord and precondition errors
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (UnresolvedComparison, EnclosureTooWide) as exc:

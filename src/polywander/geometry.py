@@ -29,7 +29,6 @@ from .angles import (
     compare,
     floor_scaled,
     map_angle,
-    scale_value,
     shift_angle,
     sub_values,
     sum_values,
@@ -274,8 +273,14 @@ def is_orientation_preserving(
     arcs in the complement, and the remainder sum being exactly 1/d.
     """
     images = _check_injective(P, d, budget)
-    profile = hole_profile(P, d, budget)
+    return _orientation(images, hole_profile(P, d, budget), d, budget)
 
+
+def _orientation(
+    images, profile: HoleProfile, d: int, budget: PrecisionBudget
+) -> OrientationCertificate:
+    """The certificate of ``is_orientation_preserving`` from the polygon's
+    vertex images (already checked injective) and its hole profile."""
     by_cyclic_order = _cyclic_order_preserved(images, budget)
 
     floors = [floor_scaled(s, d, budget) for s in profile.sizes_cyclic]

@@ -43,10 +43,11 @@ from .geometry import (
     HoleProfile,
     OrientationCertificate,
     Polygon,
+    _check_injective,
+    _orientation,
     critical_strip,
     hole_profile,
     image_hole,
-    is_orientation_preserving,
     unlinked,
 )
 
@@ -63,11 +64,16 @@ class OrbitRecord:
     orientation: OrientationCertificate
 
 
-def _record(i: int, P: Polygon, d: int, budget: PrecisionBudget) -> OrbitRecord:
-    cert = is_orientation_preserving(P, d, budget)
-    return OrbitRecord(
-        index=i, polygon=P, profile=hole_profile(P, d, budget), orientation=cert
-    )
+def _records(T: Polygon, d: int, n: int, budget: PrecisionBudget):
+    """Lazily yield the records of T_0 .. T_n.  Each step checks injectivity
+    first, then builds one hole profile and reads orientation from it."""
+    P = T
+    for i in range(n + 1):
+        images = _check_injective(P, d, budget)
+        profile = hole_profile(P, d, budget)
+        yield OrbitRecord(i, P, profile, _orientation(images, profile, d, budget))
+        if i < n:
+            P = Polygon(images, budget)
 
 
 def iterate_orbit(
@@ -77,14 +83,11 @@ def iterate_orbit(
     if n < 0:
         raise PreconditionError("horizon must be >= 0")
     records: list[OrbitRecord] = []
-    P = T
-    for i in range(n + 1):
-        try:
-            records.append(_record(i, P, d, budget))
-        except NotInjectiveError as exc:
-            raise NonInjectiveAtStep(i, records) from exc
-        if i < n:
-            P = Polygon(P.image_angles(d), budget)
+    try:
+        for rec in _records(T, d, n, budget):
+            records.append(rec)
+    except NotInjectiveError as exc:
+        raise NonInjectiveAtStep(len(records), records) from exc
     return records
 
 
@@ -129,6 +132,8 @@ def certify_wandering(
     With the precheck enabled, any polygon with more than d vertices is
     rejected outright and no iteration is performed.
     """
+    if d < 2:
+        raise PreconditionError(f"degree must be >= 2, got {d}")
     N = T.card
     if N < 3:
         raise PreconditionError("certification needs card >= 3")
@@ -136,36 +141,26 @@ def certify_wandering(
         return WanderingCertificate(horizon=horizon, status=REJECTED_KIWI)
 
     records: list[OrbitRecord] = []
-    diag: list[Value] = []
-    P = T
-    for i in range(horizon + 1):
-        try:
-            rec = _record(i, P, d, budget)
-        except NotInjectiveError:
-            return WanderingCertificate(
-                horizon=horizon,
-                status=FAILED_NON_PRECRITICAL,
-                step=i,
-                diagnostics=tuple(diag),
-                records=tuple(records),
+    status, step, pair = CERTIFIED, None, None
+    try:
+        for rec in _records(T, d, horizon, budget):
+            records.append(rec)
+            j = next(
+                (j for j in range(rec.index)
+                 if not unlinked(records[j].polygon, rec.polygon, budget)),
+                None,
             )
-        records.append(rec)
-        diag.append(rec.profile.size(N - 2))
-        for j in range(i):
-            if not unlinked(records[j].polygon, rec.polygon, budget):
-                return WanderingCertificate(
-                    horizon=horizon,
-                    status=FAILED_LINKED,
-                    pair=(j, i),
-                    diagnostics=tuple(diag),
-                    records=tuple(records),
-                )
-        if i < horizon:
-            P = Polygon(P.image_angles(d), budget)
+            if j is not None:
+                status, pair = FAILED_LINKED, (j, rec.index)
+                break
+    except NotInjectiveError:
+        status, step = FAILED_NON_PRECRITICAL, len(records)
     return WanderingCertificate(
         horizon=horizon,
-        status=CERTIFIED,
-        diagnostics=tuple(diag),
+        status=status,
+        step=step,
+        pair=pair,
+        diagnostics=tuple(r.profile.size(N - 2) for r in records),
         records=tuple(records),
     )
 
@@ -262,16 +257,25 @@ class JumpLog:
         return tuple(idx[i + 1] - idx[i] for i in range(len(idx) - 1))
 
 
+def _rank_of_arc(profile: HoleProfile, A: Arc, budget: PrecisionBudget) -> int | None:
+    """Size rank of the hole equal to A, or None when A is not a hole."""
+    for ci, h in enumerate(profile.holes):
+        if (
+            compare(h.start, A.start, budget) == EQ
+            and compare(h.end, A.end, budget) == EQ
+        ):
+            return profile.rank_of_cyclic(ci)
+    return None
+
+
 def _image_rank(
     next_profile: HoleProfile, H: Arc, d: int, budget: PrecisionBudget
 ) -> int | None:
     """Size rank in the next profile of the arc (f(start), f(end)), or None
     when that arc is not a single hole there."""
-    fs, fe = map_angle(H.start, d), map_angle(H.end, d)
-    for ci, h in enumerate(next_profile.holes):
-        if compare(h.start, fs, budget) == EQ and compare(h.end, fe, budget) == EQ:
-            return next_profile.rank_of_cyclic(ci)
-    return None
+    return _rank_of_arc(
+        next_profile, Arc(map_angle(H.start, d), map_angle(H.end, d)), budget
+    )
 
 
 def detect_jumps(
@@ -386,16 +390,6 @@ def jump_gap_stats(log: JumpLog) -> GapStats:
 class CriticalValueTrace:
     jump_index: int
     steps: tuple[tuple[int, int], ...]  # (orbit index, hole rank)
-
-
-def _rank_of_arc(profile: HoleProfile, A: Arc, budget: PrecisionBudget) -> int | None:
-    for ci, h in enumerate(profile.holes):
-        if (
-            compare(h.start, A.start, budget) == EQ
-            and compare(h.end, A.end, budget) == EQ
-        ):
-            return profile.rank_of_cyclic(ci)
-    return None
 
 
 def track_critical_value(

@@ -20,6 +20,7 @@ from .angles import (
     PrecisionBudget,
     Value,
     map_angle,
+    midpoint,
 )
 from .errors import (
     AssertionBreach,
@@ -102,6 +103,21 @@ def _circ_point_dist(x: Fraction, y: Fraction) -> Fraction:
     return min(g, 1 - g)
 
 
+def _components(n: int, joined) -> list[list[int]]:
+    """Connected components of the graph on 0..n-1 with an edge a-b wherever
+    ``joined(a, b)`` (a < b): each ascending, listed by least member."""
+    label = list(range(n))  # least member of each vertex's component so far
+    for a in range(n):
+        for b in range(a + 1, n):
+            if joined(a, b) and label[a] != label[b]:
+                old, new = max(label[a], label[b]), min(label[a], label[b])
+                label = [new if x == old else x for x in label]
+    comps: dict[int, list[int]] = {}
+    for i in range(n):
+        comps.setdefault(label[i], []).append(i)
+    return list(comps.values())
+
+
 # ---------------------------------------------------------------------------
 # candidate leaves
 
@@ -142,30 +158,11 @@ def extract_jumping_leaves(log: JumpLog, d: int) -> list[CandidateLeaf]:
     that the leaf keeps jumping; clustering is independent of log order.
     """
     records = sorted(log.records, key=lambda r: r.index)
-    if not records:
-        return []
     pairs = [_strip_arc_pair(r) for r in records]
-    parent = list(range(len(records)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(len(records)):
-        for j in range(i + 1, len(records)):
-            if _strips_overlap(pairs[i], pairs[j]):
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-
-    clusters: dict[int, list[int]] = {}
-    for i in range(len(records)):
-        clusters.setdefault(find(i), []).append(i)
-
     leaves = []
-    for members in clusters.values():
+    for members in _components(
+        len(records), lambda i, j: _strips_overlap(pairs[i], pairs[j])
+    ):
         first = _combine([pairs[i][0] for i in members])
         second = _combine([pairs[i][1] for i in members])
         arcs = tuple(sorted((first, second)))
@@ -475,17 +472,17 @@ class TheoremReport:
     horizon: int
     epsilon: Fraction
     certificate: WanderingCertificate
-    burn_in: int | None
-    jumps: JumpLog | None
-    leaves: tuple[CandidateLeaf, ...]
-    leaf_count_ok: bool | None
-    disjointness: dict[tuple[int, int], PairStatus] | None
-    recurrence: tuple[RecurrenceEvidence | None, ...]
-    omegas: tuple[OmegaApproximation, ...]
-    omega_consistent: bool | None
-    limit_leaves: tuple[tuple[Fraction, Fraction], ...]
-    limcoin_ok: bool | None
-    status: str
+    burn_in: int | None = None
+    jumps: JumpLog | None = None
+    leaves: tuple[CandidateLeaf, ...] = ()
+    leaf_count_ok: bool | None = None
+    disjointness: dict[tuple[int, int], PairStatus] | None = None
+    recurrence: tuple[RecurrenceEvidence | None, ...] = ()
+    omegas: tuple[OmegaApproximation, ...] = ()
+    omega_consistent: bool | None = None
+    limit_leaves: tuple[tuple[Fraction, Fraction], ...] = ()
+    limcoin_ok: bool | None = None
+    status: str = INCONCLUSIVE_EVIDENCE
     notes: tuple[str, ...] = ()
 
 
@@ -505,11 +502,6 @@ def _decide_status(
     return INCONCLUSIVE_EVIDENCE
 
 
-def _fraction_point(a: Angle, k: int = 64) -> Fraction:
-    lo, hi = a.enclosure_bounds(k)
-    return (lo + hi) / 2
-
-
 def approx_limit_leaf(
     rec: OrbitRecord, budget: PrecisionBudget = DEFAULT_BUDGET
 ) -> tuple[Fraction, Fraction]:
@@ -524,8 +516,8 @@ def approx_limit_leaf(
 
     def cluster_mid(start_hole: int, end_hole: int) -> Fraction:
         # vertices from the end of one big hole around to the start of the next
-        first = _fraction_point(vs[(start_hole + 1) % M])
-        last = _fraction_point(vs[end_hole])
+        first = midpoint(vs[(start_hole + 1) % M], 64)
+        last = midpoint(vs[end_hole], 64)
         return (first + ((last - first) % 1) / 2) % 1
 
     return (cluster_mid(big[0], big[1]), cluster_mid(big[1], big[0]))
@@ -566,27 +558,7 @@ def verify_theorem1(
     notes: list[str] = []
 
     def report(**kw):
-        base = dict(
-            degree=d,
-            horizon=horizon,
-            epsilon=epsilon,
-            certificate=cert,
-            burn_in=None,
-            jumps=None,
-            leaves=(),
-            leaf_count_ok=None,
-            disjointness=None,
-            recurrence=(),
-            omegas=(),
-            omega_consistent=None,
-            limit_leaves=(),
-            limcoin_ok=None,
-            status=INCONCLUSIVE_EVIDENCE,
-            notes=tuple(notes),
-        )
-        base.update(kw)
-        base["notes"] = tuple(notes)
-        return TheoremReport(**base)
+        return TheoremReport(d, horizon, epsilon, cert, notes=tuple(notes), **kw)
 
     if burn_in_override is not None:
         burn_in = burn_in_override
@@ -757,21 +729,12 @@ def verify_collection_bound(
             _omega_from_arcs(_value_orbit(l.value_arc, d, horizon), 0, epsilon)
             for l in recurrent
         ]
-        parent = list(range(len(recurrent)))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for a in range(len(recurrent)):
-            for b in range(a + 1, len(recurrent)):
-                if hausdorff_bins(omegas[a], omegas[b]) <= 2 * epsilon:
-                    ra, rb = find(a), find(b)
-                    if ra != rb:
-                        parent[max(ra, rb)] = min(ra, rb)
-        omega_hat = len({find(i) for i in range(len(recurrent))})
+        omega_hat = len(
+            _components(
+                len(recurrent),
+                lambda a, b: hausdorff_bins(omegas[a], omegas[b]) <= 2 * epsilon,
+            )
+        )
     else:
         r_hat = 0
         omega_hat = 0

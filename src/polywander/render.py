@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .angles import DEFAULT_BUDGET, Angle, PrecisionBudget
+from .angles import DEFAULT_BUDGET, Angle, PrecisionBudget, midpoint
 from .errors import PolywanderError
 from .geometry import Polygon
 from .orbit import detect_jumps, iterate_orbit
@@ -21,11 +21,6 @@ CX = CY = 500
 R = 450
 
 PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b")
-
-
-def _frac_of(a: Angle, k: int = 32) -> Fraction:
-    lo, hi = a.enclosure_bounds(k)
-    return ((lo + hi) / 2) % 1
 
 
 def _xy(theta: Fraction) -> tuple[float, float]:
@@ -90,13 +85,10 @@ def render_svg(
         try:
             orbit = iterate_orbit(P, d, horizon, budget)
         except PolywanderError as exc:
-            orbit = getattr(exc, "records", None) or [None]
-            orbit = [r for r in orbit if r is not None]
-            if not orbit:
-                orbit = iterate_orbit(P, d, 0, budget)
+            orbit = getattr(exc, "records", None) or iterate_orbit(P, d, 0, budget)
 
         for rec in orbit:
-            thetas = [_frac_of(v) for v in rec.polygon.vertices]
+            thetas = [midpoint(v, 32) for v in rec.polygon.vertices]
             color = PALETTE[rec.index % len(PALETTE)]
             body.append(
                 f'<path class="polygon" id="polygon-{rec.index}" '
@@ -113,8 +105,8 @@ def render_svg(
 
         profile0 = orbit[0].profile
         for hi, hole in enumerate(profile0.holes):
-            a = _frac_of(hole.start)
-            b = _frac_of(hole.end)
+            a = midpoint(hole.start, 32)
+            b = midpoint(hole.end, 32)
             body.append(
                 f'<path class="hole-arc" id="hole-0-{hi}" '
                 f'd="M {_pt(a)} {_arc_to(a, b)}" fill="none" '

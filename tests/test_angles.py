@@ -56,6 +56,21 @@ def test_parse_errors():
         parse_angle("2:")
 
 
+@pytest.mark.parametrize("shift", ["-5", "-1"])
+def test_negative_generator_shift_rejected(shift):
+    # -5 indexed past the front of the digit cache; -1 read its last digit,
+    # so enclosures at growing k stopped nesting
+    with pytest.raises(AngleSyntaxError):
+        parse_angle(f"gen:thue_morse?shift={shift}")
+    with pytest.raises(AngleSyntaxError):
+        Angle.from_generator("thue_morse", {"shift": shift})
+
+
+def test_zero_denominator_generator_offset_rejected():
+    with pytest.raises(AngleSyntaxError):
+        parse_angle("gen:thue_morse?offset=1/0")
+
+
 def test_generator_literal_roundtrip():
     a = parse_angle("gen:thue_morse?base=4")
     assert compare(parse_angle(format_angle(a)), a) == EQ

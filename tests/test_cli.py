@@ -55,6 +55,27 @@ def test_bad_epsilon_exits_2():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "0/1", "1/7", "2/7", "--epsilon", "0"],
+        ["analyze", "0/1", "1/7", "2/7", "--epsilon", "1/0"],
+        ["analyze", "gen:thue_morse?offset=1/0", "1/3", "2/3"],
+        ["analyze", "gen:thue_morse?shift=-5", "1/3", "2/3"],
+        ["analyze", "gen:thue_morse?shift=-1", "1/3", "2/3"],
+        ["analyze", "0/1", "1/7", "2/7", "-d", "0"],
+        ["verify", "1/10", "2/10", "3/10", "-d", "0"],
+        ["verify", "1/10", "2/10", "3/10", "-d", "1"],
+        ["collection", "1/10", "2/10", "3/10", "-d", "1"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_invalid_input_exits_2(argv, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "Traceback" not in err
+
+
 def test_orbit_report():
     rep = run_json("orbit", *CLUSTER, "--degree", "2", "--horizon", "2")
     recs = rep["payload"]["records"]

@@ -11,6 +11,7 @@ from polywander import (
     NoHoleExceeds1OverD,
     NonInjectiveAtStep,
     Polygon,
+    PreconditionError,
     TooFewJumps,
     certify_wandering,
     critical_hole_index,
@@ -63,6 +64,17 @@ def test_iterate_orbit_non_injective():
     assert exc.value.step == 0
 
 
+def test_non_injective_after_first_step_keeps_earlier_records():
+    # T_1 = {0, 1/4, 3/4}: 1/4 and 3/4 collide under doubling
+    P = poly(F(1, 8), F(3, 8), F(1, 2))
+    with pytest.raises(NonInjectiveAtStep) as exc:
+        iterate_orbit(P, 2, 3)
+    assert exc.value.step == 1 and [r.index for r in exc.value.records] == [0]
+    c = certify_wandering(P, 2, 3, kiwi_precheck=False)
+    assert c.status == "FailedNonPrecritical" and c.step == 1
+    assert len(c.records) == len(c.diagnostics) == 1
+
+
 # ---------------------------------------------------------------------------
 # certification
 
@@ -94,6 +106,12 @@ def test_certify_kiwi_precheck():
     c = certify_wandering(poly("0.1", "0.2", "0.3"), 2, 4)
     assert c.status == "RejectedKiwiBound"
     assert c.records == ()  # no iteration happened
+
+
+@pytest.mark.parametrize("d", [0, 1])
+def test_certify_rejects_degree_below_2(d):
+    with pytest.raises(PreconditionError):
+        certify_wandering(poly("0.1", "0.2", "0.3"), d, 4)
 
 
 def test_certify_card_drop():
