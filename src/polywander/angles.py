@@ -15,7 +15,6 @@ or the precision budget runs out.
 from __future__ import annotations
 
 import re
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -60,8 +59,8 @@ def _mod1(x: Fraction) -> Fraction:
 class DigitSource:
     """A deterministic, memoized base-d digit sequence.
 
-    The cache is guarded by a lock so that concurrent queries always observe
-    the same digit at the same index.
+    Digits are computed once, in index order, and cached; the cache only
+    grows, so a digit never changes once read.
     """
 
     def __init__(self, base: int, fn: Callable[[int], int], name: str, params=None):
@@ -72,20 +71,17 @@ class DigitSource:
         self.name = name
         self.params = dict(params or {})
         self._cache: list[int] = []
-        self._lock = threading.Lock()
 
     def digit(self, i: int) -> int:
-        if i >= len(self._cache):
-            with self._lock:
-                while len(self._cache) <= i:
-                    k = len(self._cache)
-                    d = self.fn(k)
-                    if not 0 <= d < self.base:
-                        raise AngleSyntaxError(
-                            f"generator {self.name!r} produced digit {d} "
-                            f"outside base {self.base} at index {k}"
-                        )
-                    self._cache.append(d)
+        while len(self._cache) <= i:
+            k = len(self._cache)
+            d = self.fn(k)
+            if not 0 <= d < self.base:
+                raise AngleSyntaxError(
+                    f"generator {self.name!r} produced digit {d} "
+                    f"outside base {self.base} at index {k}"
+                )
+            self._cache.append(d)
         return self._cache[i]
 
     def prefix_numerator(self, shift: int, k: int) -> int:

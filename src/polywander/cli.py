@@ -33,7 +33,7 @@ from .errors import (
     TooFewJumps,
     UnresolvedComparison,
 )
-from .geometry import Polygon, hole_profile, is_orientation_preserving
+from .geometry import Polygon, _check_injective, _orientation, hole_profile
 from .orbit import (
     critical_hole_index,
     detect_jumps,
@@ -42,6 +42,7 @@ from .orbit import (
     track_critical_value,
 )
 from .recurrence import (
+    _check_epsilon,
     extract_jumping_leaves,
     verify_collection_bound,
     verify_theorem1,
@@ -210,8 +211,7 @@ def _parse_epsilon(text: str) -> Fraction:
         eps = Fraction(text) if "/" in text else Fraction(1, int(text))
     except ZeroDivisionError:
         eps = Fraction(0)  # a zero denominator fails the check below
-    if eps.numerator != 1 or eps.denominator & (eps.denominator - 1):
-        raise PreconditionError(f"epsilon must be 1/2^r, got {text!r}")
+    _check_epsilon(eps, text)
     return eps
 
 
@@ -256,7 +256,7 @@ def _cmd_analyze(args, budget, eps):
     P = Polygon(_input_angles(args), budget)
     d = args.degree
     profile = hole_profile(P, d, budget)
-    cert = is_orientation_preserving(P, d, budget)
+    cert = _orientation(_check_injective(P, d, budget), profile, d, budget)
     cr = None
     cr_reason = None
     try:

@@ -1,7 +1,8 @@
 """Chords, polygons, holes, remainders, orientation and the rho metric.
 
-Everything here is pure and immutable.  Lengths are exact ``Fraction``s when
-all endpoints are rational and refinable enclosures otherwise.
+Everything here is pure and immutable, except ``UnlinkedFamily``, a vertex
+list that grows.  Lengths are exact ``Fraction``s when all endpoints are
+rational and refinable enclosures otherwise.
 """
 
 from __future__ import annotations
@@ -351,6 +352,68 @@ def unlinked(A: Polygon, B: Polygon, budget: PrecisionBudget = DEFAULT_BUDGET) -
         elif idx != found:
             return False
     return True
+
+
+class UnlinkedFamily:
+    """The vertices of pairwise unlinked polygons, kept in ccw order by
+    binary search with ``compare``, each tagged with its polygon's label.
+
+    A polygon P is unlinked from every member iff none of its vertices is a
+    listed vertex and no label appears in two of the arcs into which P's
+    vertices cut the list.  Checking P costs O(N log V) compares for N
+    vertices against V listed ones, plus one compare-free pass over the
+    V labels.
+    """
+
+    __slots__ = ("angles", "labels", "budget")
+
+    def __init__(self, budget: PrecisionBudget = DEFAULT_BUDGET):
+        self.angles: list[Angle] = []
+        self.labels: list[int] = []
+        self.budget = budget
+
+    def _linked(self, P: Polygon):
+        """Insertion index of each vertex of P, and the labels of the
+        members linked with P."""
+        angles, labels, budget = self.angles, self.labels, self.budget
+        cuts, linked = [], set()
+        lo = 0
+        for v in P.vertices:  # ascending, so each search starts at the last cut
+            hi = len(angles)
+            while lo < hi:
+                mid = (lo + hi) // 2
+                c = compare(angles[mid], v, budget)
+                if c == LT:
+                    lo = mid + 1
+                elif c == GT:
+                    hi = mid
+                else:  # a shared vertex
+                    linked.add(labels[mid])
+                    lo = mid
+                    break
+            cuts.append(lo)
+        arcs = [labels[a:b] for a, b in zip(cuts, cuts[1:])]
+        arcs.append(labels[cuts[-1]:] + labels[: cuts[0]])
+        seen: set[int] = set()
+        for arc in arcs:
+            inside = set(arc)
+            linked |= inside & seen
+            seen |= inside
+        return cuts, linked
+
+    def linked(self, P: Polygon) -> set[int]:
+        """Labels of the members linked with P."""
+        return self._linked(P)[1]
+
+    def add(self, P: Polygon, label: int) -> set[int]:
+        """Labels of the members linked with P; when there are none, P's
+        vertices join the list under ``label``."""
+        cuts, linked = self._linked(P)
+        if not linked:
+            for i in reversed(range(P.card)):
+                self.angles.insert(cuts[i], P.vertices[i])
+                self.labels.insert(cuts[i], label)
+        return linked
 
 
 def hole_containing(

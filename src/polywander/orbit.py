@@ -43,12 +43,12 @@ from .geometry import (
     HoleProfile,
     OrientationCertificate,
     Polygon,
+    UnlinkedFamily,
     _check_injective,
     _orientation,
     critical_strip,
     hole_profile,
     image_hole,
-    unlinked,
 )
 
 
@@ -127,7 +127,14 @@ def certify_wandering(
     budget: PrecisionBudget = DEFAULT_BUDGET,
     kiwi_precheck: bool = True,
 ) -> WanderingCertificate:
-    """Check card preservation and all-pairs unlinkedness for 0 <= i < j <= horizon.
+    """Check card preservation and pairwise unlinkedness of T_0 .. T_horizon.
+
+    Record by record, the iterate is checked injective, then checked against
+    one ``UnlinkedFamily`` holding the vertices of all earlier iterates in
+    ccw order and joins it when unlinked: O(N log(HN)) compares per iterate
+    instead of a pairwise scan of every earlier one.  Certification stops at
+    the first non-injective or linked record; ``pair`` is (smallest earlier
+    index linked with it, its index).
 
     With the precheck enabled, any polygon with more than d vertices is
     rejected outright and no iteration is performed.
@@ -141,17 +148,14 @@ def certify_wandering(
         return WanderingCertificate(horizon=horizon, status=REJECTED_KIWI)
 
     records: list[OrbitRecord] = []
+    family = UnlinkedFamily(budget)
     status, step, pair = CERTIFIED, None, None
     try:
         for rec in _records(T, d, horizon, budget):
             records.append(rec)
-            j = next(
-                (j for j in range(rec.index)
-                 if not unlinked(records[j].polygon, rec.polygon, budget)),
-                None,
-            )
-            if j is not None:
-                status, pair = FAILED_LINKED, (j, rec.index)
+            linked = family.add(rec.polygon, rec.index)
+            if linked:
+                status, pair = FAILED_LINKED, (min(linked), rec.index)
                 break
     except NotInjectiveError:
         status, step = FAILED_NON_PRECRITICAL, len(records)

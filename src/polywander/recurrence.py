@@ -31,7 +31,7 @@ from .errors import (
     PreconditionError,
     UnresolvedComparison,
 )
-from .geometry import Polygon, _hole_index_of, unlinked
+from .geometry import Polygon, UnlinkedFamily, _hole_index_of
 from .orbit import (
     JumpLog,
     OrbitRecord,
@@ -259,11 +259,14 @@ class OmegaApproximation:
         return int(1 / self.resolution)
 
 
-def _check_epsilon(epsilon: Fraction) -> int:
+def _check_epsilon(epsilon: Fraction, literal: str | None = None) -> int:
+    """The denominator 2^r of epsilon = 1/2^r.  Anything else raises
+    PreconditionError naming ``literal`` (by default, epsilon itself)."""
     epsilon = Fraction(epsilon)
     B = epsilon.denominator
     if epsilon.numerator != 1 or B & (B - 1):
-        raise PreconditionError("epsilon must be 1/2^r")
+        shown = str(epsilon) if literal is None else literal
+        raise PreconditionError(f"epsilon must be 1/2^r, got {shown!r}")
     return B
 
 
@@ -677,7 +680,14 @@ def verify_collection_bound(
 
     Every member must certify wandering and all cross-pairs of iterates
     must be unlinked; a violated inequality is flagged as a precision or
-    horizon artifact, never as a counterexample."""
+    horizon artifact, never as a counterexample.
+
+    Cross-pairs are checked member against member: each member b >= 1 puts
+    its iterates' vertices into one ``UnlinkedFamily``, and for each a < b
+    member a's iterates are queried against it in order, O(N log(HN))
+    compares per query.  ``CrossPairLinked(a, n, b, m)`` names the first
+    pair (a, b), then the first iterate n of a, then the smallest iterate m
+    of b linked with it."""
     epsilon = Fraction(epsilon)
     _check_epsilon(epsilon)
     notes: list[str] = []
@@ -688,12 +698,17 @@ def verify_collection_bound(
             raise NotCertifiedWandering(cert, member=idx)
         certs.append(cert)
 
+    families = {}  # member b >= 1 -> its iterates' vertices, labelled m
+    for b in range(1, len(Gamma)):
+        families[b] = UnlinkedFamily(budget)
+        for m, rb in enumerate(certs[b].records):
+            families[b].add(rb.polygon, m)  # certified, so always unlinked
     for a in range(len(Gamma)):
         for b in range(a + 1, len(Gamma)):
             for n, ra in enumerate(certs[a].records):
-                for m, rb in enumerate(certs[b].records):
-                    if not unlinked(ra.polygon, rb.polygon, budget):
-                        raise CrossPairLinked(a, n, b, m)
+                linked = families[b].linked(ra.polygon)
+                if linked:
+                    raise CrossPairLinked(a, n, b, min(linked))
 
     sigma = sum(T.card - 2 for T in Gamma)
 

@@ -1,7 +1,18 @@
+import os
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def pytest_configure(config):
+    """CLI tests run ``python -m polywander`` in a child process; give it
+    src/ on its path too, as ``pythonpath`` in pyproject.toml gives this one."""
+    paths = (str(SRC), os.environ.get("PYTHONPATH"))
+    os.environ["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
 
 
 def pytest_runtest_logreport(report):

@@ -55,6 +55,14 @@ def test_bad_epsilon_exits_2():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("literal", ["1/48", "48"])
+def test_bad_epsilon_message_names_literal(literal, capsys):
+    assert main(["verify", *CLUSTER, "--epsilon", literal]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: epsilon must be 1/2^r, got '{literal}'\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

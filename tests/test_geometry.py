@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -25,6 +26,8 @@ from polywander import (
     rho,
     unlinked,
 )
+
+from polywander.geometry import UnlinkedFamily
 
 from oracles import oracle_rho
 
@@ -140,6 +143,28 @@ def test_unlinked_examples():
 def test_unlinked_symmetric():
     a, b = poly("0.1", "0.5", "0.6"), poly("0.2", "0.3", "0.4")
     assert unlinked(a, b) == unlinked(b, a) is True
+
+
+def test_unlinked_family_matches_unlinked():
+    # polygons inside random arcs of the 48-gon: nested, disjoint, sharing
+    # vertices and interleaved, in every mix
+    rng = random.Random(404)
+    for _ in range(200):
+        family, members = UnlinkedFamily(), []
+        for label in range(12):
+            start, width = rng.randrange(48), rng.randrange(1, 16)
+            ks = rng.sample(range(width + 1), rng.randrange(2, min(5, width + 1) + 1))
+            P = poly(*(F((start + k) % 48, 48) for k in ks))
+            expected = {m for m, Q in members if not unlinked(Q, P)}
+            assert family.linked(P) == expected
+            assert family.add(P, label) == expected
+            if not expected:
+                members.append((label, P))
+                assert family.linked(P) == {label}
+        assert [a.value for a in family.angles] == sorted(
+            v.value for _, Q in members for v in Q.vertices
+        )
+        assert len(members) > 1
 
 
 def test_hole_containing():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -21,9 +22,11 @@ from polywander import (
     iterate_orbit,
     jump_gap_stats,
     track_critical_value,
+    unlinked,
 )
 
 from oracles import f_map, oracle_certify
+from test_golden import _w1
 
 
 def poly(*vals) -> Polygon:
@@ -118,6 +121,86 @@ def test_certify_card_drop():
     # 0.2 and 0.7 collide under doubling
     c = certify_wandering(poly("0.2", "0.4", "0.7"), 2, 3, kiwi_precheck=False)
     assert c.status == "FailedNonPrecritical" and c.step == 0
+
+
+def _pairwise_certify(P, d, horizon):
+    """(status, step, pair, record count) by checking every record against
+    every earlier one with ``unlinked``: the first linked record, with its
+    smallest linked partner, wins over a later non-injective step."""
+    try:
+        records, step = iterate_orbit(P, d, horizon), None
+    except NonInjectiveAtStep as exc:
+        records, step = exc.records, exc.step
+    for i, rec in enumerate(records):
+        for j in range(i):
+            if not unlinked(records[j].polygon, rec.polygon):
+                return "FailedLinked", None, (j, i), i + 1
+    if step is not None:
+        return "FailedNonPrecritical", step, None, step
+    return "CertifiedToHorizon", None, None, len(records)
+
+
+def _random_vertices(rng, n, d, N):
+    """Small denominators (periodic orbits, shared vertices, collisions),
+    tiny clusters (nested iterates for many steps) or mid-size
+    denominators, in turn."""
+    if n % 3 == 1:
+        q = rng.randrange(10**3, 10**5)
+        base = F(rng.randrange(q), q)
+        delta = F(1, rng.randrange(50, 5000) * d ** rng.randrange(2, 8))
+        mults = rng.sample(range(1, 12), N - 1)
+        return {base} | {(base + m * delta) % 1 for m in mults}
+    q = rng.randrange(5, 80) if n % 3 == 0 else rng.randrange(N, 400)
+    vals = set()
+    while len(vals) < N:
+        vals.add(F(rng.randrange(q), q))
+    return vals
+
+
+def test_certify_matches_pairwise_scan_on_random_corpus():
+    rng = random.Random(303)
+    seen = set()
+    for n in range(300):
+        d, N = rng.randrange(2, 6), rng.randrange(3, 6)
+        vals = _random_vertices(rng, n, d, N)
+        P = poly(*vals)
+        horizon = rng.randrange(3, 30)
+        c = certify_wandering(P, d, horizon, kiwi_precheck=False)
+        assert (c.status, c.step, c.pair, len(c.records)) == _pairwise_certify(
+            P, d, horizon
+        ), (n, P, d, horizon)
+        # the oracle checks card over the whole horizon before any linkage
+        status, detail = oracle_certify(sorted(vals), d, horizon)
+        if status != "FailedNonPrecritical":
+            assert (c.status, c.pair) == (status, detail)
+        seen.add(c.status)
+        if c.status == "FailedLinked":
+            j, i = c.pair
+            shared = set(c.records[j].polygon.vertices) & set(
+                c.records[i].polygon.vertices
+            )
+            seen.add("shared vertex" if shared else "interleaved")
+            try:
+                iterate_orbit(P, d, horizon)
+            except NonInjectiveAtStep:
+                seen.add("linked before non-injective")
+        elif c.status == "CertifiedToHorizon" and horizon >= 10:
+            seen.add("long certified orbit")
+    assert seen == {
+        "CertifiedToHorizon",
+        "FailedLinked",
+        "FailedNonPrecritical",
+        "shared vertex",
+        "interleaved",
+        "linked before non-injective",
+        "long certified orbit",
+    }
+
+
+def test_certify_w1_2000_horizon_150():
+    # about 27 s with a pairwise scan of every earlier iterate
+    c = certify_wandering(poly(*_w1(2000)), 3, 150, kiwi_precheck=False)
+    assert c.status == "CertifiedToHorizon" and len(c.records) == 151
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -10,6 +11,7 @@ from polywander import (
     NotCertifiedWandering,
     Polygon,
     PreconditionError,
+    certify_wandering,
     detect_jumps,
     extract_jumping_leaves,
     hausdorff_bins,
@@ -19,6 +21,7 @@ from polywander import (
     orbit_disjointness,
     parse_angle,
     recurrence_evidence,
+    unlinked,
     verify_collection_bound,
     verify_theorem1,
 )
@@ -225,6 +228,11 @@ def test_verify_rejects_kiwi():
     assert exc.value.certificate.status == "RejectedKiwiBound"
 
 
+def test_verify_rejects_epsilon_naming_it():
+    with pytest.raises(PreconditionError, match="got '1/48'"):
+        verify_theorem1(poly("0.30", "0.31", "0.32"), 2, 3, F(1, 48))
+
+
 def test_verify_inconclusive_without_burn_in():
     rep = verify_theorem1(
         poly("0.30", "0.31", "0.32"), 2, 3, F(1, 64), kiwi_precheck=False
@@ -297,3 +305,85 @@ def test_collection_single_member_inconclusive():
     assert rep.r_hat == 0 and rep.omega_hat == 0
     assert rep.holds is False  # flagged as horizon/precision limitation
     assert rep.notes
+
+
+def _pairwise_cross_link(Gamma, d, horizon):
+    """(a, n, b, m) of the first linked cross-pair, by checking every
+    iterate of every member a against every iterate of every later b."""
+    certs = [certify_wandering(T, d, horizon, kiwi_precheck=False) for T in Gamma]
+    assert all(c.certified for c in certs)
+    for a in range(len(Gamma)):
+        for b in range(a + 1, len(Gamma)):
+            for n, ra in enumerate(certs[a].records):
+                for m, rb in enumerate(certs[b].records):
+                    if not unlinked(ra.polygon, rb.polygon):
+                        return a, n, b, m
+    return None
+
+
+DELTA = F(1, 10**12)
+
+
+def _cluster(base):
+    return poly(base, base + DELTA, base + 3 * DELTA)
+
+
+def _linked_at(A_base, n, m, branch, d=2):
+    """A cluster whose m-th iterate interleaves with the n-th iterate of
+    ``_cluster(A_base)``: f^m maps its vertices to f^n(A_base) plus d^n*DELTA
+    times 1/2, 2 and 5, against the cluster's 0, 1 and 3."""
+    top = d**n * A_base + branch
+    return poly(*((top + d**n * s * DELTA) / d**m for s in (F(1, 2), 2, 5)))
+
+
+def _cross_linked(exc):
+    return exc.value.a_index, exc.value.n, exc.value.b_index, exc.value.m
+
+
+def test_collection_cross_link_matches_pairwise_scan():
+    # member 3 links member 0 at (n, m) = (3, 2) and member 2 links member 1
+    # at (1, 2): pair (0, 3) comes first in (a, b) order
+    a0, a1 = F(123457, 1000003), F(654323, 1000033)
+    Gamma = [
+        _cluster(a0),
+        _cluster(a1),
+        _linked_at(a1, 1, 2, 1),
+        _linked_at(a0, 3, 2, 1),
+    ]
+    with pytest.raises(CrossPairLinked) as exc:
+        verify_collection_bound(Gamma, 2, 6, F(1, 64), kiwi_precheck=False)
+    assert _cross_linked(exc) == (0, 3, 3, 2)
+    assert _pairwise_cross_link(Gamma, 2, 6) == (0, 3, 3, 2)
+    with pytest.raises(CrossPairLinked) as exc:
+        verify_collection_bound(Gamma[1:3], 2, 6, F(1, 64), kiwi_precheck=False)
+    assert _cross_linked(exc) == (0, 1, 1, 2)
+
+
+def test_collection_cross_link_reports_smallest_m():
+    # B expands from the fixed point 0: B_m = 2^m * {10, 11, 12}/10^4.
+    # A_2 = {21/10^4, 43/10^4, 3/5} links both B_1 and B_2.
+    c, c2 = F(21, 10**4), F(43, 10**4)
+    A = poly((c + 3) / 4, (c2 + 3) / 4, F(13, 20))
+    B = poly(F(10, 10**4), F(11, 10**4), F(12, 10**4))
+    with pytest.raises(CrossPairLinked) as exc:
+        verify_collection_bound([A, B], 2, 2, F(1, 64), kiwi_precheck=False)
+    assert _cross_linked(exc) == (0, 2, 1, 1)
+    assert _pairwise_cross_link([A, B], 2, 2) == (0, 2, 1, 1)
+
+
+def test_collection_cross_link_random_matches_pairwise_scan():
+    rng = random.Random(505)
+    for _ in range(40):
+        d = rng.randrange(2, 4)
+        bases = [F(rng.randrange(q), q) for q in rng.sample(range(10**5, 10**6), 3)]
+        Gamma = [_cluster(b) for b in bases]
+        for _ in range(rng.randrange(1, 3)):
+            n, m = rng.randrange(5), rng.randrange(5)
+            branch = rng.randrange(d**m)
+            Gamma.append(_linked_at(rng.choice(bases), n, m, branch, d))
+        rng.shuffle(Gamma)
+        expected = _pairwise_cross_link(Gamma, d, 5)
+        assert expected is not None
+        with pytest.raises(CrossPairLinked) as exc:
+            verify_collection_bound(Gamma, d, 5, F(1, 64), kiwi_precheck=False)
+        assert _cross_linked(exc) == expected
