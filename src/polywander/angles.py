@@ -3,7 +3,9 @@
 Angles are measured in fractions of a full turn, so every angle lives in
 [0, 1).  Two representations coexist:
 
-* rationals, stored canonically as ``Fraction`` p/q with 0 <= p < q;
+* rationals, stored canonically as coprime ints n/q with 0 <= n < q, so
+  that comparing, mapping and measuring them is integer arithmetic; their
+  ``Fraction`` value is built on first use and cached;
 * lazy base-d digit streams backed by a registered deterministic generator.
 
 Eventually periodic digit literals are folded into their rational value at
@@ -17,6 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Callable
 
 from .errors import (
@@ -144,35 +147,50 @@ register_generator("champernowne", _champernowne_factory)
 # angles
 
 
+_set = object.__setattr__
+
+
+def _fill(a: "Angle", n, q, value, source, shift, offset) -> None:
+    _set(a, "n", n)
+    _set(a, "q", q)
+    _set(a, "_value", value)
+    _set(a, "source", source)
+    _set(a, "shift", shift)
+    _set(a, "offset", offset)
+
+
 class Angle:
     """An exact point of the circle, in [0, 1) turns.
 
-    Either ``value`` is a canonical ``Fraction`` (rational angle), or
-    ``source``/``shift``/``offset`` describe a generator-backed digit stream
-    whose value is ``offset + 0.d_shift d_shift+1 ...`` in base ``source.base``.
-    Instances are immutable.
+    Either ``n``/``q`` are coprime ints with 0 <= n < q (rational angle,
+    ``source`` is None), or ``source``/``shift``/``offset`` describe a
+    generator-backed digit stream whose value is
+    ``offset + 0.d_shift d_shift+1 ...`` in base ``source.base`` (``n`` and
+    ``q`` are None).  Instances are immutable.
     """
 
-    __slots__ = ("value", "source", "shift", "offset")
+    __slots__ = ("n", "q", "_value", "source", "shift", "offset")
 
     def __init__(self, value=None, source=None, shift=0, offset=ZERO):
         if value is not None:
-            object.__setattr__(self, "value", _mod1(Fraction(value)))
-            object.__setattr__(self, "source", None)
-            object.__setattr__(self, "shift", 0)
-            object.__setattr__(self, "offset", ZERO)
+            v = _mod1(Fraction(value))
+            _fill(self, v.numerator, v.denominator, v, None, 0, ZERO)
+        elif source is None:
+            raise ValueError("Angle needs a value or a digit source")
         else:
-            if source is None:
-                raise ValueError("Angle needs a value or a digit source")
-            object.__setattr__(self, "value", None)
-            object.__setattr__(self, "source", source)
-            object.__setattr__(self, "shift", shift)
-            object.__setattr__(self, "offset", _mod1(offset))
+            _fill(self, None, None, None, source, shift, _mod1(offset))
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("Angle is immutable")
 
     # -- construction helpers
+
+    @classmethod
+    def _rational(cls, n: int, q: int) -> "Angle":
+        """The angle n/q from ints already coprime with 0 <= n < q."""
+        a = object.__new__(cls)
+        _fill(a, n, q, None, None, 0, ZERO)
+        return a
 
     @classmethod
     def from_fraction(cls, f) -> "Angle":
@@ -197,8 +215,18 @@ class Angle:
     # -- basic queries
 
     @property
+    def value(self) -> Fraction | None:
+        """The rational value n/q as a ``Fraction``, built on first use and
+        cached; None for streams."""
+        v = self._value
+        if v is None and self.source is None:
+            v = Fraction(self.n, self.q)
+            _set(self, "_value", v)
+        return v
+
+    @property
     def is_rational(self) -> bool:
-        return self.value is not None
+        return self.source is None
 
     @property
     def base(self):
@@ -207,8 +235,9 @@ class Angle:
     def enclosure_bounds(self, k: int) -> tuple[Fraction, Fraction]:
         """Closed interval [lo, hi] of width base**-k (0 for rationals)
         guaranteed to contain the angle's value."""
-        if self.is_rational:
-            return self.value, self.value
+        if self.source is None:
+            v = self.value
+            return v, v
         b = self.source.base
         n = self.source.prefix_numerator(self.shift, k)
         lo = Fraction(n, b**k)
@@ -228,8 +257,8 @@ class Angle:
     # -- equality is representation equality, not provable value equality
 
     def _key(self):
-        if self.is_rational:
-            return ("rat", self.value)
+        if self.source is None:
+            return (self.n, self.q)
         src = self.source
         return (
             "gen",
@@ -317,7 +346,7 @@ def parse_angle(text: str) -> Angle:
 def format_angle(a: Angle) -> str:
     """Canonical literal: "p/q" for rationals, a gen literal otherwise."""
     if a.is_rational:
-        return f"{a.value.numerator}/{a.value.denominator}"
+        return f"{a.n}/{a.q}"
     src = a.source
     parts = [f"{k}={v}" for k, v in sorted(src.params.items())]
     if a.shift:
@@ -336,9 +365,11 @@ def map_angle(a: Angle, d: int) -> Angle:
     """Image of ``a`` under f(theta) = d*theta mod 1."""
     if d < 2:
         raise ValueError(f"degree must be >= 2, got {d}")
-    if a.is_rational:
-        v = a.value
-        return Angle(value=Fraction((v.numerator * d) % v.denominator, v.denominator))
+    if a.source is None:
+        # gcd(d*n mod q, q) = gcd(d, q) because n and q are coprime
+        q = a.q
+        g = gcd(d, q)
+        return Angle._rational((a.n * d) % q // g, q // g)
     if a.source.base != d:
         raise BaseMismatchError(
             f"stream base {a.source.base} does not match degree {d}"
@@ -370,9 +401,13 @@ def compare(a: Angle, b: Angle, budget: PrecisionBudget = DEFAULT_BUDGET) -> int
     EQ is returned only when equality is provable from the representation.
     Raises UnresolvedComparison when the budget is exhausted.
     """
-    if a.is_rational and b.is_rational:
-        va, vb = a.value, b.value
-        return LT if va < vb else GT if va > vb else EQ
+    if a.source is None and b.source is None:
+        qa, qb = a.q, b.q
+        if qa == qb:
+            x, y = a.n, b.n
+        else:
+            x, y = a.n * qb, b.n * qa
+        return LT if x < y else GT if x > y else EQ
     if (
         not a.is_rational
         and not b.is_rational
@@ -461,6 +496,26 @@ class Approx:
 Value = Fraction | Approx  # exact real or refinable enclosure
 
 
+def _dec12(fr: Fraction) -> str:
+    """Truncated 12-place decimal rendering; non-authoritative."""
+    neg = fr < 0
+    fr = abs(fr)
+    whole = fr.numerator // fr.denominator
+    rest = fr - whole
+    digits = rest.numerator * 10**12 // rest.denominator
+    return f"{'-' if neg else ''}{whole}.{str(digits).zfill(12)}"
+
+
+def _describe(x: Value) -> str:
+    """A value in a few dozen bytes for error messages: 12-place decimals,
+    and an enclosure's width as a power of 2, never the full fractions."""
+    if isinstance(x, Fraction):
+        return _dec12(x)
+    w = x.hi - x.lo
+    width = f"~2^-{w.denominator.bit_length() - w.numerator.bit_length()}" if w else "0"
+    return f"[{_dec12(x.lo)}, {_dec12(x.hi)}] of width {width}"
+
+
 def value_bounds(x: Value, k: int) -> tuple[Fraction, Fraction]:
     if isinstance(x, Fraction):
         return x, x
@@ -479,7 +534,8 @@ def cmp_values(x: Value, y: Value, budget: PrecisionBudget = DEFAULT_BUDGET) -> 
         if yhi < xlo:
             return GT
     raise UnresolvedComparison(
-        f"cannot order {x} and {y} within {budget.max_digits} digits"
+        f"cannot order {_describe(x)} and {_describe(y)} "
+        f"within {budget.max_digits} digits"
     )
 
 
@@ -547,7 +603,8 @@ def floor_scaled(x: Value, d: int, budget: PrecisionBudget = DEFAULT_BUDGET) -> 
         if jlo == jhi:
             return jlo
     raise UnresolvedComparison(
-        f"floor({d}*x) undecided for {x} within {budget.max_digits} digits"
+        f"floor({d}*x) undecided for x in {_describe(x)} "
+        f"within {budget.max_digits} digits"
     )
 
 
@@ -556,8 +613,12 @@ def arc_length(u: Angle, w: Angle, budget: PrecisionBudget = DEFAULT_BUDGET) -> 
     c = compare(u, w, budget)
     if c == EQ:
         return ZERO
-    if u.is_rational and w.is_rational:
-        return _mod1(w.value - u.value)
+    if u.source is None and w.source is None:
+        qu, qw = u.q, w.q
+        if qu == qw:
+            return Fraction((w.n - u.n) % qu, qu)
+        q = qu * qw
+        return Fraction((w.n * qu - u.n * qw) % q, q)
 
     if c == LT:  # w - u as reals
 
@@ -590,6 +651,9 @@ def angle_sorted(angles, budget: PrecisionBudget = DEFAULT_BUDGET) -> list[Angle
 def shift_angle(a: Angle, delta: Fraction) -> Angle:
     """The angle a + delta mod 1 (delta exact rational)."""
     delta = Fraction(delta)
-    if a.is_rational:
-        return Angle(value=a.value + delta)
+    if a.source is None:
+        q = a.q * delta.denominator
+        n = (a.n * delta.denominator + delta.numerator * a.q) % q
+        g = gcd(n, q)
+        return Angle._rational(n // g, q // g)
     return Angle(source=a.source, shift=a.shift, offset=a.offset + delta)

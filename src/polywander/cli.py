@@ -17,6 +17,7 @@ from .angles import (
     Angle,
     PrecisionBudget,
     Value,
+    _dec12,
     format_angle,
     parse_angle,
 )
@@ -54,16 +55,6 @@ __version__ = "0.1.0"
 
 # ---------------------------------------------------------------------------
 # serialization
-
-
-def _dec12(fr: Fraction) -> str:
-    """Truncated 12-place decimal rendering; non-authoritative."""
-    neg = fr < 0
-    fr = abs(fr)
-    whole = fr.numerator // fr.denominator
-    rest = fr - whole
-    digits = rest.numerator * 10**12 // rest.denominator
-    return f"{'-' if neg else ''}{whole}.{str(digits).zfill(12)}"
 
 
 def _ser_fraction(fr: Fraction) -> dict:

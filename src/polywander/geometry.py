@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
-from math import ceil, floor
+from math import ceil, floor, lcm
 
 from .angles import (
     DEFAULT_BUDGET,
@@ -137,9 +137,9 @@ class Polygon:
 
 def remainder(s: Value, d: int, budget: PrecisionBudget = DEFAULT_BUDGET) -> Value:
     """s minus the largest multiple j/d not exceeding s; lies in [0, 1/d)."""
-    j = floor_scaled(s, d, budget)
     if isinstance(s, Fraction):
-        return s - Fraction(j, d)
+        return Fraction(d * s.numerator % s.denominator, d * s.denominator)
+    j = floor_scaled(s, d, budget)
     return clamp01_value(sub_values(s, Fraction(j, d)))
 
 
@@ -155,7 +155,8 @@ class HoleProfile:
     """Per-polygon record of holes, sizes (ascending), remainders and edges.
 
     ``order[r]`` is the cyclic index of the rank-(r+1) hole; rank 1 is the
-    smallest.  Accessors take the 1-based size rank.
+    smallest.  ``floors[i]`` is floor(d * size) of cyclic hole i.  Accessors
+    take the 1-based size rank.
     """
 
     polygon: Polygon
@@ -164,6 +165,8 @@ class HoleProfile:
     sizes_cyclic: tuple[Value, ...]
     remainders_cyclic: tuple[Value, ...]
     order: tuple[int, ...]
+    floors: tuple[int, ...]
+    remainder_sum: Value
     cr: int | None = field(default=None)
 
     @property
@@ -186,10 +189,6 @@ class HoleProfile:
     def rank_of_cyclic(self, i: int) -> int:
         return self.order.index(i) + 1
 
-    @property
-    def remainder_sum(self) -> Value:
-        return sum_values(self.remainders_cyclic)
-
     def sizes_by_rank(self):
         return [self.size(k) for k in range(1, self.card + 1)]
 
@@ -198,24 +197,35 @@ def hole_profile(
     P: Polygon, d: int, budget: PrecisionBudget = DEFAULT_BUDGET
 ) -> HoleProfile:
     """Holes of P with sizes sorted ascending (ties broken by ccw position
-    of the hole's start from angle 0) and their remainders."""
+    of the hole's start from angle 0, which is exactly the cyclic index
+    since vertex 0 has minimal angle) and their remainders.
+
+    When every size is exact, the sum check, the ranking and the remainder
+    sum are integer arithmetic over one common denominator."""
     vs = P.vertices
     M = len(vs)
     holes = tuple(Arc(vs[i], vs[(i + 1) % M]) for i in range(M))
     sizes = tuple(arc_length(h.start, h.end, budget) for h in holes)
-    if all(isinstance(s, Fraction) for s in sizes) and sum(sizes) != 1:
-        raise AssertionBreach("hole sizes do not sum to 1")  # pragma: no cover
+    exact = all(isinstance(s, Fraction) for s in sizes)
+    if exact:  # sizes as ints over the common denominator L
+        L = lcm(*(s.denominator for s in sizes))
+        nums = [s.numerator * (L // s.denominator) for s in sizes]
+        if sum(nums) != L:
+            raise AssertionBreach("hole sizes do not sum to 1")  # pragma: no cover
+        order = tuple(sorted(range(M), key=nums.__getitem__))  # stable on ties
+    else:
 
-    def rank_cmp(i, j):
-        c = cmp_values(sizes[i], sizes[j], budget)
-        if c != EQ:
-            return c
-        # tie-break: ccw position of the hole's start from angle 0, which is
-        # exactly the cyclic index since vertex 0 has minimal angle
-        return -1 if i < j else 1
+        def rank_cmp(i, j):
+            c = cmp_values(sizes[i], sizes[j], budget)
+            return c if c != EQ else -1 if i < j else 1
 
-    order = tuple(sorted(range(M), key=cmp_to_key(rank_cmp)))
+        order = tuple(sorted(range(M), key=cmp_to_key(rank_cmp)))
+    floors = tuple(floor_scaled(s, d, budget) for s in sizes)
     rems = tuple(remainder(s, d, budget) for s in sizes)
+    if exact:
+        rsum = Fraction(sum(d * x % L for x in nums), d * L)
+    else:
+        rsum = sum_values(rems)
     return HoleProfile(
         polygon=P,
         degree=d,
@@ -223,6 +233,8 @@ def hole_profile(
         sizes_cyclic=sizes,
         remainders_cyclic=rems,
         order=order,
+        floors=floors,
+        remainder_sum=rsum,
     )
 
 
@@ -236,8 +248,24 @@ class OrientationCertificate:
     pairwise disjoint open 1/d arcs on success, the remainder sum on failure."""
 
     verdict: bool
-    witness_arcs: tuple[Arc, ...] | None
     remainder_sum: Value
+    profile: HoleProfile = field(repr=False, compare=False)
+
+    @property
+    def witness_arcs(self) -> tuple[Arc, ...] | None:
+        """The d-1 arcs, floor(d * size) of them from the start of each hole,
+        built on each access; None when orientation is not preserved."""
+        if not self.verdict:
+            return None
+        d = self.profile.degree
+        return tuple(
+            Arc(
+                shift_angle(h.start, Fraction(t, d)),
+                shift_angle(h.start, Fraction(t + 1, d)),
+            )
+            for h, m in zip(self.profile.holes, self.profile.floors)
+            for t in range(m)
+        )
 
 
 def _check_injective(P: Polygon, d: int, budget: PrecisionBudget):
@@ -283,9 +311,7 @@ def _orientation(
     """The certificate of ``is_orientation_preserving`` from the polygon's
     vertex images (already checked injective) and its hole profile."""
     by_cyclic_order = _cyclic_order_preserved(images, budget)
-
-    floors = [floor_scaled(s, d, budget) for s in profile.sizes_cyclic]
-    by_disjoint_arcs = sum(floors) == d - 1
+    by_disjoint_arcs = sum(profile.floors) == d - 1
 
     rsum = profile.remainder_sum
     target = Fraction(1, d)
@@ -304,22 +330,8 @@ def _orientation(
             "orientation criteria disagree: "
             f"cyclic={by_cyclic_order} arcs={by_disjoint_arcs} remainders={by_remainders}"
         )
-
-    witness = None
-    if by_cyclic_order:
-        arcs = []
-        for i, m in enumerate(floors):
-            start = profile.holes[i].start
-            for t in range(m):
-                arcs.append(
-                    Arc(
-                        shift_angle(start, Fraction(t, d)),
-                        shift_angle(start, Fraction(t + 1, d)),
-                    )
-                )
-        witness = tuple(arcs)
     return OrientationCertificate(
-        verdict=by_cyclic_order, witness_arcs=witness, remainder_sum=rsum
+        verdict=by_cyclic_order, remainder_sum=rsum, profile=profile
     )
 
 

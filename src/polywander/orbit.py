@@ -9,7 +9,7 @@ and between jumps hole labels persist.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .angles import (
@@ -106,7 +106,9 @@ class WanderingCertificate:
     """Finite-horizon evidence that an orbit keeps cardinality and stays
     pairwise unlinked.  ``step`` holds the failing iterate (card drop) and
     ``pair`` the first linked pair; ``diagnostics`` is the trajectory of the
-    (N-2)-nd smallest hole size."""
+    (N-2)-nd smallest hole size.  ``family`` holds the vertices of the
+    unlinked records, each labelled with its record's index (None when no
+    iteration was performed)."""
 
     horizon: int
     status: str
@@ -114,6 +116,7 @@ class WanderingCertificate:
     pair: tuple[int, int] | None = None
     diagnostics: tuple[Value, ...] = ()
     records: tuple[OrbitRecord, ...] = ()
+    family: UnlinkedFamily | None = field(default=None, compare=False, repr=False)
 
     @property
     def certified(self) -> bool:
@@ -166,6 +169,7 @@ def certify_wandering(
         pair=pair,
         diagnostics=tuple(r.profile.size(N - 2) for r in records),
         records=tuple(records),
+        family=family,
     )
 
 

@@ -31,7 +31,7 @@ from .errors import (
     PreconditionError,
     UnresolvedComparison,
 )
-from .geometry import Polygon, UnlinkedFamily, _hole_index_of
+from .geometry import Polygon, _hole_index_of
 from .orbit import (
     JumpLog,
     OrbitRecord,
@@ -682,12 +682,11 @@ def verify_collection_bound(
     must be unlinked; a violated inequality is flagged as a precision or
     horizon artifact, never as a counterexample.
 
-    Cross-pairs are checked member against member: each member b >= 1 puts
-    its iterates' vertices into one ``UnlinkedFamily``, and for each a < b
-    member a's iterates are queried against it in order, O(N log(HN))
-    compares per query.  ``CrossPairLinked(a, n, b, m)`` names the first
-    pair (a, b), then the first iterate n of a, then the smallest iterate m
-    of b linked with it."""
+    Cross-pairs are checked member against member: member a's iterates are
+    queried in order against the ``UnlinkedFamily`` that certified each
+    later member b, O(N log(HN)) compares per query.
+    ``CrossPairLinked(a, n, b, m)`` names the first pair (a, b), then the
+    first iterate n of a, then the smallest iterate m of b linked with it."""
     epsilon = Fraction(epsilon)
     _check_epsilon(epsilon)
     notes: list[str] = []
@@ -698,15 +697,10 @@ def verify_collection_bound(
             raise NotCertifiedWandering(cert, member=idx)
         certs.append(cert)
 
-    families = {}  # member b >= 1 -> its iterates' vertices, labelled m
-    for b in range(1, len(Gamma)):
-        families[b] = UnlinkedFamily(budget)
-        for m, rb in enumerate(certs[b].records):
-            families[b].add(rb.polygon, m)  # certified, so always unlinked
     for a in range(len(Gamma)):
         for b in range(a + 1, len(Gamma)):
             for n, ra in enumerate(certs[a].records):
-                linked = families[b].linked(ra.polygon)
+                linked = certs[b].family.linked(ra.polygon)
                 if linked:
                     raise CrossPairLinked(a, n, b, min(linked))
 

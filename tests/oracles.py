@@ -65,17 +65,20 @@ def oracle_unlinked(A: list[Fraction], B: list[Fraction]) -> bool:
 
 
 def oracle_certify(points: list[Fraction], d: int, horizon: int):
-    """(status, detail): iterate raw fractions, check card and all pairs."""
-    iterates = [sorted(points)]
-    for i in range(horizon):
-        nxt = sorted({f_map(x, d) for x in iterates[-1]})
-        if len(nxt) < len(points):
+    """(status, detail): iterate raw fractions record by record.  For each
+    i = 0..horizon, first f must be injective on T_i (else
+    FailedNonPrecritical, i), then T_i must be unlinked from every earlier
+    iterate (else FailedLinked, (smallest linked i', i))."""
+    iterates: list[list[Fraction]] = []
+    cur = sorted(points)
+    for i in range(horizon + 1):
+        if not oracle_injective(cur, d):
             return "FailedNonPrecritical", i
-        iterates.append(nxt)
-    for j in range(1, horizon + 1):
-        for i in range(j):
-            if not oracle_unlinked(iterates[i], iterates[j]):
-                return "FailedLinked", (i, j)
+        for j, earlier in enumerate(iterates):
+            if not oracle_unlinked(earlier, cur):
+                return "FailedLinked", (j, i)
+        iterates.append(cur)
+        cur = sorted(f_map(x, d) for x in cur)
     return "CertifiedToHorizon", None
 
 

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from polywander import (
     parse_angle,
     refine,
     register_generator,
+    shift_angle,
 )
 from polywander.angles import angle_sorted
 
@@ -186,3 +188,110 @@ def test_digit_generator_is_deterministic_and_validated():
     assert first == again
     # base-3 champernowne starts 1 2 10 11 12 20 ...
     assert first[:8] == [1, 2, 1, 0, 1, 1, 1, 2]
+
+
+# ---------------------------------------------------------------------------
+# the integer rational path against plain Fraction arithmetic
+
+# denominators built from 2, 3 and a small cofactor, so they often share
+# factors with the degree and the map shrinks them
+denominators = st.builds(
+    lambda e2, e3, m: 2**e2 * 3**e3 * m,
+    st.integers(0, 40),
+    st.integers(0, 25),
+    st.integers(1, 60),
+)
+rationals = st.one_of(
+    st.just(F(0)),
+    st.builds(lambda n, q: F(n % q, q), st.integers(min_value=0), denominators),
+)
+degrees = st.integers(min_value=2, max_value=6)
+
+
+def _sign(x: F) -> int:
+    return LT if x < 0 else GT if x > 0 else EQ
+
+
+def _canonical(a: Angle, v: F) -> bool:
+    return (a.n, a.q) == (v.numerator, v.denominator) and a.value == v
+
+
+@given(rationals, rationals)
+@settings(max_examples=300)
+def test_integer_compare_and_arc_length_match_fractions(u, w):
+    au, aw = Angle.from_fraction(u), Angle.from_fraction(w)
+    assert compare(au, aw) == _sign(u - w)
+    assert arc_length(au, aw) == (w - u) % 1
+    assert (au == aw) == (u == w)
+    if u == w:
+        assert hash(au) == hash(aw)
+
+
+@given(rationals, degrees)
+@settings(max_examples=300)
+def test_integer_map_matches_fractions(u, d):
+    img = map_angle(Angle.from_fraction(u), d)
+    assert _canonical(img, (d * u) % 1)
+    assert img.q == u.denominator // gcd(d, u.denominator)
+    # a rational on the same denominator compares by numerators alone
+    same_q = Angle.from_fraction(F(img.q - 1, img.q))
+    assert compare(img, same_q) == _sign(img.value - same_q.value)
+
+
+@given(rationals, st.fractions(min_value=-3, max_value=3))
+@settings(max_examples=300)
+def test_integer_shift_matches_fractions(u, delta):
+    assert _canonical(shift_angle(Angle.from_fraction(u), delta), (u + delta) % 1)
+
+
+@given(rationals, st.integers(1, 12))
+def test_unreduced_literals_are_canonical(u, k):
+    lit = f"{k * u.numerator}/{k * u.denominator}"
+    a = parse_angle(lit)
+    assert _canonical(a, u)
+    assert a == Angle.from_fraction(u) and hash(a) == hash(Angle.from_fraction(u))
+    assert format_angle(a) == f"{u.numerator}/{u.denominator}"
+
+
+def test_map_shrinks_shared_denominator():
+    img = map_angle(parse_angle("1/4"), 2)
+    assert img == parse_angle("2/4") == parse_angle("1/2")
+    assert (img.n, img.q) == (1, 2)
+    assert map_angle(parse_angle("1/2"), 2) == parse_angle("0/1")
+    zero = map_angle(parse_angle("0/1"), 5)
+    assert (zero.n, zero.q) == (0, 1)
+    assert map_angle(parse_angle("5/12"), 6) == parse_angle("1/2")
+
+
+def test_rational_value_is_built_once():
+    a = map_angle(parse_angle("3/7"), 2)
+    v = a.value
+    assert v == F(6, 7) and a.value is v
+    lo, hi = a.enclosure_bounds(8)
+    assert lo is v and hi is v
+
+
+def _thue_morse_bounds(k: int, offset: F) -> tuple[F, F]:
+    """[lo, hi] of the base-2 Thue-Morse constant plus offset, from k digits
+    computed here, without the package's digit source."""
+    n = 0
+    for i in range(k):
+        n = 2 * n + (bin(i).count("1") & 1)
+    lo = F(n, 2**k) + offset
+    return lo, lo + F(1, 2**k)
+
+
+@given(rationals, st.sampled_from([F(0), F(1, 3), F(1, 8)]))
+@settings(max_examples=200)
+def test_stream_vs_rational_compare_matches_fractions(u, offset):
+    s = parse_angle(f"gen:thue_morse?base=2&offset={offset}")
+    lo, hi = _thue_morse_bounds(200, offset)
+    assert hi < 1  # these offsets keep the stream off the 0/1 seam
+    r = Angle.from_fraction(u)
+    want = LT if u < lo else GT if u > hi else None
+    assert want is not None  # an irrational is not within 2^-200 of u
+    assert compare(r, s) == want and compare(s, r) == -want
+    # both enclosures hold the true arc length, so they overlap
+    llo, lhi = arc_length(r, s).bounds(64)
+    assert llo <= (hi - u) % 1 and (lo - u) % 1 <= lhi
+    assert lhi - llo <= F(2, 2**64)

@@ -84,6 +84,23 @@ def test_invalid_input_exits_2(argv, capsys):
     assert out == "" and err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # two holes of size 1/2 that no digit count can order: 9,941 bytes
+        ["analyze", "gen:thue_morse?base=2", "gen:thue_morse?base=2&offset=1/2"],
+        # floor(2 * 1/2) undecided: 5,002 bytes
+        ["analyze", "gen:thue_morse?base=2", "gen:thue_morse?base=2&offset=1/2", "0/1"],
+    ],
+    ids=["cmp_values", "floor_scaled"],
+)
+def test_precision_message_is_bounded(argv, capsys):
+    assert main([*argv, "-d", "2"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("precision: ")
+    assert "within 4096 digits" in err and len(err.encode()) < 300
+
+
 def test_orbit_report():
     rep = run_json("orbit", *CLUSTER, "--degree", "2", "--horizon", "2")
     recs = rep["payload"]["records"]

@@ -169,10 +169,11 @@ def test_certify_matches_pairwise_scan_on_random_corpus():
         assert (c.status, c.step, c.pair, len(c.records)) == _pairwise_certify(
             P, d, horizon
         ), (n, P, d, horizon)
-        # the oracle checks card over the whole horizon before any linkage
         status, detail = oracle_certify(sorted(vals), d, horizon)
-        if status != "FailedNonPrecritical":
-            assert (c.status, c.pair) == (status, detail)
+        assert (c.status, c.step if c.pair is None else c.pair) == (
+            status,
+            detail,
+        ), (n, P, d, horizon)
         seen.add(c.status)
         if c.status == "FailedLinked":
             j, i = c.pair
@@ -186,6 +187,11 @@ def test_certify_matches_pairwise_scan_on_random_corpus():
                 seen.add("linked before non-injective")
         elif c.status == "CertifiedToHorizon" and horizon >= 10:
             seen.add("long certified orbit")
+        elif c.status == "FailedNonPrecritical":
+            # again with the non-injective record last: T_H is checked too
+            c2 = certify_wandering(P, d, c.step, kiwi_precheck=False)
+            assert (c2.status, c2.step) == oracle_certify(sorted(vals), d, c.step)
+            seen.add("non-injective at the horizon")
     assert seen == {
         "CertifiedToHorizon",
         "FailedLinked",
@@ -194,6 +200,7 @@ def test_certify_matches_pairwise_scan_on_random_corpus():
         "interleaved",
         "linked before non-injective",
         "long certified orbit",
+        "non-injective at the horizon",
     }
 
 
