@@ -157,6 +157,7 @@ def _fill(a: "Angle", n, q, value, source, shift, offset) -> None:
     _set(a, "source", source)
     _set(a, "shift", shift)
     _set(a, "offset", offset)
+    _set(a, "_bounds", None if source is None else {})
 
 
 class Angle:
@@ -166,10 +167,11 @@ class Angle:
     ``source`` is None), or ``source``/``shift``/``offset`` describe a
     generator-backed digit stream whose value is
     ``offset + 0.d_shift d_shift+1 ...`` in base ``source.base`` (``n`` and
-    ``q`` are None).  Instances are immutable.
+    ``q`` are None).  Instances are immutable; a stream keeps each
+    enclosure it has computed, keyed by digit count.
     """
 
-    __slots__ = ("n", "q", "_value", "source", "shift", "offset")
+    __slots__ = ("n", "q", "_value", "source", "shift", "offset", "_bounds")
 
     def __init__(self, value=None, source=None, shift=0, offset=ZERO):
         if value is not None:
@@ -190,6 +192,13 @@ class Angle:
         """The angle n/q from ints already coprime with 0 <= n < q."""
         a = object.__new__(cls)
         _fill(a, n, q, None, None, 0, ZERO)
+        return a
+
+    @classmethod
+    def _stream(cls, source: DigitSource, shift: int, offset: Fraction) -> "Angle":
+        """The stream angle with an offset already reduced into [0, 1)."""
+        a = object.__new__(cls)
+        _fill(a, None, None, None, source, shift, offset)
         return a
 
     @classmethod
@@ -234,10 +243,14 @@ class Angle:
 
     def enclosure_bounds(self, k: int) -> tuple[Fraction, Fraction]:
         """Closed interval [lo, hi] of width base**-k (0 for rationals)
-        guaranteed to contain the angle's value."""
+        guaranteed to contain the angle's value; a stream computes it once
+        per k."""
         if self.source is None:
             v = self.value
             return v, v
+        bounds = self._bounds.get(k)
+        if bounds is not None:
+            return bounds
         b = self.source.base
         n = self.source.prefix_numerator(self.shift, k)
         lo = Fraction(n, b**k)
@@ -251,8 +264,9 @@ class Angle:
             elif hi > 1:
                 # interval straddles the 0/1 seam; widen to the full circle
                 # until more digits move it off the seam
-                return ZERO, ONE
-        return lo, hi
+                lo, hi = ZERO, ONE
+        bounds = self._bounds[k] = (lo, hi)
+        return bounds
 
     # -- equality is representation equality, not provable value equality
 
@@ -374,7 +388,7 @@ def map_angle(a: Angle, d: int) -> Angle:
         raise BaseMismatchError(
             f"stream base {a.source.base} does not match degree {d}"
         )
-    return Angle(source=a.source, shift=a.shift + 1, offset=_mod1(a.offset * d))
+    return Angle._stream(a.source, a.shift + 1, _mod1(a.offset * d))
 
 
 def iterate_angle(a: Angle, d: int, n: int) -> Angle:
@@ -426,7 +440,7 @@ def compare(a: Angle, b: Angle, budget: PrecisionBudget = DEFAULT_BUDGET) -> int
         if bhi < alo:
             return GT
     raise UnresolvedComparison(
-        f"cannot separate {format_angle(a)} and {format_angle(b)} "
+        f"cannot separate {_describe_angle(a)} and {_describe_angle(b)} "
         f"within {budget.max_digits} digits"
     )
 
@@ -498,12 +512,9 @@ Value = Fraction | Approx  # exact real or refinable enclosure
 
 def _dec12(fr: Fraction) -> str:
     """Truncated 12-place decimal rendering; non-authoritative."""
-    neg = fr < 0
-    fr = abs(fr)
-    whole = fr.numerator // fr.denominator
-    rest = fr - whole
-    digits = rest.numerator * 10**12 // rest.denominator
-    return f"{'-' if neg else ''}{whole}.{str(digits).zfill(12)}"
+    n, q = fr.numerator, fr.denominator
+    whole, rest = divmod(abs(n), q)
+    return f"{'-' if n < 0 else ''}{whole}.{rest * 10**12 // q:012d}"
 
 
 def _describe(x: Value) -> str:
@@ -514,6 +525,14 @@ def _describe(x: Value) -> str:
     w = x.hi - x.lo
     width = f"~2^-{w.denominator.bit_length() - w.numerator.bit_length()}" if w else "0"
     return f"[{_dec12(x.lo)}, {_dec12(x.hi)}] of width {width}"
+
+
+def _describe_angle(a: Angle) -> str:
+    """An angle in a few dozen bytes for error messages: a stream by its
+    literal, a rational by its 12-place decimal and its denominator's size."""
+    if a.source is None:
+        return f"{_dec12(a.value)} (denominator of {a.q.bit_length()} bits)"
+    return format_angle(a)
 
 
 def value_bounds(x: Value, k: int) -> tuple[Fraction, Fraction]:

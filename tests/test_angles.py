@@ -23,7 +23,7 @@ from polywander import (
     register_generator,
     shift_angle,
 )
-from polywander.angles import angle_sorted
+from polywander.angles import ONE, ZERO, _dec12, angle_sorted
 
 fractions_01 = st.fractions(min_value=0, max_value=1).filter(lambda f: f < 1)
 
@@ -295,3 +295,96 @@ def test_stream_vs_rational_compare_matches_fractions(u, offset):
     llo, lhi = arc_length(r, s).bounds(64)
     assert llo <= (hi - u) % 1 and (lo - u) % 1 <= lhi
     assert lhi - llo <= F(2, 2**64)
+
+
+def _dec12_by_fractions(fr: F) -> str:
+    """The 12-place decimal as it was first written, in Fraction arithmetic."""
+    neg = fr < 0
+    fr = abs(fr)
+    whole = fr.numerator // fr.denominator
+    rest = fr - whole
+    digits = rest.numerator * 10**12 // rest.denominator
+    return f"{'-' if neg else ''}{whole}.{str(digits).zfill(12)}"
+
+
+@given(
+    st.fractions()
+    | st.integers().map(F)
+    | st.builds(F, st.integers(), st.integers(min_value=1, max_value=3**2000))
+)
+@settings(max_examples=300)
+def test_dec12_matches_fraction_formula(x):
+    assert _dec12(x) == _dec12_by_fractions(x)
+
+
+def test_dec12_examples():
+    assert _dec12(F(-7, 2)) == "-3.500000000000"
+    assert _dec12(F(5)) == "5.000000000000" and _dec12(F(0)) == "0.000000000000"
+    assert _dec12(F(-1, 3**2000)) == "-0.000000000000"
+    assert _dec12(F(1, 7)) == "0.142857142857"
+
+
+# ---------------------------------------------------------------------------
+# stream enclosures, computed once per digit count and kept on the angle
+
+
+def _stream_literal(name: str, base: int, shift: int, offset: F) -> str:
+    return (
+        f"gen:{name}?base={base}&shift={shift}"
+        f"&offset={offset.numerator}/{offset.denominator}"
+    )
+
+
+@st.composite
+def stream_angles(draw):
+    """Stream angles; half of them get an offset that puts the m-digit
+    enclosure's lower end at (e = 0) or just below (e = 1) the 0/1 seam, so
+    shorter enclosures straddle it."""
+    name = draw(st.sampled_from(["thue_morse", "champernowne"]))
+    base = draw(st.integers(2, 5))
+    shift = draw(st.integers(0, 60))
+    if draw(st.booleans()):
+        m, e = draw(st.integers(1, 40)), draw(st.integers(0, 1))
+        plain = parse_angle(_stream_literal(name, base, shift, F(0)))
+        n = plain.source.prefix_numerator(shift, m)
+        offset = F(base**m - n - e, base**m) % 1
+    else:
+        offset = draw(st.fractions(min_value=0, max_value=2))
+    return parse_angle(_stream_literal(name, base, shift, offset))
+
+
+@given(stream_angles(), st.lists(st.integers(1, 100), min_size=1, max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_stream_enclosures_are_kept_and_match_a_fresh_parse(a, ks):
+    image = map_angle(a, a.base)
+    for angle in (a, image):
+        h = hash(angle)
+        fresh = parse_angle(format_angle(angle))
+        for k in ks:
+            bounds = angle.enclosure_bounds(k)
+            assert angle.enclosure_bounds(k) is bounds
+            assert bounds == parse_angle(format_angle(angle)).enclosure_bounds(k)
+        assert hash(angle) == h == hash(fresh) and angle == fresh
+
+
+@given(stream_angles())
+@settings(max_examples=200, deadline=None)
+def test_stream_enclosures_nest(a):
+    ks = range(80, 0, -1)  # the longest first, so the kept ones fill in reverse
+    bounds = {k: a.enclosure_bounds(k) for k in ks}
+    for k in range(1, 80):
+        (lo, hi), (lo2, hi2) = bounds[k], bounds[k + 1]
+        assert ZERO <= lo <= lo2 <= hi2 <= hi <= ONE
+        assert (lo, hi) == (ZERO, ONE) or hi - lo == F(1, a.base**k)
+
+
+def test_stream_enclosures_straddle_the_seam_until_enough_digits():
+    plain = parse_angle("gen:champernowne?base=3&shift=7")
+    m = 12
+    while plain.source.digit(7 + m - 1) == 0:  # then m - 1 digits also reach 1
+        m += 1
+    n = plain.source.prefix_numerator(7, m)
+    a = parse_angle(_stream_literal("champernowne", 3, 7, F(3**m - n, 3**m)))
+    assert a.enclosure_bounds(m) == (ZERO, F(1, 3**m))
+    assert a.enclosure_bounds(m - 1) == (ZERO, ONE)
+    assert a.enclosure_bounds(m + 1)[1] <= F(1, 3**m)

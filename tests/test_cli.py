@@ -1,10 +1,13 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from polywander.cli import main
+from polywander.cli import _to_json, main
 
 JUMP = ["19/100", "45/100", "96/100"]
 CLUSTER = ["30/100", "31/100", "32/100"]
@@ -84,21 +87,37 @@ def test_invalid_input_exits_2(argv, capsys):
     assert out == "" and err.startswith("error: ") and "Traceback" not in err
 
 
+def _thue_morse_neighbour() -> str:
+    """The first 8 base-3 Thue-Morse digits plus 1/(36*3^2000): inside the
+    stream's 8-digit enclosure, with a 3,176-bit denominator."""
+    n = 0
+    for i in range(8):
+        n = 3 * n + (bin(i).count("1") & 1)
+    r = Fraction(n, 3**8) + Fraction(1, 36 * 3**2000)
+    return f"{r.numerator}/{r.denominator}"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         # two holes of size 1/2 that no digit count can order: 9,941 bytes
-        ["analyze", "gen:thue_morse?base=2", "gen:thue_morse?base=2&offset=1/2"],
+        ["analyze", "gen:thue_morse?base=2", "gen:thue_morse?base=2&offset=1/2",
+         "-d", "2"],
         # floor(2 * 1/2) undecided: 5,002 bytes
-        ["analyze", "gen:thue_morse?base=2", "gen:thue_morse?base=2&offset=1/2", "0/1"],
+        ["analyze", "gen:thue_morse?base=2", "gen:thue_morse?base=2&offset=1/2", "0/1",
+         "-d", "2"],
+        # a stream and a rational that 8 digits cannot separate: 1,982 bytes
+        ["analyze", "gen:thue_morse?base=3", _thue_morse_neighbour(), "1/2",
+         "-d", "3", "--budget", "8"],
     ],
-    ids=["cmp_values", "floor_scaled"],
+    ids=["cmp_values", "floor_scaled", "compare"],
 )
 def test_precision_message_is_bounded(argv, capsys):
-    assert main([*argv, "-d", "2"]) == 3
+    assert main(argv) == 3
     out, err = capsys.readouterr()
+    budget = argv[argv.index("--budget") + 1] if "--budget" in argv else "4096"
     assert out == "" and err.startswith("precision: ")
-    assert "within 4096 digits" in err and len(err.encode()) < 300
+    assert f"within {budget} digits" in err and len(err.encode()) < 300
 
 
 def test_orbit_report():
@@ -162,6 +181,24 @@ def test_assertion_breach_exit_4():
     proc = run_cli("jumps", "5/100", "35/100", "65/100",
                    "--degree", "2", "--horizon", "1")
     assert proc.returncode == 4
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["jumps", "-d", "4", "--horizon", "18", "--no-kiwi-precheck",
+         "0/1", "2/3", "1/3"],
+        ["leaves", "-d", "4", "--horizon", "2", "--no-kiwi-precheck",
+         "0/1", "2/3", "1/3", "gen:champernowne?base=4&shift=0"],
+    ],
+    ids=["jumps", "leaves"],
+)
+def test_critical_hole_tie_exits_4(argv, capsys):
+    assert main(argv) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err.startswith("assertion breach: ") and "minimal remainder" in err
+    assert err.count("\n") == 1
 
 
 def test_render_triangle_counts():
@@ -228,3 +265,44 @@ def test_stream_literal_through_cli():
                    "--degree", "2")
     lits = [v["literal"] for v in rep["payload"]["vertices"]]
     assert "gen:thue_morse?base=2" in lits
+
+
+# the report writer against json.dumps
+
+_TRICKY = "\"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001f600"
+report_keys = st.text(max_size=6) | st.text(alphabet=_TRICKY, max_size=4)
+report_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**400), max_value=10**400)
+    | st.text()
+    | st.text(alphabet=_TRICKY)
+)
+report_values = st.recursive(
+    report_leaves,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(report_keys, inner, max_size=4),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(report_values)
+def test_to_json_matches_json_dumps(x):
+    assert _to_json(x) == json.dumps(x, sort_keys=True, indent=2)
+
+
+def test_to_json_empty_and_nested_containers():
+    for x in ({}, [], {"a": {}, "b": [], "c": [[], {}]}, [{"": [[]]}]):
+        assert _to_json(x) == json.dumps(x, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize(
+    "x",
+    [1.5, (1, 2), {1: "a"}, {"a": [0.5]}, {"a": {"b": (1,)}}, Fraction(1, 2)],
+    ids=["float", "tuple", "int-key", "nested-float", "nested-tuple", "Fraction"],
+)
+def test_to_json_rejects_other_types(x):
+    with pytest.raises(TypeError):
+        _to_json(x)
