@@ -12,6 +12,13 @@ Eventually periodic digit literals are folded into their rational value at
 parse time.  Generator streams are only ever known through finite digit
 prefixes, so comparisons against them refine enclosures until they resolve
 or the precision budget runs out.
+
+Every enclosure, of a stream angle or of an ``Approx`` value, is an int
+triple ``(lo, hi, den)`` meaning [lo/den, hi/den]: compares cross-multiply,
+and sums, differences and clamps work on the numerators over one
+denominator, so no ``gcd`` runs on the refinement path.  ``enclosure_bounds``,
+``Approx.bounds`` and ``value_bounds`` are memoised ``Fraction`` views of
+these triples for callers that want reduced fractions.
 """
 
 from __future__ import annotations
@@ -157,7 +164,9 @@ def _fill(a: "Angle", n, q, value, source, shift, offset) -> None:
     _set(a, "source", source)
     _set(a, "shift", shift)
     _set(a, "offset", offset)
-    _set(a, "_bounds", None if source is None else {})
+    if source is not None:  # the kept enclosures; rationals never need them
+        _set(a, "_bounds", {})
+        _set(a, "_views", {})
 
 
 class Angle:
@@ -168,10 +177,11 @@ class Angle:
     generator-backed digit stream whose value is
     ``offset + 0.d_shift d_shift+1 ...`` in base ``source.base`` (``n`` and
     ``q`` are None).  Instances are immutable; a stream keeps each
-    enclosure it has computed, keyed by digit count.
+    enclosure it has computed, and its ``Fraction`` view, keyed by digit
+    count.
     """
 
-    __slots__ = ("n", "q", "_value", "source", "shift", "offset", "_bounds")
+    __slots__ = ("n", "q", "_value", "source", "shift", "offset", "_bounds", "_views")
 
     def __init__(self, value=None, source=None, shift=0, offset=ZERO):
         if value is not None:
@@ -241,32 +251,46 @@ class Angle:
     def base(self):
         return None if self.source is None else self.source.base
 
+    def interval(self, k: int) -> tuple[int, int, int]:
+        """Ints (lo, hi, den) with [lo/den, hi/den] of width base**-k
+        guaranteed to contain the angle's value ((n, n, q) for rationals); a
+        stream computes it once per k."""
+        if self.source is None:
+            return self.n, self.n, self.q
+        iv = self._bounds.get(k)
+        if iv is not None:
+            return iv
+        n = self.source.prefix_numerator(self.shift, k)
+        step = self.source.base**k
+        if self.offset:
+            p, r = self.offset.numerator, self.offset.denominator
+            den = step * r
+            lo = n * r + p * step
+            hi = lo + r
+            if lo >= den:
+                lo -= den
+                hi -= den
+            elif hi > den:
+                # interval straddles the 0/1 seam; widen to the full circle
+                # until more digits move it off the seam
+                lo, hi = 0, den
+            iv = (lo, hi, den)
+        else:
+            iv = (n, n + 1, step)
+        self._bounds[k] = iv
+        return iv
+
     def enclosure_bounds(self, k: int) -> tuple[Fraction, Fraction]:
-        """Closed interval [lo, hi] of width base**-k (0 for rationals)
-        guaranteed to contain the angle's value; a stream computes it once
-        per k."""
+        """``interval(k)`` as a pair of ``Fraction``s, built once per k (the
+        exact value twice for rationals)."""
         if self.source is None:
             v = self.value
             return v, v
-        bounds = self._bounds.get(k)
-        if bounds is not None:
-            return bounds
-        b = self.source.base
-        n = self.source.prefix_numerator(self.shift, k)
-        lo = Fraction(n, b**k)
-        hi = lo + Fraction(1, b**k)
-        if self.offset:
-            lo = lo + self.offset
-            hi = hi + self.offset
-            if lo >= 1:
-                lo -= 1
-                hi -= 1
-            elif hi > 1:
-                # interval straddles the 0/1 seam; widen to the full circle
-                # until more digits move it off the seam
-                lo, hi = ZERO, ONE
-        bounds = self._bounds[k] = (lo, hi)
-        return bounds
+        view = self._views.get(k)
+        if view is None:
+            lo, hi, den = self.interval(k)
+            view = self._views[k] = (Fraction(lo, den), Fraction(hi, den))
+        return view
 
     # -- equality is representation equality, not provable value equality
 
@@ -423,21 +447,20 @@ def compare(a: Angle, b: Angle, budget: PrecisionBudget = DEFAULT_BUDGET) -> int
             x, y = a.n * qb, b.n * qa
         return LT if x < y else GT if x > y else EQ
     if (
-        not a.is_rational
-        and not b.is_rational
-        and a.source is b.source
-        and a.shift == b.shift
-        and a.offset == b.offset
+        a.source is not None
+        and b.source is not None
+        and (
+            (a.source is b.source and a.shift == b.shift and a.offset == b.offset)
+            or a._key() == b._key()
+        )
     ):
         return EQ
-    if not a.is_rational and not b.is_rational and a._key() == b._key():
-        return EQ
     for k in _precision_ladder(budget):
-        alo, ahi = a.enclosure_bounds(k)
-        blo, bhi = b.enclosure_bounds(k)
-        if ahi < blo:
+        alo, ahi, ad = a.interval(k)
+        blo, bhi, bd = b.interval(k)
+        if ahi * bd < blo * ad:
             return LT
-        if bhi < alo:
+        if bhi * ad < alo * bd:
             return GT
     raise UnresolvedComparison(
         f"cannot separate {_describe_angle(a)} and {_describe_angle(b)} "
@@ -472,8 +495,8 @@ def refine(a: Angle, k: int) -> AngleEnclosure:
 
 def midpoint(a: Angle, k: int) -> Fraction:
     """Midpoint, in [0, 1), of the angle's k-digit enclosure (exact for rationals)."""
-    lo, hi = a.enclosure_bounds(k)
-    return (lo + hi) / 2
+    lo, hi, den = a.interval(k)
+    return Fraction(lo + hi, 2 * den)
 
 
 # ---------------------------------------------------------------------------
@@ -481,30 +504,47 @@ def midpoint(a: Angle, k: int) -> Fraction:
 
 
 class Approx:
-    """A real in [0, 1] known through a refinable enclosure [lo, hi].
+    """A real known through a refinable enclosure.
 
-    ``refine_fn(k)`` recomputes bounds from k stream digits.  Successive
-    refinements are intersected so the enclosure is guaranteed to nest.
+    ``refine_fn(k)`` returns the enclosure from k stream digits as ints
+    ``(lo, hi, den)`` meaning [lo/den, hi/den].  Nothing is computed until
+    the first request; a request for more digits than before is intersected
+    with the kept enclosure, so enclosures nest.  ``bounds(k)`` is the
+    ``Fraction`` view of the kept enclosure.
     """
 
-    __slots__ = ("_refine", "_k", "lo", "hi")
+    __slots__ = ("_refine", "_k", "_iv", "_view")
 
-    def __init__(self, refine_fn, k: int = 8):
+    def __init__(self, refine_fn):
         self._refine = refine_fn
-        lo, hi = refine_fn(k)
-        self.lo, self.hi = lo, hi
-        self._k = k
+        self._k = 0
+        self._iv = self._view = None
+
+    def interval(self, k: int) -> tuple[int, int, int]:
+        if k > self._k:
+            lo, hi, den = self._refine(k)
+            if self._iv is not None:
+                plo, phi, pden = self._iv
+                if lo * pden < plo * den or hi * pden > phi * den:
+                    # keep the tighter end of each side, over a common denominator
+                    lo, hi = max(lo * pden, plo * den), min(hi * pden, phi * den)
+                    den *= pden
+            self._iv = (lo, hi, den)
+            self._k = k
+            self._view = None
+        return self._iv
 
     def bounds(self, k: int) -> tuple[Fraction, Fraction]:
-        if k > self._k:
-            lo, hi = self._refine(k)
-            self.lo = max(self.lo, lo)
-            self.hi = min(self.hi, hi)
-            self._k = k
-        return self.lo, self.hi
+        lo, hi, den = self.interval(k)
+        if self._view is None:
+            self._view = (Fraction(lo, den), Fraction(hi, den))
+        return self._view
 
     def __repr__(self):
-        return f"Approx[{self.lo}, {self.hi}]"
+        if self._iv is None:
+            return "Approx[unrefined]"
+        lo, hi = self.bounds(self._k)
+        return f"Approx[{lo}, {hi}]"
 
 
 Value = Fraction | Approx  # exact real or refinable enclosure
@@ -517,14 +557,16 @@ def _dec12(fr: Fraction) -> str:
     return f"{'-' if n < 0 else ''}{whole}.{rest * 10**12 // q:012d}"
 
 
-def _describe(x: Value) -> str:
+def _describe(x: Value, k: int) -> str:
     """A value in a few dozen bytes for error messages: 12-place decimals,
-    and an enclosure's width as a power of 2, never the full fractions."""
+    and the k-digit enclosure's width as a power of 2, never the full
+    fractions."""
     if isinstance(x, Fraction):
         return _dec12(x)
-    w = x.hi - x.lo
+    lo, hi = x.bounds(k)
+    w = hi - lo
     width = f"~2^-{w.denominator.bit_length() - w.numerator.bit_length()}" if w else "0"
-    return f"[{_dec12(x.lo)}, {_dec12(x.hi)}] of width {width}"
+    return f"[{_dec12(lo)}, {_dec12(hi)}] of width {width}"
 
 
 def _describe_angle(a: Angle) -> str:
@@ -535,10 +577,29 @@ def _describe_angle(a: Angle) -> str:
     return format_angle(a)
 
 
+def value_interval(x: Value, k: int) -> tuple[int, int, int]:
+    """The enclosure of ``x`` from k digits as ints (lo, hi, den)."""
+    # Approx first: an isinstance check against Fraction (an ABC) is slow
+    # when it fails
+    if isinstance(x, Approx):
+        return x.interval(k)
+    n = x.numerator
+    return n, n, x.denominator
+
+
 def value_bounds(x: Value, k: int) -> tuple[Fraction, Fraction]:
     if isinstance(x, Fraction):
         return x, x
     return x.bounds(k)
+
+
+def _over_common(x: tuple[int, int, int], y: tuple[int, int, int]):
+    """Two int enclosures as xlo, xhi, ylo, yhi over one denominator den."""
+    xlo, xhi, xd = x
+    ylo, yhi, yd = y
+    if xd == yd:
+        return xlo, xhi, ylo, yhi, xd
+    return xlo * yd, xhi * yd, ylo * xd, yhi * xd, xd * yd
 
 
 def cmp_values(x: Value, y: Value, budget: PrecisionBudget = DEFAULT_BUDGET) -> int:
@@ -546,15 +607,15 @@ def cmp_values(x: Value, y: Value, budget: PrecisionBudget = DEFAULT_BUDGET) -> 
     if isinstance(x, Fraction) and isinstance(y, Fraction):
         return LT if x < y else GT if x > y else EQ
     for k in _precision_ladder(budget):
-        xlo, xhi = value_bounds(x, k)
-        ylo, yhi = value_bounds(y, k)
-        if xhi < ylo:
+        xlo, xhi, xd = value_interval(x, k)
+        ylo, yhi, yd = value_interval(y, k)
+        if xhi * yd < ylo * xd:
             return LT
-        if yhi < xlo:
+        if yhi * xd < xlo * yd:
             return GT
     raise UnresolvedComparison(
-        f"cannot order {_describe(x)} and {_describe(y)} "
-        f"within {budget.max_digits} digits"
+        f"cannot order {_describe(x, budget.max_digits)} and "
+        f"{_describe(y, budget.max_digits)} within {budget.max_digits} digits"
     )
 
 
@@ -563,9 +624,8 @@ def add_values(x: Value, y: Value) -> Value:
         return x + y
 
     def refine_fn(k):
-        xlo, xhi = value_bounds(x, k)
-        ylo, yhi = value_bounds(y, k)
-        return xlo + ylo, xhi + yhi
+        xlo, xhi, ylo, yhi, den = _over_common(value_interval(x, k), value_interval(y, k))
+        return xlo + ylo, xhi + yhi, den
 
     return Approx(refine_fn)
 
@@ -575,9 +635,8 @@ def sub_values(x: Value, y: Value) -> Value:
         return x - y
 
     def refine_fn(k):
-        xlo, xhi = value_bounds(x, k)
-        ylo, yhi = value_bounds(y, k)
-        return xlo - yhi, xhi - ylo
+        xlo, xhi, ylo, yhi, den = _over_common(value_interval(x, k), value_interval(y, k))
+        return xlo - yhi, xhi - ylo, den
 
     return Approx(refine_fn)
 
@@ -587,8 +646,8 @@ def scale_value(x: Value, n: int) -> Value:
         return n * x
 
     def refine_fn(k):
-        lo, hi = value_bounds(x, k)
-        return n * lo, n * hi
+        lo, hi, den = x.interval(k)
+        return n * lo, n * hi, den
 
     return Approx(refine_fn)
 
@@ -598,8 +657,8 @@ def clamp01_value(x: Value) -> Value:
         return min(ONE, max(ZERO, x))
 
     def refine_fn(k):
-        lo, hi = value_bounds(x, k)
-        return max(ZERO, lo), min(ONE, hi)
+        lo, hi, den = x.interval(k)
+        return max(0, lo), min(den, hi), den
 
     return Approx(refine_fn)
 
@@ -616,13 +675,12 @@ def floor_scaled(x: Value, d: int, budget: PrecisionBudget = DEFAULT_BUDGET) -> 
     if isinstance(x, Fraction):
         return (d * x.numerator) // x.denominator
     for k in _precision_ladder(budget):
-        lo, hi = x.bounds(k)
-        jlo = (d * lo.numerator) // lo.denominator
-        jhi = (d * hi.numerator) // hi.denominator
-        if jlo == jhi:
-            return jlo
+        lo, hi, den = x.interval(k)
+        j = d * lo // den
+        if j == d * hi // den:
+            return j
     raise UnresolvedComparison(
-        f"floor({d}*x) undecided for x in {_describe(x)} "
+        f"floor({d}*x) undecided for x in {_describe(x, budget.max_digits)} "
         f"within {budget.max_digits} digits"
     )
 
@@ -642,16 +700,14 @@ def arc_length(u: Angle, w: Angle, budget: PrecisionBudget = DEFAULT_BUDGET) -> 
     if c == LT:  # w - u as reals
 
         def refine_fn(k):
-            ulo, uhi = u.enclosure_bounds(k)
-            wlo, whi = w.enclosure_bounds(k)
-            return max(ZERO, wlo - uhi), min(ONE, whi - ulo)
+            ulo, uhi, wlo, whi, den = _over_common(u.interval(k), w.interval(k))
+            return max(0, wlo - uhi), min(den, whi - ulo), den
 
     else:  # 1 - (u - w)
 
         def refine_fn(k):
-            ulo, uhi = u.enclosure_bounds(k)
-            wlo, whi = w.enclosure_bounds(k)
-            return max(ZERO, 1 - uhi + wlo), min(ONE, 1 - ulo + whi)
+            ulo, uhi, wlo, whi, den = _over_common(u.interval(k), w.interval(k))
+            return max(0, den - uhi + wlo), min(den, den - ulo + whi), den
 
     return Approx(refine_fn)
 

@@ -67,10 +67,14 @@ def _ser_fraction(fr: Fraction) -> dict:
     }
 
 
-def _ser_bounds(lo: Fraction, hi: Fraction) -> dict:
+def _ser_bounds(lo: int, hi: int, den: int) -> dict:
+    """An int enclosure [lo/den, hi/den] and its midpoint."""
     return {
-        "enclosure": {"lo": _ser_fraction(lo), "hi": _ser_fraction(hi)},
-        "decimal_approx_12": _dec12((lo + hi) / 2),
+        "enclosure": {
+            "lo": _ser_fraction(Fraction(lo, den)),
+            "hi": _ser_fraction(Fraction(hi, den)),
+        },
+        "decimal_approx_12": _dec12(Fraction(lo + hi, 2 * den)),
     }
 
 
@@ -78,7 +82,7 @@ def _ser_angle(a: Angle, k: int = 64) -> dict:
     if a.is_rational:
         out = _ser_fraction(a.value)
     else:
-        out = _ser_bounds(*a.enclosure_bounds(k))
+        out = _ser_bounds(*a.interval(k))
     out["literal"] = format_angle(a)
     return out
 
@@ -86,7 +90,7 @@ def _ser_angle(a: Angle, k: int = 64) -> dict:
 def _ser_value(v: Value, k: int = 64) -> dict:
     if isinstance(v, Fraction):
         return _ser_fraction(v)
-    return _ser_bounds(*v.bounds(k))
+    return _ser_bounds(*v.interval(k))
 
 
 def _ser_arc(arc) -> dict:
@@ -509,6 +513,8 @@ def main(argv=None) -> int:
         eps = _parse_epsilon(args.epsilon)
         if args.degree < 2:
             raise PreconditionError(f"degree must be >= 2, got {args.degree}")
+        if args.horizon < 0:
+            raise PreconditionError("horizon must be >= 0")
         budget = PrecisionBudget(max_digits=args.budget)
         if args.command == "render":
             svg = render_svg(

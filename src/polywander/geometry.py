@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
-from math import ceil, floor, lcm
+from math import lcm
 
 from .angles import (
     DEFAULT_BUDGET,
@@ -33,7 +33,6 @@ from .angles import (
     shift_angle,
     sub_values,
     sum_values,
-    value_bounds,
 )
 from .errors import (
     AssertionBreach,
@@ -137,9 +136,13 @@ class Polygon:
 
 def remainder(s: Value, d: int, budget: PrecisionBudget = DEFAULT_BUDGET) -> Value:
     """s minus the largest multiple j/d not exceeding s; lies in [0, 1/d)."""
+    return _remainder_below(s, floor_scaled(s, d, budget), d)
+
+
+def _remainder_below(s: Value, j: int, d: int) -> Value:
+    """s - j/d for j = floor(d * s)."""
     if isinstance(s, Fraction):
-        return Fraction(d * s.numerator % s.denominator, d * s.denominator)
-    j = floor_scaled(s, d, budget)
+        return Fraction(d * s.numerator - j * s.denominator, d * s.denominator)
     return clamp01_value(sub_values(s, Fraction(j, d)))
 
 
@@ -221,7 +224,7 @@ def hole_profile(
 
         order = tuple(sorted(range(M), key=cmp_to_key(rank_cmp)))
     floors = tuple(floor_scaled(s, d, budget) for s in sizes)
-    rems = tuple(remainder(s, d, budget) for s in sizes)
+    rems = tuple(_remainder_below(s, j, d) for s, j in zip(sizes, floors))
     if exact:
         rsum = Fraction(sum(d * x % L for x in nums), d * L)
     else:
@@ -319,8 +322,8 @@ def _orientation(
         by_remainders = rsum == target
     else:
         # enclosure sums cannot certify exact equality; require consistency
-        lo, hi = value_bounds(rsum, 64)
-        by_remainders = None if lo <= target <= hi else False
+        lo, hi, den = rsum.interval(64)
+        by_remainders = None if lo * d <= den <= hi * d else False
 
     verdicts = {by_cyclic_order, by_disjoint_arcs}
     if by_remainders is not None:
@@ -471,8 +474,8 @@ def is_critical(c: Chord, d: int, budget: PrecisionBudget = DEFAULT_BUDGET) -> b
     if isinstance(length, Fraction):
         return (d * length).denominator == 1
     for k in _precision_ladder(budget):
-        lo, hi = value_bounds(length, k)
-        if ceil(d * lo) > floor(d * hi):
+        lo, hi, den = length.interval(k)
+        if -(-d * lo // den) > d * hi // den:  # ceil(d * lo) > floor(d * hi)
             return False
     raise UnresolvedComparison("criticality undecided within budget")
 

@@ -144,6 +144,8 @@ def certify_wandering(
     """
     if d < 2:
         raise PreconditionError(f"degree must be >= 2, got {d}")
+    if horizon < 0:
+        raise PreconditionError("horizon must be >= 0")
     N = T.card
     if N < 3:
         raise PreconditionError("certification needs card >= 3")

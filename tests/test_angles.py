@@ -1,5 +1,5 @@
 from fractions import Fraction as F
-from math import gcd
+from math import floor, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +23,20 @@ from polywander import (
     register_generator,
     shift_angle,
 )
-from polywander.angles import ONE, ZERO, _dec12, angle_sorted
+from polywander.angles import (
+    ONE,
+    ZERO,
+    _dec12,
+    angle_sorted,
+    clamp01_value,
+    cmp_values,
+    floor_scaled,
+    scale_value,
+    sub_values,
+    sum_values,
+    value_bounds,
+)
+from polywander.geometry import remainder
 
 fractions_01 = st.fractions(min_value=0, max_value=1).filter(lambda f: f < 1)
 
@@ -336,7 +349,7 @@ def _stream_literal(name: str, base: int, shift: int, offset: F) -> str:
 
 
 @st.composite
-def stream_angles(draw):
+def stream_angles(draw, seam_digits=st.integers(1, 40)):
     """Stream angles; half of them get an offset that puts the m-digit
     enclosure's lower end at (e = 0) or just below (e = 1) the 0/1 seam, so
     shorter enclosures straddle it."""
@@ -344,7 +357,7 @@ def stream_angles(draw):
     base = draw(st.integers(2, 5))
     shift = draw(st.integers(0, 60))
     if draw(st.booleans()):
-        m, e = draw(st.integers(1, 40)), draw(st.integers(0, 1))
+        m, e = draw(seam_digits), draw(st.integers(0, 1))
         plain = parse_angle(_stream_literal(name, base, shift, F(0)))
         n = plain.source.prefix_numerator(shift, m)
         offset = F(base**m - n - e, base**m) % 1
@@ -388,3 +401,228 @@ def test_stream_enclosures_straddle_the_seam_until_enough_digits():
     assert a.enclosure_bounds(m) == (ZERO, F(1, 3**m))
     assert a.enclosure_bounds(m - 1) == (ZERO, ONE)
     assert a.enclosure_bounds(m + 1)[1] <= F(1, 3**m)
+
+
+# ---------------------------------------------------------------------------
+# the integer enclosure kernel against a plain-Fraction restatement
+#
+# The package keeps every enclosure as ints (lo, hi, den) and refines an
+# ``Approx`` only when asked; below, the same values are rebuilt with the
+# formulas as first written in Fraction arithmetic, with an ``Approx`` that
+# refines at k = 8 on creation and intersects every later refinement with
+# the kept bounds.  Both sides make the same calls in the same order, so
+# their kept bounds must agree whatever digit counts are asked for, and in
+# whatever order.
+
+KERNEL_BUDGET = PrecisionBudget(256)
+
+
+class _Unresolved(Exception):
+    """Both sides gave up on the same step."""
+
+
+def _ref_ladder():
+    k = 8
+    while k < KERNEL_BUDGET.max_digits:
+        yield k
+        k *= 2
+    yield KERNEL_BUDGET.max_digits
+
+
+class _RefKernel:
+    def __init__(self):
+        self._enclosures = {}
+
+    def enclosure(self, a, k):
+        if a.is_rational:
+            return a.value, a.value
+        key = (a, k)
+        if key not in self._enclosures:
+            b, fn = a.base, a.source.fn
+            n = 0
+            for i in range(a.shift, a.shift + k):
+                n = n * b + fn(i)
+            lo = F(n, b**k) + a.offset
+            hi = lo + F(1, b**k)
+            if lo >= 1:
+                lo, hi = lo - 1, hi - 1
+            elif hi > 1:
+                lo, hi = ZERO, ONE
+            self._enclosures[key] = (lo, hi)
+        return self._enclosures[key]
+
+    def compare(self, a, b):
+        if a.is_rational and b.is_rational:
+            return LT if a.value < b.value else GT if a.value > b.value else EQ
+        if a == b:
+            return EQ
+        for k in _ref_ladder():
+            (alo, ahi), (blo, bhi) = self.enclosure(a, k), self.enclosure(b, k)
+            if ahi < blo:
+                return LT
+            if bhi < alo:
+                return GT
+        raise _Unresolved
+
+    def arc(self, u, w):
+        c = self.compare(u, w)
+        if c == EQ:
+            return ZERO
+        if u.is_rational and w.is_rational:
+            return (w.value - u.value) % 1
+        e = self.enclosure
+        if c == LT:
+            return _RefApprox(
+                lambda k: (max(ZERO, e(w, k)[0] - e(u, k)[1]), min(ONE, e(w, k)[1] - e(u, k)[0]))
+            )
+        return _RefApprox(
+            lambda k: (
+                max(ZERO, 1 - e(u, k)[1] + e(w, k)[0]),
+                min(ONE, 1 - e(u, k)[0] + e(w, k)[1]),
+            )
+        )
+
+
+class _RefApprox:
+    def __init__(self, fn):
+        self.fn = fn
+        self.lo, self.hi = fn(8)
+        self.k = 8
+
+    def bounds(self, k):
+        if k > self.k:
+            lo, hi = self.fn(k)
+            self.lo, self.hi, self.k = max(self.lo, lo), min(self.hi, hi), k
+        return self.lo, self.hi
+
+
+def _rb(x, k):
+    return (x, x) if isinstance(x, F) else x.bounds(k)
+
+
+def _ref_add(x, y):
+    if isinstance(x, F) and isinstance(y, F):
+        return x + y
+    return _RefApprox(lambda k: (_rb(x, k)[0] + _rb(y, k)[0], _rb(x, k)[1] + _rb(y, k)[1]))
+
+
+def _ref_sum(values):
+    total = ZERO
+    for v in values:
+        total = _ref_add(total, v)
+    return total
+
+
+def _ref_sub(x, y):
+    if isinstance(x, F) and isinstance(y, F):
+        return x - y
+    return _RefApprox(lambda k: (_rb(x, k)[0] - _rb(y, k)[1], _rb(x, k)[1] - _rb(y, k)[0]))
+
+
+def _ref_scale(x, n):
+    if isinstance(x, F):
+        return n * x
+    return _RefApprox(lambda k: (n * _rb(x, k)[0], n * _rb(x, k)[1]))
+
+
+def _ref_clamp(x):
+    if isinstance(x, F):
+        return min(ONE, max(ZERO, x))
+    return _RefApprox(lambda k: (max(ZERO, _rb(x, k)[0]), min(ONE, _rb(x, k)[1])))
+
+
+def _ref_floor(x, d):
+    if isinstance(x, F):
+        return (d * x.numerator) // x.denominator
+    for k in _ref_ladder():
+        lo, hi = x.bounds(k)
+        if floor(d * lo) == floor(d * hi):
+            return floor(d * lo)
+    raise _Unresolved
+
+
+def _ref_remainder(s, d):
+    if isinstance(s, F):
+        return F(d * s.numerator % s.denominator, d * s.denominator)
+    return _ref_clamp(_ref_sub(s, F(_ref_floor(s, d), d)))
+
+
+def _ref_cmp(x, y):
+    if isinstance(x, F) and isinstance(y, F):
+        return LT if x < y else GT if x > y else EQ
+    for k in _ref_ladder():
+        (xlo, xhi), (ylo, yhi) = _rb(x, k), _rb(y, k)
+        if xhi < ylo:
+            return LT
+        if yhi < xlo:
+            return GT
+    raise _Unresolved
+
+
+def _step(package, reference):
+    """Run one step on both sides: the same result, or both unresolved."""
+    try:
+        want = reference()
+    except _Unresolved:
+        with pytest.raises(UnresolvedComparison):
+            package()
+        raise
+    return package(), want
+
+
+def _assert_same_bounds(pairs, k):
+    for got, want in pairs:
+        assert isinstance(got, F) == isinstance(want, F)
+        assert value_bounds(got, k) == _rb(want, k)
+
+
+@st.composite
+def circle_points(draw):
+    """Rationals and stream angles, some of them on the seam at a digit count
+    the ladder asks for."""
+    if draw(st.booleans()):
+        return Angle.from_fraction(draw(fractions_01))
+    return draw(stream_angles(st.integers(1, 40) | st.sampled_from([8, 16, 32, 64])))
+
+
+@given(
+    st.lists(circle_points(), min_size=2, max_size=4),
+    st.integers(2, 5),
+    st.lists(st.sampled_from([8, 16, 64]), min_size=1, max_size=6),
+    st.permutations([8, 16, 64]),
+)
+@settings(max_examples=150, deadline=None)
+def test_integer_kernel_matches_fraction_formulas(points, d, asked, order):
+    ref = _RefKernel()
+    try:
+        pairs = [
+            _step(lambda: arc_length(u, w, KERNEL_BUDGET), lambda: ref.arc(u, w))
+            for u, w in zip(points, points[1:] + points[:1])
+        ]
+        sizes = list(pairs)
+        rems = [
+            _step(lambda: remainder(s, d, KERNEL_BUDGET), lambda: _ref_remainder(r, d))
+            for s, r in sizes
+        ]
+        (s0, r0), (s1, r1) = sizes[0], sizes[1]
+        pairs += rems
+        pairs.append((sum_values(p for p, _ in rems), _ref_sum(r for _, r in rems)))
+        pairs.append((scale_value(s0, d), _ref_scale(r0, d)))
+        pairs.append((clamp01_value(sub_values(s0, s1)), _ref_clamp(_ref_sub(r0, r1))))
+        # laziness cannot change a bound: any order of digit counts agrees
+        for k in asked + order:
+            _assert_same_bounds(pairs, k)
+        for x, rx in pairs:
+            got, want = _step(
+                lambda: floor_scaled(x, d, KERNEL_BUDGET), lambda: _ref_floor(rx, d)
+            )
+            assert got == want
+            for y, ry in pairs:
+                got, want = _step(
+                    lambda: cmp_values(x, y, KERNEL_BUDGET), lambda: _ref_cmp(rx, ry)
+                )
+                assert got == want
+    except _Unresolved:
+        return
+    for k in order:
+        _assert_same_bounds(pairs, k)

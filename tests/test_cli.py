@@ -87,6 +87,13 @@ def test_invalid_input_exits_2(argv, capsys):
     assert out == "" and err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["verify", "collection", "render", "orbit"])
+def test_negative_horizon_exits_2(command, capsys):
+    assert main([command, "1/10", "2/10", "3/10", "-d", "3", "--horizon", "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: horizon must be >= 0\n"
+
+
 def _thue_morse_neighbour() -> str:
     """The first 8 base-3 Thue-Morse digits plus 1/(36*3^2000): inside the
     stream's 8-digit enclosure, with a 3,176-bit denominator."""

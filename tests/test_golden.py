@@ -56,6 +56,16 @@ CASES = {
     "stream-orbit": (
         0, ["orbit", "gen:thue_morse?base=4", "1/3", "2/3", "-d", "4", "--horizon", "20"]
     ),
+    # stream enclosures, remainders, remainder_sum, cr.remainder, witness arcs
+    "stream-analyze": (0, ["analyze", "-d", "4", "gen:thue_morse?base=4", "1/3", "2/3"]),
+    "stream-offset-analyze": (
+        0, ["analyze", "-d", "4", "gen:thue_morse?base=4&offset=1/5", "1/3", "2/3"]
+    ),
+    # a stream triangle that reverses orientation
+    "stream-reversed-analyze": (
+        0,
+        ["analyze", "-d", "3", "gen:champernowne?base=3&shift=5", "1/4", "1/2", "7/8"],
+    ),
     "thin-jumps": (0, ["jumps", *THIN_OPTS, *THIN]),
     "thin-leaves": (0, ["leaves", *THIN_OPTS, *THIN]),
     "thin-render": (0, ["render", *THIN_OPTS, *THIN]),

@@ -117,6 +117,11 @@ def test_certify_rejects_degree_below_2(d):
         certify_wandering(poly("0.1", "0.2", "0.3"), d, 4)
 
 
+def test_certify_rejects_negative_horizon():
+    with pytest.raises(PreconditionError, match="horizon must be >= 0"):
+        certify_wandering(poly("0.1", "0.2", "0.3"), 3, -1)
+
+
 def test_certify_card_drop():
     # 0.2 and 0.7 collide under doubling
     c = certify_wandering(poly("0.2", "0.4", "0.7"), 2, 3, kiwi_precheck=False)

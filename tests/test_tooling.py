@@ -51,3 +51,50 @@ def test_imports_are_stdlib_or_package(path):
             and n.split(".")[0] != "polywander"
         ]
     assert outside == [], f"{path.name} imports {outside}"
+
+
+LAYERS_PY = SRC.parent.parent / "perfbench" / "layers.py"
+
+
+def test_benchmark_tracer_installs_and_restores_every_patch():
+    """The per-layer tracer of ``perfbench/layers.py`` (loaded read-only)
+    finds every function and method it wraps, and ``remove`` puts each
+    original back, so a rename in the package fails here and not first in
+    a traced benchmark run."""
+    import importlib.util
+
+    import polywander  # noqa: F401  (imports every layer module)
+
+    spec = importlib.util.spec_from_file_location("layers", LAYERS_PY)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+
+    modules = [m for n, m in sys.modules.items() if n.split(".")[0] == layers.PACKAGE]
+    classes = [
+        getattr(sys.modules[f"{layers.PACKAGE}.{mod}"], cls)
+        for mod, cls, _ in layers.METHODS
+    ]
+    owners = modules + classes
+    before = [dict(vars(owner)) for owner in owners]
+
+    tracer = layers.Tracer()
+    tracer.install()
+    try:
+        patched = {
+            (getattr(owner, "__name__", owner), attr)
+            for owner, snap in zip(owners, before)
+            for attr, value in vars(owner).items()
+            if snap.get(attr) is not value
+        }
+    finally:
+        tracer.remove()
+
+    for mod, fn in layers.FUNCTIONS:
+        assert (f"{layers.PACKAGE}.{mod}", fn) in patched
+    assert (f"{layers.PACKAGE}.angles", "_precision_ladder") in patched
+    for mod, cls, meth in layers.METHODS:
+        assert (cls, meth) in patched
+    for owner, snap in zip(owners, before):
+        after = vars(owner)
+        assert after.keys() == snap.keys()
+        assert all(after[attr] is value for attr, value in snap.items()), owner
