@@ -26,6 +26,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from math import gcd
 from typing import Callable
 
@@ -115,10 +116,6 @@ def register_generator(name: str, factory) -> None:
     and must return ``(base, digit_fn)`` where ``digit_fn(i)`` is digit i.
     """
     _GENERATORS[name] = factory
-
-
-def generator_names():
-    return sorted(_GENERATORS)
 
 
 def _thue_morse_factory(params):
@@ -415,12 +412,6 @@ def map_angle(a: Angle, d: int) -> Angle:
     return Angle._stream(a.source, a.shift + 1, _mod1(a.offset * d))
 
 
-def iterate_angle(a: Angle, d: int, n: int) -> Angle:
-    for _ in range(n):
-        a = map_angle(a, d)
-    return a
-
-
 # ---------------------------------------------------------------------------
 # comparison and enclosures
 
@@ -712,15 +703,29 @@ def arc_length(u: Angle, w: Angle, budget: PrecisionBudget = DEFAULT_BUDGET) -> 
     return Approx(refine_fn)
 
 
+def ccw_order(angles, budget: PrecisionBudget = DEFAULT_BUDGET):
+    """Indices of ``angles`` in ccw order from 0, by one comparison sort
+    calling ``compare`` on pairs as (earlier, later), and the first pair
+    i < j it found equal, or None.  Equal angles keep their input order.  A
+    comparison sort cannot order two equal items without comparing two, so
+    the pair is None only when the angles are pairwise distinct."""
+    ties = []
+
+    def cmp(i, j):
+        if i > j:
+            return -cmp(j, i)
+        c = compare(angles[i], angles[j], budget)
+        if c == EQ:
+            ties.append((i, j))
+        return c
+
+    return sorted(range(len(angles)), key=cmp_to_key(cmp)), next(iter(ties), None)
+
+
 def angle_sorted(angles, budget: PrecisionBudget = DEFAULT_BUDGET) -> list[Angle]:
-    """Angles sorted by circle position (insertion sort via compare)."""
-    out: list[Angle] = []
-    for a in angles:
-        i = 0
-        while i < len(out) and compare(out[i], a, budget) == LT:
-            i += 1
-        out.insert(i, a)
-    return out
+    """Angles sorted by circle position; equal ones keep their input order."""
+    angles = list(angles)
+    return [angles[i] for i in ccw_order(angles, budget)[0]]
 
 
 def shift_angle(a: Angle, delta: Fraction) -> Angle:

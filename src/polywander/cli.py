@@ -37,7 +37,7 @@ from .errors import (
     TooFewJumps,
     UnresolvedComparison,
 )
-from .geometry import Polygon, _check_injective, _orientation, hole_profile
+from .geometry import Polygon, _image_sort, _orientation, hole_profile
 from .orbit import (
     critical_hole_index,
     detect_jumps,
@@ -307,7 +307,7 @@ def _cmd_analyze(args, budget, eps):
     P = Polygon(_input_angles(args), budget)
     d = args.degree
     profile = hole_profile(P, d, budget)
-    cert = _orientation(_check_injective(P, d, budget), profile, d, budget)
+    cert = _orientation(_image_sort(P, d, budget)[1], profile, d, budget)
     cr = None
     cr_reason = None
     try:
@@ -515,6 +515,8 @@ def main(argv=None) -> int:
             raise PreconditionError(f"degree must be >= 2, got {args.degree}")
         if args.horizon < 0:
             raise PreconditionError("horizon must be >= 0")
+        if args.burn_in is not None and args.burn_in < 0:
+            raise PreconditionError("burn-in must be >= 0")
         budget = PrecisionBudget(max_digits=args.budget)
         if args.command == "render":
             svg = render_svg(

@@ -2,7 +2,9 @@
 
 Everything here is pure and immutable, except ``UnlinkedFamily``, a vertex
 list that grows.  Lengths are exact ``Fraction``s when all endpoints are
-rational and refinable enclosures otherwise.
+rational and refinable enclosures otherwise.  One sort of a polygon's
+vertex images (``_image_sort``) gives injectivity, the cyclic-order half of
+orientation, the next iterate and where each vertex's image lands in it.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from .angles import (
     PrecisionBudget,
     Value,
     _precision_ladder,
-    angle_sorted,
     arc_length,
+    ccw_order,
     clamp01_value,
     cmp_values,
     compare,
@@ -102,23 +104,24 @@ class Polygon:
     __slots__ = ("vertices",)
 
     def __init__(self, vertices, budget: PrecisionBudget = DEFAULT_BUDGET):
-        vs = angle_sorted(vertices, budget)
+        vs = list(vertices)
+        order, tie = ccw_order(vs, budget)
         if len(vs) < 2:
             raise PreconditionError("a polygon needs at least 2 distinct vertices")
-        for i in range(len(vs) - 1):
-            if compare(vs[i], vs[i + 1], budget) == EQ:
-                raise PreconditionError("polygon vertices must be pairwise distinct")
-        object.__setattr__(self, "vertices", tuple(vs))
+        if tie:
+            raise PreconditionError("polygon vertices must be pairwise distinct")
+        object.__setattr__(self, "vertices", tuple(vs[i] for i in order))
+
+    @classmethod
+    def _from_sorted(cls, vertices) -> "Polygon":
+        """The polygon on distinct vertices already in ccw order from 0."""
+        P = object.__new__(cls)
+        object.__setattr__(P, "vertices", tuple(vertices))
+        return P
 
     @property
     def card(self) -> int:
         return len(self.vertices)
-
-    def image(self, d: int, budget: PrecisionBudget = DEFAULT_BUDGET) -> "Polygon":
-        return Polygon([map_angle(v, d) for v in self.vertices], budget)
-
-    def image_angles(self, d: int):
-        return [map_angle(v, d) for v in self.vertices]
 
     def __eq__(self, other):
         return isinstance(other, Polygon) and self.vertices == other.vertices
@@ -128,6 +131,22 @@ class Polygon:
 
     def __repr__(self):
         return f"Polygon({list(self.vertices)!r})"
+
+
+def _image_sort(P: Polygon, d: int, budget: PrecisionBudget):
+    """The images of P's vertices in ccw order, and ``landing``: for each
+    vertex of P, the position of its image among them.  One sort with
+    ``compare``; a pair of equal images it finds is a collision and raises
+    NotInjectiveError."""
+    vs = P.vertices
+    images = [map_angle(v, d) for v in vs]
+    order, tie = ccw_order(images, budget)
+    if tie:
+        raise NotInjectiveError(
+            "two vertices share an image under the map", pair=(vs[tie[0]], vs[tie[1]])
+        )
+    landing = tuple(sorted(range(len(order)), key=order.__getitem__))
+    return [images[c] for c in order], landing
 
 
 # ---------------------------------------------------------------------------
@@ -271,49 +290,27 @@ class OrientationCertificate:
         )
 
 
-def _check_injective(P: Polygon, d: int, budget: PrecisionBudget):
-    images = P.image_angles(d)
-    n = len(images)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if compare(images[i], images[j], budget) == EQ:
-                raise NotInjectiveError(
-                    "two vertices share an image under the map",
-                    pair=(P.vertices[i], P.vertices[j]),
-                )
-    return images
-
-
-def _cyclic_order_preserved(images, budget: PrecisionBudget) -> bool:
-    """Images listed in the domain's ccw order are themselves in ccw cyclic
-    order iff the circular sequence has exactly one descent."""
-    n = len(images)
-    descents = 0
-    for i in range(n):
-        if compare(images[i], images[(i + 1) % n], budget) == GT:
-            descents += 1
-    return descents == 1
-
-
 def is_orientation_preserving(
     P: Polygon, d: int, budget: PrecisionBudget = DEFAULT_BUDGET
 ) -> OrientationCertificate:
     """Certificate that f restricted to P's vertices preserves orientation.
 
     Three equivalent criteria are evaluated and required to agree: the
-    direct cyclic-order check, the count of d-1 pairwise disjoint open 1/d
-    arcs in the complement, and the remainder sum being exactly 1/d.
+    cyclic order of the sorted vertex images, the count of d-1 pairwise
+    disjoint open 1/d arcs in the complement, and the remainder sum 1/d.
     """
-    images = _check_injective(P, d, budget)
-    return _orientation(images, hole_profile(P, d, budget), d, budget)
+    _, landing = _image_sort(P, d, budget)
+    return _orientation(landing, hole_profile(P, d, budget), d, budget)
 
 
 def _orientation(
-    images, profile: HoleProfile, d: int, budget: PrecisionBudget
+    landing, profile: HoleProfile, d: int, budget: PrecisionBudget
 ) -> OrientationCertificate:
-    """The certificate of ``is_orientation_preserving`` from the polygon's
-    vertex images (already checked injective) and its hole profile."""
-    by_cyclic_order = _cyclic_order_preserved(images, budget)
+    """The certificate of ``is_orientation_preserving`` from the image
+    positions ``landing`` of ``_image_sort`` (the images keep the vertices'
+    cyclic order iff they are a rotation of 0..N-1) and the hole profile."""
+    N = len(landing)
+    by_cyclic_order = all((landing[c] - landing[0]) % N == c for c in range(N))
     by_disjoint_arcs = sum(profile.floors) == d - 1
 
     rsum = profile.remainder_sum
@@ -478,12 +475,6 @@ def is_critical(c: Chord, d: int, budget: PrecisionBudget = DEFAULT_BUDGET) -> b
         if -(-d * lo // den) > d * hi // den:  # ceil(d * lo) > floor(d * hi)
             return False
     raise UnresolvedComparison("criticality undecided within budget")
-
-
-def critical_value(c: Chord, d: int, budget: PrecisionBudget = DEFAULT_BUDGET) -> Angle:
-    if not is_critical(c, d, budget):
-        raise PreconditionError("chord is not critical")
-    return map_angle(c.a, d)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ An orbit is the sequence T_i of vertexwise images of a starting polygon.
 Past burn-in (orientation preserved and the (N-2)-nd smallest hole below
 1/(3dN)) the jump machinery applies: at a jump the critical hole's
 image-hole drops into one of the N-2 smallest holes of the next iterate,
-and between jumps hole labels persist.
+and between jumps hole labels persist.  Each step sorts the vertex images
+once; the sort is the next iterate and gives each record's ``landing``,
+from which every image-hole is read without comparing angles again.
 """
 
 from __future__ import annotations
@@ -20,9 +22,7 @@ from .angles import (
     PrecisionBudget,
     Value,
     cmp_values,
-    compare,
     floor_scaled,
-    map_angle,
     scale_value,
 )
 from .errors import (
@@ -44,11 +44,10 @@ from .geometry import (
     OrientationCertificate,
     Polygon,
     UnlinkedFamily,
-    _check_injective,
+    _image_sort,
     _orientation,
     critical_strip,
     hole_profile,
-    image_hole,
 )
 
 
@@ -58,22 +57,26 @@ from .geometry import (
 
 @dataclass(frozen=True)
 class OrbitRecord:
+    """T_i, its holes and orientation.  ``landing[c]`` is the position in
+    T_{i+1} of the image of vertex c of T_i."""
+
     index: int
     polygon: Polygon
     profile: HoleProfile
     orientation: OrientationCertificate
+    landing: tuple[int, ...]
 
 
 def _records(T: Polygon, d: int, n: int, budget: PrecisionBudget):
-    """Lazily yield the records of T_0 .. T_n.  Each step checks injectivity
-    first, then builds one hole profile and reads orientation from it."""
+    """Lazily yield the records of T_0 .. T_n.  Each step sorts the vertex
+    images once, builds one hole profile and reads orientation from both."""
     P = T
     for i in range(n + 1):
-        images = _check_injective(P, d, budget)
+        images, landing = _image_sort(P, d, budget)
         profile = hole_profile(P, d, budget)
-        yield OrbitRecord(i, P, profile, _orientation(images, profile, d, budget))
-        if i < n:
-            P = Polygon(images, budget)
+        cert = _orientation(landing, profile, d, budget)
+        yield OrbitRecord(i, P, profile, cert, landing)
+        P = Polygon._from_sorted(images)
 
 
 def iterate_orbit(
@@ -225,15 +228,17 @@ def critical_hole_index(
     ]
     if not candidates:
         raise NoHoleExceeds1OverD("no hole is longer than 1/" + str(d))
-    best = candidates[0]
+    best, tie = candidates[0], None
     for k in candidates[1:]:
         c = cmp_values(profile.remainder(k), profile.remainder(best), budget)
-        if c == EQ:
-            raise TieUnresolvable(
-                f"holes of ranks {best} and {k} share the minimal remainder"
-            )
         if c == LT:
-            best = k
+            best, tie = k, None
+        elif c == EQ and tie is None:
+            tie = k
+    if tie is not None:
+        raise TieUnresolvable(
+            f"holes of ranks {best} and {tie} share the minimal remainder"
+        )
     profile.cr = best
     return best
 
@@ -267,25 +272,16 @@ class JumpLog:
         return tuple(idx[i + 1] - idx[i] for i in range(len(idx) - 1))
 
 
-def _rank_of_arc(profile: HoleProfile, A: Arc, budget: PrecisionBudget) -> int | None:
-    """Size rank of the hole equal to A, or None when A is not a hole."""
-    for ci, h in enumerate(profile.holes):
-        if (
-            compare(h.start, A.start, budget) == EQ
-            and compare(h.end, A.end, budget) == EQ
-        ):
-            return profile.rank_of_cyclic(ci)
-    return None
+def _image_cyclic(rec: OrbitRecord, c: int) -> int | None:
+    """Cyclic index in T_{i+1} of the image of cyclic hole c of T_i, or
+    None when that image is not a hole."""
+    p, N = rec.landing[c], len(rec.landing)
+    return p if rec.landing[(c + 1) % N] == (p + 1) % N else None
 
 
-def _image_rank(
-    next_profile: HoleProfile, H: Arc, d: int, budget: PrecisionBudget
-) -> int | None:
-    """Size rank in the next profile of the arc (f(start), f(end)), or None
-    when that arc is not a single hole there."""
-    return _rank_of_arc(
-        next_profile, Arc(map_angle(H.start, d), map_angle(H.end, d)), budget
-    )
+def _check_consecutive(orbit: list[OrbitRecord]) -> None:
+    if any(b.index != a.index + 1 for a, b in zip(orbit, orbit[1:])):
+        raise PreconditionError("orbit records must have consecutive indices")
 
 
 def detect_jumps(
@@ -301,21 +297,29 @@ def detect_jumps(
     of ranks 1..N-2 must map rank-to-rank; a jump step must satisfy the
     shift dichotomy governed by the critical remainder.  Any failure of
     these guaranteed facts raises AssertionBreach: the input is not past
-    burn-in, not wandering, or precision is insufficient.
+    burn-in, not wandering, or precision is insufficient.  Image-holes and
+    their ranks are read from each record's ``landing``, so the records
+    must have consecutive indices.
     """
     if not orbit:
         return JumpLog(records=())
     N = orbit[0].polygon.card
     if N < 3:
         raise PreconditionError("jump detection needs card >= 3")
+    _check_consecutive(orbit)
     out: list[JumpRecord] = []
     for rec, nxt in zip(orbit, orbit[1:]):
+
+        def image_rank(k: int) -> int | None:
+            p = _image_cyclic(rec, rec.profile.order[k - 1])
+            return None if p is None else nxt.profile.rank_of_cyclic(p)
+
         s_now = rec.profile.size(N - 2)
         s_next = nxt.profile.size(N - 2)
         jumped = cmp_values(scale_value(s_now, d), s_next, budget) == GT
         if not jumped:
             for k in range(1, N - 1):
-                if _image_rank(nxt.profile, rec.profile.hole(k), d, budget) != k:
+                if image_rank(k) != k:
                     raise AssertionBreach(
                         f"hole of rank {k} did not persist across non-jump "
                         f"step {rec.index}"
@@ -332,8 +336,7 @@ def detect_jumps(
         s_tilde = rec.profile.remainder(cr)
         j = floor_scaled(rec.profile.size(cr), d, budget)
         strip = critical_strip(H, d, j, budget)
-        img = image_hole(H, d, budget)
-        rank = _image_rank(nxt.profile, H, d, budget)
+        rank = image_rank(cr)
         if rank is None or rank > N - 2:
             raise AssertionBreach(
                 f"image-hole of the critical hole at step {rec.index} is not "
@@ -346,7 +349,7 @@ def detect_jumps(
                     f"s_{k} equals the critical remainder at jump {rec.index}"
                 )
             expected = k + 1 if c == GT else k
-            got = _image_rank(nxt.profile, rec.profile.hole(k), d, budget)
+            got = image_rank(k)
             if got != expected:
                 raise AssertionBreach(
                     f"jump dichotomy failed at step {rec.index}: hole rank {k} "
@@ -359,7 +362,7 @@ def detect_jumps(
                 s_tilde_cr=s_tilde,
                 edge=rec.profile.edge(cr),
                 strip=strip,
-                image_hole=img,
+                image_hole=nxt.profile.hole(rank),
                 image_rank=rank,
             )
         )
@@ -408,40 +411,37 @@ def track_critical_value(
     d: int,
     budget: PrecisionBudget = DEFAULT_BUDGET,
 ) -> list[CriticalValueTrace]:
-    """Follow each jump's critical-value enclosure until the next jump.
+    """Follow each jump's critical value until the next jump.
 
-    The enclosure starts as the jump's image-hole and is pushed forward by
-    the map; at every recorded step up to and including the next jump it
-    must coincide with a hole of rank <= N-2.
-    """
+    It starts in the jump's image-hole and moves along each record's
+    ``landing`` (so the records must have consecutive indices); at every
+    step up to and including the next jump it must sit in a hole of rank
+    <= N-2."""
+    _check_consecutive(orbit)
     if not log.records:
         return []
-    pos = {rec.index: t for t, rec in enumerate(orbit)}
+    first = orbit[0].index
     N = orbit[0].polygon.card
     traces = []
     jumps = log.records
     for n, jr in enumerate(jumps):
         end_index = jumps[n + 1].index if n + 1 < len(jumps) else orbit[-1].index
-        arc = jr.image_hole
+        walk = orbit[jr.index + 1 - first : end_index + 1 - first]
+        c = walk[0].profile.order[jr.image_rank - 1]
         steps: list[tuple[int, int]] = []
-        t = jr.index + 1
-        while t <= end_index:
-            rec = orbit[pos[t]]
-            rank = _rank_of_arc(rec.profile, arc, budget)
-            if rank is None:
+        for t, rec in enumerate(walk, jr.index + 1):
+            if c is None:
                 raise EnclosureTooWide(
                     f"critical-value enclosure from jump {jr.index} straddles a "
                     f"hole boundary at step {t}; raise precision or extend burn-in"
                 )
+            rank = rec.profile.rank_of_cyclic(c)
             if rank > N - 2:
                 raise AssertionBreach(
                     f"critical value from jump {jr.index} sits in hole rank "
                     f"{rank} > N-2 at step {t}"
                 )
             steps.append((t, rank))
-            if t == end_index:
-                break
-            arc = image_hole(arc, d, budget)
-            t += 1
+            c = _image_cyclic(rec, c)
         traces.append(CriticalValueTrace(jump_index=jr.index, steps=tuple(steps)))
     return traces

@@ -553,6 +553,8 @@ def verify_theorem1(
     fails; otherwise always returns a three-valued status."""
     epsilon = Fraction(epsilon)
     _check_epsilon(epsilon)
+    if burn_in_override is not None and burn_in_override < 0:
+        raise PreconditionError("burn-in must be >= 0")
     cert = certify_wandering(T, d, horizon, budget, kiwi_precheck)
     if not cert.certified:
         raise NotCertifiedWandering(cert)

@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 
 from .angles import DEFAULT_BUDGET, Angle, PrecisionBudget, midpoint
-from .errors import PolywanderError
+from .errors import PolywanderError, PreconditionError
 from .geometry import Polygon
 from .orbit import detect_jumps, iterate_orbit
 from .recurrence import extract_jumping_leaves
@@ -80,6 +80,8 @@ def render_svg(
         f'<circle class="circle" cx="{CX}" cy="{CY}" r="{R}" '
         'fill="none" stroke="#000000" stroke-width="2"/>'
     ]
+    if horizon < 0:
+        raise PreconditionError("horizon must be >= 0")
     if angles:
         P = Polygon(angles, budget)
         try:

@@ -119,3 +119,101 @@ def cycle_of(x: Fraction, d: int) -> list[Fraction]:
         seen_set.add(x)
         x = f_map(x, d)
     return seen
+
+
+def oracle_collision_step(points: list[Fraction], d: int, horizon: int):
+    """First i <= horizon at which f is not injective on T_i, or None."""
+    cur = sorted(points)
+    for i in range(horizon + 1):
+        if not oracle_injective(cur, d):
+            return i
+        cur = sorted(f_map(x, d) for x in cur)
+    return None
+
+
+def oracle_landing(points: list[Fraction], d: int) -> list[int]:
+    """For each vertex in ccw order from 0, the position of its image among
+    the sorted images (f injective on the points)."""
+    images = [f_map(v, d) for v in sorted(points)]
+    return [sorted(images).index(y) for y in images]
+
+
+def ranked_holes(points: list[Fraction]):
+    """Holes and their sizes by size rank: rank 1 (index 0) is the smallest,
+    equal sizes in ccw order of their starts from 0."""
+    holes, sizes = holes_of(points), hole_sizes(points)
+    order = sorted(range(len(holes)), key=lambda i: (sizes[i], i))
+    return [holes[i] for i in order], [sizes[i] for i in order]
+
+
+def oracle_jumps(iterates: list[list[Fraction]], d: int, start: int = 0):
+    """Jump detection restated on consecutive iterates T_i, T_{i+1}, where
+    ``iterates[0]`` is T_start: the
+    steps with d * s_{N-2}(T_i) > s_{N-2}(T_{i+1}), each with the size rank
+    in T_{i+1} of the image of its critical hole (the hole longer than 1/d
+    of least remainder) and that image.
+
+    Returns ("ok", [(i, image rank, image hole)]); ("tie", i) when the least
+    remainder is shared; ("no strip", i) when it is 0; or ("breach", i) at
+    the first step where a fact of the jump argument fails: between jumps
+    the N-2 smallest holes map rank to rank; at a jump some hole is longer
+    than 1/d, the critical image lands in the N-2 smallest holes, and hole
+    k of the N-2 smallest lands at rank k + 1 when longer than the critical
+    remainder, else at rank k."""
+    N = len(iterates[0])
+    jumps = []
+    for i, (P, Q) in enumerate(zip(iterates, iterates[1:]), start):
+        holes, sizes = ranked_holes(P)
+        next_holes, next_sizes = ranked_holes(Q)
+
+        def image_rank(k):
+            a, b = holes[k - 1]
+            image = (f_map(a, d), f_map(b, d))
+            return next_holes.index(image) + 1 if image in next_holes else None
+
+        if d * sizes[N - 3] <= next_sizes[N - 3]:
+            if any(image_rank(k) != k for k in range(1, N - 1)):
+                return "breach", i
+            continue
+        rems = {
+            k: oracle_remainder(sizes[k - 1], d)
+            for k in range(1, N + 1)
+            if sizes[k - 1] > Fraction(1, d)
+        }
+        if not rems:
+            return "breach", i
+        least = min(rems.values())
+        if list(rems.values()).count(least) > 1:
+            return "tie", i
+        if least == 0:  # the critical chord would be a hole edge
+            return "no strip", i
+        cr = min(rems, key=rems.get)
+        rank = image_rank(cr)
+        if rank is None or rank > N - 2:
+            return "breach", i
+        for k in range(1, N - 1):
+            if sizes[k - 1] == least:
+                return "breach", i
+            if image_rank(k) != (k + 1 if sizes[k - 1] > least else k):
+                return "breach", i
+        jumps.append((i, rank, next_holes[rank - 1]))
+    return "ok", jumps
+
+
+def oracle_traces(iterates: list[list[Fraction]], d: int, jumps, start: int = 0):
+    """Each jump's critical value followed to the next jump, for the jumps
+    ``(i, image rank, image hole)`` of ``oracle_jumps``: [(i, [(t, rank of
+    the hole equal to the pushed-forward image hole in T_t)])], or
+    ("too wide", t) when that image is no hole of T_t."""
+    traces = []
+    for n, (i, _, arc) in enumerate(jumps):
+        end = jumps[n + 1][0] if n + 1 < len(jumps) else start + len(iterates) - 1
+        steps = []
+        for t in range(i + 1, end + 1):
+            holes, _ = ranked_holes(iterates[t - start])
+            if arc not in holes:
+                return "too wide", t
+            steps.append((t, holes.index(arc) + 1))
+            arc = (f_map(arc[0], d), f_map(arc[1], d))
+        traces.append((i, steps))
+    return traces

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polywander import Angle, PreconditionError, render_svg
 from polywander.cli import _to_json, main
 
 JUMP = ["19/100", "45/100", "96/100"]
@@ -92,6 +93,14 @@ def test_negative_horizon_exits_2(command, capsys):
     assert main([command, "1/10", "2/10", "3/10", "-d", "3", "--horizon", "-1"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == "error: horizon must be >= 0\n"
+
+
+@pytest.mark.parametrize("command", ["verify", "jumps", "leaves"])
+def test_negative_burn_in_exits_2(command, capsys):
+    argv = [command, "30/100", "31/100", "32/100", "-d", "2", "--horizon", "4"]
+    assert main(argv + ["--no-kiwi-precheck", "--burn-in", "-3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: burn-in must be >= 0\n"
 
 
 def _thue_morse_neighbour() -> str:
@@ -224,6 +233,11 @@ def test_render_jump_strip_band():
     assert svg.count('class="polygon"') == 2
     assert 'class="strip"' in svg
     assert 'class="leaf"' in svg
+
+
+def test_render_svg_rejects_negative_horizon():
+    with pytest.raises(PreconditionError, match="horizon must be >= 0"):
+        render_svg([Angle.from_fraction(Fraction(k, 10)) for k in (1, 2, 3)], 3, -1)
 
 
 def test_render_empty_is_circle_only():

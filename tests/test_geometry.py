@@ -15,7 +15,6 @@ from polywander import (
     Polygon,
     PreconditionError,
     critical_strip,
-    critical_value,
     hole_containing,
     hole_profile,
     image_hole,
@@ -187,10 +186,8 @@ def test_hole_containing():
 def test_is_critical_examples():
     c = chord(F(1, 4), F(3, 4))
     assert is_critical(c, 2) is True
-    assert critical_value(c, 2).value == F(1, 2)
     c = chord(0, F(1, 3))
     assert is_critical(c, 3) is True
-    assert critical_value(c, 3).value == 0
     assert is_critical(c, 2) is False
     with pytest.raises(DegenerateChordError):
         is_critical(chord(0, 0), 2)

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from polywander import (
     Angle,
     AssertionBreach,
+    EnclosureTooWide,
     JumpLog,
     JumpRecord,
     NoBurnInWithinHorizon,
@@ -13,6 +15,7 @@ from polywander import (
     NonInjectiveAtStep,
     Polygon,
     PreconditionError,
+    TieUnresolvable,
     TooFewJumps,
     certify_wandering,
     critical_hole_index,
@@ -25,7 +28,15 @@ from polywander import (
     unlinked,
 )
 
-from oracles import f_map, oracle_certify
+from oracles import (
+    f_map,
+    oracle_certify,
+    oracle_collision_step,
+    oracle_cyclic_order,
+    oracle_jumps,
+    oracle_landing,
+    oracle_traces,
+)
 from test_golden import _w1
 
 
@@ -280,6 +291,18 @@ def test_critical_hole_min_remainder():
     assert prof.remainder(rank) == F(1, 15)
 
 
+def test_critical_hole_tie_only_when_least_remainder_is_shared():
+    # d=5, hole sizes 11/50, 11/50, 41/100 above 1/5: ranks 2 and 3 share
+    # remainder 1/50, but rank 4's remainder 1/100 is the unique least
+    prof = hole_profile(poly(0, "0.22", "0.44", "0.85"), 5)
+    assert critical_hole_index(prof, 5) == 4
+    prof = hole_profile(poly(F(2, 11), F(5, 11), F(10, 11)), 5)  # ranks 1, 2 tie
+    assert critical_hole_index(prof, 5) == 3
+    # d=3, sizes 2/5, 2/5 share the least remainder 1/15
+    with pytest.raises(TieUnresolvable, match="ranks 2 and 3"):
+        critical_hole_index(hole_profile(poly(0, "0.4", "0.8"), 3), 3)
+
+
 def test_critical_hole_missing():
     prof = hole_profile(poly(0, "0.25", "0.55"), 2)  # sizes 0.25, 0.3, 0.45
     with pytest.raises(NoHoleExceeds1OverD):
@@ -391,3 +414,119 @@ def test_nonjump_label_persistence_against_oracle():
             img = (f_map(a, 2), f_map(bb, 2))
             assert hs2[order2[rank]] == img
         cur = nxt
+
+
+# ---------------------------------------------------------------------------
+# facts read from the one sort of the vertex images, against plain Fractions
+
+
+def _sort_corpus():
+    """(d, vertices, horizon) in turn: small denominators (collisions,
+    orientation-reversing steps), mid-size denominators, tiny clusters,
+    and thin triangles (two close vertices and one far; every other one in
+    degree 2), which jump."""
+    rng = random.Random(919)
+    for n in range(400):
+        d, N = rng.randrange(2, 6), rng.randrange(2, 7)
+        kind = n % 4
+        if kind < 2:
+            q = rng.randrange(N, 40) if kind == 0 else rng.randrange(100, 2000)
+            vals = set()
+            while len(vals) < N:
+                vals.add(F(rng.randrange(q), q))
+        elif kind == 2:
+            b = F(rng.randrange(10**4), 10**4 + 7)
+            delta = F(1, rng.randrange(3, 60) * d ** rng.randrange(3, 12))
+            vals = {b} | {(b + m * delta) % 1 for m in rng.sample(range(1, 9), N - 1)}
+        else:
+            d = 2 if n % 8 == 3 else d
+            q = rng.randrange(10**4, 10**6)
+            b = F(rng.randrange(1, q), q)
+            eps = F(1, rng.randrange(2**6, 2**14))
+            far = b + F(rng.randrange(q // 4, 3 * q // 4), q)
+            vals = {b, (b + eps) % 1, far % 1}
+        yield d, sorted(vals), rng.randrange(1, 25 if kind < 3 else 60)
+
+
+def test_image_sort_facts_match_fraction_oracle():
+    """Where iteration stops on a collision, and each record's orientation
+    verdict and ``landing``, match plain-Fraction restatements."""
+    seen = set()
+    for d, vals, horizon in _sort_corpus():
+        try:
+            records, stop = iterate_orbit(poly(*vals), d, horizon), None
+        except NonInjectiveAtStep as exc:
+            records, stop = exc.records, exc.step
+        assert stop == oracle_collision_step(vals, d, horizon), (vals, d)
+        assert len(records) == (horizon + 1 if stop is None else stop)
+        cur = vals
+        for rec in records:
+            assert [v.value for v in rec.polygon.vertices] == cur
+            assert rec.orientation.verdict == oracle_cyclic_order(cur, d), (cur, d)
+            assert list(rec.landing) == oracle_landing(cur, d), (cur, d)
+            seen.add("preserving" if rec.orientation.verdict else "reversing")
+            cur = sorted(f_map(x, d) for x in cur)
+        seen.add("collision" if stop is not None else "full horizon")
+    assert seen == {"preserving", "reversing", "collision", "full horizon"}
+
+
+def _jump_outcome(records, d, want):
+    """``oracle_jumps``'s outcome read from ``detect_jumps``; a tie or a
+    missing strip names no step, so the step is taken from ``want``."""
+    try:
+        log = detect_jumps(records, d)
+    except AssertionBreach as exc:
+        return "breach", int(re.search(r"(?:step|jump) (\d+)", str(exc)).group(1))
+    except TieUnresolvable:
+        return "tie", want[1]
+    except PreconditionError:
+        return "no strip", want[1]
+    return "ok", [
+        (j.index, j.image_rank, (j.image_hole.start.value, j.image_hole.end.value))
+        for j in log.records
+    ]
+
+
+def _trace_outcome(log, records, d):
+    try:
+        traces = track_critical_value(log, records, d)
+    except EnclosureTooWide as exc:
+        return "too wide", int(re.search(r"at step (\d+)", str(exc)).group(1))
+    return [(tr.jump_index, list(tr.steps)) for tr in traces]
+
+
+def test_detect_jumps_image_holes_match_fraction_oracle():
+    """Every jump's image rank and image-hole, the step of any breach, and
+    the holes that carry each critical value to the next jump match
+    plain-Fraction restatements.  After a breach at step i the suffix from
+    i + 1 is checked again, which reaches the tails past burn-in."""
+    seen, jumps = set(), 0
+    for d, vals, horizon in _sort_corpus():
+        try:
+            records = iterate_orbit(poly(*vals), d, horizon)
+        except NonInjectiveAtStep as exc:
+            records = exc.records
+        iterates = [[v.value for v in r.polygon.vertices] for r in records]
+        start = 0
+        while len(vals) >= 3 and start < len(records):
+            want = oracle_jumps(iterates[start:], d, start)
+            got = _jump_outcome(records[start:], d, want)
+            assert got == want, (vals, d, horizon, start)
+            seen.add(want[0])
+            if want[0] == "ok":
+                jumps += len(want[1])
+                traced = oracle_traces(iterates[start:], d, want[1], start)
+                log = detect_jumps(records[start:], d)
+                assert _trace_outcome(log, records[start:], d) == traced
+                break
+            start = want[1] + 1
+    assert seen >= {"ok", "breach", "tie"} and jumps >= 100, (seen, jumps)
+
+
+def test_jump_analysis_needs_consecutive_records():
+    orbit = iterate_orbit(poly(*CLUSTER_T), 2, 3)
+    gapped = [orbit[0], orbit[2], orbit[3]]
+    with pytest.raises(PreconditionError, match="consecutive indices"):
+        detect_jumps(gapped, 2)
+    with pytest.raises(PreconditionError, match="consecutive indices"):
+        track_critical_value(detect_jumps(orbit, 2), gapped, 2)

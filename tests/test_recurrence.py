@@ -233,6 +233,18 @@ def test_verify_rejects_epsilon_naming_it():
         verify_theorem1(poly("0.30", "0.31", "0.32"), 2, 3, F(1, 48))
 
 
+def test_verify_rejects_negative_burn_in():
+    with pytest.raises(PreconditionError, match="burn-in must be >= 0"):
+        verify_theorem1(
+            poly("0.30", "0.31", "0.32"),
+            2,
+            4,
+            F(1, 64),
+            kiwi_precheck=False,
+            burn_in_override=-1,
+        )
+
+
 def test_verify_inconclusive_without_burn_in():
     rep = verify_theorem1(
         poly("0.30", "0.31", "0.32"), 2, 3, F(1, 64), kiwi_precheck=False

@@ -98,3 +98,39 @@ def test_benchmark_tracer_installs_and_restores_every_patch():
         after = vars(owner)
         assert after.keys() == snap.keys()
         assert all(after[attr] is value for attr, value in snap.items()), owner
+
+
+ROOT = SRC.parent.parent
+
+
+def _used_names(path: Path) -> set[str]:
+    """Names a file uses: loaded names, attributes, and string constants
+    (``perfbench/layers.py`` names what it patches in strings).  Imports
+    and definitions are not uses."""
+    used = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            used.add(node.value)
+    return used
+
+
+def test_every_module_level_definition_is_used():
+    """Each module-level function or class of the package is used somewhere
+    in ``src/``, ``tests/`` or ``perfbench/``; its own definition and the
+    re-export from ``__init__`` do not count."""
+    used = set()
+    for folder in ("src", "tests", "perfbench"):
+        for path in (ROOT / folder).rglob("*.py"):
+            used |= _used_names(path)
+    unused = [
+        f"{path.name}:{node.name}"
+        for path in MODULES
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name not in used
+    ]
+    assert unused == []
