@@ -1,4 +1,5 @@
 """Command-line front end: parsing, orchestration, JSON reports, SVG.
+``jumps`` and ``leaves`` read a ``JumpAnalysis`` from ``--burn-in`` (or 0).
 
 Exit codes: 0 = report produced (including inconclusive and not-certified
 statuses), 2 = input error, 3 = precision exhausted, 4 = assertion breach
@@ -38,16 +39,10 @@ from .errors import (
     UnresolvedComparison,
 )
 from .geometry import Polygon, _image_sort, _orientation, hole_profile
-from .orbit import (
-    critical_hole_index,
-    detect_jumps,
-    iterate_orbit,
-    jump_gap_stats,
-    track_critical_value,
-)
+from .orbit import critical_hole_index, iterate_orbit, jump_gap_stats
 from .recurrence import (
+    JumpAnalysis,
     _check_epsilon,
-    extract_jumping_leaves,
     verify_collection_bound,
     verify_theorem1,
 )
@@ -368,15 +363,10 @@ def _cmd_orbit(args, budget, eps):
     }
 
 
-def _jump_pipeline(args, budget):
-    orbit = _orbit_records(args, budget)
-    if args.burn_in is not None:
-        orbit = [r for r in orbit if r.index >= args.burn_in]
-    return orbit, detect_jumps(orbit, args.degree, budget)
-
-
 def _cmd_jumps(args, budget, eps):
-    orbit, log = _jump_pipeline(args, budget)
+    orbit = _orbit_records(args, budget)
+    run = JumpAnalysis(orbit, args.degree, budget, args.burn_in or 0)
+    log = run.jumps
     payload = {
         "jumps": [_ser_jump(j) for j in log.records],
         "gaps": list(log.gaps),
@@ -390,10 +380,9 @@ def _cmd_jumps(args, budget, eps):
     except TooFewJumps:
         payload["gap_stats"] = None
     try:
-        traces = track_critical_value(log, orbit, args.degree, budget)
         payload["traces"] = [
             {"jump_index": t.jump_index, "steps": [list(s) for s in t.steps]}
-            for t in traces
+            for t in run.traces
         ]
     except EnclosureTooWide as exc:
         payload["traces"] = None
@@ -402,28 +391,22 @@ def _cmd_jumps(args, budget, eps):
 
 
 def _cmd_leaves(args, budget, eps):
-    _orbit, log = _jump_pipeline(args, budget)
-    leaves = extract_jumping_leaves(log, args.degree)
-    return {"leaves": [_ser_leaf(l) for l in leaves]}
+    orbit = _orbit_records(args, budget)
+    run = JumpAnalysis(orbit, args.degree, budget, args.burn_in or 0)
+    return {"leaves": [_ser_leaf(l) for l in run.leaves]}
 
 
 def _cmd_verify(args, budget, eps):
     P = Polygon(_input_angles(args), budget)
-    try:
-        rep = verify_theorem1(
-            P,
-            args.degree,
-            args.horizon,
-            eps,
-            budget,
-            kiwi_precheck=not args.no_kiwi_precheck,
-            burn_in_override=args.burn_in,
-        )
-    except NotCertifiedWandering as exc:
-        return {
-            "status": "NotCertifiedWandering",
-            "certificate": _ser_certificate(exc.certificate),
-        }
+    rep = verify_theorem1(
+        P,
+        args.degree,
+        args.horizon,
+        eps,
+        budget,
+        kiwi_precheck=not args.no_kiwi_precheck,
+        burn_in_override=args.burn_in,
+    )
     return {
         "status": rep.status,
         "certificate": _ser_certificate(rep.certificate),
@@ -466,12 +449,6 @@ def _cmd_collection(args, budget, eps):
             budget,
             kiwi_precheck=not args.no_kiwi_precheck,
         )
-    except NotCertifiedWandering as exc:
-        return {
-            "status": "NotCertifiedWandering",
-            "member": exc.member,
-            "certificate": _ser_certificate(exc.certificate),
-        }
     except CrossPairLinked as exc:
         return {
             "status": "CrossPairLinked",
@@ -524,7 +501,15 @@ def main(argv=None) -> int:
             )
             _emit(svg, args.out)
             return 0
-        payload = _COMMANDS[args.command](args, budget, eps)
+        try:
+            payload = _COMMANDS[args.command](args, budget, eps)
+        except NotCertifiedWandering as exc:  # a report, not an error
+            payload = {
+                "status": "NotCertifiedWandering",
+                "certificate": _ser_certificate(exc.certificate),
+            }
+            if exc.member is not None:  # named by collection
+                payload["member"] = exc.member
         report = {
             "version": __version__,
             "command": args.command,

@@ -105,9 +105,11 @@ class Polygon:
 
     def __init__(self, vertices, budget: PrecisionBudget = DEFAULT_BUDGET):
         vs = list(vertices)
-        order, tie = ccw_order(vs, budget)
         if len(vs) < 2:
             raise PreconditionError("a polygon needs at least 2 distinct vertices")
+        if len(set(vs)) < len(vs):  # before the sort, which may fail to separate others
+            raise PreconditionError("polygon vertices must be pairwise distinct")
+        order, tie = ccw_order(vs, budget)
         if tie:
             raise PreconditionError("polygon vertices must be pairwise distinct")
         object.__setattr__(self, "vertices", tuple(vs[i] for i in order))

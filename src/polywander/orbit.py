@@ -1,4 +1,5 @@
-"""Orbit iteration, wandering certification, burn-in and jump detection.
+"""Orbit iteration, wandering certification, and the burn-in, jump and
+critical-value stages, which ``recurrence.JumpAnalysis`` runs in order.
 
 An orbit is the sequence T_i of vertexwise images of a starting polygon.
 Past burn-in (orientation preserved and the (N-2)-nd smallest hole below
@@ -406,10 +407,7 @@ class CriticalValueTrace:
 
 
 def track_critical_value(
-    log: JumpLog,
-    orbit: list[OrbitRecord],
-    d: int,
-    budget: PrecisionBudget = DEFAULT_BUDGET,
+    log: JumpLog, orbit: list[OrbitRecord]
 ) -> list[CriticalValueTrace]:
     """Follow each jump's critical value until the next jump.
 

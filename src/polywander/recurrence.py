@@ -1,5 +1,7 @@
-"""Jumping-leaf extraction, orbit disjointness, omega-limit bins, and
-finite-horizon checks of the recurrence and counting statements.
+"""The staged jump analysis (``JumpAnalysis``: burn-in, jumps, jumping
+leaves and critical-value traces, each once), orbit disjointness,
+omega-limit bins, and finite-horizon checks of the recurrence and counting
+statements.
 
 All enclosures here are closed rational intervals on the circle, stored as
 (lo, hi) with 0 <= lo < 1 and lo <= hi < lo + 1 (hi may exceed 1 to denote
@@ -11,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .angles import (
     DEFAULT_BUDGET,
@@ -33,12 +36,14 @@ from .errors import (
 )
 from .geometry import Polygon, _hole_index_of
 from .orbit import (
+    CriticalValueTrace,
     JumpLog,
     OrbitRecord,
     WanderingCertificate,
     certify_wandering,
     detect_jumps,
     find_burn_in,
+    track_critical_value,
 )
 
 Iv = tuple[Fraction, Fraction]  # closed circular interval, width < 1
@@ -184,6 +189,42 @@ def extract_jumping_leaves(log: JumpLog, d: int) -> list[CandidateLeaf]:
     return leaves
 
 
+class JumpAnalysis:
+    """Burn-in, the records T_i from burn-in on (``tail``), their jumps, the
+    jumping leaves and the critical-value traces of the orbit T_0, T_1, ...
+    in ``records``.  Each stage is computed once, when first read, and
+    raises what the function behind it raises.  A ``burn_in`` given is used
+    as is; otherwise ``find_burn_in`` finds it."""
+
+    def __init__(self, records, d: int, budget=DEFAULT_BUDGET, burn_in=None):
+        self.records = list(records)
+        self.d = d
+        self.budget = budget
+        if burn_in is not None:
+            self.burn_in = burn_in
+
+    @cached_property
+    def burn_in(self) -> int:
+        N = self.records[0].polygon.card if self.records else 0
+        return find_burn_in(self.records, self.d, N, self.budget)
+
+    @cached_property
+    def tail(self) -> list[OrbitRecord]:
+        return self.records[self.burn_in:]
+
+    @cached_property
+    def jumps(self) -> JumpLog:
+        return detect_jumps(self.tail, self.d, self.budget)
+
+    @cached_property
+    def leaves(self) -> list[CandidateLeaf]:
+        return extract_jumping_leaves(self.jumps, self.d)
+
+    @cached_property
+    def traces(self) -> list[CriticalValueTrace]:
+        return track_critical_value(self.jumps, self.tail)
+
+
 # ---------------------------------------------------------------------------
 # orbit disjointness
 
@@ -296,16 +337,11 @@ def omega_approx(
         raise UnresolvedComparison(
             f"resolution 1/{B} needs {k} digits, over budget {budget.max_digits}"
         )
-    bins: set[int] = set()
-    a = v
+    arcs: list[Iv | None] = []
     for i in range(horizon + 1):
-        if i >= burn_in:
-            lo, hi = a.enclosure_bounds(k)
-            bins |= _bins_of_interval(lo, hi, B)
-        a = map_angle(a, d)
-    return OmegaApproximation(
-        resolution=Fraction(1, B), bins=frozenset(bins), burn_in=burn_in, horizon=horizon
-    )
+        arcs.append(v.enclosure_bounds(k) if i >= burn_in else None)
+        v = map_angle(v, d)
+    return _omega_from_arcs(arcs, burn_in, epsilon)
 
 
 def _omega_from_arcs(
@@ -401,10 +437,8 @@ def recurrence_evidence(
     """
     series: list[tuple[Fraction, Fraction]] = []
     mins: list[Fraction] = []
-    verdict = None
-    cur: Iv | None = leaf.value_arc
     running = ONE
-    for t in range(horizon + 1):
+    for t, cur in enumerate(_value_orbit(leaf.value_arc, d, horizon)):
         if cur is None:
             raise EnclosureTooWide(
                 f"value enclosure covers the circle at step {t}; "
@@ -414,11 +448,10 @@ def recurrence_evidence(
         series.append((lo, hi))
         running = min(running, hi)
         mins.append(running)
-        if verdict is None and (hi == 0 or (epsilon is not None and hi < epsilon)):
+        if hi == 0 or (epsilon is not None and hi < epsilon):
             verdict = Verdict(kind=WITNESSED, step=t)
             break
-        cur = _map_iv(cur, d)
-    if verdict is None:
+    else:
         verdict = Verdict(kind=INCONCLUSIVE, bound=running)
     return RecurrenceEvidence(
         distance_series=tuple(series), running_min=tuple(mins), verdict=verdict
@@ -527,7 +560,6 @@ def approx_limit_leaf(
 
 
 def _near_bins(x: Fraction, omega: OmegaApproximation, tol: Fraction) -> bool:
-    B = omega.bin_count
     eps = omega.resolution
     for m in omega.bins:
         lo, hi = m * eps, (m + 1) * eps
@@ -536,6 +568,24 @@ def _near_bins(x: Fraction, omega: OmegaApproximation, tol: Fraction) -> bool:
         if _circ_point_dist(x, lo) <= tol or _circ_point_dist(x, hi) <= tol:
             return True
     return False
+
+
+def _grade_leaves(leaves, d: int, horizon: int, epsilon: Fraction, burn_in: int, notes):
+    """Each leaf's recurrence evidence (None when its value enclosure grows
+    too wide) and the omega bins of its value orbit from burn_in on; each
+    enclosure too wide and each orbit covering the circle gets a note."""
+    evidence, omegas = [], []
+    for li, leaf in enumerate(leaves):
+        try:
+            evidence.append(recurrence_evidence(leaf, d, horizon, epsilon))
+        except EnclosureTooWide:
+            evidence.append(None)
+            notes.append(f"leaf {li}: value enclosure too wide for recurrence")
+        arcs = _value_orbit(leaf.value_arc, d, horizon)
+        if None in arcs:
+            notes.append(f"leaf {li}: omega bins degraded to full circle")
+        omegas.append(_omega_from_arcs(arcs, burn_in, epsilon))
+    return evidence, omegas
 
 
 def verify_theorem1(
@@ -547,10 +597,11 @@ def verify_theorem1(
     kiwi_precheck: bool = True,
     burn_in_override: int | None = None,
 ) -> TheoremReport:
-    """Full pipeline: certify, burn in, detect jumps, extract leaves, then
-    grade disjointness, recurrence, omega agreement and the limit-leaf
-    coincidence check.  Raises NotCertifiedWandering when certification
-    fails; otherwise always returns a three-valued status."""
+    """Full pipeline: certify, then a ``JumpAnalysis`` of the certified
+    records (burn-in, jumps, leaves), then grade disjointness, recurrence,
+    omega agreement and the limit-leaf coincidence check.  Raises
+    NotCertifiedWandering when certification fails; otherwise always
+    returns a three-valued status."""
     epsilon = Fraction(epsilon)
     _check_epsilon(epsilon)
     if burn_in_override is not None and burn_in_override < 0:
@@ -558,50 +609,31 @@ def verify_theorem1(
     cert = certify_wandering(T, d, horizon, budget, kiwi_precheck)
     if not cert.certified:
         raise NotCertifiedWandering(cert)
-    orbit = list(cert.records)
-    N = T.card
+    run = JumpAnalysis(cert.records, d, budget, burn_in_override)
     notes: list[str] = []
 
     def report(**kw):
         return TheoremReport(d, horizon, epsilon, cert, notes=tuple(notes), **kw)
 
-    if burn_in_override is not None:
-        burn_in = burn_in_override
-    else:
-        try:
-            burn_in = find_burn_in(orbit, d, N, budget)
-        except NoBurnInWithinHorizon:
-            notes.append("no burn-in index within the horizon")
-            return report()
-
-    sub = [r for r in orbit if r.index >= burn_in]
     try:
-        log = detect_jumps(sub, d, budget)
+        log = run.jumps
+    except NoBurnInWithinHorizon:
+        notes.append("no burn-in index within the horizon")
+        return report()
     except AssertionBreach as exc:
         notes.append(f"jump analysis breach: {exc}")
-        return report(burn_in=burn_in, status=BREACH)
+        return report(burn_in=run.burn_in, status=BREACH)
 
-    leaves = tuple(extract_jumping_leaves(log, d))
-    leaf_count_ok = len(leaves) >= N - 1
+    leaves = tuple(run.leaves)
+    leaf_count_ok = len(leaves) >= T.card - 1
     if not leaves:
         notes.append("no jumps detected, no candidate leaves")
-        return report(burn_in=burn_in, jumps=log, leaf_count_ok=leaf_count_ok)
+        return report(burn_in=run.burn_in, jumps=log, leaf_count_ok=leaf_count_ok)
 
     disjointness = orbit_disjointness(list(leaves), d, horizon)
     all_disjoint = all(s.kind == DISJOINT for s in disjointness.values())
 
-    evidence: list[RecurrenceEvidence | None] = []
-    omegas: list[OmegaApproximation] = []
-    for li, leaf in enumerate(leaves):
-        try:
-            evidence.append(recurrence_evidence(leaf, d, horizon, epsilon))
-        except EnclosureTooWide:
-            evidence.append(None)
-            notes.append(f"leaf {li}: value enclosure too wide for recurrence")
-        arcs = _value_orbit(leaf.value_arc, d, horizon)
-        if any(a is None for a in arcs):
-            notes.append(f"leaf {li}: omega bins degraded to full circle")
-        omegas.append(_omega_from_arcs(arcs, burn_in, epsilon))
+    evidence, omegas = _grade_leaves(leaves, d, horizon, epsilon, run.burn_in, notes)
     all_witnessed = all(e is not None and e.verdict.kind == WITNESSED for e in evidence)
 
     omega_consistent = all(
@@ -612,9 +644,9 @@ def verify_theorem1(
 
     union_bins = frozenset().union(*(o.bins for o in omegas))
     union_omega = OmegaApproximation(
-        resolution=epsilon, bins=union_bins, burn_in=burn_in, horizon=horizon
+        resolution=epsilon, bins=union_bins, burn_in=run.burn_in, horizon=horizon
     )
-    limit_leaves = tuple(approx_limit_leaf(r, budget) for r in sub[-min(3, len(sub)):])
+    limit_leaves = tuple(approx_limit_leaf(r, budget) for r in run.tail[-3:])
     limcoin_ok = all(
         _near_bins(p[0], union_omega, epsilon) or _near_bins(p[1], union_omega, epsilon)
         for p in limit_leaves
@@ -624,7 +656,7 @@ def verify_theorem1(
         False, leaf_count_ok, all_disjoint, all_witnessed, omega_consistent, limcoin_ok
     )
     return report(
-        burn_in=burn_in,
+        burn_in=run.burn_in,
         jumps=log,
         leaves=leaves,
         leaf_count_ok=leaf_count_ok,
@@ -710,36 +742,21 @@ def verify_collection_bound(
 
     leaves: list[CandidateLeaf] = []
     for idx, cert in enumerate(certs):
-        orbit = list(cert.records)
-        N = Gamma[idx].card
         try:
-            bi = find_burn_in(orbit, d, N, budget)
+            leaves += JumpAnalysis(cert.records, d, budget).leaves
         except NoBurnInWithinHorizon:
             notes.append(f"member {idx}: no burn-in within horizon")
-            continue
-        try:
-            log = detect_jumps([r for r in orbit if r.index >= bi], d, budget)
         except AssertionBreach as exc:
             notes.append(f"member {idx}: jump analysis breach: {exc}")
-            continue
-        leaves.extend(extract_jumping_leaves(log, d))
 
-    recurrent: list[CandidateLeaf] = []
-    for leaf in leaves:
-        try:
-            ev = recurrence_evidence(leaf, d, horizon, epsilon)
-        except EnclosureTooWide:
-            continue
-        if ev.verdict.kind == WITNESSED:
-            recurrent.append(leaf)
+    evidence, omegas = _grade_leaves(leaves, d, horizon, epsilon, 0, notes=[])
+    keep = [i for i, e in enumerate(evidence) if e and e.verdict.kind == WITNESSED]
+    recurrent = [leaves[i] for i in keep]
+    omegas = [omegas[i] for i in keep]
 
     if recurrent:
         matrix = orbit_disjointness(recurrent, d, horizon)
         r_hat = _max_disjoint_subset(len(recurrent), matrix)
-        omegas = [
-            _omega_from_arcs(_value_orbit(l.value_arc, d, horizon), 0, epsilon)
-            for l in recurrent
-        ]
         omega_hat = len(
             _components(
                 len(recurrent),

@@ -13,8 +13,8 @@ from fractions import Fraction
 from .angles import DEFAULT_BUDGET, Angle, PrecisionBudget, midpoint
 from .errors import PolywanderError, PreconditionError
 from .geometry import Polygon
-from .orbit import detect_jumps, iterate_orbit
-from .recurrence import extract_jumping_leaves
+from .orbit import iterate_orbit
+from .recurrence import JumpAnalysis
 
 SIZE = 1000
 CX = CY = 500
@@ -115,11 +115,11 @@ def render_svg(
                 'stroke="#999999" stroke-width="6" stroke-opacity="0.5"/>'
             )
 
-        log = None
+        run = JumpAnalysis(orbit, d, budget, burn_in=0)
         try:
-            log = detect_jumps(orbit, d, budget)
+            log = run.jumps
         except PolywanderError:
-            pass
+            log = None
         if log is not None:
             for jr in log.records:
                 (slo, shi), _second = jr.strip.endpoint_arc_bounds()
@@ -129,7 +129,7 @@ def render_svg(
                     f'd="{_strip_path(slo % 1, slo % 1 + (shi - slo), off)}" '
                     'fill="#d62728" fill-opacity="0.3" stroke="none"/>'
                 )
-            for li, leaf in enumerate(extract_jumping_leaves(log, d)):
+            for li, leaf in enumerate(run.leaves):
                 a = (leaf.arcs[0][0] + leaf.arcs[0][1]) / 2 % 1
                 b = (leaf.arcs[1][0] + leaf.arcs[1][1]) / 2 % 1
                 (x1, y1), (x2, y2) = _xy(a), _xy(b)

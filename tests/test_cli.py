@@ -217,6 +217,19 @@ def test_critical_hole_tie_exits_4(argv, capsys):
     assert err.count("\n") == 1
 
 
+def test_repeated_vertex_exits_2_even_with_unseparated_vertices(capsys):
+    """5/7 and 0/1 repeat; the stream vertex and 93881/9765625 cannot be
+    separated within 8 digits, which used to exit 3 before the repeat was
+    seen."""
+    argv = ["verify", "gen:thue_morse?base=5&shift=29", "5/7", "0/1", "5/7",
+            "5/7", "0/1", "93881/9765625", "-d", "5", "--horizon", "6",
+            "--no-kiwi-precheck", "--budget", "8"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: polygon vertices must be pairwise distinct\n"
+
+
 def test_render_triangle_counts():
     proc = run_cli("render", "0/1", "1/7", "2/7", "--degree", "2")
     assert proc.returncode == 0

@@ -26,6 +26,7 @@ from polywander import (
     unlinked,
 )
 
+from polywander import geometry
 from polywander.geometry import UnlinkedFamily
 
 from oracles import oracle_rho
@@ -271,3 +272,16 @@ def test_critical_strip_precondition():
         critical_strip(Arc(ang(0), ang("0.4")), 2, 1)
     with pytest.raises(PreconditionError):
         critical_strip(Arc(ang("0.1"), ang("0.75")), 2, 2)
+
+
+def test_polygon_rejects_repeats_and_too_few_before_sorting(monkeypatch):
+    """Equal angles and inputs of fewer than 2 vertices are refused before
+    the sort compares anything, so a pair the budget cannot separate does
+    not hide a repeated vertex."""
+    monkeypatch.setattr(geometry, "ccw_order", lambda *a: pytest.fail("sorted"))
+    s = parse_angle("gen:thue_morse?base=5&shift=29")
+    with pytest.raises(PreconditionError, match="pairwise distinct"):
+        Polygon([s, ang("5/7"), parse_angle("gen:thue_morse?base=5&shift=29")])
+    for vs in ([], [s]):
+        with pytest.raises(PreconditionError, match="at least 2 distinct"):
+            Polygon(vs)

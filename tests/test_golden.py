@@ -23,6 +23,15 @@ GOLDEN = Path(__file__).parent / "golden"
 THIN = ["699005/961032", "4274896091/5876710680", "11843/80086"]
 THIN_OPTS = ["-d", "2", "--horizon", "20", "--no-kiwi-precheck"]
 
+# a cubic triangle that certifies to horizon 3 with burn-in found at 0,
+# jumps at 0 and 2, two leaves whose value orbits overlap, and traces
+TRI3 = ["149763/798233", "2914459/5587631", "3116864/5587631", "-d", "3",
+        "--horizon", "3"]
+# one leaf whose value enclosure covers the circle within the horizon: the
+# "too wide" and "degraded" notes of verify
+WIDE = ["-d", "3", "--horizon", "2", "--burn-in", "0", "2776933/6705950",
+        "2225886/3352975", "4768519/6705950"]
+
 
 def _w1(K: int = 200, d: int = 3) -> list[str]:
     """W1(K) quadrilateral: 1/1000003, then running sums adding 1, 3 and 2
@@ -71,6 +80,12 @@ CASES = {
     "thin-render": (0, ["render", *THIN_OPTS, *THIN]),
     "thin-verify": (0, ["verify", *THIN_OPTS, *THIN]),
     "w1-verify": (0, ["verify", "-d", "3", "--horizon", "10", "--no-kiwi-precheck", *_w1()]),
+    "tri3-verify": (0, ["verify", *TRI3]),
+    "tri3-collection": (0, ["collection", *TRI3]),
+    "tri3-jumps": (0, ["jumps", *TRI3]),
+    "tri3-leaves": (0, ["leaves", *TRI3]),
+    "tri3-render": (0, ["render", *TRI3]),
+    "wide-verify": (0, ["verify", *WIDE]),
 }
 
 

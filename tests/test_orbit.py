@@ -379,7 +379,7 @@ def test_gap_stats_too_few():
 def test_track_critical_value_single_jump():
     orbit = iterate_orbit(poly(*JUMP_T), 2, 1)
     log = detect_jumps(orbit, 2)
-    traces = track_critical_value(log, orbit, 2)
+    traces = track_critical_value(log, orbit)
     assert len(traces) == 1
     assert traces[0].jump_index == 0
     assert traces[0].steps == ((1, 1),)  # smallest hole of T_1
@@ -387,7 +387,7 @@ def test_track_critical_value_single_jump():
 
 def test_track_critical_value_empty():
     orbit = iterate_orbit(poly(*CLUSTER_T), 2, 2)
-    assert track_critical_value(detect_jumps(orbit, 2), orbit, 2) == []
+    assert track_critical_value(detect_jumps(orbit, 2), orbit) == []
 
 
 def test_nonjump_label_persistence_against_oracle():
@@ -489,7 +489,7 @@ def _jump_outcome(records, d, want):
 
 def _trace_outcome(log, records, d):
     try:
-        traces = track_critical_value(log, records, d)
+        traces = track_critical_value(log, records)
     except EnclosureTooWide as exc:
         return "too wide", int(re.search(r"at step (\d+)", str(exc)).group(1))
     return [(tr.jump_index, list(tr.steps)) for tr in traces]
@@ -529,4 +529,4 @@ def test_jump_analysis_needs_consecutive_records():
     with pytest.raises(PreconditionError, match="consecutive indices"):
         detect_jumps(gapped, 2)
     with pytest.raises(PreconditionError, match="consecutive indices"):
-        track_critical_value(detect_jumps(orbit, 2), gapped, 2)
+        track_critical_value(detect_jumps(orbit, 2), gapped)

@@ -1,19 +1,23 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
 from polywander import (
     Angle,
+    AssertionBreach,
     CandidateLeaf,
     CrossPairLinked,
+    NoBurnInWithinHorizon,
     NotCertifiedWandering,
     Polygon,
     PreconditionError,
     certify_wandering,
     detect_jumps,
     extract_jumping_leaves,
+    find_burn_in,
     hausdorff_bins,
     iterate_orbit,
     narrowness_evidence,
@@ -21,13 +25,15 @@ from polywander import (
     orbit_disjointness,
     parse_angle,
     recurrence_evidence,
+    track_critical_value,
     unlinked,
     verify_collection_bound,
     verify_theorem1,
 )
 from polywander.geometry import Arc, critical_strip
 from polywander.orbit import JumpLog, JumpRecord
-from polywander.recurrence import OmegaApproximation, _decide_status
+from polywander import recurrence
+from polywander.recurrence import JumpAnalysis, OmegaApproximation, _decide_status
 
 from oracles import cycle_of
 
@@ -104,6 +110,69 @@ def test_extract_is_order_independent():
     for perm in itertools.permutations(records):
         got = extract_jumping_leaves(JumpLog(records=tuple(perm)), 2)
         assert got == expected
+
+
+# ---------------------------------------------------------------------------
+# the staged jump analysis
+
+# burn-in 0, jumps at 0 and 2, two leaves and two traces (d = 3, horizon 3)
+TRI3 = ("149763/798233", "2914459/5587631", "3116864/5587631")
+STAGES = (
+    "find_burn_in",
+    "detect_jumps",
+    "extract_jumping_leaves",
+    "track_critical_value",
+)
+
+
+def _count_calls(monkeypatch, names=STAGES) -> Counter:
+    calls = Counter()
+    for name in names:
+
+        def counted(*args, _fn=getattr(recurrence, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(recurrence, name, counted)
+    return calls
+
+
+def test_jump_analysis_runs_each_stage_once(monkeypatch):
+    orbit = iterate_orbit(Polygon([parse_angle(t) for t in TRI3]), 3, 3)
+    log = detect_jumps(orbit, 3)
+    expected = (
+        find_burn_in(orbit, 3, 3),
+        log,
+        extract_jumping_leaves(log, 3),
+        track_critical_value(log, orbit),
+    )
+    calls = _count_calls(monkeypatch)
+    run = JumpAnalysis(orbit, 3)
+    for _ in range(2):
+        assert (run.burn_in, run.jumps, run.leaves, run.traces) == expected
+    assert calls == {name: 1 for name in STAGES}
+    assert run.tail == orbit and run.jumps.indices == (0, 2)
+    assert len(run.leaves) == 2 and len(run.traces) == 2
+
+
+def test_jump_analysis_given_burn_in_is_used_as_is(monkeypatch):
+    orbit = iterate_orbit(poly("0.19", "0.45", "0.96"), 2, 1)
+    calls = _count_calls(monkeypatch)
+    assert JumpAnalysis(orbit, 2, burn_in=0).jumps.indices == (0,)
+    run = JumpAnalysis(orbit, 2, burn_in=1)
+    assert run.tail == orbit[1:] and run.jumps.records == () and run.leaves == []
+    assert calls["find_burn_in"] == 0
+
+
+def test_jump_analysis_stage_raises_what_its_function_raises():
+    no_burn_in = iterate_orbit(poly("0.30", "0.31", "0.32"), 2, 3)
+    with pytest.raises(NoBurnInWithinHorizon):
+        JumpAnalysis(no_burn_in, 2).leaves
+    breach = iterate_orbit(poly("0.05", "0.35", "0.65"), 2, 1)
+    with pytest.raises(AssertionBreach, match="no hole exceeds 1/2"):
+        JumpAnalysis(breach, 2, burn_in=0).traces
+    with pytest.raises(PreconditionError, match="orbit is empty"):
+        JumpAnalysis([], 2).burn_in
 
 
 # ---------------------------------------------------------------------------

@@ -134,3 +134,42 @@ def test_every_module_level_definition_is_used():
         and node.name not in used
     ]
     assert unused == []
+
+
+STAGE_FUNCTIONS = (
+    "find_burn_in",
+    "detect_jumps",
+    "extract_jumping_leaves",
+    "track_critical_value",
+)
+
+
+def _callers(name: str) -> set[str]:
+    """Qualified names of the functions in ``src/`` that call ``name``."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}"
+            elif isinstance(child, ast.Call):
+                f = child.func
+                if (isinstance(f, ast.Name) and f.id == name) or (
+                    isinstance(f, ast.Attribute) and f.attr == name
+                ):
+                    found.add(scope)
+            visit(child, inner)
+
+    for path in MODULES:
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return found
+
+
+@pytest.mark.parametrize("name", STAGE_FUNCTIONS)
+def test_jump_stage_called_only_from_the_analysis(name):
+    """Burn-in, jumps, leaves and traces are each run by one stage of
+    ``recurrence.JumpAnalysis``; every other consumer reads the analysis."""
+    callers = _callers(name)
+    assert len(callers) == 1, callers
+    assert callers.pop().startswith("recurrence.JumpAnalysis."), name
