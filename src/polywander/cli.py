@@ -1,5 +1,7 @@
 """Command-line front end: parsing, orchestration, JSON reports, SVG.
-``jumps`` and ``leaves`` read a ``JumpAnalysis`` from ``--burn-in`` (or 0).
+``jumps`` and ``leaves`` read a ``JumpAnalysis`` from ``--burn-in`` (or 0);
+``verify`` finds burn-in when the option is not given, and the other commands
+refuse it.
 
 Exit codes: 0 = report produced (including inconclusive and not-certified
 statuses), 2 = input error, 3 = precision exhausted, 4 = assertion breach
@@ -492,8 +494,11 @@ def main(argv=None) -> int:
             raise PreconditionError(f"degree must be >= 2, got {args.degree}")
         if args.horizon < 0:
             raise PreconditionError("horizon must be >= 0")
-        if args.burn_in is not None and args.burn_in < 0:
-            raise PreconditionError("burn-in must be >= 0")
+        if args.burn_in is not None:
+            if args.command not in ("jumps", "leaves", "verify"):
+                raise PreconditionError(f"--burn-in is not used by {args.command}")
+            if args.burn_in < 0:
+                raise PreconditionError("burn-in must be >= 0")
         budget = PrecisionBudget(max_digits=args.budget)
         if args.command == "render":
             svg = render_svg(

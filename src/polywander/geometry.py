@@ -1,17 +1,24 @@
 """Chords, polygons, holes, remainders, orientation and the rho metric.
 
 Everything here is pure and immutable, except ``UnlinkedFamily``, a vertex
-list that grows.  Lengths are exact ``Fraction``s when all endpoints are
-rational and refinable enclosures otherwise.  One sort of a polygon's
-vertex images (``_image_sort``) gives injectivity, the cyclic-order half of
-orientation, the next iterate and where each vertex's image lands in it.
+list that grows, and the views a ``HoleProfile`` builds on first read.
+Lengths are exact ``Fraction``s when all endpoints are rational and
+refinable enclosures otherwise.  One sort of a polygon's vertex images
+(``_image_sort``) gives injectivity, the cyclic-order half of orientation,
+the next iterate and where each vertex's image lands in it.
+
+An orbit step on a polygon whose vertices are all rational runs on ints
+over one common denominator: the image sort keys, the hole sizes, their
+ranks, floor(d * size), the remainders and the remainder-sum test of
+orientation.  ``Fraction``s and ``Arc``s are built only when a caller reads
+them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cached_property, cmp_to_key
 from math import lcm
 
 from .angles import (
@@ -137,12 +144,21 @@ class Polygon:
 
 def _image_sort(P: Polygon, d: int, budget: PrecisionBudget):
     """The images of P's vertices in ccw order, and ``landing``: for each
-    vertex of P, the position of its image among them.  One sort with
-    ``compare``; a pair of equal images it finds is a collision and raises
-    NotInjectiveError."""
+    vertex of P, the position of its image among them.  One sort: by int
+    numerators over the images' common denominator when all are rational,
+    else with ``compare``.  A pair of equal images it finds is a collision
+    and raises NotInjectiveError."""
     vs = P.vertices
     images = [map_angle(v, d) for v in vs]
-    order, tie = ccw_order(images, budget)
+    if all(a.source is None for a in images):
+        L = lcm(*(a.q for a in images))
+        keys = [a.n * (L // a.q) for a in images]
+        order = sorted(range(len(keys)), key=keys.__getitem__)  # stable on ties
+        tie = next(
+            ((i, j) for i, j in zip(order, order[1:]) if keys[i] == keys[j]), None
+        )
+    else:
+        order, tie = ccw_order(images, budget)
     if tie:
         raise NotInjectiveError(
             "two vertices share an image under the map", pair=(vs[tie[0]], vs[tie[1]])
@@ -181,21 +197,52 @@ class HoleProfile:
     ``order[r]`` is the cyclic index of the rank-(r+1) hole; rank 1 is the
     smallest.  ``floors[i]`` is floor(d * size) of cyclic hole i.  Accessors
     take the 1-based size rank.
+
+    When every vertex is rational, ``den`` is the lcm L of the vertex
+    denominators and ``_sizes`` and ``_rems`` hold ints: the hole sizes over
+    L and the remainders over d*L; ``sizes_cyclic``, ``remainders_cyclic``
+    and ``remainder_sum`` are built from them on first read and kept.
+    Otherwise ``den`` is None, ``_sizes`` and ``_rems`` hold the sizes and
+    remainders as values and are the views themselves.  ``holes`` is built
+    on first read.
     """
 
     polygon: Polygon
     degree: int
-    holes: tuple[Arc, ...]
-    sizes_cyclic: tuple[Value, ...]
-    remainders_cyclic: tuple[Value, ...]
     order: tuple[int, ...]
     floors: tuple[int, ...]
-    remainder_sum: Value
+    den: int | None
+    _sizes: tuple
+    _rems: tuple
     cr: int | None = field(default=None)
+
+    @cached_property
+    def holes(self) -> tuple[Arc, ...]:
+        vs = self.polygon.vertices
+        M = len(vs)
+        return tuple(Arc(vs[i], vs[(i + 1) % M]) for i in range(M))
+
+    def __post_init__(self):
+        if self.den is None:  # enclosure values are their own views
+            self.sizes_cyclic = self._sizes
+            self.remainders_cyclic = self._rems
+            self.remainder_sum = sum_values(self._rems)
+
+    @cached_property
+    def sizes_cyclic(self) -> tuple[Value, ...]:
+        return tuple(Fraction(x, self.den) for x in self._sizes)
+
+    @cached_property
+    def remainders_cyclic(self) -> tuple[Value, ...]:
+        return tuple(Fraction(r, self.degree * self.den) for r in self._rems)
+
+    @cached_property
+    def remainder_sum(self) -> Value:
+        return Fraction(sum(self._rems), self.degree * self.den)
 
     @property
     def card(self) -> int:
-        return len(self.holes)
+        return len(self.order)
 
     def hole(self, k: int) -> Arc:
         return self.holes[self.order[k - 1]]
@@ -224,42 +271,32 @@ def hole_profile(
     of the hole's start from angle 0, which is exactly the cyclic index
     since vertex 0 has minimal angle) and their remainders.
 
-    When every size is exact, the sum check, the ranking and the remainder
-    sum are integer arithmetic over one common denominator."""
+    When every vertex is rational, all of it is integer arithmetic over the
+    common denominator L of the vertices: a size is a difference of
+    numerators mod L, floor(d * size) and its remainder are ``divmod(d * x,
+    L)``, and the sizes sum to 1 iff their numerators sum to L."""
     vs = P.vertices
     M = len(vs)
-    holes = tuple(Arc(vs[i], vs[(i + 1) % M]) for i in range(M))
-    sizes = tuple(arc_length(h.start, h.end, budget) for h in holes)
-    exact = all(isinstance(s, Fraction) for s in sizes)
-    if exact:  # sizes as ints over the common denominator L
-        L = lcm(*(s.denominator for s in sizes))
-        nums = [s.numerator * (L // s.denominator) for s in sizes]
-        if sum(nums) != L:
+    if all(v.source is None for v in vs):
+        L = lcm(*(v.q for v in vs))
+        xs = [v.n * (L // v.q) for v in vs]
+        sizes = tuple((xs[(i + 1) % M] - xs[i]) % L for i in range(M))
+        if sum(sizes) != L:
             raise AssertionBreach("hole sizes do not sum to 1")  # pragma: no cover
-        order = tuple(sorted(range(M), key=nums.__getitem__))  # stable on ties
-    else:
+        order = tuple(sorted(range(M), key=sizes.__getitem__))  # stable on ties
+        floors, rems = zip(*(divmod(d * x, L) for x in sizes))
+        return HoleProfile(P, d, order, floors, L, sizes, rems)
 
-        def rank_cmp(i, j):
-            c = cmp_values(sizes[i], sizes[j], budget)
-            return c if c != EQ else -1 if i < j else 1
+    sizes = tuple(arc_length(vs[i], vs[(i + 1) % M], budget) for i in range(M))
 
-        order = tuple(sorted(range(M), key=cmp_to_key(rank_cmp)))
+    def rank_cmp(i, j):
+        c = cmp_values(sizes[i], sizes[j], budget)
+        return c if c != EQ else -1 if i < j else 1
+
+    order = tuple(sorted(range(M), key=cmp_to_key(rank_cmp)))
     floors = tuple(floor_scaled(s, d, budget) for s in sizes)
     rems = tuple(_remainder_below(s, j, d) for s, j in zip(sizes, floors))
-    if exact:
-        rsum = Fraction(sum(d * x % L for x in nums), d * L)
-    else:
-        rsum = sum_values(rems)
-    return HoleProfile(
-        polygon=P,
-        degree=d,
-        holes=holes,
-        sizes_cyclic=sizes,
-        remainders_cyclic=rems,
-        order=order,
-        floors=floors,
-        remainder_sum=rsum,
-    )
+    return HoleProfile(P, d, order, floors, None, sizes, rems)
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +309,11 @@ class OrientationCertificate:
     pairwise disjoint open 1/d arcs on success, the remainder sum on failure."""
 
     verdict: bool
-    remainder_sum: Value
     profile: HoleProfile = field(repr=False, compare=False)
+
+    @property
+    def remainder_sum(self) -> Value:
+        return self.profile.remainder_sum
 
     @property
     def witness_arcs(self) -> tuple[Arc, ...] | None:
@@ -315,13 +355,11 @@ def _orientation(
     by_cyclic_order = all((landing[c] - landing[0]) % N == c for c in range(N))
     by_disjoint_arcs = sum(profile.floors) == d - 1
 
-    rsum = profile.remainder_sum
-    target = Fraction(1, d)
-    if isinstance(rsum, Fraction):
-        by_remainders = rsum == target
+    if profile.den is not None:  # the remainders are ints over d * den
+        by_remainders = sum(profile._rems) == profile.den
     else:
         # enclosure sums cannot certify exact equality; require consistency
-        lo, hi, den = rsum.interval(64)
+        lo, hi, den = profile.remainder_sum.interval(64)
         by_remainders = None if lo * d <= den <= hi * d else False
 
     verdicts = {by_cyclic_order, by_disjoint_arcs}
@@ -332,9 +370,7 @@ def _orientation(
             "orientation criteria disagree: "
             f"cyclic={by_cyclic_order} arcs={by_disjoint_arcs} remainders={by_remainders}"
         )
-    return OrientationCertificate(
-        verdict=by_cyclic_order, remainder_sum=rsum, profile=profile
-    )
+    return OrientationCertificate(verdict=by_cyclic_order, profile=profile)
 
 
 # ---------------------------------------------------------------------------

@@ -274,12 +274,17 @@ def orbit_disjointness(
     orbit enclosures is provably separated."""
     if horizon < 1:
         raise PreconditionError("horizon must be >= 1")
-    orbits = [_value_orbit(l.value_arc, d, horizon) for l in leaves]
-    out = {}
-    for a in range(len(leaves)):
-        for b in range(a + 1, len(leaves)):
-            out[(a, b)] = _pair_status(orbits[a], orbits[b])
-    return out
+    return _pair_statuses([_value_orbit(l.value_arc, d, horizon) for l in leaves])
+
+
+def _pair_statuses(orbits) -> dict[tuple[int, int], PairStatus]:
+    """``orbit_disjointness`` from the leaves' value orbits."""
+    n = len(orbits)
+    return {
+        (a, b): _pair_status(orbits[a], orbits[b])
+        for a in range(n)
+        for b in range(a + 1, n)
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -435,10 +440,15 @@ def recurrence_evidence(
     when ``epsilon`` is given, drops below it.  An enclosure growing to the
     full circle before a witness raises EnclosureTooWide.
     """
+    return _evidence(leaf, _value_orbit(leaf.value_arc, d, horizon), epsilon)
+
+
+def _evidence(leaf: CandidateLeaf, orbit, epsilon) -> RecurrenceEvidence:
+    """``recurrence_evidence`` from the leaf's value orbit."""
     series: list[tuple[Fraction, Fraction]] = []
     mins: list[Fraction] = []
     running = ONE
-    for t, cur in enumerate(_value_orbit(leaf.value_arc, d, horizon)):
+    for t, cur in enumerate(orbit):
         if cur is None:
             raise EnclosureTooWide(
                 f"value enclosure covers the circle at step {t}; "
@@ -570,18 +580,18 @@ def _near_bins(x: Fraction, omega: OmegaApproximation, tol: Fraction) -> bool:
     return False
 
 
-def _grade_leaves(leaves, d: int, horizon: int, epsilon: Fraction, burn_in: int, notes):
+def _grade_leaves(leaves, orbits, epsilon: Fraction, burn_in: int, notes):
     """Each leaf's recurrence evidence (None when its value enclosure grows
-    too wide) and the omega bins of its value orbit from burn_in on; each
-    enclosure too wide and each orbit covering the circle gets a note."""
+    too wide) and the omega bins of its value orbit (``orbits``, one per
+    leaf) from burn_in on; each enclosure too wide and each orbit covering
+    the circle gets a note."""
     evidence, omegas = [], []
-    for li, leaf in enumerate(leaves):
+    for li, (leaf, arcs) in enumerate(zip(leaves, orbits)):
         try:
-            evidence.append(recurrence_evidence(leaf, d, horizon, epsilon))
+            evidence.append(_evidence(leaf, arcs, epsilon))
         except EnclosureTooWide:
             evidence.append(None)
             notes.append(f"leaf {li}: value enclosure too wide for recurrence")
-        arcs = _value_orbit(leaf.value_arc, d, horizon)
         if None in arcs:
             notes.append(f"leaf {li}: omega bins degraded to full circle")
         omegas.append(_omega_from_arcs(arcs, burn_in, epsilon))
@@ -630,10 +640,11 @@ def verify_theorem1(
         notes.append("no jumps detected, no candidate leaves")
         return report(burn_in=run.burn_in, jumps=log, leaf_count_ok=leaf_count_ok)
 
-    disjointness = orbit_disjointness(list(leaves), d, horizon)
+    orbits = [_value_orbit(l.value_arc, d, horizon) for l in leaves]
+    disjointness = _pair_statuses(orbits)
     all_disjoint = all(s.kind == DISJOINT for s in disjointness.values())
 
-    evidence, omegas = _grade_leaves(leaves, d, horizon, epsilon, run.burn_in, notes)
+    evidence, omegas = _grade_leaves(leaves, orbits, epsilon, run.burn_in, notes)
     all_witnessed = all(e is not None and e.verdict.kind == WITNESSED for e in evidence)
 
     omega_consistent = all(
@@ -749,17 +760,17 @@ def verify_collection_bound(
         except AssertionBreach as exc:
             notes.append(f"member {idx}: jump analysis breach: {exc}")
 
-    evidence, omegas = _grade_leaves(leaves, d, horizon, epsilon, 0, notes=[])
+    orbits = [_value_orbit(l.value_arc, d, horizon) for l in leaves]
+    evidence, omegas = _grade_leaves(leaves, orbits, epsilon, 0, notes=[])
     keep = [i for i, e in enumerate(evidence) if e and e.verdict.kind == WITNESSED]
-    recurrent = [leaves[i] for i in keep]
     omegas = [omegas[i] for i in keep]
 
-    if recurrent:
-        matrix = orbit_disjointness(recurrent, d, horizon)
-        r_hat = _max_disjoint_subset(len(recurrent), matrix)
+    if keep:
+        matrix = _pair_statuses([orbits[i] for i in keep])
+        r_hat = _max_disjoint_subset(len(keep), matrix)
         omega_hat = len(
             _components(
-                len(recurrent),
+                len(keep),
                 lambda a, b: hausdorff_bins(omegas[a], omegas[b]) <= 2 * epsilon,
             )
         )

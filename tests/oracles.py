@@ -25,6 +25,22 @@ def oracle_remainder(s: Fraction, d: int) -> Fraction:
     return s - Fraction(floor(d * s), d)
 
 
+def oracle_profile(points: list[Fraction], d: int) -> dict:
+    """The hole profile restated on raw fractions: per hole, in ccw order
+    of its start from the least point, the size, its remainder and
+    floor(d * size); the hole indices by size rank (equal sizes in ccw
+    order); and the remainder sum."""
+    sizes = hole_sizes(points)
+    rems = [oracle_remainder(s, d) for s in sizes]
+    return {
+        "sizes": sizes,
+        "remainders": rems,
+        "floors": [floor(d * s) for s in sizes],
+        "order": sorted(range(len(sizes)), key=lambda i: (sizes[i], i)),
+        "remainder_sum": sum(rems),
+    }
+
+
 def oracle_injective(points: list[Fraction], d: int) -> bool:
     return len({f_map(x, d) for x in points}) == len(points)
 

@@ -103,6 +103,14 @@ def test_negative_burn_in_exits_2(command, capsys):
     assert out == "" and err == "error: burn-in must be >= 0\n"
 
 
+@pytest.mark.parametrize("command", ["analyze", "orbit", "collection", "render"])
+def test_burn_in_refused_where_unused(command, capsys):
+    argv = [command, "30/100", "31/100", "32/100", "-d", "2", "--horizon", "4"]
+    assert main(argv + ["--no-kiwi-precheck", "--burn-in", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: --burn-in is not used by {command}\n"
+
+
 def _thue_morse_neighbour() -> str:
     """The first 8 base-3 Thue-Morse digits plus 1/(36*3^2000): inside the
     stream's 8-digit enclosure, with a 3,176-bit denominator."""

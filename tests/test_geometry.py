@@ -26,10 +26,19 @@ from polywander import (
     unlinked,
 )
 
-from polywander import geometry
+from polywander import NonInjectiveAtStep, certify_wandering, geometry, iterate_orbit
 from polywander.geometry import UnlinkedFamily
 
-from oracles import oracle_rho
+from oracles import (
+    f_map,
+    holes_of,
+    oracle_collision_step,
+    oracle_cyclic_order,
+    oracle_injective,
+    oracle_landing,
+    oracle_profile,
+    oracle_rho,
+)
 
 
 def ang(x) -> Angle:
@@ -285,3 +294,111 @@ def test_polygon_rejects_repeats_and_too_few_before_sorting(monkeypatch):
     for vs in ([], [s]):
         with pytest.raises(PreconditionError, match="at least 2 distinct"):
             Polygon(vs)
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel of a rational orbit step
+
+
+def _kernel_corpus():
+    """Seeded rational polygons, N 2..6 and d 2..5, with denominators from
+    small up to ~3^200: random points, points on a common grid (equal hole
+    sizes) and points that differ by multiples of 1/d (colliding images)."""
+    rng = random.Random(9009)
+    cases = []
+    for i in range(400):
+        d, N = 2 + i % 4, rng.randrange(2, 7)
+        q = rng.choice([rng.randrange(2, 60), 3 ** rng.randrange(1, 201),
+                        rng.randrange(2, 10**6) * 3 ** rng.randrange(50, 201)])
+        kind = i % 3
+        if kind == 0:
+            pts = set()
+            for _ in range(N):
+                den = rng.choice([q, q * d, rng.randrange(2, 90)])
+                pts.add(F(rng.randrange(den), den))
+        elif kind == 1:
+            base, step = F(rng.randrange(q), q), F(1, q * rng.randrange(1, 9))
+            pts = {(base + step * rng.randrange(3 * N)) % 1 for _ in range(N)}
+        else:
+            x = F(rng.randrange(q), q)
+            pts = {(x + F(rng.randrange(d), d) + F(rng.randrange(4), q)) % 1
+                   for _ in range(N)}
+        if len(pts) >= 2:
+            cases.append((d, sorted(pts)))
+    return cases
+
+
+def test_integer_kernel_matches_fraction_oracles():
+    """Sizes, remainders, floors, rank order, remainder sum and holes, the
+    orientation verdict, landing and the collision step of rational
+    polygons agree with plain-Fraction restatements."""
+    ties = collisions = 0
+    for d, pts in _kernel_corpus():
+        P = Polygon([ang(x) for x in pts])
+        prof = hole_profile(P, d)
+        want = oracle_profile(pts, d)
+        assert list(prof.sizes_cyclic) == want["sizes"]
+        assert list(prof.remainders_cyclic) == want["remainders"]
+        assert list(prof.floors) == want["floors"]
+        assert list(prof.order) == want["order"]
+        assert prof.remainder_sum == want["remainder_sum"]
+        assert [(h.start.value, h.end.value) for h in prof.holes] == holes_of(pts)
+        ties += len(set(want["sizes"])) < len(pts)
+
+        step = oracle_collision_step(pts, d, 6)
+        if step is None:
+            records = iterate_orbit(P, d, 6)
+        else:
+            with pytest.raises(NonInjectiveAtStep) as info:
+                iterate_orbit(P, d, 6)
+            assert info.value.step == step
+            a, b = info.value.__cause__.pair
+            assert f_map(a.value, d) == f_map(b.value, d) and a != b
+            records = info.value.records
+            collisions += 1
+        for rec in records:
+            vals = [v.value for v in rec.polygon.vertices]
+            assert list(rec.landing) == oracle_landing(vals, d)
+            assert rec.orientation.verdict == oracle_cyclic_order(vals, d)
+        if oracle_injective(pts, d):
+            assert is_orientation_preserving(P, d).verdict == oracle_cyclic_order(pts, d)
+    assert ties > 50 and collisions > 50
+
+
+def test_mixed_polygon_keeps_the_enclosure_path():
+    """One stream vertex among rationals: the profile holds enclosures and
+    every size's and remainder's 64-digit enclosure contains the oracle's
+    value at the stream's lower bound."""
+    s = parse_angle("gen:thue_morse?base=4")
+    P = Polygon([s, ang(F(1, 3)), ang(F(2, 3))])
+    prof = hole_profile(P, 4)
+    assert prof.den is None
+    lo, _ = s.enclosure_bounds(64)
+    want = oracle_profile([lo, F(1, 3), F(2, 3)], 4)
+    assert list(prof.floors) == want["floors"] and list(prof.order) == want["order"]
+    for got, x in zip(
+        prof.sizes_cyclic + prof.remainders_cyclic, want["sizes"] + want["remainders"]
+    ):
+        if isinstance(got, F):
+            assert got == x
+        else:
+            a, b = got.bounds(64)
+            assert a <= x <= b
+    assert is_orientation_preserving(P, 4).verdict == oracle_cyclic_order(
+        [lo, F(1, 3), F(2, 3)], 4
+    )
+
+
+def test_rational_orbit_step_does_not_compare_angles(monkeypatch):
+    """A rational W1-style quadrilateral certifies to horizon 20 with the
+    compare-based sort and arc lengths switched off: image sort, hole
+    profile and orientation run on ints."""
+    delta = F(1, 3 * 4 * 3 * 3**40)
+    pts = [F(1, 1000003)]
+    for m in (1, 3, 2):
+        pts.append(pts[-1] + m * delta)
+    P = Polygon([ang(x) for x in pts])
+    monkeypatch.setattr(geometry, "ccw_order", lambda *a: pytest.fail("ccw_order"))
+    monkeypatch.setattr(geometry, "arc_length", lambda *a: pytest.fail("arc_length"))
+    cert = certify_wandering(P, 3, 20, kiwi_precheck=False)
+    assert cert.certified and len(cert.records) == 21

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from polywander import recurrence
 from polywander.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -102,6 +103,20 @@ def test_golden_output(name):
     got_code, got = _run(argv)
     assert got_code == code
     assert got == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+
+
+def test_verify_walks_each_value_orbit_once(monkeypatch):
+    """Disjointness, recurrence and omega bins share one value orbit per
+    leaf: two walks for the two leaves of ``tri3-verify``."""
+    calls = []
+    walk = recurrence._value_orbit
+    monkeypatch.setattr(
+        recurrence, "_value_orbit", lambda *a: calls.append(a) or walk(*a)
+    )
+    assert _run(CASES["tri3-verify"][1]) == (
+        0, (GOLDEN / "tri3-verify.out").read_text(encoding="utf-8")
+    )
+    assert len(calls) == 2
 
 
 if __name__ == "__main__":
