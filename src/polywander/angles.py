@@ -5,7 +5,7 @@ Angles are measured in fractions of a full turn, so every angle lives in
 
 * rationals, stored canonically as coprime ints n/q with 0 <= n < q, so
   that comparing, mapping and measuring them is integer arithmetic; their
-  ``Fraction`` value is built on first use and cached;
+  ``Fraction`` value is built on each read;
 * lazy base-d digit streams backed by a registered deterministic generator.
 
 Eventually periodic digit literals are folded into their rational value at
@@ -17,8 +17,8 @@ Every enclosure, of a stream angle or of an ``Approx`` value, is an int
 triple ``(lo, hi, den)`` meaning [lo/den, hi/den]: compares cross-multiply,
 and sums, differences and clamps work on the numerators over one
 denominator, so no ``gcd`` runs on the refinement path.  ``enclosure_bounds``,
-``Approx.bounds`` and ``value_bounds`` are memoised ``Fraction`` views of
-these triples for callers that want reduced fractions.
+``Approx.bounds`` and ``value_bounds`` build ``Fraction`` pairs from these
+triples on each call, for callers that want reduced fractions.
 """
 
 from __future__ import annotations
@@ -154,16 +154,14 @@ register_generator("champernowne", _champernowne_factory)
 _set = object.__setattr__
 
 
-def _fill(a: "Angle", n, q, value, source, shift, offset) -> None:
+def _fill(a: "Angle", n, q, source, shift, offset) -> None:
     _set(a, "n", n)
     _set(a, "q", q)
-    _set(a, "_value", value)
     _set(a, "source", source)
     _set(a, "shift", shift)
     _set(a, "offset", offset)
     if source is not None:  # the kept enclosures; rationals never need them
         _set(a, "_bounds", {})
-        _set(a, "_views", {})
 
 
 class Angle:
@@ -173,21 +171,20 @@ class Angle:
     ``source`` is None), or ``source``/``shift``/``offset`` describe a
     generator-backed digit stream whose value is
     ``offset + 0.d_shift d_shift+1 ...`` in base ``source.base`` (``n`` and
-    ``q`` are None).  Instances are immutable; a stream keeps each
-    enclosure it has computed, and its ``Fraction`` view, keyed by digit
-    count.
+    ``q`` are None).  Instances are immutable; a stream keeps each int
+    enclosure it has computed, keyed by digit count.
     """
 
-    __slots__ = ("n", "q", "_value", "source", "shift", "offset", "_bounds", "_views")
+    __slots__ = ("n", "q", "source", "shift", "offset", "_bounds")
 
     def __init__(self, value=None, source=None, shift=0, offset=ZERO):
         if value is not None:
             v = _mod1(Fraction(value))
-            _fill(self, v.numerator, v.denominator, v, None, 0, ZERO)
+            _fill(self, v.numerator, v.denominator, None, 0, ZERO)
         elif source is None:
             raise ValueError("Angle needs a value or a digit source")
         else:
-            _fill(self, None, None, None, source, shift, _mod1(offset))
+            _fill(self, None, None, source, shift, _mod1(offset))
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("Angle is immutable")
@@ -198,14 +195,14 @@ class Angle:
     def _rational(cls, n: int, q: int) -> "Angle":
         """The angle n/q from ints already coprime with 0 <= n < q."""
         a = object.__new__(cls)
-        _fill(a, n, q, None, None, 0, ZERO)
+        _fill(a, n, q, None, 0, ZERO)
         return a
 
     @classmethod
     def _stream(cls, source: DigitSource, shift: int, offset: Fraction) -> "Angle":
         """The stream angle with an offset already reduced into [0, 1)."""
         a = object.__new__(cls)
-        _fill(a, None, None, None, source, shift, offset)
+        _fill(a, None, None, source, shift, offset)
         return a
 
     @classmethod
@@ -232,13 +229,8 @@ class Angle:
 
     @property
     def value(self) -> Fraction | None:
-        """The rational value n/q as a ``Fraction``, built on first use and
-        cached; None for streams."""
-        v = self._value
-        if v is None and self.source is None:
-            v = Fraction(self.n, self.q)
-            _set(self, "_value", v)
-        return v
+        """The rational value n/q as a ``Fraction``; None for streams."""
+        return None if self.source is not None else Fraction(self.n, self.q)
 
     @property
     def is_rational(self) -> bool:
@@ -278,16 +270,13 @@ class Angle:
         return iv
 
     def enclosure_bounds(self, k: int) -> tuple[Fraction, Fraction]:
-        """``interval(k)`` as a pair of ``Fraction``s, built once per k (the
-        exact value twice for rationals)."""
+        """``interval(k)`` as a pair of ``Fraction``s (the exact value twice
+        for rationals)."""
         if self.source is None:
             v = self.value
             return v, v
-        view = self._views.get(k)
-        if view is None:
-            lo, hi, den = self.interval(k)
-            view = self._views[k] = (Fraction(lo, den), Fraction(hi, den))
-        return view
+        lo, hi, den = self.interval(k)
+        return Fraction(lo, den), Fraction(hi, den)
 
     # -- equality is representation equality, not provable value equality
 
@@ -500,16 +489,16 @@ class Approx:
     ``refine_fn(k)`` returns the enclosure from k stream digits as ints
     ``(lo, hi, den)`` meaning [lo/den, hi/den].  Nothing is computed until
     the first request; a request for more digits than before is intersected
-    with the kept enclosure, so enclosures nest.  ``bounds(k)`` is the
-    ``Fraction`` view of the kept enclosure.
+    with the kept enclosure, so enclosures nest.  ``bounds(k)`` is the kept
+    enclosure as a pair of ``Fraction``s.
     """
 
-    __slots__ = ("_refine", "_k", "_iv", "_view")
+    __slots__ = ("_refine", "_k", "_iv")
 
     def __init__(self, refine_fn):
         self._refine = refine_fn
         self._k = 0
-        self._iv = self._view = None
+        self._iv = None
 
     def interval(self, k: int) -> tuple[int, int, int]:
         if k > self._k:
@@ -522,14 +511,11 @@ class Approx:
                     den *= pden
             self._iv = (lo, hi, den)
             self._k = k
-            self._view = None
         return self._iv
 
     def bounds(self, k: int) -> tuple[Fraction, Fraction]:
         lo, hi, den = self.interval(k)
-        if self._view is None:
-            self._view = (Fraction(lo, den), Fraction(hi, den))
-        return self._view
+        return Fraction(lo, den), Fraction(hi, den)
 
     def __repr__(self):
         if self._iv is None:
@@ -610,17 +596,6 @@ def cmp_values(x: Value, y: Value, budget: PrecisionBudget = DEFAULT_BUDGET) -> 
     )
 
 
-def add_values(x: Value, y: Value) -> Value:
-    if isinstance(x, Fraction) and isinstance(y, Fraction):
-        return x + y
-
-    def refine_fn(k):
-        xlo, xhi, ylo, yhi, den = _over_common(value_interval(x, k), value_interval(y, k))
-        return xlo + ylo, xhi + yhi, den
-
-    return Approx(refine_fn)
-
-
 def sub_values(x: Value, y: Value) -> Value:
     if isinstance(x, Fraction) and isinstance(y, Fraction):
         return x - y
@@ -655,10 +630,20 @@ def clamp01_value(x: Value) -> Value:
 
 
 def sum_values(values) -> Value:
-    total: Value = ZERO
-    for v in values:
-        total = add_values(total, v)
-    return total
+    """The sum: a ``Fraction`` when every term is exact, else one ``Approx``
+    whose enclosure adds the terms' numerators over one denominator."""
+    values = tuple(values)
+    if all(isinstance(v, Fraction) for v in values):
+        return sum(values, ZERO)
+
+    def refine_fn(k):
+        lo, hi, den = 0, 0, 1
+        for v in values:
+            lo, hi, vlo, vhi, den = _over_common((lo, hi, den), value_interval(v, k))
+            lo, hi = lo + vlo, hi + vhi
+        return lo, hi, den
+
+    return Approx(refine_fn)
 
 
 def floor_scaled(x: Value, d: int, budget: PrecisionBudget = DEFAULT_BUDGET) -> int:

@@ -381,14 +381,10 @@ def _cmd_jumps(args, budget, eps):
         }
     except TooFewJumps:
         payload["gap_stats"] = None
-    try:
-        payload["traces"] = [
-            {"jump_index": t.jump_index, "steps": [list(s) for s in t.steps]}
-            for t in run.traces
-        ]
-    except EnclosureTooWide as exc:
-        payload["traces"] = None
-        payload["trace_note"] = str(exc)
+    payload["traces"] = [
+        {"jump_index": t.jump_index, "steps": [list(s) for s in t.steps]}
+        for t in run.traces
+    ]
     return payload
 
 

@@ -1,7 +1,7 @@
 """Chords, polygons, holes, remainders, orientation and the rho metric.
 
 Everything here is pure and immutable, except ``UnlinkedFamily``, a vertex
-list that grows, and the views a ``HoleProfile`` builds on first read.
+list that grows.
 Lengths are exact ``Fraction``s when all endpoints are rational and
 refinable enclosures otherwise.  One sort of a polygon's vertex images
 (``_image_sort``) gives injectivity, the cyclic-order half of orientation,
@@ -10,8 +10,8 @@ the next iterate and where each vertex's image lands in it.
 An orbit step on a polygon whose vertices are all rational runs on ints
 over one common denominator: the image sort keys, the hole sizes, their
 ranks, floor(d * size), the remainders and the remainder-sum test of
-orientation.  ``Fraction``s and ``Arc``s are built only when a caller reads
-them.
+orientation.  A ``HoleProfile`` stores those ints, and builds a size's or a
+remainder's ``Fraction`` on each read of it; only its ``Arc``s are kept.
 """
 
 from __future__ import annotations
@@ -190,9 +190,9 @@ def image_hole(H: Arc, d: int, budget: PrecisionBudget = DEFAULT_BUDGET) -> Arc:
     return Arc(map_angle(H.start, d), map_angle(H.end, d))
 
 
-@dataclass
+@dataclass(frozen=True)
 class HoleProfile:
-    """Per-polygon record of holes, sizes (ascending), remainders and edges.
+    """Per-polygon record of holes, sizes (ascending) and remainders.
 
     ``order[r]`` is the cyclic index of the rank-(r+1) hole; rank 1 is the
     smallest.  ``floors[i]`` is floor(d * size) of cyclic hole i.  Accessors
@@ -200,11 +200,10 @@ class HoleProfile:
 
     When every vertex is rational, ``den`` is the lcm L of the vertex
     denominators and ``_sizes`` and ``_rems`` hold ints: the hole sizes over
-    L and the remainders over d*L; ``sizes_cyclic``, ``remainders_cyclic``
-    and ``remainder_sum`` are built from them on first read and kept.
-    Otherwise ``den`` is None, ``_sizes`` and ``_rems`` hold the sizes and
-    remainders as values and are the views themselves.  ``holes`` is built
-    on first read.
+    L and the remainders over d*L; ``size``, ``remainder`` and the
+    properties build their ``Fraction``s from them on each read.  Otherwise
+    ``den`` is None and ``_sizes`` and ``_rems`` hold the sizes and
+    remainders as values.  ``holes`` is built on first read and kept.
     """
 
     polygon: Polygon
@@ -214,7 +213,6 @@ class HoleProfile:
     den: int | None
     _sizes: tuple
     _rems: tuple
-    cr: int | None = field(default=None)
 
     @cached_property
     def holes(self) -> tuple[Arc, ...]:
@@ -222,23 +220,25 @@ class HoleProfile:
         M = len(vs)
         return tuple(Arc(vs[i], vs[(i + 1) % M]) for i in range(M))
 
-    def __post_init__(self):
-        if self.den is None:  # enclosure values are their own views
-            self.sizes_cyclic = self._sizes
-            self.remainders_cyclic = self._rems
-            self.remainder_sum = sum_values(self._rems)
+    def _size_value(self, x) -> Value:
+        return x if self.den is None else Fraction(x, self.den)
 
-    @cached_property
+    def _remainder_value(self, r) -> Value:
+        return r if self.den is None else Fraction(r, self.degree * self.den)
+
+    @property
     def sizes_cyclic(self) -> tuple[Value, ...]:
-        return tuple(Fraction(x, self.den) for x in self._sizes)
+        return tuple(map(self._size_value, self._sizes))
 
-    @cached_property
+    @property
     def remainders_cyclic(self) -> tuple[Value, ...]:
-        return tuple(Fraction(r, self.degree * self.den) for r in self._rems)
+        return tuple(map(self._remainder_value, self._rems))
 
-    @cached_property
+    @property
     def remainder_sum(self) -> Value:
-        return Fraction(sum(self._rems), self.degree * self.den)
+        if self.den is None:
+            return sum_values(self._rems)
+        return self._remainder_value(sum(self._rems))
 
     @property
     def card(self) -> int:
@@ -248,14 +248,10 @@ class HoleProfile:
         return self.holes[self.order[k - 1]]
 
     def size(self, k: int) -> Value:
-        return self.sizes_cyclic[self.order[k - 1]]
+        return self._size_value(self._sizes[self.order[k - 1]])
 
     def remainder(self, k: int) -> Value:
-        return self.remainders_cyclic[self.order[k - 1]]
-
-    def edge(self, k: int) -> Chord:
-        h = self.hole(k)
-        return Chord(h.start, h.end)
+        return self._remainder_value(self._rems[self.order[k - 1]])
 
     def rank_of_cyclic(self, i: int) -> int:
         return self.order.index(i) + 1

@@ -23,12 +23,10 @@ from .angles import (
     PrecisionBudget,
     Value,
     cmp_values,
-    floor_scaled,
     scale_value,
 )
 from .errors import (
     AssertionBreach,
-    EnclosureTooWide,
     NoBurnInWithinHorizon,
     NoHoleExceeds1OverD,
     NonInjectiveAtStep,
@@ -109,8 +107,7 @@ REJECTED_KIWI = "RejectedKiwiBound"
 class WanderingCertificate:
     """Finite-horizon evidence that an orbit keeps cardinality and stays
     pairwise unlinked.  ``step`` holds the failing iterate (card drop) and
-    ``pair`` the first linked pair; ``diagnostics`` is the trajectory of the
-    (N-2)-nd smallest hole size.  ``family`` holds the vertices of the
+    ``pair`` the first linked pair.  ``family`` holds the vertices of the
     unlinked records, each labelled with its record's index (None when no
     iteration was performed)."""
 
@@ -118,13 +115,17 @@ class WanderingCertificate:
     status: str
     step: int | None = None
     pair: tuple[int, int] | None = None
-    diagnostics: tuple[Value, ...] = ()
     records: tuple[OrbitRecord, ...] = ()
     family: UnlinkedFamily | None = field(default=None, compare=False, repr=False)
 
     @property
     def certified(self) -> bool:
         return self.status == CERTIFIED
+
+    @property
+    def diagnostics(self) -> tuple[Value, ...]:
+        """The trajectory of the (N-2)-nd smallest hole size, one per record."""
+        return tuple(r.profile.size(r.polygon.card - 2) for r in self.records)
 
 
 def certify_wandering(
@@ -173,7 +174,6 @@ def certify_wandering(
         status=status,
         step=step,
         pair=pair,
-        diagnostics=tuple(r.profile.size(N - 2) for r in records),
         records=tuple(records),
         family=family,
     )
@@ -218,9 +218,7 @@ def critical_hole_index(
     profile: HoleProfile, d: int, budget: PrecisionBudget = DEFAULT_BUDGET
 ) -> int:
     """Size rank (1-based) of the hole with minimal remainder among holes
-    longer than 1/d; caches the result on the profile."""
-    if profile.cr is not None:
-        return profile.cr
+    longer than 1/d."""
     target = Fraction(1, d)
     candidates = [
         k
@@ -240,7 +238,6 @@ def critical_hole_index(
         raise TieUnresolvable(
             f"holes of ranks {best} and {tie} share the minimal remainder"
         )
-    profile.cr = best
     return best
 
 
@@ -335,7 +332,7 @@ def detect_jumps(
             ) from exc
         H = rec.profile.hole(cr)
         s_tilde = rec.profile.remainder(cr)
-        j = floor_scaled(rec.profile.size(cr), d, budget)
+        j = rec.profile.floors[rec.profile.order[cr - 1]]
         strip = critical_strip(H, d, j, budget)
         rank = image_rank(cr)
         if rank is None or rank > N - 2:
@@ -361,7 +358,7 @@ def detect_jumps(
                 index=rec.index,
                 cr=cr,
                 s_tilde_cr=s_tilde,
-                edge=rec.profile.edge(cr),
+                edge=Chord(H.start, H.end),
                 strip=strip,
                 image_hole=nxt.profile.hole(rank),
                 image_rank=rank,
@@ -414,7 +411,9 @@ def track_critical_value(
     It starts in the jump's image-hole and moves along each record's
     ``landing`` (so the records must have consecutive indices); at every
     step up to and including the next jump it must sit in a hole of rank
-    <= N-2."""
+    <= N-2.  ``detect_jumps`` has checked on the same records that those
+    holes map to holes, so a hole that maps to no hole, like a rank above
+    N-2, raises AssertionBreach."""
     _check_consecutive(orbit)
     if not log.records:
         return []
@@ -429,9 +428,8 @@ def track_critical_value(
         steps: list[tuple[int, int]] = []
         for t, rec in enumerate(walk, jr.index + 1):
             if c is None:
-                raise EnclosureTooWide(
-                    f"critical-value enclosure from jump {jr.index} straddles a "
-                    f"hole boundary at step {t}; raise precision or extend burn-in"
+                raise AssertionBreach(
+                    f"critical value from jump {jr.index} is in no hole at step {t}"
                 )
             rank = rec.profile.rank_of_cyclic(c)
             if rank > N - 2:

@@ -533,15 +533,12 @@ class TheoremReport:
 
 
 def _decide_status(
-    breach: bool,
     leaf_count_ok: bool | None,
     all_disjoint: bool | None,
     all_witnessed: bool | None,
     omega_consistent: bool | None,
     limcoin_ok: bool | None,
 ) -> str:
-    if breach:
-        return BREACH
     checks = (leaf_count_ok, all_disjoint, all_witnessed, omega_consistent, limcoin_ok)
     if all(c is True for c in checks):
         return CONSISTENT
@@ -664,7 +661,7 @@ def verify_theorem1(
     )
 
     status = _decide_status(
-        False, leaf_count_ok, all_disjoint, all_witnessed, omega_consistent, limcoin_ok
+        leaf_count_ok, all_disjoint, all_witnessed, omega_consistent, limcoin_ok
     )
     return report(
         burn_in=run.burn_in,

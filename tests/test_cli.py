@@ -178,6 +178,21 @@ def test_verify_periodic_not_certified_exit_0():
     assert rep["payload"]["certificate"]["status"] == "FailedLinked"
 
 
+def test_verify_jump_analysis_breach_exit_0(capsys):
+    """A certified orbit whose jump analysis breaks an invariant gets the
+    status AssertionBreach in a report, not exit 4."""
+    argv = ["verify", "-d", "3", "--horizon", "2", "--burn-in", "0",
+            "50/283", "206/283", "208/283"]
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert payload["status"] == "AssertionBreach"
+    assert payload["certificate"]["status"] == "CertifiedToHorizon"
+    assert payload["notes"] == [
+        "jump analysis breach: image-hole of the critical hole at step 1 is "
+        "not one of the N-2 smallest holes of the next iterate (rank None)"
+    ]
+
+
 def test_verify_kiwi_reject_exit_0():
     rep = run_json("verify", "1/10", "2/10", "3/10", "--degree", "2")
     assert rep["payload"]["certificate"]["status"] == "RejectedKiwiBound"

@@ -7,7 +7,6 @@ import pytest
 from polywander import (
     Angle,
     AssertionBreach,
-    EnclosureTooWide,
     JumpLog,
     JumpRecord,
     NoBurnInWithinHorizon,
@@ -280,7 +279,15 @@ def test_critical_hole_sevenths():
     h = prof.hole(rank)
     assert (h.start.value, h.end.value) == (F(2, 7), 0)
     assert prof.remainder(rank) == F(3, 14)
-    assert prof.cr == rank
+
+
+def test_hole_profile_is_hashable_and_unchanged_by_critical_hole_index():
+    P = poly(0, F(1, 7), F(2, 7))
+    prof = hole_profile(P, 2)
+    h = hash(prof)
+    critical_hole_index(prof, 2)
+    assert prof == hole_profile(P, 2) and hash(prof) == h
+    assert {prof, hole_profile(P, 2)} == {prof}
 
 
 def test_critical_hole_min_remainder():
@@ -490,8 +497,8 @@ def _jump_outcome(records, d, want):
 def _trace_outcome(log, records, d):
     try:
         traces = track_critical_value(log, records)
-    except EnclosureTooWide as exc:
-        return "too wide", int(re.search(r"at step (\d+)", str(exc)).group(1))
+    except AssertionBreach as exc:
+        return "no hole", int(re.search(r"no hole at step (\d+)", str(exc)).group(1))
     return [(tr.jump_index, list(tr.steps)) for tr in traces]
 
 
@@ -521,6 +528,19 @@ def test_detect_jumps_image_holes_match_fraction_oracle():
                 break
             start = want[1] + 1
     assert seen >= {"ok", "breach", "tie"} and jumps >= 100, (seen, jumps)
+
+
+def test_trace_through_a_step_that_maps_no_hole_to_a_hole_is_a_breach():
+    """A jump log read against another orbit's records: the last jump's
+    image-hole is T_4's smallest hole, but T_4 reverses orientation, so that
+    hole maps to no hole of T_5."""
+    log = detect_jumps(iterate_orbit(poly(0, F(1, 7), F(3, 7)), 2, 4), 2)
+    assert log.indices == (0, 1, 2, 3)
+    other = iterate_orbit(poly(0, F(1, 5), F(3, 5)), 2, 6)
+    assert not other[4].orientation.verdict
+    with pytest.raises(AssertionBreach) as exc:
+        track_critical_value(log, other)
+    assert str(exc.value) == "critical value from jump 3 is in no hole at step 5"
 
 
 def test_jump_analysis_needs_consecutive_records():

@@ -323,17 +323,13 @@ def test_verify_inconclusive_without_burn_in():
 
 
 def test_decide_status_combinations():
-    assert _decide_status(True, True, True, True, True, True) == "AssertionBreach"
-    assert (
-        _decide_status(False, True, True, True, True, True)
-        == "ConsistentWithTheorem"
-    )
+    assert _decide_status(True, True, True, True, True) == "ConsistentWithTheorem"
     for i in range(5):
         flags = [True] * 5
         flags[i] = False
-        assert _decide_status(False, *flags) == "InconclusiveEvidence"
+        assert _decide_status(*flags) == "InconclusiveEvidence"
         flags[i] = None
-        assert _decide_status(False, *flags) == "InconclusiveEvidence"
+        assert _decide_status(*flags) == "InconclusiveEvidence"
 
 
 # ---------------------------------------------------------------------------
