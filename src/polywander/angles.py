@@ -16,9 +16,9 @@ or the precision budget runs out.
 Every enclosure, of a stream angle or of an ``Approx`` value, is an int
 triple ``(lo, hi, den)`` meaning [lo/den, hi/den]: compares cross-multiply,
 and sums, differences and clamps work on the numerators over one
-denominator, so no ``gcd`` runs on the refinement path.  ``enclosure_bounds``,
-``Approx.bounds`` and ``value_bounds`` build ``Fraction`` pairs from these
-triples on each call, for callers that want reduced fractions.
+denominator, so no ``gcd`` runs on the refinement path.  ``enclosure_bounds``
+and ``Approx.bounds`` build ``Fraction`` pairs from these triples on each
+call, for callers that want reduced fractions.
 """
 
 from __future__ import annotations
@@ -564,12 +564,6 @@ def value_interval(x: Value, k: int) -> tuple[int, int, int]:
     return n, n, x.denominator
 
 
-def value_bounds(x: Value, k: int) -> tuple[Fraction, Fraction]:
-    if isinstance(x, Fraction):
-        return x, x
-    return x.bounds(k)
-
-
 def _over_common(x: tuple[int, int, int], y: tuple[int, int, int]):
     """Two int enclosures as xlo, xhi, ylo, yhi over one denominator den."""
     xlo, xhi, xd = x
@@ -705,12 +699,6 @@ def ccw_order(angles, budget: PrecisionBudget = DEFAULT_BUDGET):
         return c
 
     return sorted(range(len(angles)), key=cmp_to_key(cmp)), next(iter(ties), None)
-
-
-def angle_sorted(angles, budget: PrecisionBudget = DEFAULT_BUDGET) -> list[Angle]:
-    """Angles sorted by circle position; equal ones keep their input order."""
-    angles = list(angles)
-    return [angles[i] for i in ccw_order(angles, budget)[0]]
 
 
 def shift_angle(a: Angle, delta: Fraction) -> Angle:

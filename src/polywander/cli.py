@@ -434,10 +434,10 @@ def _cmd_verify(args, budget, eps):
 def _cmd_collection(args, budget, eps):
     if args.file:
         polys = [Polygon(vs, budget) for vs in _read_polygon_lines(args.file)]
-    elif args.angles:
-        polys = [Polygon(_input_angles(args), budget)]
     else:
-        raise PreconditionError("collection needs --file or angle literals")
+        polys = [Polygon(_input_angles(args), budget)] if args.angles else []
+    if not polys:
+        raise PreconditionError("collection needs --file polygons or angle literals")
     try:
         rep = verify_collection_bound(
             polys,

@@ -1,4 +1,4 @@
-"""Chords, polygons, holes, remainders, orientation and the rho metric.
+"""Chords, polygons, holes, remainders, orientation, linkage and rho.
 
 Everything here is pure and immutable, except ``UnlinkedFamily``, a vertex
 list that grows.
@@ -31,7 +31,6 @@ from .angles import (
     Angle,
     PrecisionBudget,
     Value,
-    _precision_ladder,
     arc_length,
     ccw_order,
     clamp01_value,
@@ -49,7 +48,6 @@ from .errors import (
     DegenerateChordError,
     NotInjectiveError,
     PreconditionError,
-    UnresolvedComparison,
 )
 
 
@@ -67,9 +65,6 @@ class Arc:
     def length(self, budget: PrecisionBudget = DEFAULT_BUDGET) -> Value:
         return arc_length(self.start, self.end, budget)
 
-    def contains(self, x: Angle, budget: PrecisionBudget = DEFAULT_BUDGET) -> bool:
-        return in_open_arc(x, self.start, self.end, budget)
-
 
 @dataclass(frozen=True)
 class Chord:
@@ -77,9 +72,6 @@ class Chord:
 
     a: Angle
     b: Angle
-
-    def is_degenerate(self, budget: PrecisionBudget = DEFAULT_BUDGET) -> bool:
-        return compare(self.a, self.b, budget) == EQ
 
     def endpoints(self):
         return self.a, self.b
@@ -373,33 +365,6 @@ def _orientation(
 # linkage
 
 
-def _hole_index_of(P: Polygon, x: Angle, budget: PrecisionBudget) -> int | None:
-    """Cyclic hole index of P containing x, or None when x is a vertex."""
-    vs = P.vertices
-    M = len(vs)
-    for i in range(M):
-        if compare(x, vs[i], budget) == EQ:
-            return None
-    for i in range(M):
-        if in_open_arc(x, vs[i], vs[(i + 1) % M], budget):
-            return i
-    raise AssertionBreach("point is in no hole and is no vertex")  # pragma: no cover
-
-
-def unlinked(A: Polygon, B: Polygon, budget: PrecisionBudget = DEFAULT_BUDGET) -> bool:
-    """True iff CH(A) and CH(B) are disjoint (any shared point links them)."""
-    found = None
-    for b in B.vertices:
-        idx = _hole_index_of(A, b, budget)
-        if idx is None:  # shared vertex
-            return False
-        if found is None:
-            found = idx
-        elif idx != found:
-            return False
-    return True
-
-
 class UnlinkedFamily:
     """The vertices of pairwise unlinked polygons, kept in ccw order by
     binary search with ``compare``, each tagged with its polygon's label.
@@ -462,53 +427,12 @@ class UnlinkedFamily:
         return linked
 
 
-def hole_containing(
-    Q: Polygon,
-    B: Polygon,
-    tau: Fraction,
-    budget: PrecisionBudget = DEFAULT_BUDGET,
-):
-    """The hole of B containing the unlinked set Q; its length exceeds tau.
-
-    Returns ``(arc, length)``.
-    """
-    if Q.card < 3 or B.card < 3:
-        raise PreconditionError("hole_containing needs card >= 3 on both sides")
-    if not unlinked(Q, B, budget):
-        raise PreconditionError("sets must be unlinked")
-    profile = hole_profile(B, 2, budget)  # degree irrelevant for sizes
-    big = sum(1 for s in profile.sizes_cyclic if cmp_values(s, tau, budget) >= 0)
-    if big < 2:
-        raise PreconditionError(
-            "the containing set needs at least two holes of length >= tau"
-        )
-    idx = _hole_index_of(B, Q.vertices[0], budget)
-    if idx is None:  # pragma: no cover - unlinked excludes shared vertices
-        raise AssertionBreach("unlinked sets cannot share a vertex")
-    vs = B.vertices
-    arc = Arc(vs[idx], vs[(idx + 1) % len(vs)])
-    length = arc.length(budget)
-    if cmp_values(length, tau, budget) <= 0:
-        raise AssertionBreach("containing hole is not longer than tau")
-    return arc, length
-
-
-# ---------------------------------------------------------------------------
-# critical chords
-
-
-def is_critical(c: Chord, d: int, budget: PrecisionBudget = DEFAULT_BUDGET) -> bool:
-    """True iff the endpoints differ by a nonzero multiple of 1/d."""
-    if c.is_degenerate(budget):
-        raise DegenerateChordError("a degenerate chord cannot be critical")
-    length = arc_length(c.a, c.b, budget)
-    if isinstance(length, Fraction):
-        return (d * length).denominator == 1
-    for k in _precision_ladder(budget):
-        lo, hi, den = length.interval(k)
-        if -(-d * lo // den) > d * hi // den:  # ceil(d * lo) > floor(d * hi)
-            return False
-    raise UnresolvedComparison("criticality undecided within budget")
+def unlinked(A: Polygon, B: Polygon, budget: PrecisionBudget = DEFAULT_BUDGET) -> bool:
+    """True iff CH(A) and CH(B) are disjoint (any shared point links them):
+    B queried against a family that holds A alone."""
+    family = UnlinkedFamily(budget)
+    family.add(A, 0)
+    return not family.linked(B)
 
 
 # ---------------------------------------------------------------------------
@@ -580,9 +504,6 @@ class CriticalStrip:
     start_lo: Angle
     start_hi: Angle
     rho_value: Value
-
-    def chord_at(self, c: Angle) -> Chord:
-        return Chord(c, shift_angle(c, Fraction(self.j, self.degree)))
 
     def endpoint_arc_bounds(self, k: int = 64):
         """Fraction intervals for the two endpoint ranges of strip chords.

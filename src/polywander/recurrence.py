@@ -21,7 +21,6 @@ from .angles import (
     ZERO,
     Angle,
     PrecisionBudget,
-    Value,
     map_angle,
     midpoint,
 )
@@ -34,7 +33,7 @@ from .errors import (
     PreconditionError,
     UnresolvedComparison,
 )
-from .geometry import Polygon, _hole_index_of
+from .geometry import Polygon
 from .orbit import (
     CriticalValueTrace,
     JumpLog,
@@ -466,41 +465,6 @@ def _evidence(leaf: CandidateLeaf, orbit, epsilon) -> RecurrenceEvidence:
     return RecurrenceEvidence(
         distance_series=tuple(series), running_min=tuple(mins), verdict=verdict
     )
-
-
-# ---------------------------------------------------------------------------
-# narrowness
-
-
-@dataclass(frozen=True)
-class NarrownessWitness:
-    index: int
-    rank: int
-    hole_size: Value
-
-
-def narrowness_evidence(
-    x: Angle,
-    orbit: list[OrbitRecord],
-    N: int,
-    budget: PrecisionBudget = DEFAULT_BUDGET,
-) -> tuple[NarrownessWitness, ...]:
-    """Iterates where x sits in one of the N-1 smallest holes, with the
-    size of that hole; shrinking sizes along the witnesses support
-    narrowness."""
-    out = []
-    for rec in orbit:
-        ci = _hole_index_of(rec.polygon, x, budget)
-        if ci is None:
-            continue  # x is a vertex there, holes are open
-        rank = rec.profile.rank_of_cyclic(ci)
-        if rank <= N - 1:
-            out.append(
-                NarrownessWitness(
-                    index=rec.index, rank=rank, hole_size=rec.profile.size(rank)
-                )
-            )
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

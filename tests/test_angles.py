@@ -27,14 +27,13 @@ from polywander.angles import (
     ONE,
     ZERO,
     _dec12,
-    angle_sorted,
+    ccw_order,
     clamp01_value,
     cmp_values,
     floor_scaled,
     scale_value,
     sub_values,
     sum_values,
-    value_bounds,
 )
 from polywander.geometry import remainder
 
@@ -190,8 +189,9 @@ def test_refine_nests():
 
 @given(st.lists(fractions_01, min_size=1, max_size=12, unique=True))
 def test_sorting_matches_fraction_order(vals):
-    out = angle_sorted([Angle.from_fraction(v) for v in vals])
-    assert [a.value for a in out] == sorted(vals)
+    order, tie = ccw_order([Angle.from_fraction(v) for v in vals])
+    assert [vals[i] for i in order] == sorted(vals)
+    assert tie is None
 
 
 def test_digit_generator_is_deterministic_and_validated():
@@ -573,7 +573,7 @@ def _step(package, reference):
 def _assert_same_bounds(pairs, k):
     for got, want in pairs:
         assert isinstance(got, F) == isinstance(want, F)
-        assert value_bounds(got, k) == _rb(want, k)
+        assert _rb(got, k) == _rb(want, k)
 
 
 @st.composite

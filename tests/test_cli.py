@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -216,6 +218,15 @@ def test_collection_single_member(tmp_path):
     assert rep["payload"]["holds"] is False
 
 
+def test_collection_file_without_polygons_exits_2(tmp_path, capsys):
+    f = tmp_path / "gamma.txt"
+    f.write_text("# no members\n\n   \n")
+    assert main(["collection", "--file", str(f), "-d", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: collection needs --file polygons or angle literals\n"
+
+
 def test_assertion_breach_exit_4():
     proc = run_cli("jumps", "5/100", "35/100", "65/100",
                    "--degree", "2", "--horizon", "1")
@@ -322,6 +333,74 @@ def test_stream_literal_through_cli():
                    "--degree", "2")
     lits = [v["literal"] for v in rep["payload"]["vertices"]]
     assert "gen:thue_morse?base=2" in lits
+
+
+# the exit-code contract under generated input
+
+COMMANDS = ("analyze", "orbit", "jumps", "leaves", "verify", "collection", "render")
+_bits = st.text(alphabet="01", max_size=4)
+# rationals (unreduced, some >= 1), decimals and periodic-digit literals
+plain_literals = st.one_of(
+    st.builds("{}/{}".format, st.integers(0, 60), st.integers(1, 30)),
+    st.builds("{}.{}".format, st.integers(0, 1), st.integers(0, 99)),
+    st.builds("{}:{}({})".format, st.integers(2, 5), _bits, _bits),
+)
+# streams, with a base that may differ from the degree, and malformed text
+odd_literals = st.one_of(
+    st.builds(
+        "gen:{}?base={}&shift={}&offset={}".format,
+        st.sampled_from(["thue_morse", "champernowne", "nosuch"]),
+        st.integers(0, 5),
+        st.integers(-1, 12),
+        st.builds("{}/{}".format, st.integers(0, 7), st.integers(0, 7)),
+    ),
+    st.sampled_from(["gen:thue_morse", "gen:champernowne?base=3", "gen:x?base"]),
+    st.builds("{}:{}".format, st.integers(0, 12), st.text("0123456789ab", max_size=3)),
+    st.text(alphabet="0123456789/.:()?=&-gen", max_size=8),
+)
+
+
+@st.composite
+def cli_argv(draw):
+    """A command, literals and options; half the time every option is in
+    range and every literal plain, so that the run reaches the analysis."""
+    wild = draw(st.booleans())
+    literals = draw(
+        st.lists(plain_literals, min_size=0 if wild else 3, max_size=5, unique=not wild)
+    )
+    if wild:
+        literals += draw(st.lists(odd_literals, max_size=1))
+    command = draw(st.sampled_from(COMMANDS))
+    argv = [command, *draw(st.permutations(literals))]
+    argv += ["-d", str(draw(st.integers(1 if wild else 2, 5)))]
+    argv += ["--horizon", str(draw(st.integers(-1 if wild else 0, 5)))]
+    if draw(st.booleans()):
+        argv.append("--no-kiwi-precheck")
+    if (wild or command in ("jumps", "leaves", "verify")) and draw(st.booleans()):
+        argv += ["--burn-in", str(draw(st.integers(-1 if wild else 0, 3)))]
+    epsilons = ["1/64", "8", "1/48", "0", "x"] if wild else ["1/64", "8"]
+    if draw(st.booleans()):
+        argv += ["--epsilon", draw(st.sampled_from(epsilons))]
+    if draw(st.booleans()):
+        argv += ["--budget", str(draw(st.integers(-1 if wild else 1, 64)))]
+    return argv
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(cli_argv())
+def test_generated_input_keeps_the_exit_code_contract(argv):
+    """Any command on generated literals and options exits 0, 2, 3 or 4
+    (argparse exits 2 itself), prints no traceback, and writes to stdout
+    only on success."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2, 3, 4), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    assert code == 0 or out.getvalue() == ""
 
 
 # the report writer against json.dumps

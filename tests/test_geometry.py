@@ -15,10 +15,8 @@ from polywander import (
     Polygon,
     PreconditionError,
     critical_strip,
-    hole_containing,
     hole_profile,
     image_hole,
-    is_critical,
     is_orientation_preserving,
     parse_angle,
     remainder,
@@ -38,6 +36,7 @@ from oracles import (
     oracle_landing,
     oracle_profile,
     oracle_rho,
+    oracle_unlinked,
 )
 
 
@@ -51,6 +50,10 @@ def poly(*vals) -> Polygon:
 
 def chord(a, b) -> Chord:
     return Chord(ang(a), ang(b))
+
+
+def vertex_values(P: Polygon) -> list:
+    return [v.value for v in P.vertices]
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +159,7 @@ def test_unlinked_symmetric():
 
 def test_unlinked_family_matches_unlinked():
     # polygons inside random arcs of the 48-gon: nested, disjoint, sharing
-    # vertices and interleaved, in every mix
+    # vertices and interleaved, in every mix, 2-gons among them
     rng = random.Random(404)
     for _ in range(200):
         family, members = UnlinkedFamily(), []
@@ -164,7 +167,12 @@ def test_unlinked_family_matches_unlinked():
             start, width = rng.randrange(48), rng.randrange(1, 16)
             ks = rng.sample(range(width + 1), rng.randrange(2, min(5, width + 1) + 1))
             P = poly(*(F((start + k) % 48, 48) for k in ks))
-            expected = {m for m, Q in members if not unlinked(Q, P)}
+            expected = set()
+            for m, Q in members:
+                want = oracle_unlinked(vertex_values(Q), vertex_values(P))
+                assert unlinked(Q, P) == unlinked(P, Q) == want
+                if not want:
+                    expected.add(m)
             assert family.linked(P) == expected
             assert family.add(P, label) == expected
             if not expected:
@@ -176,31 +184,8 @@ def test_unlinked_family_matches_unlinked():
         assert len(members) > 1
 
 
-def test_hole_containing():
-    Q = poly("0.3", "0.32", "0.34")
-    B = poly("0.1", "0.2", "0.5", "0.9")
-    arc, length = hole_containing(Q, B, F(1, 5))
-    assert (arc.start.value, arc.end.value) == (F(1, 5), F(1, 2))
-    assert length == F(3, 10) > F(1, 5)
-
-    with pytest.raises(PreconditionError):
-        hole_containing(poly("0.1", "0.3", "0.5"), poly("0.2", "0.4", "0.6"), F(1, 10))
-    with pytest.raises(PreconditionError):
-        hole_containing(Q, B, F(2, 5))  # only one hole of B reaches 2/5
-
-
 # ---------------------------------------------------------------------------
-# critical chords and rho
-
-
-def test_is_critical_examples():
-    c = chord(F(1, 4), F(3, 4))
-    assert is_critical(c, 2) is True
-    c = chord(0, F(1, 3))
-    assert is_critical(c, 3) is True
-    assert is_critical(c, 2) is False
-    with pytest.raises(DegenerateChordError):
-        is_critical(chord(0, 0), 2)
+# rho
 
 
 def test_rho_examples():
@@ -262,11 +247,14 @@ def test_critical_strip_example():
     assert s.start_lo.value == F(1, 10)
     assert s.start_hi.value == F(1, 4)
     assert s.rho_value == F(3, 20)
-    # sampled strip chords are critical and sit at rho_value from the edge
+    # sampled strip chords {c, c + j/d} are critical and sit at rho_value
+    # from the edge
     edge = chord("0.1", "0.75")
+    d = s.degree
     for c in (F(1, 10), F(3, 20), F(1, 4)):
-        ch = s.chord_at(ang(c))
-        assert is_critical(ch, 2)
+        ch = chord(c, c + F(s.j, d))
+        a, b = ch.a.value, ch.b.value
+        assert a != b and (d * (b - a)) % 1 == 0
         assert rho(edge, ch) == F(3, 20)
 
 

@@ -24,7 +24,6 @@ from polywander import (
     iterate_orbit,
     jump_gap_stats,
     track_critical_value,
-    unlinked,
 )
 
 from oracles import (
@@ -35,6 +34,7 @@ from oracles import (
     oracle_jumps,
     oracle_landing,
     oracle_traces,
+    oracle_unlinked,
 )
 from test_golden import _w1
 
@@ -140,15 +140,16 @@ def test_certify_card_drop():
 
 def _pairwise_certify(P, d, horizon):
     """(status, step, pair, record count) by checking every record against
-    every earlier one with ``unlinked``: the first linked record, with its
-    smallest linked partner, wins over a later non-injective step."""
+    every earlier one with ``oracle_unlinked``: the first linked record,
+    with its smallest linked partner, wins over a later non-injective step."""
     try:
         records, step = iterate_orbit(P, d, horizon), None
     except NonInjectiveAtStep as exc:
         records, step = exc.records, exc.step
-    for i, rec in enumerate(records):
+    points = [[v.value for v in rec.polygon.vertices] for rec in records]
+    for i in range(len(records)):
         for j in range(i):
-            if not unlinked(records[j].polygon, rec.polygon):
+            if not oracle_unlinked(points[j], points[i]):
                 return "FailedLinked", None, (j, i), i + 1
     if step is not None:
         return "FailedNonPrecritical", step, None, step

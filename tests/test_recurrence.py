@@ -20,13 +20,11 @@ from polywander import (
     find_burn_in,
     hausdorff_bins,
     iterate_orbit,
-    narrowness_evidence,
     omega_approx,
     orbit_disjointness,
     parse_angle,
     recurrence_evidence,
     track_critical_value,
-    unlinked,
     verify_collection_bound,
     verify_theorem1,
 )
@@ -35,7 +33,7 @@ from polywander.orbit import JumpLog, JumpRecord
 from polywander import recurrence
 from polywander.recurrence import JumpAnalysis, OmegaApproximation, _decide_status
 
-from oracles import cycle_of
+from oracles import cycle_of, oracle_unlinked
 
 
 def poly(*vals) -> Polygon:
@@ -333,29 +331,6 @@ def test_decide_status_combinations():
 
 
 # ---------------------------------------------------------------------------
-# narrowness
-
-
-def test_narrowness_witnesses_from_jump():
-    orbit = iterate_orbit(poly("0.19", "0.45", "0.96"), 2, 1)
-    x = parse_angle("91/100")  # inside (0.90, 0.92), the smallest hole of T_1
-    ws = narrowness_evidence(x, orbit, 3)
-    assert any(w.index == 1 and w.rank == 1 for w in ws)
-
-
-def test_narrowness_excludes_vertices():
-    orbit = iterate_orbit(poly("0.19", "0.45", "0.96"), 2, 0)
-    ws = narrowness_evidence(parse_angle("45/100"), orbit, 3)
-    assert ws == ()
-
-
-def test_narrowness_largest_hole_gives_nothing():
-    orbit = iterate_orbit(poly("0.30", "0.31", "0.32"), 2, 0)
-    ws = narrowness_evidence(parse_angle("0/1"), orbit, 3)
-    assert ws == ()  # 0 sits in the largest hole, rank 3 > N-1
-
-
-# ---------------------------------------------------------------------------
 # collections
 
 
@@ -386,14 +361,18 @@ def test_collection_single_member_inconclusive():
 
 def _pairwise_cross_link(Gamma, d, horizon):
     """(a, n, b, m) of the first linked cross-pair, by checking every
-    iterate of every member a against every iterate of every later b."""
+    iterate of every member a against every iterate of every later b with
+    ``oracle_unlinked``."""
     certs = [certify_wandering(T, d, horizon, kiwi_precheck=False) for T in Gamma]
     assert all(c.certified for c in certs)
+    points = [
+        [[v.value for v in r.polygon.vertices] for r in c.records] for c in certs
+    ]
     for a in range(len(Gamma)):
         for b in range(a + 1, len(Gamma)):
-            for n, ra in enumerate(certs[a].records):
-                for m, rb in enumerate(certs[b].records):
-                    if not unlinked(ra.polygon, rb.polygon):
+            for n, A in enumerate(points[a]):
+                for m, B in enumerate(points[b]):
+                    if not oracle_unlinked(A, B):
                         return a, n, b, m
     return None
 
