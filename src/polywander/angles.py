@@ -118,13 +118,24 @@ def register_generator(name: str, factory) -> None:
     _GENERATORS[name] = factory
 
 
+def _int_param(generator: str, key: str, text: str) -> int:
+    """``text``, parameter ``key`` of a generator literal, as an int."""
+    try:
+        return int(text)
+    except ValueError:
+        shown = repr(text[:24]) + ("..." if len(text) > 24 else "")
+        raise AngleSyntaxError(
+            f"gen:{generator} parameter {key} must be an integer, got {shown}"
+        ) from None
+
+
 def _thue_morse_factory(params):
-    base = int(params.get("base", "2"))
+    base = _int_param("thue_morse", "base", params.get("base", "2"))
     return base, lambda i: bin(i).count("1") & 1
 
 
 def _champernowne_factory(params):
-    base = int(params.get("base", "2"))
+    base = _int_param("champernowne", "base", params.get("base", "2"))
     if base < 2:
         raise AngleSyntaxError("champernowne base must be >= 2")
 
@@ -192,13 +203,6 @@ class Angle:
     # -- construction helpers
 
     @classmethod
-    def _rational(cls, n: int, q: int) -> "Angle":
-        """The angle n/q from ints already coprime with 0 <= n < q."""
-        a = object.__new__(cls)
-        _fill(a, n, q, None, 0, ZERO)
-        return a
-
-    @classmethod
     def _stream(cls, source: DigitSource, shift: int, offset: Fraction) -> "Angle":
         """The stream angle with an offset already reduced into [0, 1)."""
         a = object.__new__(cls)
@@ -214,7 +218,7 @@ class Angle:
         params = {k: str(v) for k, v in (params or {}).items()}
         if name not in _GENERATORS:
             raise UnknownGeneratorError(f"unknown generator {name!r}")
-        shift = int(params.pop("shift", "0"))
+        shift = _int_param(name, "shift", params.pop("shift", "0"))
         if shift < 0:
             raise AngleSyntaxError(f"generator shift must be >= 0, got {shift}")
         try:
@@ -390,10 +394,7 @@ def map_angle(a: Angle, d: int) -> Angle:
     if d < 2:
         raise ValueError(f"degree must be >= 2, got {d}")
     if a.source is None:
-        # gcd(d*n mod q, q) = gcd(d, q) because n and q are coprime
-        q = a.q
-        g = gcd(d, q)
-        return Angle._rational((a.n * d) % q // g, q // g)
+        return rational_angle(a.n * d % a.q, a.q)
     if a.source.base != d:
         raise BaseMismatchError(
             f"stream base {a.source.base} does not match degree {d}"
@@ -420,11 +421,7 @@ def compare(a: Angle, b: Angle, budget: PrecisionBudget = DEFAULT_BUDGET) -> int
     Raises UnresolvedComparison when the budget is exhausted.
     """
     if a.source is None and b.source is None:
-        qa, qb = a.q, b.q
-        if qa == qb:
-            x, y = a.n, b.n
-        else:
-            x, y = a.n * qb, b.n * qa
+        x, y = a.n * b.q, b.n * a.q
         return LT if x < y else GT if x > y else EQ
     if (
         a.source is not None
@@ -661,11 +658,8 @@ def arc_length(u: Angle, w: Angle, budget: PrecisionBudget = DEFAULT_BUDGET) -> 
     if c == EQ:
         return ZERO
     if u.source is None and w.source is None:
-        qu, qw = u.q, w.q
-        if qu == qw:
-            return Fraction((w.n - u.n) % qu, qu)
-        q = qu * qw
-        return Fraction((w.n * qu - u.n * qw) % q, q)
+        q = u.q * w.q
+        return Fraction((w.n * u.q - u.n * w.q) % q, q)
 
     if c == LT:  # w - u as reals
 
@@ -706,7 +700,13 @@ def shift_angle(a: Angle, delta: Fraction) -> Angle:
     delta = Fraction(delta)
     if a.source is None:
         q = a.q * delta.denominator
-        n = (a.n * delta.denominator + delta.numerator * a.q) % q
-        g = gcd(n, q)
-        return Angle._rational(n // g, q // g)
+        return rational_angle((a.n * delta.denominator + delta.numerator * a.q) % q, q)
     return Angle(source=a.source, shift=a.shift, offset=a.offset + delta)
+
+
+def rational_angle(n: int, q: int) -> Angle:
+    """The angle n/q for ints 0 <= n < q, reduced."""
+    g = gcd(n, q)
+    a = object.__new__(Angle)
+    _fill(a, n // g, q // g, None, 0, ZERO)
+    return a

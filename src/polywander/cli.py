@@ -1,7 +1,8 @@
 """Command-line front end: parsing, orchestration, JSON reports, SVG.
 ``jumps`` and ``leaves`` read a ``JumpAnalysis`` from ``--burn-in`` (or 0);
-``verify`` finds burn-in when the option is not given, and the other commands
-refuse it.
+``verify`` finds burn-in when the option is not given and checks a given one
+(exit 2 when a record from it on fails a burn-in condition), and the other
+commands refuse it.
 
 Exit codes: 0 = report produced (including inconclusive and not-certified
 statuses), 2 = input error, 3 = precision exhausted, 4 = assertion breach

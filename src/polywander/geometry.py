@@ -7,15 +7,17 @@ refinable enclosures otherwise.  One sort of a polygon's vertex images
 (``_image_sort``) gives injectivity, the cyclic-order half of orientation,
 the next iterate and where each vertex's image lands in it.
 
-An orbit step on a polygon whose vertices are all rational runs on ints
-over one common denominator: the image sort keys, the hole sizes, their
-ranks, floor(d * size), the remainders and the remainder-sum test of
-orientation.  A ``HoleProfile`` stores those ints, and builds a size's or a
-remainder's ``Fraction`` on each read of it; only its ``Arc``s are kept.
+A rational polygon holds its vertex numerators over one denominator L.
+The image of n/L is (d*n mod L)/L, so its whole orbit lives over L and each
+step runs on ints: the image sort, the hole sizes, their ranks, floors and
+remainders, the remainder-sum test of orientation and the linkage family.
+Vertex ``Angle``s, and a ``HoleProfile``'s ``Fraction``s, are built only
+when read.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
@@ -24,7 +26,6 @@ from math import lcm
 from .angles import (
     DEFAULT_BUDGET,
     EQ,
-    GT,
     LT,
     ONE,
     ZERO,
@@ -38,6 +39,7 @@ from .angles import (
     compare,
     floor_scaled,
     map_angle,
+    rational_angle,
     shift_angle,
     sub_values,
     sum_values,
@@ -98,9 +100,12 @@ def in_open_arc(
 
 class Polygon:
     """Finite set of >= 2 distinct circle points in ccw cyclic order,
-    rotated so the vertex of minimal angle comes first."""
+    rotated so the vertex of minimal angle comes first.  When every vertex
+    is rational, ``nums`` are their numerators over ``den``, the lcm of their
+    denominators or, for an iterate, its orbit's (else both are None), and
+    ``vertices`` are built from them on first read."""
 
-    __slots__ = ("vertices",)
+    __slots__ = ("_vertices", "nums", "den")
 
     def __init__(self, vertices, budget: PrecisionBudget = DEFAULT_BUDGET):
         vs = list(vertices)
@@ -111,18 +116,29 @@ class Polygon:
         order, tie = ccw_order(vs, budget)
         if tie:
             raise PreconditionError("polygon vertices must be pairwise distinct")
-        object.__setattr__(self, "vertices", tuple(vs[i] for i in order))
+        self._vertices = vs = tuple(vs[i] for i in order)
+        self.nums = self.den = None
+        if all(v.source is None for v in vs):
+            self.den = L = lcm(*(v.q for v in vs))
+            self.nums = tuple(v.n * (L // v.q) for v in vs)
 
     @classmethod
-    def _from_sorted(cls, vertices) -> "Polygon":
-        """The polygon on distinct vertices already in ccw order from 0."""
+    def _sorted(cls, vertices, nums=None, den=None) -> "Polygon":
+        """The polygon on distinct points already in ccw order from 0: their
+        ``Angle``s, or None and their numerators over ``den``."""
         P = object.__new__(cls)
-        object.__setattr__(P, "vertices", tuple(vertices))
+        P._vertices, P.nums, P.den = vertices, nums, den
         return P
 
     @property
+    def vertices(self) -> tuple[Angle, ...]:
+        if self._vertices is None:
+            self._vertices = tuple(rational_angle(n, self.den) for n in self.nums)
+        return self._vertices
+
+    @property
     def card(self) -> int:
-        return len(self.vertices)
+        return len(self._vertices if self.nums is None else self.nums)
 
     def __eq__(self, other):
         return isinstance(other, Polygon) and self.vertices == other.vertices
@@ -135,28 +151,30 @@ class Polygon:
 
 
 def _image_sort(P: Polygon, d: int, budget: PrecisionBudget):
-    """The images of P's vertices in ccw order, and ``landing``: for each
-    vertex of P, the position of its image among them.  One sort: by int
-    numerators over the images' common denominator when all are rational,
-    else with ``compare``.  A pair of equal images it finds is a collision
-    and raises NotInjectiveError."""
-    vs = P.vertices
-    images = [map_angle(v, d) for v in vs]
-    if all(a.source is None for a in images):
-        L = lcm(*(a.q for a in images))
-        keys = [a.n * (L // a.q) for a in images]
-        order = sorted(range(len(keys)), key=keys.__getitem__)  # stable on ties
+    """The next iterate, the polygon of P's vertex images, and ``landing``:
+    for each vertex of P, the position of its image in it.  One sort: of
+    the image numerators (d * n) % L over P's own denominator L when P is
+    rational, else with ``compare``.  A pair of equal images it finds is a
+    collision and raises NotInjectiveError."""
+    L = P.den
+    if L is not None:
+        images = [d * n % L for n in P.nums]
+        order = sorted(range(len(images)), key=images.__getitem__)  # stable on ties
         tie = next(
-            ((i, j) for i, j in zip(order, order[1:]) if keys[i] == keys[j]), None
+            ((i, j) for i, j in zip(order, order[1:]) if images[i] == images[j]), None
         )
     else:
+        images = [map_angle(v, d) for v in P.vertices]
         order, tie = ccw_order(images, budget)
     if tie:
+        vs = P.vertices
         raise NotInjectiveError(
             "two vertices share an image under the map", pair=(vs[tie[0]], vs[tie[1]])
         )
     landing = tuple(sorted(range(len(order)), key=order.__getitem__))
-    return [images[c] for c in order], landing
+    images = tuple(images[c] for c in order)
+    nxt = Polygon._sorted(images) if L is None else Polygon._sorted(None, images, L)
+    return nxt, landing
 
 
 # ---------------------------------------------------------------------------
@@ -190,11 +208,11 @@ class HoleProfile:
     smallest.  ``floors[i]`` is floor(d * size) of cyclic hole i.  Accessors
     take the 1-based size rank.
 
-    When every vertex is rational, ``den`` is the lcm L of the vertex
-    denominators and ``_sizes`` and ``_rems`` hold ints: the hole sizes over
-    L and the remainders over d*L; ``size``, ``remainder`` and the
-    properties build their ``Fraction``s from them on each read.  Otherwise
-    ``den`` is None and ``_sizes`` and ``_rems`` hold the sizes and
+    When every vertex is rational, ``den`` is the polygon's ``den`` L, the
+    denominator its whole orbit lives over, and ``_sizes`` and ``_rems`` hold
+    ints: the hole sizes over L and the remainders over d*L; ``size``,
+    ``remainder`` and the properties build their ``Fraction``s on each read.
+    Otherwise ``den`` is None and ``_sizes`` and ``_rems`` hold the sizes and
     remainders as values.  ``holes`` is built on first read and kept.
     """
 
@@ -242,6 +260,10 @@ class HoleProfile:
     def size(self, k: int) -> Value:
         return self._size_value(self._sizes[self.order[k - 1]])
 
+    def size_num(self, k: int) -> int:
+        """The numerator over ``den`` of the rank-k size (exact profiles)."""
+        return self._sizes[self.order[k - 1]]
+
     def remainder(self, k: int) -> Value:
         return self._remainder_value(self._rems[self.order[k - 1]])
 
@@ -260,14 +282,13 @@ def hole_profile(
     since vertex 0 has minimal angle) and their remainders.
 
     When every vertex is rational, all of it is integer arithmetic over the
-    common denominator L of the vertices: a size is a difference of
+    polygon's denominator L (``P.den``): a size is a difference of
     numerators mod L, floor(d * size) and its remainder are ``divmod(d * x,
     L)``, and the sizes sum to 1 iff their numerators sum to L."""
-    vs = P.vertices
-    M = len(vs)
-    if all(v.source is None for v in vs):
-        L = lcm(*(v.q for v in vs))
-        xs = [v.n * (L // v.q) for v in vs]
+    L = P.den
+    if L is not None:
+        xs = P.nums
+        M = len(xs)
         sizes = tuple((xs[(i + 1) % M] - xs[i]) % L for i in range(M))
         if sum(sizes) != L:
             raise AssertionBreach("hole sizes do not sum to 1")  # pragma: no cover
@@ -275,6 +296,8 @@ def hole_profile(
         floors, rems = zip(*(divmod(d * x, L) for x in sizes))
         return HoleProfile(P, d, order, floors, L, sizes, rems)
 
+    vs = P.vertices
+    M = len(vs)
     sizes = tuple(arc_length(vs[i], vs[(i + 1) % M], budget) for i in range(M))
 
     def rank_cmp(i, j):
@@ -366,43 +389,54 @@ def _orientation(
 
 
 class UnlinkedFamily:
-    """The vertices of pairwise unlinked polygons, kept in ccw order by
-    binary search with ``compare``, each tagged with its polygon's label.
+    """The vertices of pairwise unlinked polygons in ccw order, each tagged
+    with its polygon's label.  While every member is rational, ``keys`` are
+    their numerators over ``den`` (the lcm of the members' ``den``) and a
+    query over another denominator is cross-multiplied onto it; a stream
+    polygon is searched with ``compare`` against the keys as ``Angle``s,
+    and once one joins, ``den`` is None and the keys are ``Angle``s.
 
     A polygon P is unlinked from every member iff none of its vertices is a
     listed vertex and no label appears in two of the arcs into which P's
-    vertices cut the list.  Checking P costs O(N log V) compares for N
-    vertices against V listed ones, plus one compare-free pass over the
-    V labels.
+    vertices cut the list.  Checking P costs O(N log V) searches of V listed
+    vertices, plus one pass over the V labels.
     """
 
-    __slots__ = ("angles", "labels", "budget")
+    __slots__ = ("keys", "labels", "den", "budget")
 
     def __init__(self, budget: PrecisionBudget = DEFAULT_BUDGET):
-        self.angles: list[Angle] = []
+        self.keys: list = []
         self.labels: list[int] = []
+        self.den: int | None = 1
         self.budget = budget
+
+    def _angles(self) -> list[Angle]:
+        if self.den is None:
+            return self.keys
+        return [rational_angle(k, self.den) for k in self.keys]
 
     def _linked(self, P: Polygon):
         """Insertion index of each vertex of P, and the labels of the
         members linked with P."""
-        angles, labels, budget = self.angles, self.labels, self.budget
+        keys, labels = self.keys, self.labels
         cuts, linked = [], set()
         lo = 0
-        for v in P.vertices:  # ascending, so each search starts at the last cut
-            hi = len(angles)
-            while lo < hi:
-                mid = (lo + hi) // 2
-                c = compare(angles[mid], v, budget)
-                if c == LT:
-                    lo = mid + 1
-                elif c == GT:
-                    hi = mid
-                else:  # a shared vertex
-                    linked.add(labels[mid])
-                    lo = mid
-                    break
-            cuts.append(lo)
+        L, M = P.den, self.den
+        if L is not None and M is not None:
+            for n in P.nums:  # ascending, so each search starts at the last cut
+                t, r = (n, 0) if L == M else divmod(n * M, L)  # n/L = (t + r/L)/M
+                lo = bisect_left(keys, t + (r > 0), lo)
+                if lo < len(keys) and keys[lo] == t:  # a shared vertex (so r == 0)
+                    linked.add(labels[lo])
+                cuts.append(lo)
+        else:
+            angles, budget = self._angles(), self.budget
+            key = cmp_to_key(lambda a, b: compare(a, b, budget))
+            for v in P.vertices:
+                lo = bisect_left(angles, key(v), lo, key=key)
+                if lo < len(angles) and compare(angles[lo], v, budget) == EQ:
+                    linked.add(labels[lo])
+                cuts.append(lo)
         arcs = [labels[a:b] for a, b in zip(cuts, cuts[1:])]
         arcs.append(labels[cuts[-1]:] + labels[: cuts[0]])
         seen: set[int] = set()
@@ -421,8 +455,16 @@ class UnlinkedFamily:
         vertices join the list under ``label``."""
         cuts, linked = self._linked(P)
         if not linked:
+            M, L = self.den, P.den
+            if M is None or L is None:
+                self.keys, self.den, new = self._angles(), None, P.vertices
+            else:  # ints over lcm(M, L)
+                self.den = D = lcm(M, L)
+                if D != M:
+                    self.keys = [k * (D // M) for k in self.keys]
+                new = P.nums if D == L else [n * (D // L) for n in P.nums]
             for i in reversed(range(P.card)):
-                self.angles.insert(cuts[i], P.vertices[i])
+                self.keys.insert(cuts[i], new[i])
                 self.labels.insert(cuts[i], label)
         return linked
 

@@ -8,6 +8,9 @@ image-hole drops into one of the N-2 smallest holes of the next iterate,
 and between jumps hole labels persist.  Each step sorts the vertex images
 once; the sort is the next iterate and gives each record's ``landing``,
 from which every image-hole is read without comparing angles again.
+
+Every iterate of a rational T_0 lives over T_0's denominator L, so the
+stages' burn-in and jump tests, like each step, run on numerators over L.
 """
 
 from __future__ import annotations
@@ -71,11 +74,11 @@ def _records(T: Polygon, d: int, n: int, budget: PrecisionBudget):
     images once, builds one hole profile and reads orientation from both."""
     P = T
     for i in range(n + 1):
-        images, landing = _image_sort(P, d, budget)
+        nxt, landing = _image_sort(P, d, budget)
         profile = hole_profile(P, d, budget)
         cert = _orientation(landing, profile, d, budget)
         yield OrbitRecord(i, P, profile, cert, landing)
-        P = Polygon._from_sorted(images)
+        P = nxt
 
 
 def iterate_orbit(
@@ -183,6 +186,22 @@ def certify_wandering(
 # burn-in
 
 
+def _burn_in_failure(
+    rec: OrbitRecord, d: int, N: int, budget: PrecisionBudget
+) -> str | None:
+    """The burn-in condition that ``rec`` fails, or None: it must preserve
+    orientation and have s_{N-2} < 1/(3dN), tested as 3dN * size < den on
+    an exact profile."""
+    if not rec.orientation.verdict:
+        return "does not preserve orientation"
+    p = rec.profile
+    if p.den is not None:
+        thin = 3 * d * N * p.size_num(N - 2) < p.den
+    else:
+        thin = cmp_values(p.size(N - 2), Fraction(1, 3 * d * N), budget) == LT
+    return None if thin else f"has s_{N - 2} >= 1/{3 * d * N}"
+
+
 def find_burn_in(
     orbit: list[OrbitRecord],
     d: int,
@@ -193,19 +212,15 @@ def find_burn_in(
     orientation and has s_{N-2} < 1/(3dN)."""
     if not orbit:
         raise PreconditionError("orbit is empty")
-    bound = Fraction(1, 3 * d * N)
     i0 = None
     for rec in reversed(orbit):
-        ok = (
-            rec.orientation.verdict
-            and cmp_values(rec.profile.size(N - 2), bound, budget) == LT
-        )
-        if not ok:
+        if _burn_in_failure(rec, d, N, budget):
             break
         i0 = rec.index
     if i0 is None:
         raise NoBurnInWithinHorizon(
-            f"no suffix of the orbit satisfies orientation and s_{N - 2} < {bound}"
+            f"no suffix of the orbit satisfies orientation and "
+            f"s_{N - 2} < {Fraction(1, 3 * d * N)}"
         )
     return i0
 
@@ -312,9 +327,12 @@ def detect_jumps(
             p = _image_cyclic(rec, rec.profile.order[k - 1])
             return None if p is None else nxt.profile.rank_of_cyclic(p)
 
-        s_now = rec.profile.size(N - 2)
-        s_next = nxt.profile.size(N - 2)
-        jumped = cmp_values(scale_value(s_now, d), s_next, budget) == GT
+        a, b = rec.profile, nxt.profile
+        if a.den is not None and b.den is not None:  # on the size numerators
+            jumped = d * a.size_num(N - 2) * b.den > b.size_num(N - 2) * a.den
+        else:
+            s_now = scale_value(a.size(N - 2), d)
+            jumped = cmp_values(s_now, b.size(N - 2), budget) == GT
         if not jumped:
             for k in range(1, N - 1):
                 if image_rank(k) != k:

@@ -39,6 +39,7 @@ from .orbit import (
     JumpLog,
     OrbitRecord,
     WanderingCertificate,
+    _burn_in_failure,
     certify_wandering,
     detect_jumps,
     find_burn_in,
@@ -571,8 +572,9 @@ def verify_theorem1(
     """Full pipeline: certify, then a ``JumpAnalysis`` of the certified
     records (burn-in, jumps, leaves), then grade disjointness, recurrence,
     omega agreement and the limit-leaf coincidence check.  Raises
-    NotCertifiedWandering when certification fails; otherwise always
-    returns a three-valued status."""
+    NotCertifiedWandering when certification fails, and PreconditionError
+    when a record from ``burn_in_override`` on fails a burn-in condition;
+    otherwise always returns a three-valued status."""
     epsilon = Fraction(epsilon)
     _check_epsilon(epsilon)
     if burn_in_override is not None and burn_in_override < 0:
@@ -580,6 +582,13 @@ def verify_theorem1(
     cert = certify_wandering(T, d, horizon, budget, kiwi_precheck)
     if not cert.certified:
         raise NotCertifiedWandering(cert)
+    if burn_in_override is not None:
+        for rec in cert.records[burn_in_override:]:
+            failed = _burn_in_failure(rec, d, T.card, budget)
+            if failed:
+                raise PreconditionError(
+                    f"burn-in {burn_in_override}: record {rec.index} {failed}"
+                )
     run = JumpAnalysis(cert.records, d, budget, burn_in_override)
     notes: list[str] = []
 

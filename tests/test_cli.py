@@ -180,19 +180,29 @@ def test_verify_periodic_not_certified_exit_0():
     assert rep["payload"]["certificate"]["status"] == "FailedLinked"
 
 
-def test_verify_jump_analysis_breach_exit_0(capsys):
-    """A certified orbit whose jump analysis breaks an invariant gets the
-    status AssertionBreach in a report, not exit 4."""
-    argv = ["verify", "-d", "3", "--horizon", "2", "--burn-in", "0",
-            "50/283", "206/283", "208/283"]
-    assert main(argv) == 0
-    payload = json.loads(capsys.readouterr().out)["payload"]
-    assert payload["status"] == "AssertionBreach"
-    assert payload["certificate"]["status"] == "CertifiedToHorizon"
-    assert payload["notes"] == [
-        "jump analysis breach: image-hole of the critical hole at step 1 is "
-        "not one of the N-2 smallest holes of the next iterate (rank None)"
+def test_verify_burn_in_that_fails_a_condition_exits_2(capsys):
+    """A given burn-in is checked against find_burn_in's two conditions on
+    every record from it on: the first failing record and condition are
+    one error line and exit 2 (every orbit here certifies; the last has
+    s_1 = 1/27 exactly).  From the burn-in that find_burn_in picks, the
+    first input gets its report."""
+    tri = ["50/283", "206/283", "208/283"]
+    cases = [
+        ("2", tri, "burn-in 0: record 1 does not preserve orientation"),
+        ("2", ["70/153", "89/153", "91/153"], "burn-in 0: record 1 has s_1 >= 1/27"),
+        ("2", ["2776933/6705950", "2225886/3352975", "4768519/6705950"],
+         "burn-in 0: record 0 has s_1 >= 1/27"),
+        ("1", ["557/1004", "303/502", "8683/13554"],
+         "burn-in 0: record 0 has s_1 >= 1/27"),
     ]
+    for horizon, lits, message in cases:
+        argv = ["verify", "-d", "3", "--horizon", horizon, "--burn-in", "0", *lits]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert main(["verify", "-d", "3", "--horizon", "2", "--burn-in", "2", *tri]) == 0
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert payload["certificate"]["status"] == "CertifiedToHorizon"
+    assert (payload["burn_in"], payload["status"]) == (2, "InconclusiveEvidence")
 
 
 def test_verify_kiwi_reject_exit_0():
@@ -225,6 +235,22 @@ def test_collection_file_without_polygons_exits_2(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: collection needs --file polygons or angle literals\n"
+
+
+@pytest.mark.parametrize(
+    "literal, message",
+    [
+        ("gen:thue_morse?base=x", "gen:thue_morse parameter base must be an "
+         "integer, got 'x'"),
+        ("gen:thue_morse?shift=x", "gen:thue_morse parameter shift must be an "
+         "integer, got 'x'"),
+        ("gen:champernowne?base=", "gen:champernowne parameter base must be an "
+         "integer, got ''"),
+    ],
+)
+def test_non_integer_generator_parameter_exits_2(literal, message, capsys):
+    assert main(["analyze", literal, "1/3", "2/3"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_assertion_breach_exit_4():

@@ -24,13 +24,23 @@ from polywander import (
     unlinked,
 )
 
-from polywander import NonInjectiveAtStep, certify_wandering, geometry, iterate_orbit
+from polywander import (
+    NonInjectiveAtStep,
+    certify_wandering,
+    geometry,
+    iterate_orbit,
+    orbit,
+    verify_collection_bound,
+)
 from polywander.geometry import UnlinkedFamily
+from polywander.recurrence import JumpAnalysis
 
 from oracles import (
     f_map,
+    hole_sizes,
     holes_of,
     oracle_collision_step,
+    oracle_certify,
     oracle_cyclic_order,
     oracle_injective,
     oracle_landing,
@@ -178,7 +188,7 @@ def test_unlinked_family_matches_unlinked():
             if not expected:
                 members.append((label, P))
                 assert family.linked(P) == {label}
-        assert [a.value for a in family.angles] == sorted(
+        assert [F(k, family.den) for k in family.keys] == sorted(
             v.value for _, Q in members for v in Q.vertices
         )
         assert len(members) > 1
@@ -377,16 +387,163 @@ def test_mixed_polygon_keeps_the_enclosure_path():
     )
 
 
-def test_rational_orbit_step_does_not_compare_angles(monkeypatch):
-    """A rational W1-style quadrilateral certifies to horizon 20 with the
-    compare-based sort and arc lengths switched off: image sort, hole
-    profile and orientation run on ints."""
-    delta = F(1, 3 * 4 * 3 * 3**40)
-    pts = [F(1, 1000003)]
+def _w1_points(base, K=40, d=3):
+    """A W1-style quadrilateral: ``base``, then running sums adding 1, 3 and
+    2 steps of 1/(3*4*d*d^K)."""
+    delta = F(1, 3 * 4 * d * d**K)
+    pts = [base]
     for m in (1, 3, 2):
         pts.append(pts[-1] + m * delta)
-    P = Polygon([ang(x) for x in pts])
-    monkeypatch.setattr(geometry, "ccw_order", lambda *a: pytest.fail("ccw_order"))
-    monkeypatch.setattr(geometry, "arc_length", lambda *a: pytest.fail("arc_length"))
+    return pts
+
+
+def _fraction_iterates(pts, d, horizon):
+    out = [sorted(pts)]
+    for _ in range(horizon):
+        out.append(sorted(f_map(x, d) for x in out[-1]))
+    return out
+
+
+def test_rational_orbit_step_does_not_compare_angles(monkeypatch):
+    """W1-style quadrilaterals, built first, certify to horizon 20 and get
+    their burn-in and jumps with the compare-based sort, ``compare``, arc
+    lengths and the stages' ``cmp_values`` switched off: the image sort, the
+    hole profile, orientation, the linkage family and the burn-in and jump
+    tests run on ints.  So does the cross-pair check of a collection of two
+    of them, whose orbits live over different denominators.  No iterate
+    builds its vertex ``Angle``s until they are read."""
+    a, b = _w1_points(F(1, 1000003)), _w1_points(F(500000, 999983))
+    P, Q = Polygon([ang(x) for x in a]), Polygon([ang(x) for x in b])
+    for name in ("ccw_order", "arc_length", "compare"):
+        monkeypatch.setattr(geometry, name, lambda *_, name=name: pytest.fail(name))
+    monkeypatch.setattr(orbit, "cmp_values", lambda *_: pytest.fail("cmp_values"))
+
     cert = certify_wandering(P, 3, 20, kiwi_precheck=False)
     assert cert.certified and len(cert.records) == 21
+    run = JumpAnalysis(cert.records, 3)
+    iterates = _fraction_iterates(a, 3, 20)
+    past = [
+        oracle_cyclic_order(T, 3) and sorted(hole_sizes(T))[1] < F(1, 36)
+        for T in iterates
+    ]
+    b0 = next(i for i in range(21) if all(past[i:]))
+    s2 = [sorted(hole_sizes(T))[1] for T in iterates]
+    assert run.burn_in == b0
+    assert run.jumps.indices == tuple(i for i in range(b0, 20) if 3 * s2[i] > s2[i + 1])
+
+    assert all(r.polygon._vertices is None for r in cert.records[1:])
+    assert {r.polygon.den for r in cert.records} == {P.den}
+    assert [v.value for v in cert.records[5].polygon.vertices] == iterates[5]
+    assert cert.records[5].polygon._vertices is not None
+    assert cert.records[6].polygon._vertices is None
+
+    report = verify_collection_bound([P, Q], 3, 20, F(1, 64), kiwi_precheck=False)
+    assert report.cards == (4, 4)
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel against plain-Fraction oracles: orbits over one large
+# denominator, and the linkage family across denominators and with streams
+
+BIG_PRIMES = (1000003, 998244353, 10**9 + 7, 2**61 - 1, 2**89 - 1)
+
+
+def test_integer_orbits_match_fraction_iterates():
+    """Orbits of rational polygons over large coprime denominators (times a
+    power of d, so the reduced denominators of the iterates shrink) keep
+    one ``den`` and match plain-Fraction iterates, certification and the
+    collision step, whose ``NotInjectiveError`` keeps the colliding pair."""
+    rng = random.Random(1212)
+    seen = set()
+    for i in range(160):
+        d, N = 2 + i % 4, rng.randrange(3, 6)
+        L = rng.choice(BIG_PRIMES) * d ** rng.randrange(0, 25)
+        pts = {F(rng.randrange(L), L) for _ in range(N)}
+        if i % 4 == 0:  # a vertex one step of 1/d away: a collision
+            x = min(pts)
+            pts.add((x + F(rng.randrange(1, d), d)) % 1)
+        elif i % 4 == 1:  # a tiny cluster, which may wander to the horizon
+            x = rng.randrange(L)
+            pts = {F((x + k) % L, L) for k in [0, *rng.sample(range(1, 9), N - 1)]}
+        pts = sorted(pts)
+        P = Polygon([ang(x) for x in pts])
+        horizon = rng.randrange(1, 30)
+        want = _fraction_iterates(pts, d, horizon)
+        stop = oracle_collision_step(pts, d, horizon)
+        if stop is None:
+            records = iterate_orbit(P, d, horizon)
+        else:
+            with pytest.raises(NonInjectiveAtStep) as info:
+                iterate_orbit(P, d, horizon)
+            assert info.value.step == stop
+            u, w = (v.value for v in info.value.__cause__.pair)
+            assert u < w and u in want[stop] and w in want[stop]
+            assert f_map(u, d) == f_map(w, d)
+            records = info.value.records
+        assert len(records) == (horizon + 1 if stop is None else stop)
+        for rec, T in zip(records, want):
+            assert rec.polygon.den == P.den
+            assert [v.value for v in rec.polygon.vertices] == T
+        cert = certify_wandering(P, d, horizon, kiwi_precheck=False)
+        status, detail = oracle_certify(pts, d, horizon)
+        assert cert.status == status
+        assert (cert.pair if status == "FailedLinked" else cert.step) == detail
+        seen.add(status)
+    assert seen == {"CertifiedToHorizon", "FailedLinked", "FailedNonPrecritical"}
+
+
+def _stream_below_others(rng, others):
+    """A thue_morse stream vertex whose 200-digit enclosure holds none of
+    ``others``, and the enclosure's lower end, which then sorts among
+    ``others`` as the stream does."""
+    while True:
+        s = parse_angle(f"gen:thue_morse?base=2&shift={rng.randrange(1, 400)}")
+        lo, hi = s.enclosure_bounds(200)
+        if not any(lo <= x <= hi for x in others):
+            return s, lo
+
+
+def test_unlinked_family_over_denominators_and_streams_matches_oracle():
+    """Families of polygons in random arcs, each over one of three large
+    coprime denominators, some sharing a vertex with an earlier member, and
+    (in half the families) some with a stream vertex: every ``linked`` and
+    ``add`` answer, and each query of a polygon over a fourth denominator,
+    equal ``oracle_unlinked`` against the members; the family keeps ints
+    until a stream member joins."""
+    rng = random.Random(3131)
+    dens = [p * 3**20 for p in BIG_PRIMES[:3]]
+    seen = set()
+    for trial in range(60):
+        family, members = UnlinkedFamily(), []  # (label, points, rationals)
+        streams, joined_stream = trial % 2 == 1, False
+        for label in range(10):
+            L = rng.choice(dens)
+            start, width = rng.randrange(L), L // rng.randrange(3, 40)
+            size = rng.randrange(2, 5)
+            pts = {F((start + rng.randrange(width)) % L, L) for _ in range(size)}
+            if members and rng.random() < 0.3:  # share a vertex of a member
+                pts.add(rng.choice(rng.choice(members)[2]))
+            angles = [ang(x) for x in pts]
+            rationals = sorted(pts)
+            if streams and rng.random() < 0.4:
+                known = [x for _, m, _ in members for x in m] + rationals
+                s, lo = _stream_below_others(rng, known)
+                angles.append(s)
+                pts.add(lo)
+            P = Polygon(angles)
+            expected = {m for m, Q, _ in members if not oracle_unlinked(Q, sorted(pts))}
+            assert family.linked(P) == expected
+            assert family.add(P, label) == expected
+            if not expected:
+                members.append((label, sorted(pts), rationals))
+                joined_stream |= P.den is None
+            seen.add("linked" if expected else "unlinked")
+            seen.add("stream" if P.den is None else "rational")
+            seen.add("ints" if family.den is not None else "angles")
+            L4 = BIG_PRIMES[4]
+            q = sorted({F(rng.randrange(L4), L4) for _ in range(3)})
+            assert family.linked(Polygon([ang(x) for x in q])) == {
+                m for m, Q, _ in members if not oracle_unlinked(Q, q)
+            }
+        assert (family.den is None) == joined_stream
+    assert seen == {"linked", "unlinked", "stream", "rational", "ints", "angles"}

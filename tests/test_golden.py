@@ -29,9 +29,10 @@ THIN_OPTS = ["-d", "2", "--horizon", "20", "--no-kiwi-precheck"]
 TRI3 = ["149763/798233", "2914459/5587631", "3116864/5587631", "-d", "3",
         "--horizon", "3"]
 # one leaf whose value enclosure covers the circle within the horizon: the
-# "too wide" and "degraded" notes of verify
-WIDE = ["-d", "3", "--horizon", "2", "--burn-in", "0", "2776933/6705950",
-        "2225886/3352975", "4768519/6705950"]
+# "too wide" and "degraded" notes of verify (a triangle pulled back from a
+# thin one, so that every record is past the burn-in given)
+WIDE = ["-d", "3", "--horizon", "5", "--burn-in", "0", "5932890787/22759870860",
+        "3270421/11048481", "10654879/11048481"]
 
 
 def _w1(K: int = 200, d: int = 3) -> list[str]:
