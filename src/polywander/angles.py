@@ -524,9 +524,8 @@ class Approx:
 Value = Fraction | Approx  # exact real or refinable enclosure
 
 
-def _dec12(fr: Fraction) -> str:
-    """Truncated 12-place decimal rendering; non-authoritative."""
-    n, q = fr.numerator, fr.denominator
+def _dec12(n: int, q: int) -> str:
+    """Truncated 12-place decimal rendering of n/q (q > 0); non-authoritative."""
     whole, rest = divmod(abs(n), q)
     return f"{'-' if n < 0 else ''}{whole}.{rest * 10**12 // q:012d}"
 
@@ -536,18 +535,18 @@ def _describe(x: Value, k: int) -> str:
     and the k-digit enclosure's width as a power of 2, never the full
     fractions."""
     if isinstance(x, Fraction):
-        return _dec12(x)
-    lo, hi = x.bounds(k)
-    w = hi - lo
+        return _dec12(x.numerator, x.denominator)
+    lo, hi, den = x.interval(k)
+    w = Fraction(hi - lo, den)
     width = f"~2^-{w.denominator.bit_length() - w.numerator.bit_length()}" if w else "0"
-    return f"[{_dec12(lo)}, {_dec12(hi)}] of width {width}"
+    return f"[{_dec12(lo, den)}, {_dec12(hi, den)}] of width {width}"
 
 
 def _describe_angle(a: Angle) -> str:
     """An angle in a few dozen bytes for error messages: a stream by its
     literal, a rational by its 12-place decimal and its denominator's size."""
     if a.source is None:
-        return f"{_dec12(a.value)} (denominator of {a.q.bit_length()} bits)"
+        return f"{_dec12(a.n, a.q)} (denominator of {a.q.bit_length()} bits)"
     return format_angle(a)
 
 

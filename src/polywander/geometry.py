@@ -26,6 +26,7 @@ from math import lcm
 from .angles import (
     DEFAULT_BUDGET,
     EQ,
+    GT,
     LT,
     ONE,
     ZERO,
@@ -63,9 +64,6 @@ class Arc:
 
     start: Angle
     end: Angle
-
-    def length(self, budget: PrecisionBudget = DEFAULT_BUDGET) -> Value:
-        return arc_length(self.start, self.end, budget)
 
 
 @dataclass(frozen=True)
@@ -183,11 +181,7 @@ def _image_sort(P: Polygon, d: int, budget: PrecisionBudget):
 
 def remainder(s: Value, d: int, budget: PrecisionBudget = DEFAULT_BUDGET) -> Value:
     """s minus the largest multiple j/d not exceeding s; lies in [0, 1/d)."""
-    return _remainder_below(s, floor_scaled(s, d, budget), d)
-
-
-def _remainder_below(s: Value, j: int, d: int) -> Value:
-    """s - j/d for j = floor(d * s)."""
+    j = floor_scaled(s, d, budget)
     if isinstance(s, Fraction):
         return Fraction(d * s.numerator - j * s.denominator, d * s.denominator)
     return clamp01_value(sub_values(s, Fraction(j, d)))
@@ -306,7 +300,7 @@ def hole_profile(
 
     order = tuple(sorted(range(M), key=cmp_to_key(rank_cmp)))
     floors = tuple(floor_scaled(s, d, budget) for s in sizes)
-    rems = tuple(_remainder_below(s, j, d) for s, j in zip(sizes, floors))
+    rems = tuple(remainder(s, d, budget) for s in sizes)  # its floor from kept bounds
     return HoleProfile(P, d, order, floors, None, sizes, rems)
 
 
@@ -536,49 +530,44 @@ def rho(p: Chord, q: Chord, budget: PrecisionBudget = DEFAULT_BUDGET) -> Value:
 
 @dataclass(frozen=True)
 class CriticalStrip:
-    """Certificate arc of left endpoints c for which {c, c + j/d} is a
-    critical chord inside the closure of a hole, all at the same rho-distance
-    (the hole's remainder) from the hole's edge."""
+    """The critical chords {c, c + j/d} in the closure of a hole H = (u, w)
+    with j = floor(d * len(H)): c runs over [u, u + rho] for the hole's
+    remainder ``rho_value``, and every such chord is at rho-distance rho from
+    the hole's edge.  ``ranges`` are the ranges of c and of its partner
+    c + j/d as int pairs (lo, hi) over ``den``, with lo <= hi < lo + den (hi
+    may exceed den when a range runs past 0).  Exact for a rational hole
+    (den = d*L), from 64-digit enclosures otherwise."""
 
     hole: Arc
     degree: int
     j: int
-    start_lo: Angle
-    start_hi: Angle
     rho_value: Value
-
-    def endpoint_arc_bounds(self, k: int = 64):
-        """Fraction intervals for the two endpoint ranges of strip chords.
-
-        The second interval is the first translated by j/d and may exceed 1;
-        consumers treat both as mod-1 intervals.
-        """
-        lo0, _ = self.start_lo.enclosure_bounds(k)
-        _, hi0 = self.start_hi.enclosure_bounds(k)
-        off = Fraction(self.j, self.degree)
-        return (lo0, hi0), (lo0 + off, hi0 + off)
+    den: int
+    ranges: tuple[tuple[int, int], tuple[int, int]]
 
 
 def critical_strip(
-    H: Arc, d: int, j: int, budget: PrecisionBudget = DEFAULT_BUDGET
+    profile: HoleProfile, k: int, budget: PrecisionBudget = DEFAULT_BUDGET
 ) -> CriticalStrip:
-    """Strip of critical chords {c, c+j/d} contained in the closed hole H;
-    requires j/d < len(H) < (j+1)/d with 1 <= j <= d-1."""
+    """The strip of the profile's rank-k hole, from its floor j and its
+    remainder: j/d < len < (j+1)/d holds iff 1 <= j <= d-1 and the
+    remainder is positive.  On an exact profile the range of c is read off
+    the ints over d*L (u*d, u*d + remainder); nothing is measured again."""
+    c, d = profile.order[k - 1], profile.degree
+    j, H, rho = profile.floors[c], profile.holes[c], profile.remainder(k)
     if not 1 <= j <= d - 1:
         raise PreconditionError(f"j must be in 1..{d - 1}, got {j}")
-    length = H.length(budget)
-    if (
-        cmp_values(length, Fraction(j, d), budget) <= 0
-        or cmp_values(length, Fraction(j + 1, d), budget) >= 0
-    ):
+    if profile.den is not None:
+        den, lo, r = d * profile.den, d * profile.polygon.nums[c], profile._rems[c]
+        positive, hi = r > 0, lo + r
+    else:
+        positive = cmp_values(rho, ZERO, budget) == GT
+        lo, _, p = H.start.interval(64)
+        _, hi, q = shift_angle(H.end, -Fraction(j, d)).interval(64)
+        den = lcm(p, q, d)
+        lo, hi = lo * (den // p), hi * (den // q)
+        hi += den if hi < lo else 0  # the range runs past 0
+    if not positive:
         raise PreconditionError("hole length must satisfy j/d < len < (j+1)/d")
-    start_hi = shift_angle(H.end, -Fraction(j, d))
-    rho_value = remainder(length, d, budget)
-    return CriticalStrip(
-        hole=H,
-        degree=d,
-        j=j,
-        start_lo=H.start,
-        start_hi=start_hi,
-        rho_value=rho_value,
-    )
+    off = j * den // d
+    return CriticalStrip(H, d, j, rho, den, ((lo, hi), (lo + off, hi + off)))

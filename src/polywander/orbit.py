@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 from .angles import (
     DEFAULT_BUDGET,
@@ -229,22 +230,31 @@ def find_burn_in(
 # critical hole
 
 
+def _ranked(profile: HoleProfile, d: int, budget: PrecisionBudget):
+    """The profile's sizes and remainders by rank (rank k at index k-1), 1/d,
+    and their comparison: ints over d*L (d * size, remainder, L) on an exact
+    profile, else values and ``cmp_values``."""
+    p = profile
+    if p.den is not None:
+        sizes = [d * p._sizes[c] for c in p.order]
+        rems = [p._rems[c] for c in p.order]
+        return sizes, rems, p.den, lambda x, y: (x > y) - (x < y)
+    rems = [p.remainder(k) for k in range(1, p.card + 1)]
+    return p.sizes_by_rank(), rems, Fraction(1, d), partial(cmp_values, budget=budget)
+
+
 def critical_hole_index(
     profile: HoleProfile, d: int, budget: PrecisionBudget = DEFAULT_BUDGET
 ) -> int:
     """Size rank (1-based) of the hole with minimal remainder among holes
     longer than 1/d."""
-    target = Fraction(1, d)
-    candidates = [
-        k
-        for k in range(1, profile.card + 1)
-        if cmp_values(profile.size(k), target, budget) == GT
-    ]
+    sizes, rems, target, cmp = _ranked(profile, d, budget)
+    candidates = [k for k, s in enumerate(sizes, 1) if cmp(s, target) == GT]
     if not candidates:
         raise NoHoleExceeds1OverD("no hole is longer than 1/" + str(d))
     best, tie = candidates[0], None
     for k in candidates[1:]:
-        c = cmp_values(profile.remainder(k), profile.remainder(best), budget)
+        c = cmp(rems[k - 1], rems[best - 1])
         if c == LT:
             best, tie = k, None
         elif c == EQ and tie is None:
@@ -348,18 +358,16 @@ def detect_jumps(
                 f"jump at step {rec.index} but no hole exceeds 1/{d}; "
                 "orientation must have failed"
             ) from exc
-        H = rec.profile.hole(cr)
-        s_tilde = rec.profile.remainder(cr)
-        j = rec.profile.floors[rec.profile.order[cr - 1]]
-        strip = critical_strip(H, d, j, budget)
+        strip = critical_strip(a, cr, budget)
         rank = image_rank(cr)
         if rank is None or rank > N - 2:
             raise AssertionBreach(
                 f"image-hole of the critical hole at step {rec.index} is not "
                 f"one of the N-2 smallest holes of the next iterate (rank {rank})"
             )
+        sizes, rems, _, cmp = _ranked(a, d, budget)
         for k in range(1, N - 1):
-            c = cmp_values(rec.profile.size(k), s_tilde, budget)
+            c = cmp(sizes[k - 1], rems[cr - 1])
             if c == EQ:
                 raise AssertionBreach(
                     f"s_{k} equals the critical remainder at jump {rec.index}"
@@ -375,8 +383,8 @@ def detect_jumps(
             JumpRecord(
                 index=rec.index,
                 cr=cr,
-                s_tilde_cr=s_tilde,
-                edge=Chord(H.start, H.end),
+                s_tilde_cr=strip.rho_value,
+                edge=Chord(strip.hole.start, strip.hole.end),
                 strip=strip,
                 image_hole=nxt.profile.hole(rank),
                 image_rank=rank,

@@ -4,8 +4,10 @@ omega-limit bins, and finite-horizon checks of the recurrence and counting
 statements.
 
 All enclosures here are closed rational intervals on the circle, stored as
-(lo, hi) with 0 <= lo < 1 and lo <= hi < lo + 1 (hi may exceed 1 to denote
-wraparound).  Verdicts are three-valued and never claim proof: a breach
+(lo, hi) with 0 <= lo < p and lo <= hi < lo + p for a period p (hi may
+exceed p to denote wraparound): ``Fraction``s with p = 1, except while jump
+strips are clustered, which runs on int numerators over one denominator D
+with p = D.  Verdicts are three-valued and never claim proof: a breach
 always signals a violated precondition or insufficient precision.
 """
 
@@ -14,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from .angles import (
     DEFAULT_BUDGET,
@@ -46,60 +49,53 @@ from .orbit import (
     track_critical_value,
 )
 
-Iv = tuple[Fraction, Fraction]  # closed circular interval, width < 1
+Iv = tuple  # closed circular interval (lo, hi), width < its period p (see _norm)
 
 
-def _norm(lo: Fraction, hi: Fraction) -> Iv:
-    shift = lo - (lo % 1)
+def _norm(lo, hi, p) -> Iv:
+    """(lo, hi) shifted by a multiple of the period p so that 0 <= lo < p."""
+    shift = lo - (lo % p)
     return (lo - shift, hi - shift)
 
 
-def _intersect(a: Iv, b: Iv) -> Iv | None:
-    """Intersection of two closed circular intervals (None when disjoint;
-    when they meet in two pieces, the piece found first is returned)."""
-    for k in (-1, 0, 1):
+def _intersect(a: Iv, b: Iv, p) -> Iv | None:
+    """Intersection of two closed circular intervals of period p (None when
+    disjoint; when they meet in two pieces, the piece found first is
+    returned)."""
+    for k in (-p, 0, p):
         lo = max(a[0], b[0] + k)
         hi = min(a[1], b[1] + k)
         if lo <= hi:
-            return _norm(lo, hi)
+            return _norm(lo, hi, p)
     return None
 
 
-def _hull(arcs: list[Iv]) -> Iv:
-    """Bounding interval of mutually nearby intervals, anchored at the
-    smallest lower bound for determinism."""
+def _hull(arcs: list[Iv], p) -> Iv:
+    """Bounding interval of mutually nearby intervals of period p (each with
+    0 <= lo < p), anchored at the smallest lower bound for determinism: an
+    interval starting over half a period after it is taken one period back."""
     ref = min(a[0] for a in arcs)
-    lo, hi = None, None
-    for a in arcs:
-        alo, ahi = a
-        while alo - ref > Fraction(1, 2):
-            alo -= 1
-            ahi -= 1
-        while alo - ref < -Fraction(1, 2):
-            alo += 1
-            ahi += 1
-        lo = alo if lo is None else min(lo, alo)
-        hi = ahi if hi is None else max(hi, ahi)
-    return _norm(lo, hi)
+    lifts = [(lo - p, hi - p) if 2 * (lo - ref) > p else (lo, hi) for lo, hi in arcs]
+    return _norm(min(a[0] for a in lifts), max(a[1] for a in lifts), p)
 
 
-def _combine(arcs: list[Iv]) -> Iv:
+def _combine(arcs: list[Iv], p) -> Iv:
     common: Iv | None = arcs[0]
     for a in arcs[1:]:
         if common is None:
             break
-        common = _intersect(common, a)
-    return common if common is not None else _hull(arcs)
+        common = _intersect(common, a, p)
+    return common if common is not None else _hull(arcs, p)
 
 
-def _map_iv(iv: Iv, d: int) -> Iv | None:
-    """Image of a circular interval under the d-tupling map; None once the
-    image covers the whole circle."""
+def _map_iv(iv: Iv, d: int, p) -> Iv | None:
+    """Image of a circular interval of period p under the d-tupling map;
+    None once the image covers the whole circle."""
     lo, hi = iv
     w = (hi - lo) * d
-    if w >= 1:
+    if w >= p:
         return None
-    lo = (lo * d) % 1
+    lo = (lo * d) % p
     return (lo, lo + w)
 
 
@@ -142,15 +138,9 @@ class CandidateLeaf:
     degree: int
 
 
-def _strip_arc_pair(record) -> tuple[Iv, Iv]:
-    (a_lo, a_hi), (b_lo, b_hi) = record.strip.endpoint_arc_bounds()
-    pair = sorted((_norm(a_lo, a_hi), _norm(b_lo, b_hi)))
-    return pair[0], pair[1]
-
-
-def _strips_overlap(p: tuple[Iv, Iv], q: tuple[Iv, Iv]) -> bool:
-    direct = _intersect(p[0], q[0]) and _intersect(p[1], q[1])
-    crossed = _intersect(p[0], q[1]) and _intersect(p[1], q[0])
+def _strips_overlap(p: tuple[Iv, Iv], q: tuple[Iv, Iv], D: int) -> bool:
+    direct = _intersect(p[0], q[0], D) and _intersect(p[1], q[1], D)
+    crossed = _intersect(p[0], q[1], D) and _intersect(p[1], q[0], D)
     return bool(direct or crossed)
 
 
@@ -161,27 +151,32 @@ def extract_jumping_leaves(log: JumpLog, d: int) -> list[CandidateLeaf]:
     intersect; a cluster's enclosure is the common intersection when one
     exists, the bounding hull otherwise.  Support counts grade the evidence
     that the leaf keeps jumping; clustering is independent of log order.
+    It runs on ints over D, the lcm of the strips' denominators (d*L on a
+    rational orbit); a leaf's ``Fraction``s are built once, at the end.
     """
     records = sorted(log.records, key=lambda r: r.index)
-    pairs = [_strip_arc_pair(r) for r in records]
+    D = lcm(*(r.strip.den for r in records))
+    pairs = []
+    for r in records:
+        m = D // r.strip.den
+        pairs.append(sorted(_norm(lo * m, hi * m, D) for lo, hi in r.strip.ranges))
+
+    def as_fractions(iv: Iv) -> tuple[Fraction, Fraction]:
+        return Fraction(iv[0], D), Fraction(iv[1], D)
+
     leaves = []
     for members in _components(
-        len(records), lambda i, j: _strips_overlap(pairs[i], pairs[j])
+        len(records), lambda i, j: _strips_overlap(pairs[i], pairs[j], D)
     ):
-        first = _combine([pairs[i][0] for i in members])
-        second = _combine([pairs[i][1] for i in members])
-        arcs = tuple(sorted((first, second)))
-        values = []
-        for arc in arcs:
-            img = _map_iv(arc, d)
-            if img is not None:
-                values.append(img)
-        value_arc = _combine(values) if values else (ZERO, ONE)
+        first = _combine([pairs[i][0] for i in members], D)
+        second = _combine([pairs[i][1] for i in members], D)
+        arcs = sorted((first, second))
+        values = [img for img in (_map_iv(a, d, D) for a in arcs) if img is not None]
         leaves.append(
             CandidateLeaf(
-                arcs=arcs,
+                arcs=(as_fractions(arcs[0]), as_fractions(arcs[1])),
                 support=tuple(sorted(records[i].index for i in members)),
-                value_arc=value_arc,
+                value_arc=as_fractions(_combine(values, D) if values else (0, D)),
                 degree=d,
             )
         )
@@ -245,7 +240,7 @@ def _value_orbit(iv: Iv, d: int, horizon: int) -> list[Iv | None]:
     out: list[Iv | None] = [iv]
     cur: Iv | None = iv
     for _ in range(horizon):
-        cur = _map_iv(cur, d) if cur is not None else None
+        cur = _map_iv(cur, d, 1) if cur is not None else None
         out.append(cur)
     return out
 
@@ -259,7 +254,7 @@ def _pair_status(orb_a, orb_b) -> PairStatus:
                 continue
             if A[0] == A[1] and B[0] == B[1] and (A[0] - B[0]) % 1 == 0:
                 return PairStatus(kind=COLLISION, i=i, j=j)
-            if _intersect(A, B) is not None:
+            if _intersect(A, B, 1) is not None:
                 overlap = True
     return PairStatus(kind=INCONCLUSIVE if overlap else DISJOINT)
 
@@ -420,7 +415,7 @@ def _rho_point_bounds(X: Iv, A: Iv, B: Iv) -> tuple[Fraction, Fraction]:
     base = (B[0] - A[0]) % 1
     lo1 = max(ZERO, base - wa)
     hi1 = min(ONE, base + wb)
-    if _intersect(X, A) is not None or _intersect(X, B) is not None:
+    if _intersect(X, A, 1) is not None or _intersect(X, B, 1) is not None:
         return ZERO, max(hi1, ONE - lo1)
     x = X[0]
     if (x - A[1]) % 1 < (B[0] - A[1]) % 1:

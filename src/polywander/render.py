@@ -8,9 +8,8 @@ Layout is fixed: a 1000x1000 canvas, the circle at radius 450 around
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
-from .angles import DEFAULT_BUDGET, Angle, PrecisionBudget, midpoint
+from .angles import DEFAULT_BUDGET, Angle, PrecisionBudget
 from .errors import PolywanderError, PreconditionError
 from .geometry import Polygon
 from .orbit import iterate_orbit
@@ -23,8 +22,10 @@ R = 450
 PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b")
 
 
-def _xy(theta: Fraction) -> tuple[float, float]:
-    t = 2 * math.pi * float(theta)
+def _xy(n: int, q: int) -> tuple[float, float]:
+    """Canvas point of the angle n/q; n / q on ints is the correctly rounded
+    float of the rational, as ``float(Fraction(n, q))`` is."""
+    t = 2 * math.pi * (n / q)
     return CX + R * math.cos(t), CY - R * math.sin(t)
 
 
@@ -32,36 +33,31 @@ def _fmt(v: float) -> str:
     return f"{v:.3f}"
 
 
-def _pt(theta: Fraction) -> str:
-    x, y = _xy(theta)
-    return f"{_fmt(x)} {_fmt(y)}"
+def _pt(xy: tuple[float, float]) -> str:
+    return f"{_fmt(xy[0])} {_fmt(xy[1])}"
 
 
-def _arc_to(theta_from: Fraction, theta_to: Fraction) -> str:
-    """SVG arc segment running counterclockwise from theta_from to theta_to."""
-    span = (theta_to - theta_from) % 1
-    large = 1 if span > Fraction(1, 2) else 0
-    return f"A {R} {R} 0 {large} 0 {_pt(theta_to)}"
+def _arc_to(span: int, q: int, to: str) -> str:
+    """SVG arc segment running counterclockwise over span/q of the circle
+    to the point ``to``."""
+    return f"A {R} {R} 0 {1 if 2 * span > q else 0} 0 {to}"
 
 
-def _polygon_path(thetas: list[Fraction]) -> str:
-    parts = [f"M {_pt(thetas[0])}"]
-    for t in thetas[1:]:
-        parts.append(f"L {_pt(t)}")
-    parts.append("Z")
-    return " ".join(parts)
+def _strip_path(strip) -> str:
+    """A critical strip's range of c and its partner range, j/d further on."""
+    (lo, hi), (plo, phi) = strip.ranges
+    q = strip.den
+    a, b, c, e = (_pt(_xy(x % q, q)) for x in (lo, hi, phi, plo))
+    span = (hi - lo) % q
+    return f"M {a} {_arc_to(span, q, b)} L {c} {_arc_to(q - span, q, e)} Z"
 
 
-def _strip_path(lo: Fraction, hi: Fraction, off: Fraction) -> str:
-    return " ".join(
-        [
-            f"M {_pt(lo)}",
-            _arc_to(lo, hi),
-            f"L {_pt((hi + off) % 1)}",
-            _arc_to((hi + off) % 1, (lo + off) % 1),
-            "Z",
-        ]
-    )
+def _points(P: Polygon) -> list[tuple[int, int]]:
+    """Each vertex of P as ints (n, q): exact for a rational polygon, else
+    the midpoint of its 32-digit enclosure."""
+    if P.den is not None:
+        return [(n, P.den) for n in P.nums]
+    return [(lo + hi, 2 * den) for lo, hi, den in (v.interval(32) for v in P.vertices)]
 
 
 def render_svg(
@@ -89,29 +85,31 @@ def render_svg(
         except PolywanderError as exc:
             orbit = getattr(exc, "records", None) or iterate_orbit(P, d, 0, budget)
 
-        for rec in orbit:
-            thetas = [midpoint(v, 32) for v in rec.polygon.vertices]
+        drawn = [_points(rec.polygon) for rec in orbit]
+        drawn = [(pts, [_xy(n, q) for n, q in pts]) for pts in drawn]
+        for rec, (_, xys) in zip(orbit, drawn):
             color = PALETTE[rec.index % len(PALETTE)]
             body.append(
                 f'<path class="polygon" id="polygon-{rec.index}" '
-                f'd="{_polygon_path(thetas)}" fill="{color}" '
+                f'd="M {" L ".join(map(_pt, xys))} Z" fill="{color}" '
                 f'fill-opacity="0.25" stroke="{color}" stroke-width="1.5"/>'
             )
-            cx = sum(_xy(t)[0] for t in thetas) / len(thetas)
-            cy = sum(_xy(t)[1] for t in thetas) / len(thetas)
+            cx = sum(x for x, _ in xys) / len(xys)
+            cy = sum(y for _, y in xys) / len(xys)
             body.append(
                 f'<text class="label" id="label-{rec.index}" x="{_fmt(cx)}" '
                 f'y="{_fmt(cy)}" font-size="20" text-anchor="middle" '
                 f'fill="{color}">T{rec.index}</text>'
             )
 
-        profile0 = orbit[0].profile
-        for hi, hole in enumerate(profile0.holes):
-            a = midpoint(hole.start, 32)
-            b = midpoint(hole.end, 32)
+        pts, xys = drawn[0]
+        M = len(pts)
+        for i, ((na, qa), a) in enumerate(zip(pts, xys)):
+            (nb, qb), b = pts[(i + 1) % M], xys[(i + 1) % M]
+            arc = _arc_to((nb * qa - na * qb) % (qa * qb), qa * qb, _pt(b))
             body.append(
-                f'<path class="hole-arc" id="hole-0-{hi}" '
-                f'd="M {_pt(a)} {_arc_to(a, b)}" fill="none" '
+                f'<path class="hole-arc" id="hole-0-{i}" '
+                f'd="M {_pt(a)} {arc}" fill="none" '
                 'stroke="#999999" stroke-width="6" stroke-opacity="0.5"/>'
             )
 
@@ -122,17 +120,16 @@ def render_svg(
             log = None
         if log is not None:
             for jr in log.records:
-                (slo, shi), _second = jr.strip.endpoint_arc_bounds()
-                off = Fraction(jr.strip.j, jr.strip.degree)
                 body.append(
                     f'<path class="strip" id="strip-{jr.index}" '
-                    f'd="{_strip_path(slo % 1, slo % 1 + (shi - slo), off)}" '
+                    f'd="{_strip_path(jr.strip)}" '
                     'fill="#d62728" fill-opacity="0.3" stroke="none"/>'
                 )
             for li, leaf in enumerate(run.leaves):
-                a = (leaf.arcs[0][0] + leaf.arcs[0][1]) / 2 % 1
-                b = (leaf.arcs[1][0] + leaf.arcs[1][1]) / 2 % 1
-                (x1, y1), (x2, y2) = _xy(a), _xy(b)
+                (x1, y1), (x2, y2) = (
+                    _xy(m.numerator, m.denominator)
+                    for m in ((lo + hi) / 2 % 1 for lo, hi in leaf.arcs)
+                )
                 body.append(
                     f'<line class="leaf" id="leaf-{li}" x1="{_fmt(x1)}" '
                     f'y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '

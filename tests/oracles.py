@@ -233,3 +233,91 @@ def oracle_traces(iterates: list[list[Fraction]], d: int, jumps, start: int = 0)
             arc = (f_map(arc[0], d), f_map(arc[1], d))
         traces.append((i, steps))
     return traces
+
+
+def _arc(lo: Fraction, width: Fraction) -> tuple[Fraction, Fraction]:
+    """The closed arc of the given width from lo, lo taken mod 1."""
+    return lo % 1, lo % 1 + width
+
+
+def oracle_meet(a, b):
+    """The common part of closed circular arcs a = (s, s + w) and
+    b = (t, t + v) with w, v < 1, or None.  When they meet in two pieces,
+    the piece that starts at a's start (a lift of b reaching back over it)
+    is the one taken."""
+    s, w = a[0], a[1] - a[0]
+    v = b[1] - b[0]
+    delta = (b[0] - s) % 1  # where b starts, measured ccw from s
+    if delta + v >= 1:
+        return _arc(s, min(w, delta + v - 1))
+    if delta <= w:
+        return _arc(s + delta, min(w - delta, v))
+    return None
+
+
+def oracle_cluster_arc(arcs):
+    """The common part of all the arcs, taken in order, when there is one;
+    else their bounding arc, each arc lifted to start within half a turn
+    of the least start."""
+    common = arcs[0]
+    for a in arcs[1:]:
+        common = oracle_meet(common, a) if common is not None else None
+    if common is not None:
+        return common
+    ref = min(lo for lo, _ in arcs)
+    lifts = []
+    for lo, hi in arcs:
+        off = (lo - ref) % 1
+        if off > Fraction(1, 2):
+            off -= 1
+        lifts.append((ref + off, ref + off + hi - lo))
+    lo = min(l for l, _ in lifts)
+    return _arc(lo, max(h for _, h in lifts) - lo)
+
+
+def oracle_leaves(holes, d: int):
+    """Jump strips clustered into candidate leaves, for holes given as
+    (jump index, u, w): the strip of the hole (u, w), of length between j/d
+    and (j+1)/d, is the range [u, u + rho] of c, rho = length - j/d, with
+    partners c + j/d.  Two strips are joined when their endpoint ranges
+    meet, matched directly or crossed; in each group of joined strips (by
+    jump index) the first and the second ranges are each clustered; the
+    value arc clusters the images of both that do not cover the circle, or
+    is the circle.  Returns (arcs, support, value arc) per leaf, ordered by
+    the arcs' starts."""
+    holes = sorted(holes)
+    pairs = []
+    for _, u, w in holes:
+        length = (w - u) % 1
+        j = floor(d * length)
+        rho = length - Fraction(j, d)
+        pairs.append(sorted((_arc(u, rho), _arc(u + Fraction(j, d), rho))))
+
+    def joined(p, q):
+        return bool(
+            (oracle_meet(p[0], q[0]) and oracle_meet(p[1], q[1]))
+            or (oracle_meet(p[0], q[1]) and oracle_meet(p[1], q[0]))
+        )
+
+    group = list(range(len(pairs)))  # flood fill from each unvisited strip
+    for start in range(len(pairs)):
+        if group[start] != start:
+            continue
+        stack = [start]
+        while stack:
+            i = stack.pop()
+            for k in range(len(pairs)):
+                if k > start and group[k] == k and joined(pairs[i], pairs[k]):
+                    group[k] = start
+                    stack.append(k)
+    leaves = []
+    for g in sorted(set(group)):
+        members = [i for i in range(len(pairs)) if group[i] == g]
+        ends = ([pairs[i][e] for i in members] for e in (0, 1))
+        arcs = sorted(oracle_cluster_arc(arcs) for arcs in ends)
+        images = [
+            _arc(d * lo, d * (hi - lo)) for lo, hi in arcs if d * (hi - lo) < 1
+        ]
+        value = oracle_cluster_arc(images) if images else (Fraction(0), Fraction(1))
+        leaves.append((tuple(arcs), tuple(holes[i][0] for i in members), value))
+    return sorted(leaves, key=lambda leaf: (leaf[0][0][0], leaf[0][1][0]))

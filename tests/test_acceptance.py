@@ -152,10 +152,8 @@ def test_criterion_4_worked_jump_example():
     jr = log.records[0]
     assert jr.index == 0
     assert jr.s_tilde_cr == F(1, 100)
-    assert (jr.strip.start_lo.value, jr.strip.start_hi.value) == (
-        F(45, 100),
-        F(46, 100),
-    )
+    (lo, hi), _ = jr.strip.ranges
+    assert (F(lo, jr.strip.den), F(hi, jr.strip.den)) == (F(45, 100), F(46, 100))
     assert (jr.image_hole.start.value, jr.image_hole.end.value) == (
         F(90, 100),
         F(92, 100),

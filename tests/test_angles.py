@@ -323,18 +323,21 @@ def _dec12_by_fractions(fr: F) -> str:
 @given(
     st.fractions()
     | st.integers().map(F)
-    | st.builds(F, st.integers(), st.integers(min_value=1, max_value=3**2000))
+    | st.builds(F, st.integers(), st.integers(min_value=1, max_value=3**2000)),
+    st.integers(min_value=1, max_value=10**30),
 )
 @settings(max_examples=300)
-def test_dec12_matches_fraction_formula(x):
-    assert _dec12(x) == _dec12_by_fractions(x)
+def test_dec12_matches_fraction_formula(x, k):
+    """The digits of n/q, from the pair in lowest terms or scaled by k."""
+    n, q = x.numerator, x.denominator
+    assert _dec12(n, q) == _dec12(k * n, k * q) == _dec12_by_fractions(x)
 
 
 def test_dec12_examples():
-    assert _dec12(F(-7, 2)) == "-3.500000000000"
-    assert _dec12(F(5)) == "5.000000000000" and _dec12(F(0)) == "0.000000000000"
-    assert _dec12(F(-1, 3**2000)) == "-0.000000000000"
-    assert _dec12(F(1, 7)) == "0.142857142857"
+    assert _dec12(-7, 2) == "-3.500000000000"
+    assert _dec12(5, 1) == "5.000000000000" and _dec12(0, 1) == "0.000000000000"
+    assert _dec12(-1, 3**2000) == "-0.000000000000"
+    assert _dec12(1, 7) == _dec12(3, 21) == "0.142857142857"
 
 
 # ---------------------------------------------------------------------------

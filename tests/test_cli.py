@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polywander import Angle, PreconditionError, render_svg
-from polywander.cli import _to_json, main
+from polywander.cli import _ser_fraction, _ser_ratio, _to_json, main
 
 JUMP = ["19/100", "45/100", "96/100"]
 CLUSTER = ["30/100", "31/100", "32/100"]
@@ -275,6 +275,43 @@ def test_critical_hole_tie_exits_4(argv, capsys):
     assert out == "" and "Traceback" not in err
     assert err.startswith("assertion breach: ") and "minimal remainder" in err
     assert err.count("\n") == 1
+
+
+@given(st.fractions(), st.integers(min_value=1, max_value=10**20))
+@settings(max_examples=200)
+def test_report_rational_from_an_unreduced_pair(x, k):
+    """A rational written from ints over any common multiple reads as the
+    Fraction itself does: "p/q" in lowest terms and the same decimal."""
+    n, q = x.numerator, x.denominator
+    whole = abs(n) // q
+    decimal = f"{'-' if x < 0 else ''}{whole}.{int((abs(x) - whole) * 10**12):012d}"
+    want = {"fraction": f"{n}/{q}", "decimal_approx_12": decimal}
+    assert _ser_ratio(k * n, k * q) == _ser_fraction(x) == want
+
+
+LINKED_QUAD = ["gen:thue_morse?base=4&shift=39", "43/86", "128/130",
+               "gen:thue_morse?base=4", "-d", "4", "--horizon", "4"]
+
+
+@pytest.mark.parametrize("command", ["jumps", "leaves"])
+def test_jump_stage_breach_on_a_linked_orbit_names_verify(command, capsys):
+    """The orbit links at (0, 1), so the jump stages' facts need not hold:
+    the breach still exits 4, in one line that says what the stages assume
+    and that verify checks it; verify reports the linked pair."""
+    assert main([command, *LINKED_QUAD]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("assertion breach: image-hole of the critical hole")
+    assert err.endswith(
+        "; the jump stages assume a wandering orbit past burn-in, "
+        "which verify checks\n"
+    )
+    assert main(["verify", *LINKED_QUAD]) == 0
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert payload["status"] == "NotCertifiedWandering"
+    assert (payload["certificate"]["status"], payload["certificate"]["pair"]) == (
+        "FailedLinked", [0, 1]
+    )
 
 
 def test_repeated_vertex_exits_2_even_with_unseparated_vertices(capsys):

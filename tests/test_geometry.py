@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from polywander import (
     Angle,
     Arc,
+    arc_length,
     Chord,
     ChordsCrossError,
     DegenerateChordError,
@@ -113,15 +114,15 @@ def test_remainder_examples():
 def test_image_hole_examples():
     h = image_hole(Arc(ang("0.3"), ang("0.45")), 2)
     assert (h.start.value, h.end.value) == (F(3, 5), F(9, 10))
-    assert h.length() == F(3, 10)
+    assert arc_length(h.start, h.end) == F(3, 10)
 
     h = image_hole(Arc(ang(F(2, 7)), ang(0)), 2)
     assert (h.start.value, h.end.value) == (F(4, 7), F(0))
-    assert h.length() == F(3, 7) == 2 * remainder(F(5, 7), 2)
+    assert arc_length(h.start, h.end) == F(3, 7) == 2 * remainder(F(5, 7), 2)
 
     h = image_hole(Arc(ang("0.45"), ang("0.96")), 2)
     assert (h.start.value, h.end.value) == (F(9, 10), F(23, 25))
-    assert h.length() == F(1, 50)
+    assert arc_length(h.start, h.end) == F(1, 50)
 
     with pytest.raises(DegenerateChordError):
         image_hole(Arc(ang(0), ang(0)), 2)
@@ -137,7 +138,7 @@ def test_orientation_true_with_witness():
     assert cert.remainder_sum == F(1, 2)
     assert len(cert.witness_arcs) == 1
     (w,) = cert.witness_arcs
-    assert w.length() == F(1, 2)
+    assert arc_length(w.start, w.end) == F(1, 2)
 
 
 def test_orientation_false():
@@ -252,10 +253,26 @@ def test_rho_matches_arc_sum_oracle(vals):
 # critical strips
 
 
+def strip_of(u, w, d, third=None):
+    """The critical strip of the hole (u, w) of the triangle on u, w and
+    ``third`` (by default the midpoint of the arc from w to u); an
+    ``Angle`` is taken as it is."""
+    u, w = (x if isinstance(x, Angle) else ang(x) for x in (u, w))
+    if third is None:
+        third = (w.value + (u.value - w.value) % 1 / 2) % 1
+    P = Polygon([u, w, ang(third)])
+    profile = hole_profile(P, d)
+    return critical_strip(profile, profile.rank_of_cyclic(P.vertices.index(u)))
+
+
+def strip_range(s, end=0):
+    lo, hi = s.ranges[end]
+    return F(lo, s.den), F(hi, s.den)
+
+
 def test_critical_strip_example():
-    s = critical_strip(Arc(ang("0.1"), ang("0.75")), 2, 1)
-    assert s.start_lo.value == F(1, 10)
-    assert s.start_hi.value == F(1, 4)
+    s = strip_of("0.1", "0.75", 2)
+    assert (s.j, strip_range(s)) == (1, (F(1, 10), F(1, 4)))
     assert s.rho_value == F(3, 20)
     # sampled strip chords {c, c + j/d} are critical and sit at rho_value
     # from the edge
@@ -269,16 +286,31 @@ def test_critical_strip_example():
 
 
 def test_critical_strip_jump_hole():
-    s = critical_strip(Arc(ang("0.45"), ang("0.96")), 2, 1)
-    assert (s.start_lo.value, s.start_hi.value) == (F(9, 20), F(23, 50))
+    s = strip_of("0.45", "0.96", 2)
+    assert strip_range(s) == (F(9, 20), F(23, 50))
     assert s.rho_value == F(1, 100)
+    assert strip_range(s, 1) == (F(19, 20), F(24, 25))  # partners, 1/2 further on
+
+
+def test_critical_strip_runs_past_zero():
+    """A range of c that runs past 0 keeps hi = lo + rho, above 1, on the
+    exact path and on the enclosure path alike."""
+    s = strip_of("0.9", "0.55", 2)
+    assert (s.j, strip_range(s), s.rho_value) == (1, (F(9, 10), F(21, 20)), F(3, 20))
+    t = parse_angle("gen:thue_morse?base=2&offset=1/2")  # about 0.9124
+    s = strip_of(t, "0.7", 2, third="0.75")
+    assert s.hole.start == t and s.j == 1
+    lo, hi = strip_range(s)
+    assert hi == F(6, 5)  # 0.7 + 1 - 1/2
+    lo_t, hi_t = t.enclosure_bounds(64)
+    assert lo == lo_t and lo <= hi_t
 
 
 def test_critical_strip_precondition():
-    with pytest.raises(PreconditionError):
-        critical_strip(Arc(ang(0), ang("0.4")), 2, 1)
-    with pytest.raises(PreconditionError):
-        critical_strip(Arc(ang("0.1"), ang("0.75")), 2, 2)
+    with pytest.raises(PreconditionError, match="j must be in"):
+        strip_of(0, "0.4", 2)  # shorter than 1/2, so j = 0
+    with pytest.raises(PreconditionError, match="j/d < len"):
+        strip_of("0.1", "0.6", 2)  # exactly 1/2, so the remainder is 0
 
 
 def test_polygon_rejects_repeats_and_too_few_before_sorting(monkeypatch):

@@ -25,6 +25,7 @@ from polywander import (
     jump_gap_stats,
     track_critical_value,
 )
+from polywander import angles, geometry, orbit, recurrence, render
 
 from oracles import (
     f_map,
@@ -36,7 +37,7 @@ from oracles import (
     oracle_traces,
     oracle_unlinked,
 )
-from test_golden import _w1
+from test_golden import CASES, GOLDEN, _run, _w1
 
 
 def poly(*vals) -> Polygon:
@@ -328,10 +329,8 @@ def test_detect_jumps_worked_example():
     jr = log.records[0]
     assert jr.index == 0
     assert jr.s_tilde_cr == F(1, 100)
-    assert (jr.strip.start_lo.value, jr.strip.start_hi.value) == (
-        F(45, 100),
-        F(46, 100),
-    )
+    (lo, hi), _ = jr.strip.ranges
+    assert (F(lo, jr.strip.den), F(hi, jr.strip.den)) == (F(45, 100), F(46, 100))
     assert (jr.image_hole.start.value, jr.image_hole.end.value) == (
         F(90, 100),
         F(92, 100),
@@ -422,6 +421,22 @@ def test_nonjump_label_persistence_against_oracle():
             img = (f_map(a, 2), f_map(bb, 2))
             assert hs2[order2[rank]] == img
         cur = nxt
+
+
+@pytest.mark.parametrize("name", [f"{f}-{c}" for f in ("thin", "tri3")
+                                  for c in ("jumps", "leaves", "render")])
+def test_exact_jump_stages_never_measure_a_hole_again(monkeypatch, name):
+    """On the rational golden inputs the jump, leaf and render stages read
+    each critical hole's size, floor and remainder from its record's
+    profile: with ``arc_length``, ``cmp_values`` and ``floor_scaled``
+    raising wherever the package imported them, the outputs stay
+    byte-identical."""
+    for module in (angles, geometry, orbit, recurrence, render):
+        for fn in ("arc_length", "cmp_values", "floor_scaled"):
+            if hasattr(module, fn):
+                monkeypatch.setattr(module, fn, lambda *_, fn=fn: pytest.fail(fn))
+    code, argv = CASES[name]
+    assert _run(argv) == (code, (GOLDEN / f"{name}.out").read_text(encoding="utf-8"))
 
 
 # ---------------------------------------------------------------------------

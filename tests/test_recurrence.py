@@ -28,12 +28,12 @@ from polywander import (
     verify_collection_bound,
     verify_theorem1,
 )
-from polywander.geometry import Arc, critical_strip
 from polywander.orbit import JumpLog, JumpRecord
 from polywander import recurrence
 from polywander.recurrence import JumpAnalysis, OmegaApproximation, _decide_status
 
-from oracles import cycle_of, oracle_unlinked
+from oracles import cycle_of, oracle_leaves, oracle_unlinked
+from test_geometry import strip_of
 
 
 def poly(*vals) -> Polygon:
@@ -50,9 +50,8 @@ def leaf_exact(a, b, value, d=2) -> CandidateLeaf:
     )
 
 
-def _record_with_strip(index, hole, d, j):
-    strip = critical_strip(Arc(Angle.from_fraction(F(hole[0])),
-                               Angle.from_fraction(F(hole[1]))), d, j)
+def _record_with_strip(index, hole, d):
+    strip = strip_of(F(hole[0]), F(hole[1]), d)
     return JumpRecord(
         index=index,
         cr=1,
@@ -79,8 +78,8 @@ def test_extract_single_jump_leaf():
 
 def test_extract_disjoint_strips_give_two_leaves():
     log = JumpLog(records=(
-        _record_with_strip(0, ("0.1", "0.75"), 2, 1),
-        _record_with_strip(5, ("0.45", "0.96"), 2, 1),
+        _record_with_strip(0, ("0.1", "0.75"), 2),
+        _record_with_strip(5, ("0.45", "0.96"), 2),
     ))
     leaves = extract_jumping_leaves(log, 2)
     assert len(leaves) == 2
@@ -89,8 +88,8 @@ def test_extract_disjoint_strips_give_two_leaves():
 
 def test_extract_nested_strips_intersect():
     log = JumpLog(records=(
-        _record_with_strip(0, ("0.1", "0.75"), 2, 1),   # starts [0.1, 0.25]
-        _record_with_strip(7, ("0.2", "0.72"), 2, 1),   # starts [0.2, 0.22]
+        _record_with_strip(0, ("0.1", "0.75"), 2),   # starts [0.1, 0.25]
+        _record_with_strip(7, ("0.2", "0.72"), 2),   # starts [0.2, 0.22]
     ))
     (leaf,) = extract_jumping_leaves(log, 2)
     assert leaf.support == (0, 7)
@@ -100,14 +99,65 @@ def test_extract_nested_strips_intersect():
 
 def test_extract_is_order_independent():
     records = [
-        _record_with_strip(0, ("0.1", "0.75"), 2, 1),
-        _record_with_strip(7, ("0.2", "0.72"), 2, 1),
-        _record_with_strip(9, ("0.45", "0.96"), 2, 1),
+        _record_with_strip(0, ("0.1", "0.75"), 2),
+        _record_with_strip(7, ("0.2", "0.72"), 2),
+        _record_with_strip(9, ("0.45", "0.96"), 2),
     ]
     expected = extract_jumping_leaves(JumpLog(records=tuple(records)), 2)
     for perm in itertools.permutations(records):
         got = extract_jumping_leaves(JumpLog(records=tuple(perm)), 2)
         assert got == expected
+
+
+def _strip_logs(seed: int, d: int, count: int):
+    """Seeded logs of jump holes (index, u, w) near a few critical chords
+    {c, c + j/d}: each hole's range of c is [u, u + rho] with u and rho
+    drawn on a few scales around a chord, so ranges nest, chain (neighbours
+    meet, ends do not) or miss each other; some chords sit near 0, so
+    ranges run past it.  For d = 3 a chord is also reached through its
+    other side, j' = 3 - j, which the crossed matching joins."""
+    rng = random.Random(f"strip-logs/{seed}/{d}")
+    for _ in range(count):
+        holes, index = [], 0
+        for _chord in range(rng.randrange(1, 4)):
+            near_0 = rng.random() < 0.3
+            c = F(rng.randrange(-20, 20) if near_0 else rng.randrange(1000), 1000)
+            j0 = rng.randrange(1, d)
+            scale = F(1, rng.choice((1, 10, 40, 200))) / d
+            for _hole in range(rng.randrange(1, 5)):
+                j, u = j0, c + rng.randrange(-20, 21) * scale / 20
+                if d == 3 and rng.random() < 0.3:
+                    j, u = d - j0, u + F(j0, d)
+                rho = rng.randrange(1, 40) * scale / 40
+                index += rng.randrange(1, 4)
+                holes.append((index, u % 1, (u + F(j, d) + rho) % 1))
+        rng.shuffle(holes)
+        yield holes
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_extract_matches_the_fraction_oracle_on_strip_logs(d):
+    """``extract_jumping_leaves`` on strips built from seeded hole logs
+    equals ``oracles.oracle_leaves``; the corpus reaches ranges past 0,
+    nested ranges, logs of several leaves and clusters that need the hull."""
+    seen = Counter()
+    for holes in _strip_logs(13, d, 150):
+        records = [_record_with_strip(i, (u, w), d) for i, u, w in holes]
+        got = extract_jumping_leaves(JumpLog(records=tuple(records)), d)
+        want = oracle_leaves(holes, d)
+        assert [(l.arcs, l.support, l.value_arc) for l in got] == want, holes
+        ranges = {i: (u, u + (w - u) % 1 % F(1, d)) for i, u, w in holes}
+        seen["past 0"] += any(hi > 1 for _, hi in ranges.values())
+        seen["nested"] += any(
+            a != b and a[0] <= b[0] and b[1] <= a[1]
+            for a in ranges.values() for b in ranges.values()
+        )
+        seen["several leaves"] += len(got) > 1
+        widths = {i: hi - lo for i, (lo, hi) in ranges.items()}
+        seen["hull"] += any(  # wider than its narrowest member: no common part
+            l.arcs[0][1] - l.arcs[0][0] > min(widths[i] for i in l.support) for l in got
+        )
+    assert min(seen.values()) >= 5, seen
 
 
 # ---------------------------------------------------------------------------
