@@ -40,6 +40,7 @@ from .errors import (
 LT, EQ, GT = -1, 0, 1
 
 DEFAULT_MAX_DIGITS = 4096
+REPORT_DIGITS = 64  # stream digits behind every enclosure a report prints
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -82,6 +83,7 @@ class DigitSource:
         self.name = name
         self.params = dict(params or {})
         self._cache: list[int] = []
+        self._last = (-1, 0, 0)  # shift, k and numerator of the last prefix
 
     def digit(self, i: int) -> int:
         while len(self._cache) <= i:
@@ -96,13 +98,18 @@ class DigitSource:
         return self._cache[i]
 
     def prefix_numerator(self, shift: int, k: int) -> int:
-        """Integer n such that the first k digits from ``shift`` denote n/base**k."""
+        """Integer n such that the first k digits from ``shift`` denote n/base**k;
+        rolled on from the last call's when that read k digits from shift - 1."""
         self.digit(shift + k - 1)  # fill cache in one pass
-        n = 0
         cache = self._cache
         base = self.base
-        for i in range(shift, shift + k):
-            n = n * base + cache[i]
+        if self._last[:2] == (shift - 1, k):
+            n = self._last[2] % base ** (k - 1) * base + cache[shift + k - 1]
+        else:
+            n = 0
+            for i in range(shift, shift + k):
+                n = n * base + cache[i]
+        self._last = (shift, k, n)
         return n
 
 
@@ -399,7 +406,8 @@ def map_angle(a: Angle, d: int) -> Angle:
         raise BaseMismatchError(
             f"stream base {a.source.base} does not match degree {d}"
         )
-    return Angle._stream(a.source, a.shift + 1, _mod1(a.offset * d))
+    offset = _mod1(a.offset * d) if a.offset else ZERO  # Fraction arithmetic is slow
+    return Angle._stream(a.source, a.shift + 1, offset)
 
 
 # ---------------------------------------------------------------------------
@@ -654,23 +662,21 @@ def floor_scaled(x: Value, d: int, budget: PrecisionBudget = DEFAULT_BUDGET) -> 
 def arc_length(u: Angle, w: Angle, budget: PrecisionBudget = DEFAULT_BUDGET) -> Value:
     """Length of the arc running counterclockwise from u to w, in [0, 1)."""
     c = compare(u, w, budget)
-    if c == EQ:
-        return ZERO
+    return ZERO if c == EQ else arc_value(u, w, c == GT)
+
+
+def arc_value(u: Angle, w: Angle, wraps: bool) -> Value:
+    """The length of the ccw arc from u to a distinct w, which runs past 0
+    (``wraps``) iff u > w: exact between rationals, else an ``Approx``."""
     if u.source is None and w.source is None:
         q = u.q * w.q
         return Fraction((w.n * u.q - u.n * w.q) % q, q)
 
-    if c == LT:  # w - u as reals
-
-        def refine_fn(k):
-            ulo, uhi, wlo, whi, den = _over_common(u.interval(k), w.interval(k))
-            return max(0, wlo - uhi), min(den, whi - ulo), den
-
-    else:  # 1 - (u - w)
-
-        def refine_fn(k):
-            ulo, uhi, wlo, whi, den = _over_common(u.interval(k), w.interval(k))
-            return max(0, den - uhi + wlo), min(den, den - ulo + whi), den
+    def refine_fn(k):
+        ulo, uhi, wlo, whi, den = _over_common(u.interval(k), w.interval(k))
+        if wraps:  # 1 - (u - w)
+            ulo, uhi = ulo - den, uhi - den
+        return max(0, wlo - uhi), min(den, whi - ulo), den
 
     return Approx(refine_fn)
 

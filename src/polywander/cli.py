@@ -24,6 +24,7 @@ from json.encoder import encode_basestring_ascii
 from .angles import (
     Angle,
     Approx,
+    REPORT_DIGITS,
     PrecisionBudget,
     Value,
     _dec12,
@@ -79,13 +80,13 @@ def _ser_bounds(lo: int, hi: int, den: int) -> dict:
     }
 
 
-def _ser_angle(a: Angle, k: int = 64) -> dict:
+def _ser_angle(a: Angle, k: int = REPORT_DIGITS) -> dict:
     out = _ser_ratio(a.n, a.q) if a.is_rational else _ser_bounds(*a.interval(k))
     out["literal"] = format_angle(a)
     return out
 
 
-def _ser_value(v: Value, k: int = 64) -> dict:
+def _ser_value(v: Value, k: int = REPORT_DIGITS) -> dict:
     if isinstance(v, Approx):
         return _ser_bounds(*v.interval(k))
     return _ser_ratio(v.numerator, v.denominator)
@@ -105,7 +106,10 @@ def _ser_certificate(cert) -> dict:
         "status": cert.status,
         "step": cert.step,
         "pair": list(cert.pair) if cert.pair else None,
-        "s_trajectory": [_ser_value(s) for s in cert.diagnostics],
+        "s_trajectory": [
+            _ser_value(p.size(k)) if p.den is None else _ser_ratio(p.size_num(k), p.den)
+            for p, k in ((r.profile, r.polygon.card - 2) for r in cert.records)
+        ],
     }
 
 

@@ -13,6 +13,11 @@ step runs on ints: the image sort, the hole sizes, their ranks, floors and
 remainders, the remainder-sum test of orientation and the linkage family.
 Vertex ``Angle``s, and a ``HoleProfile``'s ``Fraction``s, are built only
 when read.
+
+A stream polygon's step is decided on ints too, from one enclosure per
+image and hole size at k* = min(REPORT_DIGITS, max_digits) digits over one
+denominator.  Enclosures nest, so only what k* leaves open (an overlap, a
+vertex widened at the 0/1 seam) takes the compare ladder's rungs above k*.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
+from itertools import pairwise
 from math import lcm
 
 from .angles import (
@@ -33,7 +39,10 @@ from .angles import (
     Angle,
     PrecisionBudget,
     Value,
+    REPORT_DIGITS,
+    Approx,
     arc_length,
+    arc_value,
     ccw_order,
     clamp01_value,
     cmp_values,
@@ -44,6 +53,7 @@ from .angles import (
     shift_angle,
     sub_values,
     sum_values,
+    value_interval,
 )
 from .errors import (
     AssertionBreach,
@@ -148,12 +158,25 @@ class Polygon:
         return f"Polygon({list(self.vertices)!r})"
 
 
+def _decided_order(ivs, ties: bool):
+    """Int enclosures (lo, hi, den) as (lo, hi) pairs over their lcm D, D,
+    and their indices in ascending order if each pair lies below the next
+    or, given ``ties``, is the same point (kept in index order), else None."""
+    D = lcm(*[q for _, _, q in ivs])
+    bounds = [(lo * (m := D // q), hi * m) for lo, hi, q in ivs]
+    order = sorted(range(len(ivs)), key=bounds.__getitem__)  # stable
+    for (alo, ahi), (blo, bhi) in pairwise(map(bounds.__getitem__, order)):
+        if not (ahi < blo or ties and alo == ahi == blo == bhi):
+            return bounds, D, None
+    return bounds, D, order
+
+
 def _image_sort(P: Polygon, d: int, budget: PrecisionBudget):
     """The next iterate, the polygon of P's vertex images, and ``landing``:
     for each vertex of P, the position of its image in it.  One sort: of
     the image numerators (d * n) % L over P's own denominator L when P is
-    rational, else with ``compare``.  A pair of equal images it finds is a
-    collision and raises NotInjectiveError."""
+    rational, else of their k*-digit enclosures, then ``compare``.  Equal
+    images are a collision and raise NotInjectiveError."""
     L = P.den
     if L is not None:
         images = [d * n % L for n in P.nums]
@@ -163,7 +186,9 @@ def _image_sort(P: Polygon, d: int, budget: PrecisionBudget):
         )
     else:
         images = [map_angle(v, d) for v in P.vertices]
-        order, tie = ccw_order(images, budget)
+        k = min(REPORT_DIGITS, budget.max_digits)
+        order = _decided_order([v.interval(k) for v in images], False)[2]
+        order, tie = (order, None) if order else ccw_order(images, budget)  # rungs > k*
     if tie:
         vs = P.vertices
         raise NotInjectiveError(
@@ -179,12 +204,21 @@ def _image_sort(P: Polygon, d: int, budget: PrecisionBudget):
 # holes, sizes, remainders
 
 
-def remainder(s: Value, d: int, budget: PrecisionBudget = DEFAULT_BUDGET) -> Value:
-    """s minus the largest multiple j/d not exceeding s; lies in [0, 1/d)."""
-    j = floor_scaled(s, d, budget)
-    if isinstance(s, Fraction):
+def remainder(
+    s: Value, d: int, budget: PrecisionBudget = DEFAULT_BUDGET, j: int | None = None
+) -> Value:
+    """s minus the largest multiple j/d not exceeding s (``j`` when given);
+    lies in [0, 1/d).  An enclosure's remainder is clamped to [0, 1]."""
+    if j is None:
+        j = floor_scaled(s, d, budget)
+    if not isinstance(s, Approx):
         return Fraction(d * s.numerator - j * s.denominator, d * s.denominator)
-    return clamp01_value(sub_values(s, Fraction(j, d)))
+
+    def refine_fn(k):
+        lo, hi, den = s.interval(k)
+        return max(0, d * lo - j * den), min(d * den, d * hi - j * den), d * den
+
+    return Approx(refine_fn)
 
 
 def image_hole(H: Arc, d: int, budget: PrecisionBudget = DEFAULT_BUDGET) -> Arc:
@@ -207,7 +241,9 @@ class HoleProfile:
     ints: the hole sizes over L and the remainders over d*L; ``size``,
     ``remainder`` and the properties build their ``Fraction``s on each read.
     Otherwise ``den`` is None and ``_sizes`` and ``_rems`` hold the sizes and
-    remainders as values.  ``holes`` is built on first read and kept.
+    remainders as values, each ``Approx`` refined to the k* digits that
+    decided the step, and ``bounds`` the sizes' bounds from them over one
+    denominator D, and D.  ``holes`` is built on first read and kept.
     """
 
     polygon: Polygon
@@ -217,6 +253,7 @@ class HoleProfile:
     den: int | None
     _sizes: tuple
     _rems: tuple
+    bounds: tuple | None = None
 
     @cached_property
     def holes(self) -> tuple[Arc, ...]:
@@ -278,7 +315,11 @@ def hole_profile(
     When every vertex is rational, all of it is integer arithmetic over the
     polygon's denominator L (``P.den``): a size is a difference of
     numerators mod L, floor(d * size) and its remainder are ``divmod(d * x,
-    L)``, and the sizes sum to 1 iff their numerators sum to L."""
+    L)``, and the sizes sum to 1 iff their numerators sum to L.
+
+    Otherwise each size (only the last hole runs past 0) takes its enclosure
+    from k* = min(REPORT_DIGITS, max_digits) digits; over one denominator,
+    these decide ranks and floors where they can, the compare ladder the rest."""
     L = P.den
     if L is not None:
         xs = P.nums
@@ -292,16 +333,20 @@ def hole_profile(
 
     vs = P.vertices
     M = len(vs)
-    sizes = tuple(arc_length(vs[i], vs[(i + 1) % M], budget) for i in range(M))
-
-    def rank_cmp(i, j):
-        c = cmp_values(sizes[i], sizes[j], budget)
-        return c if c != EQ else -1 if i < j else 1
-
-    order = tuple(sorted(range(M), key=cmp_to_key(rank_cmp)))
-    floors = tuple(floor_scaled(s, d, budget) for s in sizes)
-    rems = tuple(remainder(s, d, budget) for s in sizes)  # its floor from kept bounds
-    return HoleProfile(P, d, order, floors, None, sizes, rems)
+    k = min(REPORT_DIGITS, budget.max_digits)
+    sizes = tuple(arc_value(vs[i], vs[(i + 1) % M], i == M - 1) for i in range(M))
+    bounds, D, order = _decided_order([value_interval(s, k) for s in sizes], True)
+    if order is None:  # the ladder's rungs above k*; equal exact sizes in ccw order
+        order = sorted(range(M), key=cmp_to_key(
+            lambda i, j: cmp_values(sizes[i], sizes[j], budget) or i - j))
+    floors = tuple(
+        d * lo // D if d * lo // D == d * hi // D else floor_scaled(s, d, budget)
+        for (lo, hi), s in zip(bounds, sizes)
+    )
+    rems = tuple(remainder(s, d, budget, j) for s, j in zip(sizes, floors))
+    for r in rems:  # fix their k*-digit enclosures before a later stage refines s
+        value_interval(r, k)
+    return HoleProfile(P, d, tuple(order), floors, None, sizes, rems, (bounds, D))
 
 
 # ---------------------------------------------------------------------------
@@ -362,10 +407,10 @@ def _orientation(
 
     if profile.den is not None:  # the remainders are ints over d * den
         by_remainders = sum(profile._rems) == profile.den
-    else:
-        # enclosure sums cannot certify exact equality; require consistency
-        lo, hi, den = profile.remainder_sum.interval(64)
-        by_remainders = None if lo * d <= den <= hi * d else False
+    else:  # enclosures cannot prove the sum is 1/d = D/(dD); they must not exclude it
+        bounds, D = profile.bounds
+        lo, hi = (d * sum(b) - sum(profile.floors) * D for b in zip(*bounds))
+        by_remainders = None if lo <= D <= hi else False
 
     verdicts = {by_cyclic_order, by_disjoint_arcs}
     if by_remainders is not None:
@@ -562,8 +607,8 @@ def critical_strip(
         positive, hi = r > 0, lo + r
     else:
         positive = cmp_values(rho, ZERO, budget) == GT
-        lo, _, p = H.start.interval(64)
-        _, hi, q = shift_angle(H.end, -Fraction(j, d)).interval(64)
+        lo, _, p = H.start.interval(REPORT_DIGITS)
+        _, hi, q = shift_angle(H.end, -Fraction(j, d)).interval(REPORT_DIGITS)
         den = lcm(p, q, d)
         lo, hi = lo * (den // p), hi * (den // q)
         hi += den if hi < lo else 0  # the range runs past 0

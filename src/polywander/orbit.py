@@ -126,11 +126,6 @@ class WanderingCertificate:
     def certified(self) -> bool:
         return self.status == CERTIFIED
 
-    @property
-    def diagnostics(self) -> tuple[Value, ...]:
-        """The trajectory of the (N-2)-nd smallest hole size, one per record."""
-        return tuple(r.profile.size(r.polygon.card - 2) for r in self.records)
-
 
 def certify_wandering(
     T: Polygon,

@@ -5,7 +5,9 @@ Angle/Polygon machinery, so agreement is meaningful.
 """
 
 from fractions import Fraction
+from functools import cmp_to_key, lru_cache
 from math import floor
+from typing import NamedTuple
 
 
 def f_map(x: Fraction, d: int) -> Fraction:
@@ -321,3 +323,208 @@ def oracle_leaves(holes, d: int):
         value = oracle_cluster_arc(images) if images else (Fraction(0), Fraction(1))
         leaves.append((tuple(arcs), tuple(holes[i][0] for i in members), value))
     return sorted(leaves, key=lambda leaf: (leaf[0][0][0], leaf[0][1][0]))
+
+
+# ---------------------------------------------------------------------------
+# one orbit step of a polygon with digit-stream vertices, decided by the
+# compare ladder alone (8, 16, 32, ... digits up to the budget) on Fraction
+# enclosures computed from the generators' definitions
+
+
+class Stream(NamedTuple):
+    """The angle offset + 0.d_shift d_shift+1 ... (base ``base``, mod 1) of
+    the generator ``name``; ``offset`` in [0, 1)."""
+
+    name: str
+    base: int
+    shift: int
+    offset: Fraction
+
+
+class LadderUnresolved(Exception):
+    """The ladder reached the budget without deciding."""
+
+
+@lru_cache(maxsize=None)
+def stream_digit(name: str, base: int, i: int) -> int:
+    """Digit i of ``thue_morse`` (the parity of i's binary digit sum) or of
+    ``champernowne`` (the base-``base`` numerals 1, 2, 3, ... in a row)."""
+    if name == "thue_morse":
+        return bin(i).count("1") & 1
+    length, first = 1, 1
+    while i >= (base - 1) * first * length:  # the numerals with `length` digits
+        i -= (base - 1) * first * length
+        length, first = length + 1, first * base
+    number, pos = first + i // length, i % length
+    return number // base ** (length - 1 - pos) % base
+
+
+def point_enclosure(x, k: int) -> tuple[Fraction, Fraction]:
+    """[lo, hi] from k digits of a Stream, widened to [0, 1] while it
+    straddles the 0/1 seam; (x, x) for a Fraction."""
+    if not isinstance(x, Stream):
+        return x, x
+    n = 0
+    for i in range(x.shift, x.shift + k):
+        n = n * x.base + stream_digit(x.name, x.base, i)
+    lo = Fraction(n, x.base**k) + x.offset
+    hi = lo + Fraction(1, x.base**k)
+    if lo >= 1:
+        return lo - 1, hi - 1
+    return (Fraction(0), Fraction(1)) if hi > 1 else (lo, hi)
+
+
+def ladder(budget: int):
+    k = 8
+    while k < budget:
+        yield k
+        k *= 2
+    yield budget
+
+
+class LadderValue:
+    """A real known through Fraction enclosures ``fn(k)`` from k digits;
+    ``at(k)`` keeps the tightest enclosure asked for so far."""
+
+    def __init__(self, fn):
+        self.fn, self.k, self.iv = fn, 0, None
+
+    def at(self, k: int) -> tuple[Fraction, Fraction]:
+        if k > self.k:
+            lo, hi = self.fn(k)
+            if self.iv is not None:
+                lo, hi = max(lo, self.iv[0]), min(hi, self.iv[1])
+            self.iv, self.k = (lo, hi), k
+        return self.iv
+
+
+def _at(x, k):
+    return x.at(k) if isinstance(x, LadderValue) else (x, x)
+
+
+def ladder_compare(a, b, budget: int) -> int:
+    if not isinstance(a, Stream) and not isinstance(b, Stream):
+        return (a > b) - (a < b)
+    if a == b:
+        return 0
+    for k in ladder(budget):
+        (alo, ahi), (blo, bhi) = point_enclosure(a, k), point_enclosure(b, k)
+        if ahi < blo:
+            return -1
+        if bhi < alo:
+            return 1
+    raise LadderUnresolved
+
+
+def ladder_cmp_values(x, y, budget: int) -> int:
+    if isinstance(x, Fraction) and isinstance(y, Fraction):
+        return (x > y) - (x < y)
+    for k in ladder(budget):
+        (xlo, xhi), (ylo, yhi) = _at(x, k), _at(y, k)
+        if xhi < ylo:
+            return -1
+        if yhi < xlo:
+            return 1
+    raise LadderUnresolved
+
+
+def ladder_floor(x, d: int, budget: int) -> int:
+    if isinstance(x, Fraction):
+        return floor(d * x)
+    for k in ladder(budget):
+        lo, hi = x.at(k)
+        if floor(d * lo) == floor(d * hi):
+            return floor(d * lo)
+    raise LadderUnresolved
+
+
+def ladder_sort(points, budget: int) -> tuple[list[int], bool]:
+    """Indices of the points in ascending order, by one comparison sort that
+    compares the pair (i, j) for i < j; and whether it found two equal."""
+    tie = []
+
+    def cmp(i, j):
+        if i > j:
+            return -cmp(j, i)
+        c = ladder_compare(points[i], points[j], budget)
+        tie.append(c == 0)
+        return c
+
+    return sorted(range(len(points)), key=cmp_to_key(cmp)), any(tie)
+
+
+def stream_image(x, d: int):
+    if isinstance(x, Stream):
+        return x._replace(shift=x.shift + 1, offset=x.offset * d % 1)
+    return x * d % 1
+
+
+def ladder_step(points, d: int, budget: int) -> dict:
+    """The step of the polygon on ``points`` (Fractions and Streams of base
+    d) with every decision refined rung by rung: the vertices in ccw order
+    from 0, their images sorted (None on a collision, and then nothing
+    more) and each image's position (``landing``); per hole in ccw order
+    its size, floor(d * size) and remainder (a Fraction between two
+    rational vertices, else a LadderValue); the holes by size rank (equal
+    exact sizes in ccw order); and the orientation verdict, on which the
+    image order, the floors and the remainders' enclosure sum from 64
+    digits (or the budget) agree.  Raises LadderUnresolved where a decision
+    needs more digits than the budget."""
+    order, _ = ladder_sort(points, budget)
+    vs = [points[i] for i in order]
+    images = [stream_image(v, d) for v in vs]
+    by_image, tie = ladder_sort(images, budget)
+    if tie:
+        return {"vertices": vs, "images": None}
+    M = len(vs)
+    sizes = []
+    for i in range(M):
+        u, w = vs[i], vs[(i + 1) % M]
+        wraps = ladder_compare(u, w, budget) > 0
+        if not isinstance(u, Stream) and not isinstance(w, Stream):
+            sizes.append((w - u) % 1)
+            continue
+
+        def size_at(k, u=u, w=w, wraps=wraps):
+            (ulo, uhi), (wlo, whi) = point_enclosure(u, k), point_enclosure(w, k)
+            if wraps:
+                ulo, uhi = ulo - 1, uhi - 1
+            return max(Fraction(0), wlo - uhi), min(Fraction(1), whi - ulo)
+
+        sizes.append(LadderValue(size_at))
+
+    def rank_cmp(i, j):
+        c = ladder_cmp_values(sizes[i], sizes[j], budget)
+        return c if c else -1 if i < j else 1
+
+    ranks = sorted(range(M), key=cmp_to_key(rank_cmp))
+    floors = [ladder_floor(s, d, budget) for s in sizes]
+    rems = []
+    for s, j in zip(sizes, floors):
+        if isinstance(s, Fraction):
+            rems.append(s - Fraction(j, d))
+            continue
+
+        def rem_at(k, s=s, j=j):
+            lo, hi = s.at(k)
+            cut = Fraction(j, d)
+            return max(Fraction(0), lo - cut), min(Fraction(1), hi - cut)
+
+        rems.append(LadderValue(rem_at))
+    landing = [by_image.index(c) for c in range(M)]
+    cyclic = all((landing[c] - landing[0]) % M == c for c in range(M))
+    total = [sum(_at(r, min(64, budget))[e] for r in rems) for e in (0, 1)]
+    if cyclic != (sum(floors) == d - 1) or (
+        cyclic and not total[0] <= Fraction(1, d) <= total[1]
+    ):
+        raise AssertionError("the orientation criteria disagree")
+    return {
+        "vertices": vs,
+        "images": [images[i] for i in by_image],
+        "landing": landing,
+        "sizes": sizes,
+        "floors": floors,
+        "remainders": rems,
+        "order": ranks,
+        "verdict": cyclic,
+    }

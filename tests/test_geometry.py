@@ -1,8 +1,12 @@
+import contextlib
+import io
 import random
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polywander import (
@@ -14,7 +18,9 @@ from polywander import (
     DegenerateChordError,
     NotInjectiveError,
     Polygon,
+    PrecisionBudget,
     PreconditionError,
+    UnresolvedComparison,
     critical_strip,
     hole_profile,
     image_hole,
@@ -27,19 +33,26 @@ from polywander import (
 
 from polywander import (
     NonInjectiveAtStep,
+    angles,
     certify_wandering,
     geometry,
     iterate_orbit,
     orbit,
     verify_collection_bound,
 )
+from polywander.cli import main
 from polywander.geometry import UnlinkedFamily
 from polywander.recurrence import JumpAnalysis
 
 from oracles import (
+    LadderUnresolved,
+    LadderValue,
+    Stream,
     f_map,
     hole_sizes,
     holes_of,
+    ladder_sort,
+    ladder_step,
     oracle_collision_step,
     oracle_certify,
     oracle_cyclic_order,
@@ -48,6 +61,7 @@ from oracles import (
     oracle_profile,
     oracle_rho,
     oracle_unlinked,
+    point_enclosure,
 )
 
 
@@ -473,6 +487,40 @@ def test_rational_orbit_step_does_not_compare_angles(monkeypatch):
     assert report.cards == (4, 4)
 
 
+def test_stream_orbit_step_does_not_compare_angles(monkeypatch):
+    """The stream-orbit golden request, with ``compare`` and ``cmp_values``
+    counted wherever the package refers to them: each orbit step, profile
+    and orientation is decided on int enclosures, so only the sort of the
+    input polygon compares angles, and nothing compares values."""
+    calls = {"compare": 0, "cmp_values": 0, "input sort": 0}
+    for name in ("compare", "cmp_values"):
+        fn = getattr(angles, name)
+
+        def counted(*args, fn=fn, name=name, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        for mod in [m for n, m in sys.modules.items() if n.startswith("polywander")]:
+            if getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, counted)
+    init = Polygon.__init__
+
+    def input_sort(self, *args, **kwargs):
+        before = calls["compare"]
+        init(self, *args, **kwargs)
+        calls["input sort"] += calls["compare"] - before
+
+    monkeypatch.setattr(Polygon, "__init__", input_sort)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["orbit", "gen:thue_morse?base=4", "1/3", "2/3", "-d", "4",
+                     "--horizon", "20"])
+    golden = Path(__file__).parent / "golden" / "stream-orbit.out"
+    assert code == 0 and out.getvalue() == golden.read_text(encoding="utf-8")
+    assert 0 < calls["compare"] == calls["input sort"] <= 5
+    assert calls["cmp_values"] == 0
+
+
 # ---------------------------------------------------------------------------
 # the integer kernel against plain-Fraction oracles: orbits over one large
 # denominator, and the linkage family across denominators and with streams
@@ -579,3 +627,140 @@ def test_unlinked_family_over_denominators_and_streams_matches_oracle():
             }
         assert (family.den is None) == joined_stream
     assert seen == {"linked", "unlinked", "stream", "rational", "ints", "angles"}
+
+
+# ---------------------------------------------------------------------------
+# stream steps on one int enclosure per vertex against the ladder-only oracle
+
+STEP_BUDGET = 256
+
+
+def _prefix_value(x: Stream, j: int) -> F:
+    """The value of the first j digits of x's digit stream, offset left out."""
+    return point_enclosure(x._replace(offset=F(0)), j)[0]
+
+
+@st.composite
+def stream_polygons(draw):
+    """A degree d = base in 2..5 and 2..5 points: at least one stream of
+    either generator with a shift and an offset (none, random, just past
+    the 0/1 seam after j digits, or its twin's plus base^-m, m around 64),
+    the rest rationals (random, or inside a stream's j-digit enclosure)."""
+    d = draw(st.integers(2, 5))
+    N = draw(st.integers(2, 5))
+    points: list = []
+    for _ in range(draw(st.integers(1, N))):
+        kind = draw(st.sampled_from(["none", "random", "seam", "twin"]))
+        streams = [x for x in points if isinstance(x, Stream)]
+        if kind == "twin" and streams:
+            x = draw(st.sampled_from(streams))
+            m = draw(st.integers(56, 75))
+            points.append(x._replace(offset=(x.offset + F(1, d**m)) % 1))
+            continue
+        name = draw(st.sampled_from(["thue_morse", "champernowne"]))
+        x = Stream(name, d, draw(st.integers(0, 40)), F(0))
+        if kind == "random":
+            q = draw(st.integers(2, 10**6))
+            x = x._replace(offset=F(draw(st.integers(0, q - 1)), q))
+        elif kind == "seam":
+            j = draw(st.integers(1, 70))
+            x = x._replace(offset=(1 - _prefix_value(x, j)) % 1)
+        points.append(x)
+    streams = [x for x in points if isinstance(x, Stream)]
+    while len(points) < N:
+        if draw(st.booleans()):
+            q = draw(st.integers(2, 10**6))
+            points.append(F(draw(st.integers(0, q - 1)), q))
+        else:
+            x, j = draw(st.sampled_from(streams)), draw(st.integers(1, 70))
+            points.append((x.offset + _prefix_value(x, j) + F(1, 2 * d**j)) % 1)
+    return d, points
+
+
+def _angle(x) -> Angle:
+    if not isinstance(x, Stream):
+        return ang(x)
+    off = x.offset
+    return parse_angle(
+        f"gen:{x.name}?base={x.base}&shift={x.shift}"
+        f"&offset={off.numerator}/{off.denominator}"
+    )
+
+
+def _spec(a: Angle):
+    if a.source is None:
+        return a.value
+    return Stream(a.source.name, a.source.base, a.shift, a.offset)
+
+
+def _package_step(P: Polygon, d: int, budget) -> tuple:
+    """The package's step of P as ``ladder_step`` reports it, and the next
+    iterate (None on a collision)."""
+    got = {"vertices": [_spec(v) for v in P.vertices]}
+    try:
+        nxt, landing = geometry._image_sort(P, d, budget)
+    except NotInjectiveError:
+        return None, dict(got, images=None)
+    prof = hole_profile(P, d, budget)
+    cert = geometry._orientation(landing, prof, d, budget)
+    return nxt, dict(
+        got,
+        images=[_spec(v) for v in nxt.vertices],
+        landing=list(landing),
+        sizes=list(prof.sizes_cyclic),
+        floors=list(prof.floors),
+        remainders=list(prof.remainders_cyclic),
+        order=list(prof.order),
+        verdict=cert.verdict,
+    )
+
+
+def _enclosure(x, k):
+    lo, hi, den = x.interval(k)
+    return F(lo, den), F(hi, den)
+
+
+@given(stream_polygons())
+@settings(max_examples=150, deadline=None)
+def test_stream_step_matches_the_ladder_only_oracle(case):
+    """Two orbit steps of a polygon with stream vertices, each decided on
+    one 64-digit int enclosure per vertex and, where that leaves a decision
+    open, on the compare ladder's rungs above 64 digits, agree with the
+    oracle that decides everything rung by rung: vertex and image order,
+    landing, ranks, floors, the orientation verdict and each size's and
+    remainder's enclosures from 64 to 70 digits, which nest from k to k+1.
+    The two fail together: unresolved within the budget, or a collision."""
+    d, points = case
+    assume(len(set(points)) == len(points))
+    budget = PrecisionBudget(STEP_BUDGET)
+    try:
+        ladder_sort(points, STEP_BUDGET)
+    except LadderUnresolved:
+        with pytest.raises(UnresolvedComparison):
+            Polygon([_angle(x) for x in points], budget)
+        return
+    P, specs = Polygon([_angle(x) for x in points], budget), points
+    for _ in range(2):
+        try:
+            want = ladder_step(specs, d, STEP_BUDGET)
+        except LadderUnresolved:
+            with pytest.raises(UnresolvedComparison):
+                _package_step(P, d, budget)
+            return
+        nxt, got = _package_step(P, d, budget)
+        if want["images"] is None:
+            assert got == want
+            return
+        pairs = list(zip(got.pop("sizes") + got.pop("remainders"),
+                         want.pop("sizes") + want.pop("remainders")))
+        assert got == want
+        for g, w in pairs:
+            assert isinstance(g, F) == isinstance(w, F)
+            if isinstance(w, F):
+                assert g == w
+                continue
+            for k in range(64, 71):
+                assert _enclosure(g, k) == w.at(k)
+                (lo, hi), (lo1, hi1) = w.fn(k), w.fn(k + 1)
+                assert lo <= lo1 <= hi1 <= hi
+        P, specs = nxt, want["images"]

@@ -35,6 +35,72 @@ WIDE = ["-d", "3", "--horizon", "5", "--burn-in", "0", "5932890787/22759870860",
         "3270421/11048481", "10654879/11048481"]
 
 
+TM2 = "gen:thue_morse?base=2"
+CH3 = "gen:champernowne?base=3"
+# polygons whose orbit steps the 64-digit vertex enclosures do not decide,
+# so that the compare ladder goes on past 64 digits:
+# - three holes of sizes 1/3 and 1/3 +- 2^-70, ranked only at 128 digits;
+# - two vertices of one stream 3^-70 apart, sorted only at 128 digits;
+# - a rational, the midpoint of the stream's 70-digit enclosure, 1/3 fixed;
+# - a hole of size 1/2 - 2^-70, whose floor(2 * size) needs 128 digits.
+UNDECIDED_AT_64 = {
+    "sizes": ["-d", "2", TM2, f"{TM2}&offset=1/3",
+              f"{TM2}&offset=2361183241434822606851/3541774862152233910272"],
+    "pair": ["-d", "3", CH3, f"{CH3}&offset=1/2503155504993241601315571986085849", "1/2"],
+    "match": ["-d", "2", "gen:thue_morse?base=2&shift=3",
+              "707486692441265166937/2361183241434822606848", "1/3"],
+    "floor": ["-d", "2", TM2,
+              f"{TM2}&offset=590295810358705651713/1180591620717411303424", "1/5"],
+}
+
+
+# polygons that some budget below 64 digits cannot decide, but 64 can
+DECIDED_AT_64 = {
+    "sizes40": ["-d", "2", TM2, f"{TM2}&offset=1/3",
+                f"{TM2}&offset=2199023255555/3298534883328"],  # 2/3 + 2^-40
+    "floor40": ["-d", "2", TM2, f"{TM2}&offset=549755813889/1099511627776", "1/5"],
+    "match20": ["-d", "2", "gen:thue_morse?base=2&shift=3", "628375/2097152", "1/3"],
+    "quartic": ["-d", "4", "gen:thue_morse?base=4", "1/3", "2/3"],
+}
+# stderr past "precision: " (exit 3) of analyze and of orbit --horizon 2 at
+# --budget 8, 16, 32 and 64 (a pair when the two differ); None: exit 0
+# with the report that the default budget gives
+BUDGET_ERRORS = {
+    ("sizes", 8): "cannot order [0.329427083333, 0.337239583333] of width ~2^-7 and [0.329427083333, 0.337239583333] of width ~2^-7 within 8 digits",
+    ("sizes", 16): "cannot order [0.333318074544, 0.333348592122] of width ~2^-15 and [0.333318074544, 0.333348592122] of width ~2^-15 within 16 digits",
+    ("sizes", 32): "cannot order [0.333333333100, 0.333333333566] of width ~2^-31 and [0.333333333100, 0.333333333566] of width ~2^-31 within 32 digits",
+    ("sizes", 64): "cannot order [0.333333333333, 0.333333333333] of width ~2^-63 and [0.333333333333, 0.333333333333] of width ~2^-63 within 64 digits",
+    ("pair", 8): "cannot separate gen:champernowne?base=3 and gen:champernowne?base=3&offset=1/2503155504993241601315571986085849 within 8 digits",
+    ("pair", 16): "cannot separate gen:champernowne?base=3 and gen:champernowne?base=3&offset=1/2503155504993241601315571986085849 within 16 digits",
+    ("pair", 32): "cannot separate gen:champernowne?base=3 and gen:champernowne?base=3&offset=1/2503155504993241601315571986085849 within 32 digits",
+    ("pair", 64): "cannot separate gen:champernowne?base=3 and gen:champernowne?base=3&offset=1/2503155504993241601315571986085849 within 64 digits",
+    ("match", 8): "cannot separate gen:thue_morse?base=2&shift=3 and 0.299632269120 (denominator of 72 bits) within 8 digits",
+    ("match", 16): "cannot separate gen:thue_morse?base=2&shift=3 and 0.299632269120 (denominator of 72 bits) within 16 digits",
+    ("match", 32): "cannot separate gen:thue_morse?base=2&shift=3 and 0.299632269120 (denominator of 72 bits) within 32 digits",
+    ("match", 64): "cannot separate gen:thue_morse?base=2&shift=3 and 0.299632269120 (denominator of 72 bits) within 64 digits",
+    ("floor", 8): ("floor(2*x) undecided for x in [0.496093750000, 0.503906250000] of width ~2^-7 within 8 digits", "cannot separate gen:thue_morse?base=2&shift=1 and gen:thue_morse?base=2&shift=1&offset=1/590295810358705651712 within 8 digits"),
+    ("floor", 16): ("floor(2*x) undecided for x in [0.499984741210, 0.500015258789] of width ~2^-15 within 16 digits", "cannot separate gen:thue_morse?base=2&shift=1 and gen:thue_morse?base=2&shift=1&offset=1/590295810358705651712 within 16 digits"),
+    ("floor", 32): ("floor(2*x) undecided for x in [0.499999999767, 0.500000000232] of width ~2^-31 within 32 digits", "cannot separate gen:thue_morse?base=2&shift=1 and gen:thue_morse?base=2&shift=1&offset=1/590295810358705651712 within 32 digits"),
+    ("floor", 64): ("floor(2*x) undecided for x in [0.499999999999, 0.500000000000] of width ~2^-63 within 64 digits", "cannot separate gen:thue_morse?base=2&shift=1 and gen:thue_morse?base=2&shift=1&offset=1/590295810358705651712 within 64 digits"),
+    ("sizes40", 8): "cannot order [0.329427083333, 0.337239583333] of width ~2^-7 and [0.329427083332, 0.337239583332] of width ~2^-7 within 8 digits",
+    ("sizes40", 16): "cannot order [0.333318074544, 0.333348592122] of width ~2^-15 and [0.333318074543, 0.333348592121] of width ~2^-15 within 16 digits",
+    ("sizes40", 32): "cannot order [0.333333333100, 0.333333333566] of width ~2^-31 and [0.333333333099, 0.333333333565] of width ~2^-31 within 32 digits",
+    ("sizes40", 64): None,
+    ("floor40", 8): ("floor(2*x) undecided for x in [0.496093750000, 0.503906250000] of width ~2^-7 within 8 digits", "cannot separate gen:thue_morse?base=2&shift=1 and gen:thue_morse?base=2&shift=1&offset=1/549755813888 within 8 digits"),
+    ("floor40", 16): ("floor(2*x) undecided for x in [0.499984741211, 0.500015258789] of width ~2^-15 within 16 digits", "cannot separate gen:thue_morse?base=2&shift=1 and gen:thue_morse?base=2&shift=1&offset=1/549755813888 within 16 digits"),
+    ("floor40", 32): ("floor(2*x) undecided for x in [0.499999999768, 0.500000000233] of width ~2^-31 within 32 digits", "cannot separate gen:thue_morse?base=2&shift=1 and gen:thue_morse?base=2&shift=1&offset=1/549755813888 within 32 digits"),
+    ("floor40", 64): None,
+    ("match20", 8): "cannot separate gen:thue_morse?base=2&shift=3 and 0.299632549285 (denominator of 22 bits) within 8 digits",
+    ("match20", 16): "cannot separate gen:thue_morse?base=2&shift=3 and 0.299632549285 (denominator of 22 bits) within 16 digits",
+    ("match20", 32): None,
+    ("match20", 64): None,
+    ("quartic", 8): None,
+    ("quartic", 16): None,
+    ("quartic", 32): None,
+    ("quartic", 64): None,
+}
+
+
 def _w1(K: int = 200, d: int = 3) -> list[str]:
     """W1(K) quadrilateral: 1/1000003, then running sums adding 1, 3 and 2
     steps of 1/(3*4*d*d^K)."""
@@ -88,7 +154,16 @@ CASES = {
     "tri3-leaves": (0, ["leaves", *TRI3]),
     "tri3-render": (0, ["render", *TRI3]),
     "wide-verify": (0, ["verify", *WIDE]),
+    # a long orbit of a shifted, offset champernowne stream among two rationals
+    "stream-champernowne-orbit": (
+        0,
+        ["orbit", "gen:champernowne?base=2&shift=11&offset=1/7", "1/3", "2/3", "-d",
+         "2", "--horizon", "150"],
+    ),
 }
+for _name, _args in UNDECIDED_AT_64.items():
+    CASES[f"undecided-{_name}-analyze"] = (0, ["analyze", *_args])
+    CASES[f"undecided-{_name}-orbit"] = (0, ["orbit", *_args, "--horizon", "2"])
 
 
 def _run(argv) -> tuple[int, str]:
@@ -118,6 +193,32 @@ def test_verify_walks_each_value_orbit_once(monkeypatch):
         0, (GOLDEN / "tri3-verify.out").read_text(encoding="utf-8")
     )
     assert len(calls) == 2
+
+
+def _run_err(argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("budget", [8, 16, 32, 64])
+@pytest.mark.parametrize("name", [*UNDECIDED_AT_64, *DECIDED_AT_64])
+def test_small_budgets_keep_exit_codes_and_messages(name, budget):
+    """A budget below 64 digits bounds every decision of a stream step, and
+    a decision left open at the budget fails with the compare ladder's
+    message, naming the budget's enclosures."""
+    args = {**UNDECIDED_AT_64, **DECIDED_AT_64}[name]
+    want = BUDGET_ERRORS[(name, budget)]
+    for i, argv in enumerate((["analyze", *args], ["orbit", *args, "--horizon", "2"])):
+        code, out, err = _run_err([*argv, "--budget", str(budget)])
+        message = want[i] if isinstance(want, tuple) else want
+        if message is None:
+            assert (code, err) == (0, "")
+            echo = f'"budget": {budget},'
+            assert out.replace(echo, '"budget": 4096,') == _run(argv)[1]
+        else:
+            assert (code, out, err) == (3, "", f"precision: {message}\n")
 
 
 if __name__ == "__main__":
