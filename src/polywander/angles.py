@@ -594,17 +594,6 @@ def cmp_values(x: Value, y: Value, budget: PrecisionBudget = DEFAULT_BUDGET) -> 
     )
 
 
-def sub_values(x: Value, y: Value) -> Value:
-    if isinstance(x, Fraction) and isinstance(y, Fraction):
-        return x - y
-
-    def refine_fn(k):
-        xlo, xhi, ylo, yhi, den = _over_common(value_interval(x, k), value_interval(y, k))
-        return xlo - yhi, xhi - ylo, den
-
-    return Approx(refine_fn)
-
-
 def scale_value(x: Value, n: int) -> Value:
     if isinstance(x, Fraction):
         return n * x
@@ -612,17 +601,6 @@ def scale_value(x: Value, n: int) -> Value:
     def refine_fn(k):
         lo, hi, den = x.interval(k)
         return n * lo, n * hi, den
-
-    return Approx(refine_fn)
-
-
-def clamp01_value(x: Value) -> Value:
-    if isinstance(x, Fraction):
-        return min(ONE, max(ZERO, x))
-
-    def refine_fn(k):
-        lo, hi, den = x.interval(k)
-        return max(0, lo), min(den, hi), den
 
     return Approx(refine_fn)
 

@@ -496,6 +496,19 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def main(argv=None) -> int:
+    """Run one command with CPython's int<->str digit limit lifted, so that
+    a report may print fractions of any length; the exit code."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # a build without the limit
+        return _run(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _run(argv) -> int:
     args = _build_parser().parse_args(argv)
     try:
         eps = _parse_epsilon(args.epsilon)

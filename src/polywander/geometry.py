@@ -33,8 +33,6 @@ from .angles import (
     DEFAULT_BUDGET,
     EQ,
     GT,
-    LT,
-    ONE,
     ZERO,
     Angle,
     PrecisionBudget,
@@ -44,14 +42,12 @@ from .angles import (
     arc_length,
     arc_value,
     ccw_order,
-    clamp01_value,
     cmp_values,
     compare,
     floor_scaled,
     map_angle,
     rational_angle,
     shift_angle,
-    sub_values,
     sum_values,
     value_interval,
 )
@@ -83,9 +79,6 @@ class Chord:
     a: Angle
     b: Angle
 
-    def endpoints(self):
-        return self.a, self.b
-
     def __eq__(self, other):
         if not isinstance(other, Chord):
             return NotImplemented
@@ -93,17 +86,6 @@ class Chord:
 
     def __hash__(self):
         return hash(frozenset((self.a, self.b)))
-
-
-def in_open_arc(
-    x: Angle, u: Angle, w: Angle, budget: PrecisionBudget = DEFAULT_BUDGET
-) -> bool:
-    """True iff x lies strictly inside the ccw arc (u, w)."""
-    if compare(x, u, budget) == EQ or compare(x, w, budget) == EQ:
-        return False
-    if compare(u, w, budget) == LT:
-        return compare(u, x, budget) == LT and compare(x, w, budget) == LT
-    return compare(u, x, budget) == LT or compare(x, w, budget) == LT
 
 
 class Polygon:
@@ -520,53 +502,29 @@ def unlinked(A: Polygon, B: Polygon, budget: PrecisionBudget = DEFAULT_BUDGET) -
 # the rho metric
 
 
-def _rho_point_chord(x: Angle, q: Chord, budget: PrecisionBudget) -> Value:
-    c, e = q.endpoints()
-    if compare(x, c, budget) == EQ or compare(x, e, budget) == EQ:
-        return ZERO  # the point lies on the chord
-    if in_open_arc(x, c, e, budget):
-        return arc_length(c, e, budget)
-    return arc_length(e, c, budget)
-
-
 def rho(p: Chord, q: Chord, budget: PrecisionBudget = DEFAULT_BUDGET) -> Value:
-    """Amount of arc between two chords with disjoint interiors.
+    """Amount of arc between two chords with disjoint interiors: the sum of
+    the arcs between ccw-consecutive endpoints of which one lies on p alone
+    and the other on q alone.
 
     Shared circle endpoints are allowed; degenerate chords (points) are
     allowed.  Raises ChordsCrossError when the interiors intersect.
     """
-    a, b = p.endpoints()
-    c, e = q.endpoints()
-    p_deg = compare(a, b, budget) == EQ
-    q_deg = compare(c, e, budget) == EQ
-    if p_deg and q_deg:
-        return ZERO if compare(a, c, budget) == EQ else ONE
-    if p_deg:
-        return _rho_point_chord(a, q, budget)
-    if q_deg:
-        return _rho_point_chord(c, p, budget)
-
-    c_is_vertex = compare(c, a, budget) == EQ or compare(c, b, budget) == EQ
-    e_is_vertex = compare(e, a, budget) == EQ or compare(e, b, budget) == EQ
-    if c_is_vertex and e_is_vertex:
-        return ZERO  # equal chords
-    if not c_is_vertex and not e_is_vertex:
-        if in_open_arc(c, a, b, budget) != in_open_arc(e, a, b, budget):
-            raise ChordsCrossError("chord interiors intersect in the open disk")
-
-    q_ref = e if c_is_vertex else c
-    p_ref = b if (compare(a, c, budget) == EQ or compare(a, e, budget) == EQ) else a
-    gap_p = (
-        arc_length(b, a, budget)
-        if in_open_arc(q_ref, a, b, budget)
-        else arc_length(a, b, budget)
+    ends = (p.a, p.b, q.a, q.b)
+    points, owners = [], []  # the distinct endpoints in ccw order; 1: p, 2: q, 3: both
+    for i in ccw_order(ends, budget)[0]:
+        if not points or compare(points[-1], ends[i], budget) != EQ:
+            points.append(ends[i])
+            owners.append(0)
+        owners[-1] |= 1 if i < 2 else 2
+    if len(points) == 4 and owners[0] == owners[2]:
+        raise ChordsCrossError("chord interiors intersect in the open disk")
+    M = len(points)
+    return sum_values(
+        arc_length(points[i], points[(i + 1) % M], budget)
+        for i in range(M)
+        if {owners[i], owners[(i + 1) % M]} == {1, 2}
     )
-    gap_q = (
-        arc_length(e, c, budget)
-        if in_open_arc(p_ref, c, e, budget)
-        else arc_length(c, e, budget)
-    )
-    return clamp01_value(sub_values(sub_values(ONE, gap_p), gap_q))
 
 
 # ---------------------------------------------------------------------------

@@ -246,12 +246,14 @@ def _value_orbit(iv: Iv, d: int, horizon: int) -> list[Iv | None]:
 
 
 def _pair_status(orb_a, orb_b) -> PairStatus:
-    overlap = False
+    overlap = False  # each orbit is None from its first None on: its walk stops there
     for i, A in enumerate(orb_a):
+        if A is None:
+            return PairStatus(kind=INCONCLUSIVE)
         for j, B in enumerate(orb_b):
-            if A is None or B is None:
+            if B is None:
                 overlap = True
-                continue
+                break
             if A[0] == A[1] and B[0] == B[1] and (A[0] - B[0]) % 1 == 0:
                 return PairStatus(kind=COLLISION, i=i, j=j)
             if _intersect(A, B, 1) is not None:

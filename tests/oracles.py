@@ -101,8 +101,11 @@ def oracle_certify(points: list[Fraction], d: int, horizon: int):
 
 
 def oracle_rho(p: tuple[Fraction, Fraction], q: tuple[Fraction, Fraction]) -> Fraction:
-    """Arc between two non-crossing chords: sum of the lengths of the arcs
-    of the region between them (brute arc-sum formulation)."""
+    """Arc between two non-crossing chords, as one minus two gaps: each
+    chord's side arc that faces away from the other chord.  A point against
+    a chord gets the chord's side arc that holds it; equal chords get 0 and
+    two distinct points 1.  This is not the library's sum over sorted
+    endpoints, so the two check each other."""
     a, b = sorted(x % 1 for x in p)
     c, e = sorted(x % 1 for x in q)
     if (a, b) == (c, e):

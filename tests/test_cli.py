@@ -376,6 +376,71 @@ def test_main_in_process_exit_codes():
     assert main(["analyze", "junk"]) == 2
 
 
+@contextlib.contextmanager
+def _no_digit_limit():
+    """Lift CPython's int<->str digit limit while the test reads long ints."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+# pairwise coprime 2,201-digit denominators (odd, and none divisible by 3),
+# so each hole size is reduced over a product of two, about 4,400 digits
+_BIG_DENS = [10**2200 + 1, 10**2200 + 3, 10**2200 + 7]
+_BIG_TRIANGLE = [Fraction(n * q // 5, q) for n, q in zip((1, 2, 4), _BIG_DENS)]
+needs_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int<->str digit limit"
+)
+
+
+def _literal(x: Fraction) -> str:
+    with _no_digit_limit():
+        return f"{x.numerator}/{x.denominator}"
+
+
+@needs_digit_limit
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze"], ["orbit", "--horizon", "2"], ["verify", "--horizon", "3"]],
+    ids=lambda argv: argv[0],
+)
+def test_report_of_integers_over_the_digit_limit_exits_0(argv, capsys):
+    """A valid input whose report prints integers longer than CPython's
+    default 4,300-digit limit exits 0; analyze's hole sizes are the exact
+    differences, and the limit is back in place after the call."""
+    before = sys.get_int_max_str_digits()
+    literals = [_literal(x) for x in _BIG_TRIANGLE]
+    assert main([*argv, "-d", "3", *literals]) == 0
+    assert sys.get_int_max_str_digits() == before
+    if argv[0] != "analyze":
+        return
+    with _no_digit_limit():
+        rep = json.loads(capsys.readouterr().out)
+        sizes = [Fraction(h["size"]["fraction"]) for h in rep["payload"]["holes"]]
+    a, b, c = _BIG_TRIANGLE
+    assert sorted(sizes) == sorted([b - a, c - b, 1 + a - c])
+    assert max(x.denominator for x in sizes) > 10**4300
+
+
+@needs_digit_limit
+def test_literal_over_the_digit_limit_exits_0(capsys):
+    q = 10**4400 + 1
+    assert main(["analyze", "1/3", _literal(Fraction(q // 2, q))]) == 0
+
+
+@needs_digit_limit
+def test_digit_limit_restored_after_every_exit(capsys):
+    before = sys.get_int_max_str_digits()
+    assert main(["analyze", "junk"]) == 2
+    assert sys.get_int_max_str_digits() == before
+    with pytest.raises(SystemExit):
+        main(["no-such-command"])
+    assert sys.get_int_max_str_digits() == before
+
+
 def test_config_echo_verbatim():
     rep = run_json("analyze", "0/1", "1/7", "2/7", "--degree", "3",
                    "--seed", "42", "--epsilon", "1/128", "--budget", "512")

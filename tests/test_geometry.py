@@ -6,7 +6,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from polywander import (
@@ -764,3 +764,57 @@ def test_stream_step_matches_the_ladder_only_oracle(case):
                 (lo, hi), (lo1, hi1) = w.fn(k), w.fn(k + 1)
                 assert lo <= lo1 <= hi1 <= hi
         P, specs = nxt, want["images"]
+
+
+# ---------------------------------------------------------------------------
+# rho with stream endpoints against the oracle on truncations
+
+
+@st.composite
+def stream_chord_ends(draw):
+    """The four endpoints of two chords over one base in 2..5: a stream of
+    either generator with a shift and maybe an offset, then streams,
+    rationals and repeats of earlier endpoints (shared endpoints and
+    degenerate chords), in any order."""
+    base = draw(st.integers(2, 5))
+    ends: list = []
+    while len(ends) < 4:
+        kinds = ["stream", "rational", "repeat"] if ends else ["stream"]
+        kind = draw(st.sampled_from(kinds))
+        if kind == "stream":
+            name = draw(st.sampled_from(["thue_morse", "champernowne"]))
+            x = Stream(name, base, draw(st.integers(0, 40)), F(0))
+            if draw(st.booleans()):
+                q = draw(st.integers(2, 10**6))
+                x = x._replace(offset=F(draw(st.integers(0, q - 1)), q))
+            ends.append(x)
+        elif kind == "rational":
+            ends.append(draw(st.fractions(0, 1).filter(lambda f: f < 1)))
+        else:
+            ends.append(draw(st.sampled_from(ends)))
+    return draw(st.permutations(ends))
+
+
+TM2 = Stream("thue_morse", 2, 0, F(0))
+
+
+@given(stream_chord_ends())
+@example([TM2, F(3, 4), F(1, 4), F(1, 2)])  # 0.0110... lies in (1/4, 1/2): crossing
+@example([TM2, F(1, 2), TM2, F(3, 4)])  # a shared stream endpoint
+@example([TM2, TM2, F(1, 4), F(3, 4)])  # a stream point against a chord
+@settings(max_examples=200, deadline=None)
+def test_rho_of_stream_chords_encloses_the_oracle(ends):
+    """The 64-digit enclosure of rho on chords with a stream endpoint holds
+    ``oracle_rho`` of the endpoints' 300-digit truncations, and rho raises
+    ChordsCrossError exactly when those truncations cross."""
+    cuts = [point_enclosure(x, 300) for x in ends]
+    assume(all(hi - lo < 1 for lo, hi in cuts))  # no enclosure straddles the seam
+    a, b, c, e = (lo for lo, _ in cuts)
+    p, q = Chord(*map(_angle, ends[:2])), Chord(*map(_angle, ends[2:]))
+    a, b = sorted((a, b))
+    if len({a, b, c, e}) == 4 and (a < c < b) != (a < e < b):
+        with pytest.raises(ChordsCrossError):
+            rho(p, q)
+        return
+    lo, hi, den = angles.value_interval(rho(p, q), 64)
+    assert F(lo, den) <= oracle_rho((a, b), (c, e)) <= F(hi, den)

@@ -139,6 +139,10 @@ CASES = {
         0, ["analyze", "-d", "4", "gen:thue_morse?base=4&offset=1/5", "1/3", "2/3"]
     ),
     # a stream triangle that reverses orientation
+    # the enclosure branch of render's points
+    "stream-render": (
+        0, ["render", "-d", "4", "--horizon", "2", "gen:thue_morse?base=4", "1/3", "2/3"]
+    ),
     "stream-reversed-analyze": (
         0,
         ["analyze", "-d", "3", "gen:champernowne?base=3&shift=5", "1/4", "1/2", "7/8"],
@@ -150,6 +154,8 @@ CASES = {
     "w1-verify": (0, ["verify", "-d", "3", "--horizon", "10", "--no-kiwi-precheck", *_w1()]),
     "tri3-verify": (0, ["verify", *TRI3]),
     "tri3-collection": (0, ["collection", *TRI3]),
+    # one witnessed leaf: the disjoint-subset search and the omega component count
+    "tri3-collection-eps2": (0, ["collection", *TRI3, "--epsilon", "1/2"]),
     "tri3-jumps": (0, ["jumps", *TRI3]),
     "tri3-leaves": (0, ["leaves", *TRI3]),
     "tri3-render": (0, ["render", *TRI3]),

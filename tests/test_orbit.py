@@ -23,6 +23,7 @@ from polywander import (
     hole_profile,
     iterate_orbit,
     jump_gap_stats,
+    parse_angle,
     track_critical_value,
 )
 from polywander import angles, geometry, orbit, recurrence, render
@@ -36,6 +37,9 @@ from oracles import (
     oracle_landing,
     oracle_traces,
     oracle_unlinked,
+    point_enclosure,
+    stream_image,
+    Stream,
 )
 from test_golden import CASES, GOLDEN, _run, _w1
 
@@ -269,6 +273,44 @@ def test_burn_in_picks_suffix_start():
             find_burn_in(orbit, 2, 3)
     else:
         assert find_burn_in(orbit, 2, 3) == expect
+
+
+def _oracle_burn_in_failure(points, d: int, k: int = 64):
+    """The burn-in condition that the polygon on ``points`` (Streams and
+    Fractions) fails, or None, decided in Fractions from the points'
+    k-digit enclosures [lo, hi]: the images' cyclic order from the lows,
+    which the highs must give too, and s_{N-2} from bounds on each hole."""
+    N, bound = len(points), F(1, 3 * d * len(points))
+    ends = sorted(point_enclosure(x, k) for x in points)
+    if not oracle_cyclic_order([lo for lo, _ in ends], d):
+        assert not oracle_cyclic_order([hi for _, hi in ends], d)
+        return "does not preserve orientation"
+    assert oracle_cyclic_order([hi for _, hi in ends], d)
+    gaps = [(w[0] - u[1], w[1] - u[0]) for u, w in zip(ends, ends[1:] + ends[:1])]
+    gaps[-1] = (gaps[-1][0] + 1, gaps[-1][1] + 1)  # the last hole runs past 0
+    lo = sorted(g for g, _ in gaps)[N - 3]
+    hi = sorted(g for _, g in gaps)[N - 3]
+    assert hi < bound or lo >= bound, "64 digits do not decide s_{N-2}"
+    return None if hi < bound else f"has s_{N - 2} >= 1/{3 * d * N}"
+
+
+def test_burn_in_failure_on_stream_records_matches_the_enclosure_oracle():
+    """The enclosure branch of the burn-in test, on every record of the
+    ``stream-orbit`` golden input, names the condition that a Fraction
+    oracle on 64-digit vertex enclosures finds; both outcomes occur."""
+    _, argv = CASES["stream-orbit"]
+    assert argv[1:] == [
+        "gen:thue_morse?base=4", "1/3", "2/3", "-d", "4", "--horizon", "20"
+    ]
+    d, specs = 4, [Stream("thue_morse", 4, 0, F(0)), F(1, 3), F(2, 3)]
+    seen = set()
+    for rec in iterate_orbit(Polygon([parse_angle(x) for x in argv[1:4]]), d, 20):
+        assert rec.profile.den is None  # the enclosure branch
+        got = orbit._burn_in_failure(rec, d, 3, angles.DEFAULT_BUDGET)
+        assert got == _oracle_burn_in_failure(specs, d)
+        seen.add(got)
+        specs = [stream_image(x, d) for x in specs]
+    assert seen == {None, "has s_1 >= 1/36"}
 
 
 # ---------------------------------------------------------------------------

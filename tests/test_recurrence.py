@@ -253,6 +253,42 @@ def test_disjointness_disjoint_cycles():
     assert st.kind == "Disjoint"
 
 
+def _brute_pair_status(orb_a, orb_b):
+    """The status of two value orbits from every index pair: the first
+    collision of two equal exact points, else an overlap of two closed arcs
+    or a None entry, else disjoint."""
+    overlap = False
+    for i, A in enumerate(orb_a):
+        for j, B in enumerate(orb_b):
+            if A is None or B is None:
+                overlap = True
+            elif A[0] == A[1] and B[0] == B[1] and (A[0] - B[0]) % 1 == 0:
+                return ("CollisionAt", i, j)
+            elif (B[0] - A[0]) % 1 <= A[1] - A[0] or (A[0] - B[0]) % 1 <= B[1] - B[0]:
+                overlap = True
+    return ("Inconclusive" if overlap else "Disjoint", None, None)
+
+
+def test_pair_status_matches_the_brute_force_walk():
+    """The walk that stops at each orbit's first None gives the statuses of
+    the walk over all index pairs, on seeded exact and interval values."""
+    rng = random.Random(16)
+    kinds = Counter()
+    for _ in range(12):
+        d, horizon = rng.randint(2, 4), rng.randint(1, 200)
+        values = []
+        for _ in range(rng.randint(2, 3)):
+            lo = F(rng.randrange(60), 60)
+            width = rng.choice([0, 0, F(1, 10**rng.randint(1, 12))])
+            values.append((lo, lo + width))
+        orbits = [recurrence._value_orbit(v, d, horizon) for v in values]
+        for a, b in itertools.combinations(orbits, 2):
+            got = recurrence._pair_status(a, b)
+            assert (got.kind, got.i, got.j) == _brute_pair_status(a, b)
+            kinds[got.kind] += 1
+    assert set(kinds) == {"CollisionAt", "Inconclusive", "Disjoint"}
+
+
 # ---------------------------------------------------------------------------
 # omega approximation
 
