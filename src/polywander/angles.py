@@ -146,17 +146,18 @@ def _champernowne_factory(params):
     if base < 2:
         raise AngleSyntaxError("champernowne base must be >= 2")
 
+    block = (1, 0, 1)  # a numeral length, its block's first index, base**(length-1)
+
     def digit(i: int) -> int:
-        length = 1
-        while True:
-            block = (base - 1) * base ** (length - 1) * length
-            if i < block:
-                break
-            i -= block
-            length += 1
-        number = base ** (length - 1) + i // length
-        pos = i % length
-        return (number // base ** (length - 1 - pos)) % base
+        """Digit i, walking the blocks of numerals of one length on from the
+        last call's block (from the first when i lies before it)."""
+        nonlocal block
+        length, start, first = block if i >= block[1] else (1, 0, 1)
+        while i >= (end := start + (base - 1) * first * length):
+            length, start, first = length + 1, end, first * base
+        block = length, start, first
+        number, pos = divmod(i - start, length)
+        return (first + number) // base ** (length - 1 - pos) % base
 
     return base, digit
 
@@ -493,17 +494,17 @@ class Approx:
 
     ``refine_fn(k)`` returns the enclosure from k stream digits as ints
     ``(lo, hi, den)`` meaning [lo/den, hi/den].  Nothing is computed until
-    the first request; a request for more digits than before is intersected
-    with the kept enclosure, so enclosures nest.  ``bounds(k)`` is the kept
-    enclosure as a pair of ``Fraction``s.
+    the first request, unless ``kept`` = (k, (lo, hi, den)) seeds the
+    enclosure that ``refine_fn(k)`` would give; a request for more digits
+    than before is intersected with the kept enclosure, so enclosures nest.
+    ``bounds(k)`` is the kept enclosure as a pair of ``Fraction``s.
     """
 
     __slots__ = ("_refine", "_k", "_iv")
 
-    def __init__(self, refine_fn):
+    def __init__(self, refine_fn, kept=None):
         self._refine = refine_fn
-        self._k = 0
-        self._iv = None
+        self._k, self._iv = kept or (0, None)
 
     def interval(self, k: int) -> tuple[int, int, int]:
         if k > self._k:
@@ -643,9 +644,10 @@ def arc_length(u: Angle, w: Angle, budget: PrecisionBudget = DEFAULT_BUDGET) -> 
     return ZERO if c == EQ else arc_value(u, w, c == GT)
 
 
-def arc_value(u: Angle, w: Angle, wraps: bool) -> Value:
+def arc_value(u: Angle, w: Angle, wraps: bool, kept=None) -> Value:
     """The length of the ccw arc from u to a distinct w, which runs past 0
-    (``wraps``) iff u > w: exact between rationals, else an ``Approx``."""
+    (``wraps``) iff u > w: exact between rationals, else an ``Approx``
+    (seeded with ``kept``)."""
     if u.source is None and w.source is None:
         q = u.q * w.q
         return Fraction((w.n * u.q - u.n * w.q) % q, q)
@@ -656,7 +658,7 @@ def arc_value(u: Angle, w: Angle, wraps: bool) -> Value:
             ulo, uhi = ulo - den, uhi - den
         return max(0, wlo - uhi), min(den, whi - ulo), den
 
-    return Approx(refine_fn)
+    return Approx(refine_fn, kept)
 
 
 def ccw_order(angles, budget: PrecisionBudget = DEFAULT_BUDGET):

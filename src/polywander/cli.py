@@ -9,7 +9,9 @@ statuses), 2 = input error, 3 = precision exhausted, 4 = assertion breach
 (including two candidate critical holes tied on remainder).  Reports are
 JSON with sorted keys, written by ``_to_json`` byte for byte as
 ``json.dumps(sort_keys=True, indent=2)`` would; rationals are serialized
-as "p/q" strings plus a non-authoritative 12-place decimal.
+as "p/q" strings plus a non-authoritative 12-place decimal.  The objects of
+rationals, enclosures and angles are rendered to text once, as ``_Leaf``s,
+and the writer re-indents each where it sits.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from .errors import (
     TooFewJumps,
     UnresolvedComparison,
 )
-from .geometry import Polygon, _image_sort, _orientation, hole_profile
+from .geometry import HoleProfile, Polygon, _image_sort, _orientation, hole_profile
 from .orbit import critical_hole_index, iterate_orbit, jump_gap_stats
 from .recurrence import (
     JumpAnalysis,
@@ -61,35 +63,69 @@ __version__ = "0.1.0"
 # serialization
 
 
-def _ser_ratio(n: int, q: int) -> dict:
+class _Leaf(str):
+    """The JSON text of a report's leaf object as ``_write_json`` writes it
+    at indentation "\\n": members on lines of their own, two spaces deeper
+    per level, and no other newline.  The writer re-indents it in place."""
+
+    __slots__ = ()
+
+
+def _reduced(n: int, q: int) -> str:
+    """n/q (q > 0) as "p/q" in lowest terms."""
+    g = gcd(n, q)
+    return f"{n // g}/{q // g}"
+
+
+def _ser_ratio(n: int, q: int) -> _Leaf:
     """The rational n/q (q > 0) as "p/q" in lowest terms and its truncated
     12-place decimal, which the unreduced pair gives as well."""
-    g = gcd(n, q)
-    return {"fraction": f"{n // g}/{q // g}", "decimal_approx_12": _dec12(n, q)}
+    dec, frac = _dec12(n, q), _reduced(n, q)
+    return _Leaf(f'{{\n  "decimal_approx_12": "{dec}",\n  "fraction": "{frac}"\n}}')
 
 
-def _ser_fraction(fr: Fraction) -> dict:
+def _ser_fraction(fr: Fraction) -> _Leaf:
     return _ser_ratio(fr.numerator, fr.denominator)
 
 
-def _ser_bounds(lo: int, hi: int, den: int) -> dict:
-    """An int enclosure [lo/den, hi/den] and its midpoint."""
-    return {
-        "enclosure": {"lo": _ser_ratio(lo, den), "hi": _ser_ratio(hi, den)},
-        "decimal_approx_12": _dec12(lo + hi, 2 * den),
-    }
+def _ser_bounds(lo: int, hi: int, den: int) -> _Leaf:
+    """An int enclosure [lo/den, hi/den] and its midpoint.  Truncation is
+    monotone, so the midpoint's decimal is the ends' when theirs agree."""
+    dlo, dhi = _dec12(lo, den), _dec12(hi, den)
+    mid = dlo if dlo == dhi else _dec12(lo + hi, 2 * den)
+    flo, fhi, p = _reduced(lo, den), _reduced(hi, den), "\n      "
+    return _Leaf(
+        f'{{\n  "decimal_approx_12": "{mid}",\n  "enclosure": {{'
+        f'\n    "hi": {{{p}"decimal_approx_12": "{dhi}",{p}"fraction": "{fhi}"\n    }},'
+        f'\n    "lo": {{{p}"decimal_approx_12": "{dlo}",{p}"fraction": "{flo}"\n    }}'
+        "\n  }\n}"
+    )
 
 
-def _ser_angle(a: Angle, k: int = REPORT_DIGITS) -> dict:
+def _ser_angle(a: Angle, k: int = REPORT_DIGITS) -> _Leaf:
     out = _ser_ratio(a.n, a.q) if a.is_rational else _ser_bounds(*a.interval(k))
-    out["literal"] = format_angle(a)
-    return out
+    literal = encode_basestring_ascii(format_angle(a))
+    return _Leaf(out[:-2] + ',\n  "literal": ' + literal + "\n}")  # the last key
 
 
-def _ser_value(v: Value, k: int = REPORT_DIGITS) -> dict:
+def _ser_value(v: Value, k: int = REPORT_DIGITS) -> _Leaf:
     if isinstance(v, Approx):
         return _ser_bounds(*v.interval(k))
     return _ser_ratio(v.numerator, v.denominator)
+
+
+def _ser_size(p: HoleProfile, k: int) -> _Leaf:
+    """The profile's rank-k size: from its numerator on an exact profile;
+    from its k*-digit bounds while no value was built for it, when k* is
+    the report's digit count (so its value would print the same); else
+    from its value."""
+    if p.den is not None:
+        return _ser_ratio(p.size_num(k), p.den)
+    iv = p.size_bounds(k) if p.k == REPORT_DIGITS else None
+    if iv is None:
+        return _ser_value(p.size(k))
+    lo, hi, den = iv
+    return _ser_ratio(lo, den) if lo == hi else _ser_bounds(lo, hi, den)
 
 
 def _ser_arc(arc) -> dict:
@@ -107,8 +143,7 @@ def _ser_certificate(cert) -> dict:
         "step": cert.step,
         "pair": list(cert.pair) if cert.pair else None,
         "s_trajectory": [
-            _ser_value(p.size(k)) if p.den is None else _ser_ratio(p.size_num(k), p.den)
-            for p, k in ((r.profile, r.polygon.card - 2) for r in cert.records)
+            _ser_size(r.profile, r.polygon.card - 2) for r in cert.records
         ],
     }
 
@@ -178,10 +213,12 @@ def _to_json(x) -> str:
 
 def _write_json(x, pad: str, put) -> None:
     """Put the JSON text of ``x`` at indentation ``pad``.  Only the value
-    types a report holds are written: dicts with str keys, lists, str, int,
-    bool and None; anything else raises TypeError."""
+    types a report holds are written: dicts with str keys, lists, ``_Leaf``
+    texts, str, int, bool and None; anything else raises TypeError."""
     t = type(x)
-    if t is str:
+    if t is _Leaf:
+        put(x.replace("\n", pad))
+    elif t is str:
         put(encode_basestring_ascii(x))
     elif t is dict:
         if not x:
@@ -366,7 +403,9 @@ def _cmd_orbit(args, budget, eps):
             {
                 "index": rec.index,
                 "vertices": [_ser_angle(v) for v in rec.polygon.vertices],
-                "sizes_by_rank": [_ser_value(s) for s in rec.profile.sizes_by_rank()],
+                "sizes_by_rank": [
+                    _ser_size(rec.profile, k) for k in range(1, rec.polygon.card + 1)
+                ],
                 "orientation": rec.orientation.verdict,
             }
             for rec in orbit

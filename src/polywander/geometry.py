@@ -16,8 +16,13 @@ when read.
 
 A stream polygon's step is decided on ints too, from one enclosure per
 image and hole size at k* = min(REPORT_DIGITS, max_digits) digits over one
-denominator.  Enclosures nest, so only what k* leaves open (an overlap, a
-vertex widened at the 0/1 seam) takes the compare ladder's rungs above k*.
+denominator D.  The image sort computes the images' enclosures and hands
+them, in ccw order, to the next iterate, whose hole profile subtracts them
+to get each size's bounds over D.  A size's or remainder's ``Approx`` is
+built only when read, seeded with its k*-digit enclosure, so a later
+refinement nests as if it had been built at once.  Enclosures nest, so only
+what k* leaves open (an overlap, a vertex widened at the 0/1 seam) takes
+the compare ladder's rungs above k*.
 """
 
 from __future__ import annotations
@@ -49,7 +54,6 @@ from .angles import (
     rational_angle,
     shift_angle,
     sum_values,
-    value_interval,
 )
 from .errors import (
     AssertionBreach,
@@ -93,9 +97,11 @@ class Polygon:
     rotated so the vertex of minimal angle comes first.  When every vertex
     is rational, ``nums`` are their numerators over ``den``, the lcm of their
     denominators or, for an iterate, its orbit's (else both are None), and
-    ``vertices`` are built from them on first read."""
+    ``vertices`` are built from them on first read.  A stream iterate
+    carries ``enclosures`` (k, bounds, D): its vertices' k-digit enclosures
+    as int pairs (lo, hi) over one denominator D, in ccw order (else None)."""
 
-    __slots__ = ("_vertices", "nums", "den")
+    __slots__ = ("_vertices", "nums", "den", "enclosures")
 
     def __init__(self, vertices, budget: PrecisionBudget = DEFAULT_BUDGET):
         vs = list(vertices)
@@ -107,18 +113,27 @@ class Polygon:
         if tie:
             raise PreconditionError("polygon vertices must be pairwise distinct")
         self._vertices = vs = tuple(vs[i] for i in order)
-        self.nums = self.den = None
+        self.nums = self.den = self.enclosures = None
         if all(v.source is None for v in vs):
             self.den = L = lcm(*(v.q for v in vs))
             self.nums = tuple(v.n * (L // v.q) for v in vs)
 
     @classmethod
-    def _sorted(cls, vertices, nums=None, den=None) -> "Polygon":
+    def _sorted(cls, vertices, nums=None, den=None, enclosures=None) -> "Polygon":
         """The polygon on distinct points already in ccw order from 0: their
-        ``Angle``s, or None and their numerators over ``den``."""
+        ``Angle``s (and maybe their ``enclosures``), or None and their
+        numerators over ``den``."""
         P = object.__new__(cls)
-        P._vertices, P.nums, P.den = vertices, nums, den
+        P._vertices, P.nums, P.den, P.enclosures = vertices, nums, den, enclosures
         return P
+
+    def _bounds(self, k: int):
+        """The vertices' k-digit enclosures as int pairs over one denominator
+        D, and D: the carried ones when they are from k digits."""
+        e = self.enclosures
+        if e is not None and e[0] == k:
+            return e[1], e[2]
+        return _over_lcm([v.interval(k) for v in self.vertices])
 
     @property
     def vertices(self) -> tuple[Angle, ...]:
@@ -140,25 +155,30 @@ class Polygon:
         return f"Polygon({list(self.vertices)!r})"
 
 
-def _decided_order(ivs, ties: bool):
-    """Int enclosures (lo, hi, den) as (lo, hi) pairs over their lcm D, D,
-    and their indices in ascending order if each pair lies below the next
-    or, given ``ties``, is the same point (kept in index order), else None."""
+def _over_lcm(ivs):
+    """Int enclosures (lo, hi, den) as (lo, hi) pairs over their lcm D, and D."""
     D = lcm(*[q for _, _, q in ivs])
-    bounds = [(lo * (m := D // q), hi * m) for lo, hi, q in ivs]
-    order = sorted(range(len(ivs)), key=bounds.__getitem__)  # stable
+    return [(lo * (m := D // q), hi * m) for lo, hi, q in ivs], D
+
+
+def _decided_order(bounds, ties: bool):
+    """The indices of int pairs (lo, hi) over one denominator in ascending
+    order if each pair lies below the next or, given ``ties``, is the same
+    point (kept in index order), else None."""
+    order = sorted(range(len(bounds)), key=bounds.__getitem__)  # stable
     for (alo, ahi), (blo, bhi) in pairwise(map(bounds.__getitem__, order)):
         if not (ahi < blo or ties and alo == ahi == blo == bhi):
-            return bounds, D, None
-    return bounds, D, order
+            return None
+    return order
 
 
 def _image_sort(P: Polygon, d: int, budget: PrecisionBudget):
     """The next iterate, the polygon of P's vertex images, and ``landing``:
     for each vertex of P, the position of its image in it.  One sort: of
     the image numerators (d * n) % L over P's own denominator L when P is
-    rational, else of their k*-digit enclosures, then ``compare``.  Equal
-    images are a collision and raise NotInjectiveError."""
+    rational, else of their k*-digit enclosures, then ``compare``; a stream
+    iterate carries those enclosures.  Equal images are a collision and
+    raise NotInjectiveError."""
     L = P.den
     if L is not None:
         images = [d * n % L for n in P.nums]
@@ -169,7 +189,8 @@ def _image_sort(P: Polygon, d: int, budget: PrecisionBudget):
     else:
         images = [map_angle(v, d) for v in P.vertices]
         k = min(REPORT_DIGITS, budget.max_digits)
-        order = _decided_order([v.interval(k) for v in images], False)[2]
+        bounds, D = _over_lcm([v.interval(k) for v in images])
+        order = _decided_order(bounds, False)
         order, tie = (order, None) if order else ccw_order(images, budget)  # rungs > k*
     if tie:
         vs = P.vertices
@@ -178,7 +199,10 @@ def _image_sort(P: Polygon, d: int, budget: PrecisionBudget):
         )
     landing = tuple(sorted(range(len(order)), key=order.__getitem__))
     images = tuple(images[c] for c in order)
-    nxt = Polygon._sorted(images) if L is None else Polygon._sorted(None, images, L)
+    if L is None:
+        nxt = Polygon._sorted(images, enclosures=(k, [bounds[c] for c in order], D))
+    else:
+        nxt = Polygon._sorted(None, images, L)
     return nxt, landing
 
 
@@ -187,10 +211,15 @@ def _image_sort(P: Polygon, d: int, budget: PrecisionBudget):
 
 
 def remainder(
-    s: Value, d: int, budget: PrecisionBudget = DEFAULT_BUDGET, j: int | None = None
+    s: Value,
+    d: int,
+    budget: PrecisionBudget = DEFAULT_BUDGET,
+    j: int | None = None,
+    kept=None,
 ) -> Value:
     """s minus the largest multiple j/d not exceeding s (``j`` when given);
-    lies in [0, 1/d).  An enclosure's remainder is clamped to [0, 1]."""
+    lies in [0, 1/d).  An enclosure's remainder is clamped to [0, 1] (and
+    seeded with ``kept``)."""
     if j is None:
         j = floor_scaled(s, d, budget)
     if not isinstance(s, Approx):
@@ -200,7 +229,7 @@ def remainder(
         lo, hi, den = s.interval(k)
         return max(0, d * lo - j * den), min(d * den, d * hi - j * den), d * den
 
-    return Approx(refine_fn)
+    return Approx(refine_fn, kept)
 
 
 def image_hole(H: Arc, d: int, budget: PrecisionBudget = DEFAULT_BUDGET) -> Arc:
@@ -222,10 +251,18 @@ class HoleProfile:
     denominator its whole orbit lives over, and ``_sizes`` and ``_rems`` hold
     ints: the hole sizes over L and the remainders over d*L; ``size``,
     ``remainder`` and the properties build their ``Fraction``s on each read.
-    Otherwise ``den`` is None and ``_sizes`` and ``_rems`` hold the sizes and
-    remainders as values, each ``Approx`` refined to the k* digits that
-    decided the step, and ``bounds`` the sizes' bounds from them over one
-    denominator D, and D.  ``holes`` is built on first read and kept.
+
+    Otherwise ``den`` is None and ``bounds`` holds the sizes' enclosures from
+    ``k`` = k* digits, int pairs (lo, hi) over one denominator D, and D.
+    ``_sizes`` and ``_rems`` list the values built so far (None for the
+    rest).  Each is built on first read: the size of a hole between two
+    rational vertices, and its remainder, as exact ``Fraction``s; any other
+    size or remainder as an ``Approx`` seeded with its k*-digit enclosure (a
+    remainder's from its size's bounds and floor), so later refinements nest
+    as if it had been built at once.  A size that the profile had to refine above k* to
+    rank or floor it is built there, with its remainder.  ``size_bounds``
+    reads a size's bounds while no value was built for it.  ``holes`` is
+    built on first read and kept.
     """
 
     polygon: Polygon
@@ -233,9 +270,10 @@ class HoleProfile:
     order: tuple[int, ...]
     floors: tuple[int, ...]
     den: int | None
-    _sizes: tuple
-    _rems: tuple
+    _sizes: tuple | list
+    _rems: tuple | list
     bounds: tuple | None = None
+    k: int | None = None
 
     @cached_property
     def holes(self) -> tuple[Arc, ...]:
@@ -243,25 +281,39 @@ class HoleProfile:
         M = len(vs)
         return tuple(Arc(vs[i], vs[(i + 1) % M]) for i in range(M))
 
-    def _size_value(self, x) -> Value:
-        return x if self.den is None else Fraction(x, self.den)
+    def _size_value(self, i: int) -> Value:
+        if self.den is not None:
+            return Fraction(self._sizes[i], self.den)
+        s = self._sizes[i]
+        if s is None:
+            s = _seeded_size(self.polygon.vertices, i, self.bounds, self.k)
+            self._sizes[i] = s
+        return s
 
-    def _remainder_value(self, r) -> Value:
-        return r if self.den is None else Fraction(r, self.degree * self.den)
+    def _remainder_value(self, i: int) -> Value:
+        d = self.degree
+        if self.den is not None:
+            return Fraction(self._rems[i], d * self.den)
+        r = self._rems[i]
+        if r is None:
+            j, ((lo, hi), D) = self.floors[i], (self.bounds[0][i], self.bounds[1])
+            kept = self.k, (max(0, d * lo - j * D), min(d * D, d * hi - j * D), d * D)
+            self._rems[i] = r = remainder(self._size_value(i), d, j=j, kept=kept)
+        return r
 
     @property
     def sizes_cyclic(self) -> tuple[Value, ...]:
-        return tuple(map(self._size_value, self._sizes))
+        return tuple(map(self._size_value, range(self.card)))
 
     @property
     def remainders_cyclic(self) -> tuple[Value, ...]:
-        return tuple(map(self._remainder_value, self._rems))
+        return tuple(map(self._remainder_value, range(self.card)))
 
     @property
     def remainder_sum(self) -> Value:
         if self.den is None:
-            return sum_values(self._rems)
-        return self._remainder_value(sum(self._rems))
+            return sum_values(self.remainders_cyclic)
+        return Fraction(sum(self._rems), self.degree * self.den)
 
     @property
     def card(self) -> int:
@@ -271,20 +323,38 @@ class HoleProfile:
         return self.holes[self.order[k - 1]]
 
     def size(self, k: int) -> Value:
-        return self._size_value(self._sizes[self.order[k - 1]])
+        return self._size_value(self.order[k - 1])
 
     def size_num(self, k: int) -> int:
         """The numerator over ``den`` of the rank-k size (exact profiles)."""
         return self._sizes[self.order[k - 1]]
 
+    def size_bounds(self, k: int) -> tuple[int, int, int] | None:
+        """The rank-k size's k*-digit enclosure (lo, hi, D) of a stream
+        profile while no value was built for it, else None.  lo == hi iff
+        the size is exact: a stream end's enclosure has positive width, and
+        clamping cannot close it, since the size lies inside (0, 1)."""
+        c = self.order[k - 1]
+        if self.den is not None or self._sizes[c] is not None:
+            return None
+        return (*self.bounds[0][c], self.bounds[1])
+
     def remainder(self, k: int) -> Value:
-        return self._remainder_value(self._rems[self.order[k - 1]])
+        return self._remainder_value(self.order[k - 1])
 
     def rank_of_cyclic(self, i: int) -> int:
         return self.order.index(i) + 1
 
     def sizes_by_rank(self):
         return [self.size(k) for k in range(1, self.card + 1)]
+
+
+def _seeded_size(vs, i: int, bounds, k: int) -> Value:
+    """The size of hole i of the polygon on ``vs``: exact between rational
+    vertices, else an ``Approx`` seeded with its k-digit ``bounds``."""
+    (lo, hi), D = bounds[0][i], bounds[1]
+    M = len(vs)
+    return arc_value(vs[i], vs[(i + 1) % M], i == M - 1, (k, (lo, hi, D)))
 
 
 def hole_profile(
@@ -299,9 +369,10 @@ def hole_profile(
     numerators mod L, floor(d * size) and its remainder are ``divmod(d * x,
     L)``, and the sizes sum to 1 iff their numerators sum to L.
 
-    Otherwise each size (only the last hole runs past 0) takes its enclosure
-    from k* = min(REPORT_DIGITS, max_digits) digits; over one denominator,
-    these decide ranks and floors where they can, the compare ladder the rest."""
+    Otherwise each size's bounds over one denominator D are differences of
+    its ends' k*-digit bounds (carried by a stream iterate), D added past 0
+    and clamped to [0, D].  These decide ranks and floors where they can,
+    the compare ladder the rest; only the ladder builds size values here."""
     L = P.den
     if L is not None:
         xs = P.nums
@@ -316,19 +387,33 @@ def hole_profile(
     vs = P.vertices
     M = len(vs)
     k = min(REPORT_DIGITS, budget.max_digits)
-    sizes = tuple(arc_value(vs[i], vs[(i + 1) % M], i == M - 1) for i in range(M))
-    bounds, D, order = _decided_order([value_interval(s, k) for s in sizes], True)
+    ends, D = P._bounds(k)
+    ends = [*ends, (ends[0][0] + D, ends[0][1] + D)]  # the last hole runs past 0
+    bounds = [
+        (max(0, wlo - uhi), min(D, whi - ulo))
+        for (ulo, uhi), (wlo, whi) in pairwise(ends)
+    ]
+    sizes = [None] * M
+
+    def value(i):
+        if sizes[i] is None:
+            sizes[i] = _seeded_size(vs, i, (bounds, D), k)
+        return sizes[i]
+
+    order = _decided_order(bounds, True)
     if order is None:  # the ladder's rungs above k*; equal exact sizes in ccw order
         order = sorted(range(M), key=cmp_to_key(
-            lambda i, j: cmp_values(sizes[i], sizes[j], budget) or i - j))
+            lambda i, j: cmp_values(value(i), value(j), budget) or i - j))
     floors = tuple(
-        d * lo // D if d * lo // D == d * hi // D else floor_scaled(s, d, budget)
-        for (lo, hi), s in zip(bounds, sizes)
+        d * lo // D if d * lo // D == d * hi // D else floor_scaled(value(i), d, budget)
+        for i, (lo, hi) in enumerate(bounds)
     )
-    rems = tuple(remainder(s, d, budget, j) for s, j in zip(sizes, floors))
-    for r in rems:  # fix their k*-digit enclosures before a later stage refines s
-        value_interval(r, k)
-    return HoleProfile(P, d, tuple(order), floors, None, sizes, rems, (bounds, D))
+    rems = [None] * M
+    for i, s in enumerate(sizes):  # fix the k*-digit enclosures of the built
+        if isinstance(s, Approx):  # sizes' remainders before a later stage refines s
+            rems[i] = r = remainder(s, d, budget, floors[i])
+            r.interval(k)
+    return HoleProfile(P, d, tuple(order), floors, None, sizes, rems, (bounds, D), k)
 
 
 # ---------------------------------------------------------------------------

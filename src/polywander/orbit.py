@@ -302,6 +302,19 @@ def _check_consecutive(orbit: list[OrbitRecord]) -> None:
         raise PreconditionError("orbit records must have consecutive indices")
 
 
+def _jumped(
+    a: HoleProfile, b: HoleProfile, d: int, N: int, budget: PrecisionBudget
+) -> bool:
+    """d * s_{N-2} of ``a`` > s_{N-2} of ``b``: on the size numerators when
+    both are exact, compared directly over the one denominator of an
+    orbit's records and cross-multiplied otherwise; else by ``cmp_values``."""
+    if a.den is None or b.den is None:
+        s_now = scale_value(a.size(N - 2), d)
+        return cmp_values(s_now, b.size(N - 2), budget) == GT
+    x, y = d * a.size_num(N - 2), b.size_num(N - 2)
+    return x > y if a.den == b.den else x * b.den > y * a.den
+
+
 def detect_jumps(
     orbit: list[OrbitRecord],
     d: int,
@@ -333,12 +346,7 @@ def detect_jumps(
             return None if p is None else nxt.profile.rank_of_cyclic(p)
 
         a, b = rec.profile, nxt.profile
-        if a.den is not None and b.den is not None:  # on the size numerators
-            jumped = d * a.size_num(N - 2) * b.den > b.size_num(N - 2) * a.den
-        else:
-            s_now = scale_value(a.size(N - 2), d)
-            jumped = cmp_values(s_now, b.size(N - 2), budget) == GT
-        if not jumped:
+        if not _jumped(a, b, d, N, budget):
             for k in range(1, N - 1):
                 if image_rank(k) != k:
                     raise AssertionBreach(

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 from math import floor, gcd
 
@@ -26,6 +27,7 @@ from polywander import (
 from polywander.angles import (
     ONE,
     ZERO,
+    _champernowne_factory,
     _dec12,
     ccw_order,
     cmp_values,
@@ -199,6 +201,31 @@ def test_digit_generator_is_deterministic_and_validated():
     assert first == again
     # base-3 champernowne starts 1 2 10 11 12 20 ...
     assert first[:8] == [1, 2, 1, 0, 1, 1, 1, 2]
+
+
+@pytest.mark.parametrize("base", [2, 3, 4, 5])
+def test_champernowne_digits_match_the_concatenated_numerals(base):
+    """``gen:champernowne`` digits against the numerals 1, 2, 3, 10, ...
+    of the base written out and joined, over the first 5,000 indices: read
+    in order, backwards and in a seeded random order (the generator walks
+    on from the block of the index it read last)."""
+
+    def numeral(n):
+        text = ""
+        while n:
+            n, r = divmod(n, base)
+            text = "0123456789"[r] + text
+        return text
+
+    text, n = "", 1
+    while len(text) < 5000:
+        text, n = text + numeral(n), n + 1
+    want = [int(c) for c in text[:5000]]
+    indices = list(range(5000))
+    shuffled = random.Random(base).sample(indices, len(indices))
+    for order in (indices, indices[::-1], shuffled):
+        _, digit = _champernowne_factory({"base": str(base)})
+        assert [digit(i) for i in order] == [want[i] for i in order]
 
 
 # ---------------------------------------------------------------------------

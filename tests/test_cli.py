@@ -6,11 +6,18 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polywander import Angle, PreconditionError, render_svg
-from polywander.cli import _ser_fraction, _ser_ratio, _to_json, main
+from polywander import Angle, PreconditionError, format_angle, render_svg
+from polywander.cli import (
+    _ser_angle,
+    _ser_bounds,
+    _ser_fraction,
+    _ser_ratio,
+    _to_json,
+    main,
+)
 
 JUMP = ["19/100", "45/100", "96/100"]
 CLUSTER = ["30/100", "31/100", "32/100"]
@@ -277,16 +284,27 @@ def test_critical_hole_tie_exits_4(argv, capsys):
     assert err.count("\n") == 1
 
 
+def _decimal(x: Fraction) -> str:
+    """x truncated to 12 places, from Fraction arithmetic."""
+    whole = abs(x.numerator) // x.denominator
+    return f"{'-' if x < 0 else ''}{whole}.{int((abs(x) - whole) * 10**12):012d}"
+
+
+def _ratio_object(x: Fraction) -> dict:
+    return {
+        "fraction": f"{x.numerator}/{x.denominator}",
+        "decimal_approx_12": _decimal(x),
+    }
+
+
 @given(st.fractions(), st.integers(min_value=1, max_value=10**20))
 @settings(max_examples=200)
 def test_report_rational_from_an_unreduced_pair(x, k):
     """A rational written from ints over any common multiple reads as the
     Fraction itself does: "p/q" in lowest terms and the same decimal."""
     n, q = x.numerator, x.denominator
-    whole = abs(n) // q
-    decimal = f"{'-' if x < 0 else ''}{whole}.{int((abs(x) - whole) * 10**12):012d}"
-    want = {"fraction": f"{n}/{q}", "decimal_approx_12": decimal}
-    assert _ser_ratio(k * n, k * q) == _ser_fraction(x) == want
+    want = _ratio_object(x)
+    assert json.loads(_ser_ratio(k * n, k * q)) == json.loads(_ser_fraction(x)) == want
 
 
 LINKED_QUAD = ["gen:thue_morse?base=4&shift=39", "43/86", "128/130",
@@ -543,18 +561,84 @@ report_leaves = (
     | st.text()
     | st.text(alphabet=_TRICKY)
 )
-report_values = st.recursive(
-    report_leaves,
-    lambda inner: st.lists(inner, max_size=4)
-    | st.dictionaries(report_keys, inner, max_size=4),
+
+
+@st.composite
+def leaf_objects(draw):
+    """A pre-rendered ratio, bounds or angle leaf and the object it stands
+    for, built here from Fraction arithmetic; stream literals carry extra
+    generator params with quotes, backslashes and non-ASCII characters."""
+    kind = draw(st.sampled_from(["ratio", "bounds", "rational", "stream"]))
+    ints = st.integers(min_value=0, max_value=10**30)
+    if kind == "ratio":
+        n, q = draw(ints), draw(st.integers(min_value=1, max_value=10**30))
+        return _ser_ratio(n, q), _ratio_object(Fraction(n, q))
+    if kind == "bounds":
+        lo, hi = draw(ints), draw(ints)
+        q = draw(st.integers(min_value=1, max_value=10**30))
+        return _ser_bounds(lo, hi, q), _bounds_object(lo, hi, q)
+    if kind == "rational":
+        x = draw(st.fractions(min_value=0, max_value=1).filter(lambda f: f < 1))
+        a = Angle.from_fraction(x)
+        literal = f"{x.numerator}/{x.denominator}"
+        return _ser_angle(a), dict(_ratio_object(x), literal=literal)
+    params = {"base": str(draw(st.integers(2, 5)))}
+    params.update(draw(st.dictionaries(
+        st.text(alphabet=_TRICKY + "ab=&", min_size=1, max_size=4).map("p".__add__),
+        st.text(alphabet=_TRICKY + "ab=&", max_size=4),
+        max_size=2,
+    )))
+    params["shift"] = str(draw(st.integers(0, 50)))
+    name = draw(st.sampled_from(["thue_morse", "champernowne"]))
+    a = Angle.from_generator(name, params)
+    return _ser_angle(a), _stream_object(a)
+
+
+def _stream_object(a: Angle) -> dict:
+    return dict(_bounds_object(*a.interval(64)), literal=format_angle(a))
+
+
+def _bounds_object(lo: int, hi: int, q: int) -> dict:
+    return {
+        "enclosure": {
+            "lo": _ratio_object(Fraction(lo, q)),
+            "hi": _ratio_object(Fraction(hi, q)),
+        },
+        "decimal_approx_12": _decimal(Fraction(lo + hi, 2 * q)),
+    }
+
+
+def _pairs(values):
+    """Report values paired with themselves, as the same tree twice."""
+    return values.map(lambda v: (v, v))
+
+
+report_pairs = st.recursive(
+    _pairs(report_leaves) | leaf_objects(),
+    lambda inner: st.lists(inner, max_size=4).map(
+        lambda ps: ([x for x, _ in ps], [y for _, y in ps]))
+    | st.dictionaries(report_keys, inner, max_size=4).map(
+        lambda d: ({k: x for k, (x, _) in d.items()},
+                   {k: y for k, (_, y) in d.items()})),
     max_leaves=40,
 )
 
 
-@settings(max_examples=300, deadline=None)
-@given(report_values)
-def test_to_json_matches_json_dumps(x):
-    assert _to_json(x) == json.dumps(x, sort_keys=True, indent=2)
+_ODD = Angle.from_generator(
+    "champernowne", {"base": "3", "shift": "5", 'p"\\\u00e9': '\\"\U0001f600\n'}
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(report_pairs)
+@example(([{"a": [_ser_angle(_ODD)]}, _ser_angle(_ODD)],
+          [{"a": [_stream_object(_ODD)]}, _stream_object(_ODD)]))
+def test_to_json_matches_json_dumps(pair):
+    """A report, with pre-rendered ratio, bounds and angle leaves at any
+    depth among its plain values, is written as ``json.dumps`` writes it
+    with each leaf's object in its place."""
+    x, want = pair
+    assert _to_json(x) == json.dumps(want, sort_keys=True, indent=2)
 
 
 def test_to_json_empty_and_nested_containers():

@@ -766,6 +766,59 @@ def test_stream_step_matches_the_ladder_only_oracle(case):
         P, specs = nxt, want["images"]
 
 
+def _size_oracle(vs, i: int, k: int) -> tuple[F, F]:
+    """Bounds on hole i's size from k-digit ``point_enclosure``s of its
+    ends, one turn added past 0, clamped to [0, 1]."""
+    ends = vs[i], vs[(i + 1) % len(vs)]
+    (ulo, uhi), (wlo, whi) = (point_enclosure(_spec(v), k) for v in ends)
+    turn = 1 if i == len(vs) - 1 else 0
+    return max(F(0), wlo + turn - uhi), min(F(1), whi + turn - ulo)
+
+
+@given(stream_polygons(), st.sampled_from([8, 32, 64, 128]))
+@settings(max_examples=200, deadline=None)
+def test_carried_enclosures_give_the_fresh_profile(case, digits):
+    """Along four steps of a stream orbit, each iterate's profile, computed
+    from the k*-digit enclosures its step carried, has the order, floors
+    and size bounds (as rationals) of the profile of a fresh polygon on the
+    same vertices.  Sizes read afterwards, at k* and at the budget, enclose
+    the sizes' bounds from 300-digit ``point_enclosure``s.  ``size_bounds``
+    gives a size's bounds until its value is read, lo == hi exactly for
+    the sizes between two rational vertices."""
+    d, points = case
+    assume(len(set(points)) == len(points))
+    budget = PrecisionBudget(digits)
+    k = min(64, digits)
+    records = []
+    with contextlib.suppress(UnresolvedComparison, NotInjectiveError):
+        P = Polygon([_angle(x) for x in points], budget)
+        records.extend(orbit._records(P, d, 4, budget))
+    for rec in records:
+        got, vs = rec.profile, rec.polygon.vertices
+        assert (rec.polygon.enclosures is None) == (rec.index == 0)
+        want = hole_profile(Polygon(vs, budget), d, budget)
+        assert (got.order, got.floors, got.k) == (want.order, want.floors, k)
+        (gb, gD), (wb, wD) = got.bounds, want.bounds
+        assert [(F(lo, gD), F(hi, gD)) for lo, hi in gb] == [
+            (F(lo, wD), F(hi, wD)) for lo, hi in wb
+        ]
+        for rank in range(1, got.card + 1):
+            i = got.order[rank - 1]
+            exact = vs[i].source is None and vs[(i + 1) % len(vs)].source is None
+            iv = got.size_bounds(rank)
+            assert (iv is None) == (got._sizes[i] is not None)
+            assert iv is None or (iv[0] == iv[1]) == exact
+            s = got.size(rank)
+            assert got.size_bounds(rank) is None and isinstance(s, F) == exact
+            if iv is not None:  # built from its bounds
+                lo, hi = (s, s) if exact else _enclosure(s, k)
+                assert (lo, hi) == (F(iv[0], iv[2]), F(iv[1], iv[2]))
+            olo, ohi = _size_oracle(vs, i, 300)
+            for j in (k, digits):
+                lo, hi = (s, s) if exact else _enclosure(s, j)
+                assert lo <= olo <= ohi <= hi
+
+
 # ---------------------------------------------------------------------------
 # rho with stream endpoints against the oracle on truncations
 

@@ -465,6 +465,40 @@ def test_nonjump_label_persistence_against_oracle():
         cur = nxt
 
 
+def test_jump_test_on_numerators_matches_the_cross_multiplied_form():
+    """``orbit._jumped`` on exact profiles against the cross-multiplied
+    d * s_{N-2}(a) * den(b) > s_{N-2}(b) * den(a) and against Fractions:
+    consecutive records of seeded rational orbits (one denominator, which
+    the test compares directly) and pairs of unrelated polygons (two)."""
+    rng = random.Random(1717)
+    seen = set()
+    for n in range(300):
+        d, N = rng.randrange(2, 5), rng.randrange(3, 6)
+        polys = []
+        for _ in range(2):
+            if n % 2:  # thin: two close vertices, which jump
+                q = rng.randrange(10**4, 10**6)
+                b = F(rng.randrange(q), q)
+                vals = {b, (b + F(1, rng.randrange(2**6, 2**14))) % 1}
+            else:
+                q, vals = rng.randrange(N, 10**4), set()
+            while len(vals) < N:
+                vals.add(F(rng.randrange(q), q))
+            polys.append(poly(*vals))
+        try:
+            records = iterate_orbit(polys[0], d, 12)
+        except NonInjectiveAtStep as exc:
+            records = exc.records
+        profiles = [r.profile for r in records] + [hole_profile(polys[1], d)]
+        for a, b in zip(profiles, profiles[1:]):
+            x, y = a.size_num(N - 2), b.size_num(N - 2)
+            want = d * x * b.den > y * a.den
+            assert want == (d * F(x, a.den) > F(y, b.den))
+            assert orbit._jumped(a, b, d, N, angles.DEFAULT_BUDGET) == want
+            seen.add((a.den == b.den, want))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
 @pytest.mark.parametrize("name", [f"{f}-{c}" for f in ("thin", "tri3")
                                   for c in ("jumps", "leaves", "render")])
 def test_exact_jump_stages_never_measure_a_hole_again(monkeypatch, name):
