@@ -72,7 +72,8 @@ class DigitSource:
     """A deterministic, memoized base-d digit sequence.
 
     Digits are computed once, in index order, and cached; the cache only
-    grows, so a digit never changes once read.
+    grows, so a digit never changes once read.  ``query`` is the
+    parameters' "key=value" texts in key order, for literals and equality.
     """
 
     def __init__(self, base: int, fn: Callable[[int], int], name: str, params=None):
@@ -81,7 +82,7 @@ class DigitSource:
         self.base = base
         self.fn = fn
         self.name = name
-        self.params = dict(params or {})
+        self.query = tuple(f"{k}={v}" for k, v in sorted((params or {}).items()))
         self._cache: list[int] = []
         self._last = (-1, 0, 0)  # shift, k and numerator of the last prefix
 
@@ -296,14 +297,7 @@ class Angle:
         if self.source is None:
             return (self.n, self.q)
         src = self.source
-        return (
-            "gen",
-            src.name,
-            tuple(sorted(src.params.items())),
-            src.base,
-            self.shift,
-            self.offset,
-        )
+        return ("gen", src.name, src.query, src.base, self.shift, self.offset)
 
     def __eq__(self, other):
         return isinstance(other, Angle) and self._key() == other._key()
@@ -384,7 +378,7 @@ def format_angle(a: Angle) -> str:
     if a.is_rational:
         return f"{a.n}/{a.q}"
     src = a.source
-    parts = [f"{k}={v}" for k, v in sorted(src.params.items())]
+    parts = list(src.query)
     if a.shift:
         parts.append(f"shift={a.shift}")
     if a.offset:
@@ -593,6 +587,19 @@ def cmp_values(x: Value, y: Value, budget: PrecisionBudget = DEFAULT_BUDGET) -> 
         f"cannot order {_describe(x, budget.max_digits)} and "
         f"{_describe(y, budget.max_digits)} within {budget.max_digits} digits"
     )
+
+
+def cmp_bounds(x: tuple[int, int, int], y: tuple[int, int, int]) -> int | None:
+    """LT, GT or EQ of two reals from int enclosures (lo, hi, den) of each
+    when those decide, EQ only for two equal points; None when they overlap."""
+    (xlo, xhi, xd), (ylo, yhi, yd) = x, y
+    if xd != yd:
+        xlo, xhi, ylo, yhi = xlo * yd, xhi * yd, ylo * xd, yhi * xd
+    if xhi < ylo:
+        return LT
+    if yhi < xlo:
+        return GT
+    return EQ if xlo == xhi == ylo == yhi else None
 
 
 def scale_value(x: Value, n: int) -> Value:

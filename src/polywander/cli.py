@@ -115,17 +115,15 @@ def _ser_value(v: Value, k: int = REPORT_DIGITS) -> _Leaf:
 
 
 def _ser_size(p: HoleProfile, k: int) -> _Leaf:
-    """The profile's rank-k size: from its numerator on an exact profile;
-    from its k*-digit bounds while no value was built for it, when k* is
-    the report's digit count (so its value would print the same); else
-    from its value."""
-    if p.den is not None:
-        return _ser_ratio(p.size_num(k), p.den)
-    iv = p.size_bounds(k) if p.k == REPORT_DIGITS else None
-    if iv is None:
-        return _ser_value(p.size(k))
-    lo, hi, den = iv
-    return _ser_ratio(lo, den) if lo == hi else _ser_bounds(lo, hi, den)
+    """The profile's rank-k size from its int bounds when they are exact,
+    or from k* digits with k* the report's digit count (so its value would
+    print the same); else from its value."""
+    lo, hi, den = p.size_bounds(k)
+    if lo == hi:
+        return _ser_ratio(lo, den)
+    if p.k == REPORT_DIGITS:
+        return _ser_bounds(lo, hi, den)
+    return _ser_value(p.size(k))
 
 
 def _ser_arc(arc) -> dict:

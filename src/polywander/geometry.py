@@ -8,21 +8,20 @@ refinable enclosures otherwise.  One sort of a polygon's vertex images
 the next iterate and where each vertex's image lands in it.
 
 A rational polygon holds its vertex numerators over one denominator L.
-The image of n/L is (d*n mod L)/L, so its whole orbit lives over L and each
-step runs on ints: the image sort, the hole sizes, their ranks, floors and
-remainders, the remainder-sum test of orientation and the linkage family.
-Vertex ``Angle``s, and a ``HoleProfile``'s ``Fraction``s, are built only
-when read.
+The image of n/L is (d*n mod L)/L, so its whole orbit lives over L and its
+image sort and linkage family run on ints.  A stream polygon's image sort
+is decided on one enclosure per image at k* = min(REPORT_DIGITS,
+max_digits) digits over one denominator D, which the next iterate carries.
 
-A stream polygon's step is decided on ints too, from one enclosure per
-image and hole size at k* = min(REPORT_DIGITS, max_digits) digits over one
-denominator D.  The image sort computes the images' enclosures and hands
-them, in ccw order, to the next iterate, whose hole profile subtracts them
-to get each size's bounds over D.  A size's or remainder's ``Approx`` is
-built only when read, seeded with its k*-digit enclosure, so a later
-refinement nests as if it had been built at once.  Enclosures nest, so only
-what k* leaves open (an overlap, a vertex widened at the 0/1 seam) takes
-the compare ladder's rungs above k*.
+Either way a ``HoleProfile`` holds one int pair (lo, hi) per hole size over
+one denominator: the exact size (lo == hi) over L, as differences of
+numerators, or the difference of the ends' k*-digit enclosures over D.
+Ranks, floors, orientation's remainder sum and every later stage's test
+are decided on these ints; only what they leave open (an overlap, a vertex
+widened at the 0/1 seam) takes the compare ladder's rungs above k*.  A
+size's or remainder's value (a ``Fraction`` when exact, else an ``Approx``
+seeded with its k*-digit enclosure) is built only when read, and only this
+module reads the pairs or asks whether a profile is exact.
 """
 
 from __future__ import annotations
@@ -47,6 +46,7 @@ from .angles import (
     arc_length,
     arc_value,
     ccw_order,
+    cmp_bounds,
     cmp_values,
     compare,
     floor_scaled,
@@ -129,7 +129,10 @@ class Polygon:
 
     def _bounds(self, k: int):
         """The vertices' k-digit enclosures as int pairs over one denominator
-        D, and D: the carried ones when they are from k digits."""
+        D, and D: (n, n) over L for a rational polygon, the carried ones when
+        they are from k digits."""
+        if self.nums is not None:
+            return [(n, n) for n in self.nums], self.den
         e = self.enclosures
         if e is not None and e[0] == k:
             return e[1], e[2]
@@ -239,7 +242,7 @@ def image_hole(H: Arc, d: int, budget: PrecisionBudget = DEFAULT_BUDGET) -> Arc:
     return Arc(map_angle(H.start, d), map_angle(H.end, d))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class HoleProfile:
     """Per-polygon record of holes, sizes (ascending) and remainders.
 
@@ -247,33 +250,36 @@ class HoleProfile:
     smallest.  ``floors[i]`` is floor(d * size) of cyclic hole i.  Accessors
     take the 1-based size rank.
 
-    When every vertex is rational, ``den`` is the polygon's ``den`` L, the
-    denominator its whole orbit lives over, and ``_sizes`` and ``_rems`` hold
-    ints: the hole sizes over L and the remainders over d*L; ``size``,
-    ``remainder`` and the properties build their ``Fraction``s on each read.
-
-    Otherwise ``den`` is None and ``bounds`` holds the sizes' enclosures from
-    ``k`` = k* digits, int pairs (lo, hi) over one denominator D, and D.
-    ``_sizes`` and ``_rems`` list the values built so far (None for the
-    rest).  Each is built on first read: the size of a hole between two
-    rational vertices, and its remainder, as exact ``Fraction``s; any other
-    size or remainder as an ``Approx`` seeded with its k*-digit enclosure (a
-    remainder's from its size's bounds and floor), so later refinements nest
-    as if it had been built at once.  A size that the profile had to refine above k* to
-    rank or floor it is built there, with its remainder.  ``size_bounds``
-    reads a size's bounds while no value was built for it.  ``holes`` is
-    built on first read and kept.
+    ``bounds[i]`` is cyclic hole i's size as ints (lo, hi) over one
+    denominator ``D``: lo == hi for an exact size (each of a rational
+    polygon's, over its L), else its enclosure from ``k`` = k* digits;
+    ``total`` sums them.  A size or remainder is built on first read and
+    kept in ``_sizes`` or ``_rems``: a ``Fraction`` when exact, else an
+    ``Approx`` seeded with its k*-digit enclosure (a remainder's from its
+    size's bounds and floor), so later refinements nest as if it had been
+    built at once.  A size that the profile had to refine above k* to rank
+    or floor it is built there, with its remainder.  Built values and
+    ``holes`` take no part in equality or hashing.
     """
 
     polygon: Polygon
     degree: int
     order: tuple[int, ...]
     floors: tuple[int, ...]
-    den: int | None
-    _sizes: tuple | list
-    _rems: tuple | list
-    bounds: tuple | None = None
-    k: int | None = None
+    bounds: tuple[tuple[int, int], ...]
+    D: int
+    total: tuple[int, int]
+    k: int = field(compare=False)  # exact pairs are the same at any k
+    _sizes: list = field(compare=False, repr=False)
+    _rems: list = field(compare=False, repr=False)
+
+    def __init__(self, polygon, degree, order, floors, bounds, D, total, k, _sizes,
+                 _rems):
+        # one dict update: a frozen dataclass's generated __init__ sets each
+        # field through object.__setattr__, as slow as a rational profile's ints
+        vars(self).update(polygon=polygon, degree=degree, order=order, floors=floors,
+                          bounds=bounds, D=D, total=total, k=k, _sizes=_sizes,
+                          _rems=_rems)
 
     @cached_property
     def holes(self) -> tuple[Arc, ...]:
@@ -282,23 +288,19 @@ class HoleProfile:
         return tuple(Arc(vs[i], vs[(i + 1) % M]) for i in range(M))
 
     def _size_value(self, i: int) -> Value:
-        if self.den is not None:
-            return Fraction(self._sizes[i], self.den)
-        s = self._sizes[i]
-        if s is None:
-            s = _seeded_size(self.polygon.vertices, i, self.bounds, self.k)
-            self._sizes[i] = s
-        return s
+        return _size(self._sizes, self.polygon, i, self.bounds, self.D, self.k)
+
+    def _remainder_iv(self, i: int) -> tuple[int, int, int]:
+        """Hole i's remainder from its size's bounds and floor, clamped."""
+        (lo, hi), D, d, j = self.bounds[i], self.D, self.degree, self.floors[i]
+        return max(0, d * lo - j * D), min(d * D, d * hi - j * D), d * D
 
     def _remainder_value(self, i: int) -> Value:
-        d = self.degree
-        if self.den is not None:
-            return Fraction(self._rems[i], d * self.den)
         r = self._rems[i]
-        if r is None:
-            j, ((lo, hi), D) = self.floors[i], (self.bounds[0][i], self.bounds[1])
-            kept = self.k, (max(0, d * lo - j * D), min(d * D, d * hi - j * D), d * D)
-            self._rems[i] = r = remainder(self._size_value(i), d, j=j, kept=kept)
+        if r is None:  # exact for an exact size, else seeded
+            kept = self.k, self._remainder_iv(i)
+            r = remainder(self._size_value(i), self.degree, j=self.floors[i], kept=kept)
+            self._rems[i] = r
         return r
 
     @property
@@ -311,9 +313,7 @@ class HoleProfile:
 
     @property
     def remainder_sum(self) -> Value:
-        if self.den is None:
-            return sum_values(self.remainders_cyclic)
-        return Fraction(sum(self._rems), self.degree * self.den)
+        return sum_values(self.remainders_cyclic)
 
     @property
     def card(self) -> int:
@@ -325,36 +325,42 @@ class HoleProfile:
     def size(self, k: int) -> Value:
         return self._size_value(self.order[k - 1])
 
-    def size_num(self, k: int) -> int:
-        """The numerator over ``den`` of the rank-k size (exact profiles)."""
-        return self._sizes[self.order[k - 1]]
-
-    def size_bounds(self, k: int) -> tuple[int, int, int] | None:
-        """The rank-k size's k*-digit enclosure (lo, hi, D) of a stream
-        profile while no value was built for it, else None.  lo == hi iff
-        the size is exact: a stream end's enclosure has positive width, and
-        clamping cannot close it, since the size lies inside (0, 1)."""
+    def size_bounds(self, k: int) -> tuple[int, int, int]:
+        """The rank-k size's int enclosure (lo, hi, den): its ``Approx``'s at k
+        digits once built (tighter if refined), else its bounds over D."""
         c = self.order[k - 1]
-        if self.den is not None or self._sizes[c] is not None:
-            return None
-        return (*self.bounds[0][c], self.bounds[1])
+        lo, hi = self.bounds[c]
+        if lo < hi and isinstance(self._sizes[c], Approx):
+            return self._sizes[c].interval(self.k)
+        return lo, hi, self.D
 
     def remainder(self, k: int) -> Value:
         return self._remainder_value(self.order[k - 1])
 
+    def remainder_bounds(self, k: int) -> tuple[int, int, int]:
+        """The rank-k remainder's int enclosure, as ``size_bounds``."""
+        c = self.order[k - 1]
+        r = self._rems[c]
+        if isinstance(r, Approx):
+            return r.interval(self.k)
+        return self._remainder_iv(c)
+
     def rank_of_cyclic(self, i: int) -> int:
         return self.order.index(i) + 1
 
-    def sizes_by_rank(self):
-        return [self.size(k) for k in range(1, self.card + 1)]
 
-
-def _seeded_size(vs, i: int, bounds, k: int) -> Value:
-    """The size of hole i of the polygon on ``vs``: exact between rational
-    vertices, else an ``Approx`` seeded with its k-digit ``bounds``."""
-    (lo, hi), D = bounds[0][i], bounds[1]
-    M = len(vs)
-    return arc_value(vs[i], vs[(i + 1) % M], i == M - 1, (k, (lo, hi, D)))
+def _size(sizes: list, P: Polygon, i: int, bounds, D: int, k: int) -> Value:
+    """The size of P's hole i, built into ``sizes`` on first read from its
+    int ``bounds`` over D: a ``Fraction`` when they are one point, else an
+    ``Approx`` seeded with them as its k-digit enclosure."""
+    if sizes[i] is None:
+        lo, hi = bounds[i]
+        if lo == hi:
+            sizes[i] = Fraction(lo, D)
+        else:
+            vs, M = P.vertices, len(bounds)
+            sizes[i] = arc_value(vs[i], vs[(i + 1) % M], i == M - 1, (k, (lo, hi, D)))
+    return sizes[i]
 
 
 def hole_profile(
@@ -366,39 +372,34 @@ def hole_profile(
 
     When every vertex is rational, all of it is integer arithmetic over the
     polygon's denominator L (``P.den``): a size is a difference of
-    numerators mod L, floor(d * size) and its remainder are ``divmod(d * x,
-    L)``, and the sizes sum to 1 iff their numerators sum to L.
+    numerators mod L, its floor is d * x // L, and the sizes sum to 1 iff
+    their numerators sum to L.  Each size's bounds are (x, x) over L.
 
     Otherwise each size's bounds over one denominator D are differences of
     its ends' k*-digit bounds (carried by a stream iterate), D added past 0
     and clamped to [0, D].  These decide ranks and floors where they can,
     the compare ladder the rest; only the ladder builds size values here."""
-    L = P.den
-    if L is not None:
+    k, M = min(REPORT_DIGITS, budget.max_digits), P.card
+    sizes, rems = [None] * M, [None] * M
+    if (L := P.den) is not None:
         xs = P.nums
-        M = len(xs)
-        sizes = tuple((xs[(i + 1) % M] - xs[i]) % L for i in range(M))
-        if sum(sizes) != L:
+        xs = tuple((xs[(i + 1) % M] - xs[i]) % L for i in range(M))
+        if sum(xs) != L:
             raise AssertionBreach("hole sizes do not sum to 1")  # pragma: no cover
-        order = tuple(sorted(range(M), key=sizes.__getitem__))  # stable on ties
-        floors, rems = zip(*(divmod(d * x, L) for x in sizes))
-        return HoleProfile(P, d, order, floors, L, sizes, rems)
+        order = tuple(sorted(range(M), key=xs.__getitem__))  # stable on ties
+        floors = tuple(d * x // L for x in xs)
+        bounds = tuple(zip(xs, xs))
+        return HoleProfile(P, d, order, floors, bounds, L, (L, L), k, sizes, rems)
 
-    vs = P.vertices
-    M = len(vs)
-    k = min(REPORT_DIGITS, budget.max_digits)
     ends, D = P._bounds(k)
     ends = [*ends, (ends[0][0] + D, ends[0][1] + D)]  # the last hole runs past 0
-    bounds = [
+    bounds = tuple(
         (max(0, wlo - uhi), min(D, whi - ulo))
         for (ulo, uhi), (wlo, whi) in pairwise(ends)
-    ]
-    sizes = [None] * M
+    )
 
     def value(i):
-        if sizes[i] is None:
-            sizes[i] = _seeded_size(vs, i, (bounds, D), k)
-        return sizes[i]
+        return _size(sizes, P, i, bounds, D, k)
 
     order = _decided_order(bounds, True)
     if order is None:  # the ladder's rungs above k*; equal exact sizes in ccw order
@@ -408,12 +409,12 @@ def hole_profile(
         d * lo // D if d * lo // D == d * hi // D else floor_scaled(value(i), d, budget)
         for i, (lo, hi) in enumerate(bounds)
     )
-    rems = [None] * M
     for i, s in enumerate(sizes):  # fix the k*-digit enclosures of the built
         if isinstance(s, Approx):  # sizes' remainders before a later stage refines s
             rems[i] = r = remainder(s, d, budget, floors[i])
             r.interval(k)
-    return HoleProfile(P, d, tuple(order), floors, None, sizes, rems, (bounds, D), k)
+    total = tuple(map(sum, zip(*bounds)))
+    return HoleProfile(P, d, tuple(order), floors, bounds, D, total, k, sizes, rems)
 
 
 # ---------------------------------------------------------------------------
@@ -470,14 +471,14 @@ def _orientation(
     cyclic order iff they are a rotation of 0..N-1) and the hole profile."""
     N = len(landing)
     by_cyclic_order = all((landing[c] - landing[0]) % N == c for c in range(N))
-    by_disjoint_arcs = sum(profile.floors) == d - 1
+    F = sum(profile.floors)
+    by_disjoint_arcs = F == d - 1
 
-    if profile.den is not None:  # the remainders are ints over d * den
-        by_remainders = sum(profile._rems) == profile.den
-    else:  # enclosures cannot prove the sum is 1/d = D/(dD); they must not exclude it
-        bounds, D = profile.bounds
-        lo, hi = (d * sum(b) - sum(profile.floors) * D for b in zip(*bounds))
-        by_remainders = None if lo <= D <= hi else False
+    # the remainder sum's bounds over d * D, from the sizes' sum's; an
+    # enclosure cannot prove the sum is 1/d = D/(dD), but it must not exclude it
+    D, (slo, shi) = profile.D, profile.total
+    lo, hi = d * slo - F * D, d * shi - F * D
+    by_remainders = lo == D if lo == hi else (None if lo <= D <= hi else False)
 
     verdicts = {by_cyclic_order, by_disjoint_arcs}
     if by_remainders is not None:
@@ -639,23 +640,26 @@ def critical_strip(
 ) -> CriticalStrip:
     """The strip of the profile's rank-k hole, from its floor j and its
     remainder: j/d < len < (j+1)/d holds iff 1 <= j <= d-1 and the
-    remainder is positive.  On an exact profile the range of c is read off
-    the ints over d*L (u*d, u*d + remainder); nothing is measured again."""
+    remainder is positive, decided on its int bounds first.  On a rational
+    polygon the range of c is read off the ints over d*L (u*d, u*d +
+    remainder); nothing is measured again."""
     c, d = profile.order[k - 1], profile.degree
     j, H, rho = profile.floors[c], profile.holes[c], profile.remainder(k)
     if not 1 <= j <= d - 1:
         raise PreconditionError(f"j must be in 1..{d - 1}, got {j}")
-    if profile.den is not None:
-        den, lo, r = d * profile.den, d * profile.polygon.nums[c], profile._rems[c]
-        positive, hi = r > 0, lo + r
+    r = profile.remainder_bounds(k)
+    if (positive := cmp_bounds(r, (0, 0, 1))) is None:
+        positive = cmp_values(rho, ZERO, budget)
+    if positive != GT:
+        raise PreconditionError("hole length must satisfy j/d < len < (j+1)/d")
+    if (nums := profile.polygon.nums) is not None:  # r is exact, over d*L
+        den, lo = r[2], d * nums[c]
+        hi = lo + r[0]
     else:
-        positive = cmp_values(rho, ZERO, budget) == GT
         lo, _, p = H.start.interval(REPORT_DIGITS)
         _, hi, q = shift_angle(H.end, -Fraction(j, d)).interval(REPORT_DIGITS)
         den = lcm(p, q, d)
         lo, hi = lo * (den // p), hi * (den // q)
         hi += den if hi < lo else 0  # the range runs past 0
-    if not positive:
-        raise PreconditionError("hole length must satisfy j/d < len < (j+1)/d")
     off = j * den // d
     return CriticalStrip(H, d, j, rho, den, ((lo, hi), (lo + off, hi + off)))

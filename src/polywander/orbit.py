@@ -9,15 +9,15 @@ and between jumps hole labels persist.  Each step sorts the vertex images
 once; the sort is the next iterate and gives each record's ``landing``,
 from which every image-hole is read without comparing angles again.
 
-Every iterate of a rational T_0 lives over T_0's denominator L, so the
-stages' burn-in and jump tests, like each step, run on numerators over L.
+The stages decide their tests on the int bounds of each profile's sizes
+and remainders (``cmp_bounds``), and call ``cmp_values`` on the values only
+where the bounds overlap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 
 from .angles import (
     DEFAULT_BUDGET,
@@ -26,6 +26,7 @@ from .angles import (
     LT,
     PrecisionBudget,
     Value,
+    cmp_bounds,
     cmp_values,
     scale_value,
 )
@@ -186,16 +187,13 @@ def _burn_in_failure(
     rec: OrbitRecord, d: int, N: int, budget: PrecisionBudget
 ) -> str | None:
     """The burn-in condition that ``rec`` fails, or None: it must preserve
-    orientation and have s_{N-2} < 1/(3dN), tested as 3dN * size < den on
-    an exact profile."""
+    orientation and have s_{N-2} < 1/(3dN)."""
     if not rec.orientation.verdict:
         return "does not preserve orientation"
     p = rec.profile
-    if p.den is not None:
-        thin = 3 * d * N * p.size_num(N - 2) < p.den
-    else:
-        thin = cmp_values(p.size(N - 2), Fraction(1, 3 * d * N), budget) == LT
-    return None if thin else f"has s_{N - 2} >= 1/{3 * d * N}"
+    if (c := cmp_bounds(p.size_bounds(N - 2), (1, 1, 3 * d * N))) is None:
+        c = cmp_values(p.size(N - 2), Fraction(1, 3 * d * N), budget)
+    return None if c == LT else f"has s_{N - 2} >= 1/{3 * d * N}"
 
 
 def find_burn_in(
@@ -225,31 +223,23 @@ def find_burn_in(
 # critical hole
 
 
-def _ranked(profile: HoleProfile, d: int, budget: PrecisionBudget):
-    """The profile's sizes and remainders by rank (rank k at index k-1), 1/d,
-    and their comparison: ints over d*L (d * size, remainder, L) on an exact
-    profile, else values and ``cmp_values``."""
-    p = profile
-    if p.den is not None:
-        sizes = [d * p._sizes[c] for c in p.order]
-        rems = [p._rems[c] for c in p.order]
-        return sizes, rems, p.den, lambda x, y: (x > y) - (x < y)
-    rems = [p.remainder(k) for k in range(1, p.card + 1)]
-    return p.sizes_by_rank(), rems, Fraction(1, d), partial(cmp_values, budget=budget)
-
-
 def critical_hole_index(
     profile: HoleProfile, d: int, budget: PrecisionBudget = DEFAULT_BUDGET
 ) -> int:
     """Size rank (1-based) of the hole with minimal remainder among holes
     longer than 1/d."""
-    sizes, rems, target, cmp = _ranked(profile, d, budget)
-    candidates = [k for k, s in enumerate(sizes, 1) if cmp(s, target) == GT]
+    p, candidates = profile, []
+    for k in range(1, p.card + 1):
+        if (c := cmp_bounds(p.size_bounds(k), (1, 1, d))) is None:
+            c = cmp_values(p.size(k), Fraction(1, d), budget)
+        if c == GT:
+            candidates.append(k)
     if not candidates:
         raise NoHoleExceeds1OverD("no hole is longer than 1/" + str(d))
     best, tie = candidates[0], None
     for k in candidates[1:]:
-        c = cmp(rems[k - 1], rems[best - 1])
+        if (c := cmp_bounds(p.remainder_bounds(k), p.remainder_bounds(best))) is None:
+            c = cmp_values(p.remainder(k), p.remainder(best), budget)
         if c == LT:
             best, tie = k, None
         elif c == EQ and tie is None:
@@ -305,14 +295,12 @@ def _check_consecutive(orbit: list[OrbitRecord]) -> None:
 def _jumped(
     a: HoleProfile, b: HoleProfile, d: int, N: int, budget: PrecisionBudget
 ) -> bool:
-    """d * s_{N-2} of ``a`` > s_{N-2} of ``b``: on the size numerators when
-    both are exact, compared directly over the one denominator of an
-    orbit's records and cross-multiplied otherwise; else by ``cmp_values``."""
-    if a.den is None or b.den is None:
-        s_now = scale_value(a.size(N - 2), d)
-        return cmp_values(s_now, b.size(N - 2), budget) == GT
-    x, y = d * a.size_num(N - 2), b.size_num(N - 2)
-    return x > y if a.den == b.den else x * b.den > y * a.den
+    """d * s_{N-2} of ``a`` > s_{N-2} of ``b``: on the sizes' int bounds,
+    and by ``cmp_values`` where those overlap."""
+    lo, hi, D = a.size_bounds(N - 2)
+    if (c := cmp_bounds((d * lo, d * hi, D), b.size_bounds(N - 2))) is None:
+        c = cmp_values(scale_value(a.size(N - 2), d), b.size(N - 2), budget)
+    return c == GT
 
 
 def detect_jumps(
@@ -368,9 +356,10 @@ def detect_jumps(
                 f"image-hole of the critical hole at step {rec.index} is not "
                 f"one of the N-2 smallest holes of the next iterate (rank {rank})"
             )
-        sizes, rems, _, cmp = _ranked(a, d, budget)
+        rho = a.remainder_bounds(cr)
         for k in range(1, N - 1):
-            c = cmp(sizes[k - 1], rems[cr - 1])
+            if (c := cmp_bounds(a.size_bounds(k), rho)) is None:
+                c = cmp_values(a.size(k), a.remainder(cr), budget)
             if c == EQ:
                 raise AssertionBreach(
                     f"s_{k} equals the critical remainder at jump {rec.index}"

@@ -53,11 +53,10 @@ def _strip_path(strip) -> str:
 
 
 def _points(P: Polygon) -> list[tuple[int, int]]:
-    """Each vertex of P as ints (n, q): exact for a rational polygon, else
-    the midpoint of its 32-digit enclosure."""
-    if P.den is not None:
-        return [(n, P.den) for n in P.nums]
-    return [(lo + hi, 2 * den) for lo, hi, den in (v.interval(32) for v in P.vertices)]
+    """Each vertex of P as ints (n, q): the midpoint of its 32-digit
+    enclosure, which is the vertex itself when it is rational."""
+    bounds, D = P._bounds(32)
+    return [(lo + hi, 2 * D) for lo, hi in bounds]
 
 
 def render_svg(

@@ -90,6 +90,16 @@ def test_generator_literal_roundtrip():
     assert compare(parse_angle(format_angle(a)), a) == EQ
 
 
+def test_generator_literal_sorts_its_parameters():
+    """A stream literal's parameters print in key order whatever order they
+    were written in, and the angles they give are equal, with one hash."""
+    a = parse_angle("gen:thue_morse?z=1&base=4&a=x&shift=2")
+    b = parse_angle("gen:thue_morse?shift=2&a=x&base=4&z=1")
+    assert format_angle(a) == format_angle(b) == "gen:thue_morse?a=x&base=4&z=1&shift=2"
+    assert a == b and hash(a) == hash(b)
+    assert a != parse_angle("gen:thue_morse?z=2&base=4&a=x&shift=2")
+
+
 @given(fractions_01)
 def test_rational_print_parse_roundtrip(v):
     a = Angle.from_fraction(v)

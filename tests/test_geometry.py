@@ -87,21 +87,22 @@ def vertex_values(P: Polygon) -> list:
 
 def test_hole_profile_sevenths():
     prof = hole_profile(poly(0, F(1, 7), F(2, 7)), 2)
-    assert prof.sizes_by_rank() == [F(1, 7), F(1, 7), F(5, 7)]
+    assert [prof.size(k) for k in (1, 2, 3)] == [F(1, 7), F(1, 7), F(5, 7)]
     assert sorted(prof.remainders_cyclic) == [F(1, 7), F(1, 7), F(3, 14)]
     assert prof.remainder_sum == F(1, 2)
 
 
 def test_hole_profile_halves():
     prof = hole_profile(poly(0, F(1, 2)), 2)
-    assert prof.sizes_by_rank() == [F(1, 2), F(1, 2)]
+    assert [prof.size(k) for k in (1, 2)] == [F(1, 2), F(1, 2)]
     assert list(prof.remainders_cyclic) == [0, 0]
 
 
 def test_hole_profile_decimals():
     prof = hole_profile(poly("0.05", "0.3", "0.6"), 2)
-    assert prof.sizes_by_rank() == [F(1, 4), F(3, 10), F(9, 20)]
-    assert prof.sizes_by_rank() == [prof.remainder(k) for k in (1, 2, 3)]
+    sizes = [prof.size(k) for k in (1, 2, 3)]
+    assert sizes == [F(1, 4), F(3, 10), F(9, 20)]
+    assert sizes == [prof.remainder(k) for k in (1, 2, 3)]
     assert prof.remainder_sum == 1
 
 
@@ -327,6 +328,26 @@ def test_critical_strip_precondition():
         strip_of("0.1", "0.6", 2)  # exactly 1/2, so the remainder is 0
 
 
+def test_critical_strip_decides_a_remainder_its_bounds_leave_open():
+    """A stream hole of size 1/3 + 3^-64 has floor 1 from its 64-digit
+    bounds, whose low end is 1/3 exactly, so its remainder's bounds start at
+    0: within 64 digits the strip cannot prove the remainder positive, and
+    with 128 it can."""
+    eps = F(1, 3**64)
+    offsets = [F(1, 20), F(1, 20) + F(1, 3) + eps, F(1, 20) + F(5, 6) + eps]
+    literals = [f"gen:thue_morse?base=3&offset={o}" for o in offsets]
+    for digits in (64, 128):
+        budget = PrecisionBudget(digits)
+        prof = hole_profile(Polygon([parse_angle(x) for x in literals], budget), 3, budget)
+        assert prof.floors[prof.order[1]] == 1 and prof.remainder_bounds(2)[0] == 0
+        if digits == 64:
+            with pytest.raises(UnresolvedComparison, match="within 64 digits"):
+                critical_strip(prof, 2, budget)
+        else:
+            s = critical_strip(prof, 2, budget)
+            assert s.j == 1 and s.rho_value.bounds(digits)[0] > 0
+
+
 def test_polygon_rejects_repeats_and_too_few_before_sorting(monkeypatch):
     """Equal angles and inputs of fewer than 2 vertices are refused before
     the sort compares anything, so a pair the budget cannot separate does
@@ -416,7 +437,7 @@ def test_mixed_polygon_keeps_the_enclosure_path():
     s = parse_angle("gen:thue_morse?base=4")
     P = Polygon([s, ang(F(1, 3)), ang(F(2, 3))])
     prof = hole_profile(P, 4)
-    assert prof.den is None
+    assert [lo < hi for lo, hi in prof.bounds] == [True, False, True]  # enclosures
     lo, _ = s.enclosure_bounds(64)
     want = oracle_profile([lo, F(1, 3), F(2, 3)], 4)
     assert list(prof.floors) == want["floors"] and list(prof.order) == want["order"]
@@ -782,9 +803,11 @@ def test_carried_enclosures_give_the_fresh_profile(case, digits):
     from the k*-digit enclosures its step carried, has the order, floors
     and size bounds (as rationals) of the profile of a fresh polygon on the
     same vertices.  Sizes read afterwards, at k* and at the budget, enclose
-    the sizes' bounds from 300-digit ``point_enclosure``s.  ``size_bounds``
-    gives a size's bounds until its value is read, lo == hi exactly for
-    the sizes between two rational vertices."""
+    the sizes' bounds from 300-digit ``point_enclosure``s.  A size's bounds
+    are one point exactly for the sizes between two rational vertices.
+    ``size_bounds`` gives them while no value was built, and the built
+    value's k*-digit enclosure afterwards, nested in them and tightened by
+    a later refinement."""
     d, points = case
     assume(len(set(points)) == len(points))
     budget = PrecisionBudget(digits)
@@ -798,25 +821,28 @@ def test_carried_enclosures_give_the_fresh_profile(case, digits):
         assert (rec.polygon.enclosures is None) == (rec.index == 0)
         want = hole_profile(Polygon(vs, budget), d, budget)
         assert (got.order, got.floors, got.k) == (want.order, want.floors, k)
-        (gb, gD), (wb, wD) = got.bounds, want.bounds
-        assert [(F(lo, gD), F(hi, gD)) for lo, hi in gb] == [
-            (F(lo, wD), F(hi, wD)) for lo, hi in wb
+        assert [(F(lo, got.D), F(hi, got.D)) for lo, hi in got.bounds] == [
+            (F(lo, want.D), F(hi, want.D)) for lo, hi in want.bounds
         ]
         for rank in range(1, got.card + 1):
             i = got.order[rank - 1]
             exact = vs[i].source is None and vs[(i + 1) % len(vs)].source is None
-            iv = got.size_bounds(rank)
-            assert (iv is None) == (got._sizes[i] is not None)
-            assert iv is None or (iv[0] == iv[1]) == exact
+            blo, bhi = F(got.bounds[i][0], got.D), F(got.bounds[i][1], got.D)
+            assert (blo == bhi) == exact
+            built = got._sizes[i] is not None
+            if not built:
+                assert got.size_bounds(rank) == (*got.bounds[i], got.D)
             s = got.size(rank)
-            assert got.size_bounds(rank) is None and isinstance(s, F) == exact
-            if iv is not None:  # built from its bounds
-                lo, hi = (s, s) if exact else _enclosure(s, k)
-                assert (lo, hi) == (F(iv[0], iv[2]), F(iv[1], iv[2]))
+            assert isinstance(s, F) == exact
+            if not built:  # built from its bounds
+                assert ((s, s) if exact else _enclosure(s, k)) == (blo, bhi)
             olo, ohi = _size_oracle(vs, i, 300)
             for j in (k, digits):
                 lo, hi = (s, s) if exact else _enclosure(s, j)
                 assert lo <= olo <= ohi <= hi
+            lo, hi, den = got.size_bounds(rank)
+            assert (F(lo, den), F(hi, den)) == ((s, s) if exact else _enclosure(s, k))
+            assert blo <= F(lo, den) <= F(hi, den) <= bhi
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import contextlib
 import random
 import re
 from fractions import Fraction as F
@@ -13,9 +14,12 @@ from polywander import (
     NoHoleExceeds1OverD,
     NonInjectiveAtStep,
     Polygon,
+    PolywanderError,
+    PrecisionBudget,
     PreconditionError,
     TieUnresolvable,
     TooFewJumps,
+    UnresolvedComparison,
     certify_wandering,
     critical_hole_index,
     detect_jumps,
@@ -41,6 +45,7 @@ from oracles import (
     stream_image,
     Stream,
 )
+from test_geometry import _angle
 from test_golden import CASES, GOLDEN, _run, _w1
 
 
@@ -305,7 +310,7 @@ def test_burn_in_failure_on_stream_records_matches_the_enclosure_oracle():
     d, specs = 4, [Stream("thue_morse", 4, 0, F(0)), F(1, 3), F(2, 3)]
     seen = set()
     for rec in iterate_orbit(Polygon([parse_angle(x) for x in argv[1:4]]), d, 20):
-        assert rec.profile.den is None  # the enclosure branch
+        assert any(lo < hi for lo, hi in rec.profile.bounds)  # enclosures
         got = orbit._burn_in_failure(rec, d, 3, angles.DEFAULT_BUDGET)
         assert got == _oracle_burn_in_failure(specs, d)
         seen.add(got)
@@ -326,12 +331,26 @@ def test_critical_hole_sevenths():
 
 
 def test_hole_profile_is_hashable_and_unchanged_by_critical_hole_index():
+    """A rational and a stream profile, and the stream orbit's records,
+    hash; the values a profile builds on reading change neither its hash
+    nor its equality with a fresh profile."""
     P = poly(0, F(1, 7), F(2, 7))
     prof = hole_profile(P, 2)
     h = hash(prof)
     critical_hole_index(prof, 2)
     assert prof == hole_profile(P, 2) and hash(prof) == h
     assert {prof, hole_profile(P, 2)} == {prof}
+
+    S = Polygon([parse_angle(x) for x in ["gen:thue_morse?base=4", "1/3", "2/3"]])
+    prof = hole_profile(S, 4)
+    h = hash(prof)
+    prof.sizes_cyclic, prof.remainders_cyclic, prof.remainder_sum
+    critical_hole_index(prof, 4)
+    assert prof == hole_profile(S, 4) and hash(prof) == h
+    assert {prof, hole_profile(S, 4)} == {prof}
+    records = iterate_orbit(S, 4, 3)
+    assert len({hash(r) for r in records}) == len(records)
+    assert set(records) == set(iterate_orbit(S, 4, 3))
 
 
 def test_critical_hole_min_remainder():
@@ -467,9 +486,10 @@ def test_nonjump_label_persistence_against_oracle():
 
 def test_jump_test_on_numerators_matches_the_cross_multiplied_form():
     """``orbit._jumped`` on exact profiles against the cross-multiplied
-    d * s_{N-2}(a) * den(b) > s_{N-2}(b) * den(a) and against Fractions:
-    consecutive records of seeded rational orbits (one denominator, which
-    the test compares directly) and pairs of unrelated polygons (two)."""
+    d * s_{N-2}(a) * D(b) > s_{N-2}(b) * D(a) on the numerators of
+    ``size_bounds`` (lo == hi) and against Fractions: consecutive records of
+    seeded rational orbits (one denominator) and pairs of unrelated
+    polygons (two)."""
     rng = random.Random(1717)
     seen = set()
     for n in range(300):
@@ -491,12 +511,180 @@ def test_jump_test_on_numerators_matches_the_cross_multiplied_form():
             records = exc.records
         profiles = [r.profile for r in records] + [hole_profile(polys[1], d)]
         for a, b in zip(profiles, profiles[1:]):
-            x, y = a.size_num(N - 2), b.size_num(N - 2)
-            want = d * x * b.den > y * a.den
-            assert want == (d * F(x, a.den) > F(y, b.den))
+            (x, x1, Da), (y, y1, Db) = a.size_bounds(N - 2), b.size_bounds(N - 2)
+            assert (x, y, Da, Db) == (x1, y1, a.D, b.D)
+            want = d * x * Db > y * Da
+            assert want == (d * F(x, Da) > F(y, Db))
             assert orbit._jumped(a, b, d, N, angles.DEFAULT_BUDGET) == want
-            seen.add((a.den == b.den, want))
+            seen.add((Da == Db, want))
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def _mixed_points(rng: random.Random, d: int) -> list:
+    """3..5 points for degree d: rationals only (random, or two close ones
+    that jump); a stream of either generator with maybe its twin base^-m
+    past it (m around 64), filled up with rationals (random, or a simple
+    fraction such as 1/3); or a stream and two twins that put a size within
+    base^-m of 1/(9d), the burn-in bound (or on it), or two remainders
+    within base^-m of each other (d = 4: sizes 3/10 and 11/20)."""
+    N = rng.randrange(3, 6)
+    name = rng.choice(["thue_morse", "champernowne"])
+    x = Stream(name, d, rng.randrange(0, 30), F(rng.randrange(0, 60), 60))
+    eps = rng.choice([1, -1]) * F(1, d ** rng.randrange(56, 76))
+    if rng.random() < 0.25:  # the threshold exactly, now and then
+        a, b = (F(3, 10), F(17, 20) + eps) if d == 4 else (F(1, 9 * d) + eps, F(1, 2))
+        a -= eps if d != 4 and rng.random() < 0.2 else 0
+        return [x] + [x._replace(offset=(x.offset + t) % 1) for t in (a, b)]
+    if rng.random() < 0.3:
+        q = rng.randrange(10**3, 10**6)
+        b = F(rng.randrange(q), q)
+        points = {b, (b + F(1, rng.randrange(2**4, 2**30))) % 1}
+        while len(points) < N:
+            points.add(F(rng.randrange(q), q))
+        return list(points)
+    points = [x]
+    if rng.random() < 0.6:
+        points.append(x._replace(offset=(x.offset + abs(eps)) % 1))
+    while len(points) < N:
+        q = rng.choice([3, 4, 5, 7, rng.randrange(8, 10**6)])
+        points.append(F(rng.randrange(q), q))
+    return points
+
+
+class _ApproxBuilt(Exception):
+    pass
+
+
+def _raise_approx_built(*_):
+    raise _ApproxBuilt
+
+
+def _outcome(fn):
+    """What ``fn()`` returns, or the type and message of what it raises."""
+    try:
+        return fn()
+    except (UnresolvedComparison, PolywanderError, _ApproxBuilt) as exc:
+        return type(exc), str(exc)
+
+
+def _critical_by_cmp_values(p, d: int, budget):
+    """``critical_hole_index`` with every comparison made by ``cmp_values``
+    on the profile's values, built up front."""
+    sizes = [p.size(k) for k in range(1, p.card + 1)]
+    rems = [p.remainder(k) for k in range(1, p.card + 1)]
+    cands = [
+        k for k, s in enumerate(sizes, 1)
+        if angles.cmp_values(s, F(1, d), budget) == angles.GT
+    ]
+    if not cands:
+        raise NoHoleExceeds1OverD("no hole is longer than 1/" + str(d))
+    best, tie = cands[0], None
+    for k in cands[1:]:
+        c = angles.cmp_values(rems[k - 1], rems[best - 1], budget)
+        if c == angles.LT:
+            best, tie = k, None
+        elif c == angles.EQ and tie is None:
+            tie = k
+    if tie is not None:
+        raise TieUnresolvable(
+            f"holes of ranks {best} and {tie} share the minimal remainder"
+        )
+    return best
+
+
+def test_int_bound_decisions_match_cmp_values(monkeypatch):
+    """On seeded orbits, rational and with stream vertices, at budgets 8 to
+    128 (so k* = min(64, budget) and some sizes ranked or floored only by
+    the ladder's rungs above k*), the burn-in thinness test, ``_jumped``,
+    ``critical_hole_index`` (or what it raises) and the orientation verdict
+    each give what their ``cmp_values`` form gives on the built values.
+    Where the profiles' k*-digit bounds decide the burn-in and jump tests,
+    those build no ``Approx``."""
+    rng = random.Random(1818)
+    seen, calls = set(), []
+    cmp_values = orbit.cmp_values
+    monkeypatch.setattr(orbit, "cmp_values", lambda *a: calls.append(1) or cmp_values(*a))
+
+    def fell_back(fn):
+        """``fn()``'s outcome, and whether it called ``cmp_values``."""
+        before = len(calls)
+        return _outcome(fn), len(calls) > before
+
+    for n in range(240):
+        d, budget = rng.randrange(2, 5), PrecisionBudget([8, 32, 63, 64, 65, 128][n % 6])
+        points = _mixed_points(rng, d)
+        records = []
+        with contextlib.suppress(PolywanderError, UnresolvedComparison):
+            P = Polygon([_angle(x) for x in points], budget)
+            records.extend(orbit._records(P, d, 6, budget))
+        if not records:
+            continue
+        N, k = records[0].polygon.card, records[0].profile.k
+        for rec, nxt in zip(records, records[1:] + [None]):
+            p = rec.profile
+            stream = any(lo < hi for lo, hi in p.bounds)
+            seen.add("stream" if stream else "rational")
+            if any(isinstance(s, angles.Approx) and s._k > k for s in p._sizes):
+                seen.add("refined above k*")
+            # with every Approx creation raising: decided on the bounds or not
+            (lo, hi), t = p.bounds[p.order[N - 3]], F(1, 3 * d * N)
+            thin_decided = F(hi, p.D) < t or F(lo, p.D) > t
+            with monkeypatch.context() as m:
+                m.setattr(angles.Approx, "__init__", _raise_approx_built)
+                got = _outcome(lambda: orbit._burn_in_failure(rec, d, N, budget))
+            if thin_decided:
+                assert not isinstance(got, tuple)
+                seen.add(("burn-in decided", stream))
+            # the burn-in test against cmp_values on the built size
+            want = _outcome(lambda: angles.cmp_values(p.size(N - 2), t, budget))
+            got, fallback = fell_back(lambda: orbit._burn_in_failure(rec, d, N, budget))
+            seen.add(("burn-in fallback", fallback))
+            if rec.orientation.verdict:
+                if isinstance(want, tuple):
+                    assert got == want
+                    seen.add("burn-in unresolved")
+                else:
+                    assert got == (None if want == angles.LT else
+                                   f"has s_{N - 2} >= 1/{3 * d * N}")
+            if nxt is not None:
+                q = nxt.profile
+                (alo, ahi), (blo, bhi) = p.bounds[p.order[N - 3]], q.bounds[q.order[N - 3]]
+                jump_decided = F(d * ahi, p.D) < F(blo, q.D) or F(d * alo, p.D) > F(bhi, q.D)
+                with monkeypatch.context() as m:
+                    m.setattr(angles.Approx, "__init__", _raise_approx_built)
+                    got = _outcome(lambda: orbit._jumped(p, q, d, N, budget))
+                if jump_decided:
+                    assert not isinstance(got, tuple)
+                    seen.add(("jump decided", stream))
+                want = _outcome(lambda: angles.cmp_values(
+                    angles.scale_value(p.size(N - 2), d), q.size(N - 2), budget))
+                got, fallback = fell_back(lambda: orbit._jumped(p, q, d, N, budget))
+                seen.add(("jump fallback", fallback))
+                assert got == (want if isinstance(want, tuple) else want == angles.GT)
+                seen.add(("jump", got if isinstance(got, bool) else "unresolved"))
+            # the critical hole against the cmp_values form
+            want = _outcome(lambda: _critical_by_cmp_values(p, d, budget))
+            got, fallback = fell_back(lambda: critical_hole_index(p, d, budget))
+            seen.add(("critical fallback", fallback))
+            assert got == want
+            seen.add(("critical", want if isinstance(want, int) else want[0].__name__))
+            # the orientation verdict from the built values
+            floors = [angles.floor_scaled(s, d, budget) for s in p.sizes_cyclic]
+            assert list(p.floors) == floors
+            assert rec.orientation.verdict == (sum(floors) == d - 1)
+            total = p.remainder_sum
+            if not stream:
+                assert rec.orientation.verdict == (total == F(1, d))
+            elif rec.orientation.verdict:
+                tlo, thi, tden = angles.value_interval(total, k)
+                assert tlo * d <= tden <= thi * d
+    assert {"stream", "rational", "refined above k*", "burn-in unresolved",
+            ("burn-in decided", True), ("jump decided", True), ("jump", True),
+            ("jump", False), ("jump", "unresolved"), ("burn-in fallback", True),
+            ("jump fallback", True), ("critical fallback", True),
+            ("critical", "NoHoleExceeds1OverD"), ("critical", "UnresolvedComparison")
+            } <= seen
+    assert any(x[0] == "critical" and isinstance(x[1], int) for x in seen if isinstance(x, tuple))
 
 
 @pytest.mark.parametrize("name", [f"{f}-{c}" for f in ("thin", "tri3")

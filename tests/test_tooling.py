@@ -54,6 +54,31 @@ def test_imports_are_stdlib_or_package(path):
     assert outside == [], f"{path.name} imports {outside}"
 
 
+PROFILE_INTERNALS = {"_sizes", "_rems", "nums", "enclosures", "size_num"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_geometry_reads_the_int_representation(path):
+    """No module but ``geometry.py`` reads the int representation of a hole
+    profile or polygon (``_sizes``, ``_rems``, ``nums``, ``enclosures``,
+    ``size_num``) or tests a ``.den`` against None, so whether a profile is
+    exact is decided in one module."""
+    if path.name == "geometry.py":
+        return
+    hits = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute) and node.attr in PROFILE_INTERNALS:
+            hits.append((node.lineno, node.attr))
+        elif isinstance(node, ast.Compare) and any(
+            isinstance(x, ast.Attribute) and x.attr == "den"
+            for x in [node.left, *node.comparators]
+        ) and any(
+            isinstance(x, ast.Constant) and x.value is None for x in node.comparators
+        ):
+            hits.append((node.lineno, "den"))
+    assert hits == [], f"{path.name} reads {hits}"
+
+
 LAYERS_PY = SRC.parent.parent / "perfbench" / "layers.py"
 
 
