@@ -1,8 +1,8 @@
 """Command-line front end: parsing, orchestration, JSON reports, SVG.
 ``jumps`` and ``leaves`` read a ``JumpAnalysis`` from ``--burn-in`` (or 0);
 ``verify`` finds burn-in when the option is not given and checks a given one
-(exit 2 when a record from it on fails a burn-in condition), and the other
-commands refuse it.
+(exit 2 when a record from it on fails a burn-in condition).  A burn-in past
+``--horizon`` exits 2, and the other commands refuse the option.
 
 Exit codes: 0 = report produced (including inconclusive and not-certified
 statuses), 2 = input error, 3 = precision exhausted, 4 = assertion breach
@@ -558,6 +558,10 @@ def _run(argv) -> int:
                 raise PreconditionError(f"--burn-in is not used by {args.command}")
             if args.burn_in < 0:
                 raise PreconditionError("burn-in must be >= 0")
+            if args.burn_in > args.horizon:  # no record would be checked
+                raise PreconditionError(
+                    f"burn-in {args.burn_in} exceeds horizon {args.horizon}"
+                )
         budget = PrecisionBudget(max_digits=args.budget)
         if args.command == "render":
             svg = render_svg(

@@ -27,6 +27,7 @@ module reads the pairs or asks whether a profile is exact.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
@@ -186,8 +187,8 @@ def _image_sort(P: Polygon, d: int, budget: PrecisionBudget):
     if L is not None:
         images = [d * n % L for n in P.nums]
         order = sorted(range(len(images)), key=images.__getitem__)  # stable on ties
-        tie = next(
-            ((i, j) for i, j in zip(order, order[1:]) if images[i] == images[j]), None
+        tie = len(set(images)) < len(images) and next(
+            (i, j) for i, j in pairwise(order) if images[i] == images[j]
         )
     else:
         images = [map_angle(v, d) for v in P.vertices]
@@ -372,8 +373,9 @@ def hole_profile(
 
     When every vertex is rational, all of it is integer arithmetic over the
     polygon's denominator L (``P.den``): a size is a difference of
-    numerators mod L, its floor is d * x // L, and the sizes sum to 1 iff
-    their numerators sum to L.  Each size's bounds are (x, x) over L.
+    consecutive numerators (the last one past 0), its floor is d * x // L,
+    and the sizes sum to 1 since their numerators telescope to L.  Each
+    size's bounds are (x, x) over L.
 
     Otherwise each size's bounds over one denominator D are differences of
     its ends' k*-digit bounds (carried by a stream iterate), D added past 0
@@ -382,10 +384,8 @@ def hole_profile(
     k, M = min(REPORT_DIGITS, budget.max_digits), P.card
     sizes, rems = [None] * M, [None] * M
     if (L := P.den) is not None:
-        xs = P.nums
-        xs = tuple((xs[(i + 1) % M] - xs[i]) % L for i in range(M))
-        if sum(xs) != L:
-            raise AssertionBreach("hole sizes do not sum to 1")  # pragma: no cover
+        ns = P.nums
+        xs = (*(b - a for a, b in pairwise(ns)), ns[0] + L - ns[-1])
         order = tuple(sorted(range(M), key=xs.__getitem__))  # stable on ties
         floors = tuple(d * x // L for x in xs)
         bounds = tuple(zip(xs, xs))
@@ -421,13 +421,16 @@ def hole_profile(
 # orientation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class OrientationCertificate:
     """Verdict of the orientation test plus a re-checkable witness: the d-1
     pairwise disjoint open 1/d arcs on success, the remainder sum on failure."""
 
     verdict: bool
     profile: HoleProfile = field(repr=False, compare=False)
+
+    def __init__(self, verdict, profile):  # one dict update, as HoleProfile's
+        vars(self).update(verdict=verdict, profile=profile)
 
     @property
     def remainder_sum(self) -> Value:
@@ -469,8 +472,8 @@ def _orientation(
     """The certificate of ``is_orientation_preserving`` from the image
     positions ``landing`` of ``_image_sort`` (the images keep the vertices'
     cyclic order iff they are a rotation of 0..N-1) and the hole profile."""
-    N = len(landing)
-    by_cyclic_order = all((landing[c] - landing[0]) % N == c for c in range(N))
+    N, s = len(landing), landing[0]
+    by_cyclic_order = landing == (*range(s, N), *range(s))
     F = sum(profile.floors)
     by_disjoint_arcs = F == d - 1
 
@@ -497,23 +500,30 @@ def _orientation(
 
 class UnlinkedFamily:
     """The vertices of pairwise unlinked polygons in ccw order, each tagged
-    with its polygon's label.  While every member is rational, ``keys`` are
-    their numerators over ``den`` (the lcm of the members' ``den``) and a
-    query over another denominator is cross-multiplied onto it; a stream
-    polygon is searched with ``compare`` against the keys as ``Angle``s,
-    and once one joins, ``den`` is None and the keys are ``Angle``s.
+    with its polygon's label; ``cards[label]`` counts the vertices listed
+    under it.  While every member is rational, ``keys`` are their numerators
+    over ``den`` (the lcm of the members' ``den``) and a query over another
+    denominator is cross-multiplied onto it; a stream polygon is searched
+    with ``compare`` against the keys as ``Angle``s, and once one joins,
+    ``den`` is None and the keys are ``Angle``s.
 
     A polygon P is unlinked from every member iff none of its vertices is a
     listed vertex and no label appears in two of the arcs into which P's
-    vertices cut the list.  Checking P costs O(N log V) searches of V listed
-    vertices, plus one pass over the V labels.
+    vertices cut the list.  A label in two arcs shows up in each fewer
+    times than its card, and one of them is not the most populated arc; so
+    only the other arcs are counted, and a label is linked iff it shows up
+    in one of them fewer times than its card.  Checking P costs O(N log V)
+    searches of V listed vertices, plus a pass over the labels outside P's
+    most populated arc: a few for a small P that cuts the list once, still
+    O(V) when P's two most populated arcs split the list evenly.
     """
 
-    __slots__ = ("keys", "labels", "den", "budget")
+    __slots__ = ("keys", "labels", "cards", "den", "budget")
 
     def __init__(self, budget: PrecisionBudget = DEFAULT_BUDGET):
         self.keys: list = []
         self.labels: list[int] = []
+        self.cards: dict[int, int] = {}
         self.den: int | None = 1
         self.budget = budget
 
@@ -544,13 +554,13 @@ class UnlinkedFamily:
                 if lo < len(angles) and compare(angles[lo], v, budget) == EQ:
                     linked.add(labels[lo])
                 cuts.append(lo)
-        arcs = [labels[a:b] for a, b in zip(cuts, cuts[1:])]
-        arcs.append(labels[cuts[-1]:] + labels[: cuts[0]])
-        seen: set[int] = set()
-        for arc in arcs:
-            inside = set(arc)
-            linked |= inside & seen
-            seen |= inside
+        V, cards = len(labels), self.cards
+        arcs = [*zip(cuts, cuts[1:]), (cuts[-1], cuts[0] + V)]  # the last wraps past 0
+        arcs.remove(max(arcs, key=lambda arc: arc[1] - arc[0]))
+        for a, b in arcs:
+            if a < b:
+                inside = Counter(labels[a:b] if b <= V else labels[a:] + labels[: b - V])
+                linked.update(m for m, c in inside.items() if c < cards[m])
         return cuts, linked
 
     def linked(self, P: Polygon) -> set[int]:
@@ -562,17 +572,19 @@ class UnlinkedFamily:
         vertices join the list under ``label``."""
         cuts, linked = self._linked(P)
         if not linked:
-            M, L = self.den, P.den
+            M, L, new = self.den, P.den, P.nums
             if M is None or L is None:
                 self.keys, self.den, new = self._angles(), None, P.vertices
-            else:  # ints over lcm(M, L)
+            elif L != M:  # ints over lcm(M, L)
                 self.den = D = lcm(M, L)
                 if D != M:
                     self.keys = [k * (D // M) for k in self.keys]
-                new = P.nums if D == L else [n * (D // L) for n in P.nums]
+                if D != L:
+                    new = [n * (D // L) for n in new]
             for i in reversed(range(P.card)):
                 self.keys.insert(cuts[i], new[i])
                 self.labels.insert(cuts[i], label)
+            self.cards[label] = self.cards.get(label, 0) + P.card
         return linked
 
 

@@ -59,7 +59,7 @@ from .geometry import (
 # orbit records
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class OrbitRecord:
     """T_i, its holes and orientation.  ``landing[c]`` is the position in
     T_{i+1} of the image of vertex c of T_i."""
@@ -69,6 +69,11 @@ class OrbitRecord:
     profile: HoleProfile
     orientation: OrientationCertificate
     landing: tuple[int, ...]
+
+    def __init__(self, index, polygon, profile, orientation, landing):
+        # one dict update, as HoleProfile's: one record is built per step
+        vars(self).update(index=index, polygon=polygon, profile=profile,
+                          orientation=orientation, landing=landing)
 
 
 def _records(T: Polygon, d: int, n: int, budget: PrecisionBudget):
@@ -140,9 +145,11 @@ def certify_wandering(
     Record by record, the iterate is checked injective, then checked against
     one ``UnlinkedFamily`` holding the vertices of all earlier iterates in
     ccw order and joins it when unlinked: O(N log(HN)) compares per iterate
-    instead of a pairwise scan of every earlier one.  Certification stops at
-    the first non-injective or linked record; ``pair`` is (smallest earlier
-    index linked with it, its index).
+    instead of a pairwise scan of every earlier one, plus a count of the
+    labels outside the iterate's most populated arc of the list (a few for
+    a tiny iterate; still O(HN) when its two most populated arcs split the
+    list evenly).  Certification stops at the first non-injective or linked
+    record; ``pair`` is (smallest earlier index linked with it, its index).
 
     With the precheck enabled, any polygon with more than d vertices is
     rejected outright and no iteration is performed.

@@ -120,6 +120,20 @@ def test_burn_in_refused_where_unused(command, capsys):
     assert out == "" and err == f"error: --burn-in is not used by {command}\n"
 
 
+@pytest.mark.parametrize("command", ["verify", "jumps", "leaves"])
+def test_burn_in_past_horizon_exits_2(command, capsys):
+    """A burn-in past the horizon would leave no record to check (the report
+    said "burn_in": 7 for an orbit of four records); one at the horizon
+    leaves the last record."""
+    argv = [command, "149763/798233", "2914459/5587631", "3116864/5587631",
+            "-d", "3", "--horizon", "3"]
+    assert main(argv + ["--burn-in", "7"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: burn-in 7 exceeds horizon 3\n"
+    assert main(argv + ["--burn-in", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["burn_in"] == 3
+
+
 def _thue_morse_neighbour() -> str:
     """The first 8 base-3 Thue-Morse digits plus 1/(36*3^2000): inside the
     stream's 8-digit enclosure, with a 3,176-bit denominator."""

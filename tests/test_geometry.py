@@ -1,9 +1,13 @@
 import contextlib
 import io
+import itertools
 import random
 import sys
+from bisect import bisect_right
+from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -15,6 +19,7 @@ from polywander import (
     arc_length,
     Chord,
     ChordsCrossError,
+    CrossPairLinked,
     DegenerateChordError,
     NotInjectiveError,
     Polygon,
@@ -166,6 +171,20 @@ def test_orientation_false():
 def test_orientation_not_injective():
     with pytest.raises(NotInjectiveError):
         is_orientation_preserving(poly(0, F(1, 4), F(1, 2), F(3, 4)), 2)
+
+
+@pytest.mark.parametrize("N", range(1, 7))
+def test_orientation_reads_a_rotation_as_the_modular_test_does(N):
+    """On every permutation of 0..N-1, N <= 6, ``_orientation``'s cyclic
+    order test (the landing equals a rotation of 0..N-1) agrees with
+    (landing[c] - landing[0]) % N == c for every c.  Its profile stands in
+    with floors that give the arc count the same verdict and a remainder sum
+    that decides nothing, so a disagreement would raise AssertionBreach."""
+    for landing in itertools.permutations(range(N)):
+        want = all((landing[c] - landing[0]) % N == c for c in range(N))
+        profile = SimpleNamespace(floors=(1 if want else 0,), D=1, total=(0, 10))
+        cert = geometry._orientation(landing, profile, 2, PrecisionBudget())
+        assert cert.verdict is want
 
 
 # ---------------------------------------------------------------------------
@@ -648,6 +667,123 @@ def test_unlinked_family_over_denominators_and_streams_matches_oracle():
             }
         assert (family.den is None) == joined_stream
     assert seen == {"linked", "unlinked", "stream", "rational", "ints", "angles"}
+
+
+def _label_pass_cases(q, members) -> set[str]:
+    """The cases of ``UnlinkedFamily``'s label pass that a query with sorted
+    points ``q`` meets against ``members`` [(label, sorted points)], read off
+    the points: the arcs of q that hold each member's points, and q's most
+    populated arcs."""
+    if not members:
+        return {"empty family"}
+    N = len(q)
+    at = {m: {(bisect_right(q, x) - 1) % N for x in Q} for m, Q in members}
+    pop = Counter((bisect_right(q, x) - 1) % N for _, Q in members for x in Q)
+    top = max(pop.values())
+    largest = {a for a, c in pop.items() if c == top}
+    cases = {"tied most populated arcs"} if len(largest) > 1 else set()
+    for m, Q in members:
+        if set(Q) & set(q):
+            cases.add("shared vertex")
+        elif len(at[m]) == 1:
+            cases.add("inside the largest arc" if at[m] <= largest else
+                      "inside a smaller arc")
+        elif len(at[m] & largest) > 1:
+            cases.add("split between tied arcs")
+        elif at[m] & largest:
+            cases.add("split between the largest arc and a smaller one")
+        else:
+            cases.add("in two smaller arcs")
+    return cases
+
+
+def test_label_pass_matches_oracle_in_every_case():
+    """``linked`` and ``add``, which count labels outside the query's most
+    populated arc against their cards, equal ``oracle_unlinked`` on every
+    case of that pass: grid families over three denominators, some with a
+    stream member; W1 clusters against the family that certified a W1
+    orbit (cut once, interleaved, sharing a vertex) and 2-gons that split
+    it, often in half; and the cross-pairs of a collection of two W1
+    clusters, one of them interleaved with an iterate of the other."""
+    rng = random.Random(1919)
+    seen = set()
+
+    def check(family, members, P, q):
+        want = {m for m, Q in members if not oracle_unlinked(Q, q)}
+        assert family.linked(P) == want
+        seen.update(_label_pass_cases(q, members))
+        return want
+
+    for trial in range(80):
+        family, members, grids = UnlinkedFamily(), [], set()
+        for label in range(rng.randrange(1, 12)):
+            g = rng.choice((48, 60, 77))
+            start, width = rng.randrange(g), rng.randrange(1, g // 3)
+            ks = rng.sample(range(width + 1), rng.randrange(2, min(5, width + 1) + 1))
+            pts = sorted(F((start + k) % g, g) for k in ks)
+            angles = [ang(x) for x in pts]
+            if trial % 4 == 3 and rng.random() < 0.3:
+                known = [x for _, Q in members for x in Q] + pts
+                s, lo = _stream_below_others(rng, known)
+                angles.append(s)
+                pts = sorted([*pts, lo])
+                seen.add("stream member")
+            P = Polygon(angles)
+            want = check(family, members, P, pts)
+            assert family.add(P, label) == want
+            if not want:
+                members.append((label, pts))
+                grids.add(g)
+        if len(grids) > 1:
+            seen.add("several denominators")
+
+    d, H = 3, 40
+    for p in BIG_PRIMES[:3]:
+        b = _w1_points(F(rng.randrange(1, p), p), K=2 * H + 10)  # a runs ahead of b
+        cert = certify_wandering(Polygon([ang(x) for x in b]), d, H, kiwi_precheck=False)
+        assert cert.certified
+        members = [(r.index, vertex_values(r.polygon)) for r in cert.records]
+        listed = sorted(x for _, Q in members for x in Q)
+        for _ in range(20):
+            n = rng.randrange(H + 1)
+            x = members[n][1]
+            h = (x[1] - x[0]) / 2
+            clusters = (
+                _w1_points(F(rng.randrange(1, 10**9 + 9), 10**9 + 9)),  # cut once
+                [y + h for y in x],  # interleaved with iterate n
+                [x[0], x[0] + h, F(1, 2) + x[0] / 2],  # a shared vertex
+            )
+            for q in clusters:
+                check(cert.family, members, Polygon([ang(y) for y in q]), sorted(q))
+            V = len(listed)  # two arcs of i and V - i labels, often V / 2 each
+            i = rng.choice((V // 2, rng.randrange(1, V)))
+            q = [listed[0] / 2, (listed[i - 1] + listed[i]) / 2]
+            check(cert.family, members, Polygon([ang(y) for y in q]), q)
+        seen.add("W1 clusters against a large family")
+
+        # a collection of b and a: a's iterates query b's family in order
+        n = rng.randrange(H // 2)
+        a = [y + (members[n][1][1] - members[n][1][0]) / 2 for y in members[n][1]]
+        A = Polygon([ang(y) for y in a])
+        first = None
+        for m, r in enumerate(certify_wandering(A, d, H, kiwi_precheck=False).records):
+            want = check(cert.family, members, r.polygon, vertex_values(r.polygon))
+            if want and first is None:
+                first = (m, min(want))
+        assert first is not None and first[0] == 0
+        with pytest.raises(CrossPairLinked) as exc:
+            verify_collection_bound([A, cert.records[0].polygon], d, H, F(1, 64),
+                                    kiwi_precheck=False)
+        assert (exc.value.n, exc.value.m) == first
+        seen.add("collection cross-pair")
+
+    assert seen == {
+        "empty family", "tied most populated arcs", "shared vertex",
+        "inside the largest arc", "inside a smaller arc", "split between tied arcs",
+        "split between the largest arc and a smaller one", "in two smaller arcs",
+        "stream member", "several denominators", "W1 clusters against a large family",
+        "collection cross-pair",
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -152,6 +152,13 @@ CASES = {
     "thin-render": (0, ["render", *THIN_OPTS, *THIN]),
     "thin-verify": (0, ["verify", *THIN_OPTS, *THIN]),
     "w1-verify": (0, ["verify", "-d", "3", "--horizon", "10", "--no-kiwi-precheck", *_w1()]),
+    # iterate 200 links with 199 once the family lists 800 vertices
+    "w1-verify-linked": (
+        0, ["verify", "-d", "3", "--horizon", "300", "--no-kiwi-precheck", *_w1()]
+    ),
+    "w1-verify-h300": (
+        0, ["verify", "-d", "3", "--horizon", "300", "--no-kiwi-precheck", *_w1(350)]
+    ),
     "tri3-verify": (0, ["verify", *TRI3]),
     "tri3-collection": (0, ["collection", *TRI3]),
     # one witnessed leaf: the disjoint-subset search and the omega component count

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import random
 import re
 from fractions import Fraction as F
@@ -351,6 +352,42 @@ def test_hole_profile_is_hashable_and_unchanged_by_critical_hole_index():
     records = iterate_orbit(S, 4, 3)
     assert len({hash(r) for r in records}) == len(records)
     assert set(records) == set(iterate_orbit(S, 4, 3))
+
+
+def _field_by_field(cls, **values):
+    """An instance of a frozen dataclass built as its generated __init__
+    builds one: one ``object.__setattr__`` per field."""
+    obj = object.__new__(cls)
+    for name, value in values.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+@pytest.mark.parametrize("argv", [
+    (["1/7", "2/7", "4/7"], 2, 4),
+    (_w1(40), 3, 12),
+    (["gen:thue_morse?base=4", "1/3", "2/3"], 4, 6),
+    (["gen:champernowne?base=2&shift=11&offset=1/7", "1/3", "2/3"], 2, 8),
+], ids=["sevenths", "w1", "thue-morse", "champernowne"])
+def test_records_built_by_one_dict_update_match_field_by_field(argv):
+    """``OrbitRecord`` and ``OrientationCertificate`` set their fields in one
+    dict update; on rational and stream orbits they are frozen, and equal,
+    hash and repr as records built field by field."""
+    lits, d, n = argv
+    records = iterate_orbit(Polygon([parse_angle(x) for x in lits]), d, n)
+    for rec in records:
+        cert = rec.orientation
+        assert list(vars(cert)) == ["verdict", "profile"]
+        ref = _field_by_field(type(cert), **vars(cert))
+        assert cert == ref and hash(cert) == hash(ref) and repr(cert) == repr(ref)
+        assert list(vars(rec)) == ["index", "polygon", "profile", "orientation",
+                                   "landing"]
+        ref = _field_by_field(type(rec), **{**vars(rec), "orientation": ref})
+        assert rec == ref and hash(rec) == hash(ref) and repr(rec) == repr(ref)
+        for obj, name in ((rec, "index"), (cert, "verdict")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, name, None)
+    assert len(set(records)) == len(records)
 
 
 def test_critical_hole_min_remainder():
