@@ -18,7 +18,8 @@ triple ``(lo, hi, den)`` meaning [lo/den, hi/den]: compares cross-multiply,
 and sums, differences and clamps work on the numerators over one
 denominator, so no ``gcd`` runs on the refinement path.  ``enclosure_bounds``
 and ``Approx.bounds`` build ``Fraction`` pairs from these triples on each
-call, for callers that want reduced fractions.
+call, for callers that want reduced fractions.  An angle stores none of
+them; a polygon carries its vertices' (``geometry.Polygon``).
 """
 
 from __future__ import annotations
@@ -180,8 +181,6 @@ def _fill(a: "Angle", n, q, source, shift, offset) -> None:
     _set(a, "source", source)
     _set(a, "shift", shift)
     _set(a, "offset", offset)
-    if source is not None:  # the kept enclosures; rationals never need them
-        _set(a, "_bounds", {})
 
 
 class Angle:
@@ -191,11 +190,11 @@ class Angle:
     ``source`` is None), or ``source``/``shift``/``offset`` describe a
     generator-backed digit stream whose value is
     ``offset + 0.d_shift d_shift+1 ...`` in base ``source.base`` (``n`` and
-    ``q`` are None).  Instances are immutable; a stream keeps each int
-    enclosure it has computed, keyed by digit count.
+    ``q`` are None).  Instances are immutable and store no enclosure: a
+    polygon carries its stream vertices' enclosures (``Polygon._bounds``).
     """
 
-    __slots__ = ("n", "q", "source", "shift", "offset", "_bounds")
+    __slots__ = ("n", "q", "source", "shift", "offset")
 
     def __init__(self, value=None, source=None, shift=0, offset=ZERO):
         if value is not None:
@@ -255,13 +254,10 @@ class Angle:
 
     def interval(self, k: int) -> tuple[int, int, int]:
         """Ints (lo, hi, den) with [lo/den, hi/den] of width base**-k
-        guaranteed to contain the angle's value ((n, n, q) for rationals); a
-        stream computes it once per k."""
+        guaranteed to contain the angle's value ((n, n, q) for rationals),
+        computed on each call."""
         if self.source is None:
             return self.n, self.n, self.q
-        iv = self._bounds.get(k)
-        if iv is not None:
-            return iv
         n = self.source.prefix_numerator(self.shift, k)
         step = self.source.base**k
         if self.offset:
@@ -276,11 +272,8 @@ class Angle:
                 # interval straddles the 0/1 seam; widen to the full circle
                 # until more digits move it off the seam
                 lo, hi = 0, den
-            iv = (lo, hi, den)
-        else:
-            iv = (n, n + 1, step)
-        self._bounds[k] = iv
-        return iv
+            return lo, hi, den
+        return n, n + 1, step
 
     def enclosure_bounds(self, k: int) -> tuple[Fraction, Fraction]:
         """``interval(k)`` as a pair of ``Fraction``s (the exact value twice
@@ -406,7 +399,7 @@ def map_angle(a: Angle, d: int) -> Angle:
 
 
 # ---------------------------------------------------------------------------
-# comparison and enclosures
+# comparison
 
 
 def _precision_ladder(budget: PrecisionBudget):
@@ -446,37 +439,6 @@ def compare(a: Angle, b: Angle, budget: PrecisionBudget = DEFAULT_BUDGET) -> int
         f"cannot separate {_describe_angle(a)} and {_describe_angle(b)} "
         f"within {budget.max_digits} digits"
     )
-
-
-@dataclass(frozen=True)
-class AngleEnclosure:
-    """Arc [lower, lower + width) certified to contain an angle."""
-
-    lower: Fraction
-    width: Fraction
-
-    def contains(self, value: Fraction) -> bool:
-        if self.width >= 1:
-            return True
-        v = _mod1(value - self.lower)
-        return v < self.width or (v == 0)
-
-
-def refine(a: Angle, k: int) -> AngleEnclosure:
-    """Enclosure of width base**-k (0 for rationals) containing ``a``;
-    nested for increasing k."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if a.is_rational:
-        return AngleEnclosure(lower=a.value, width=ZERO)
-    lo, hi = a.enclosure_bounds(k)
-    return AngleEnclosure(lower=_mod1(lo), width=hi - lo)
-
-
-def midpoint(a: Angle, k: int) -> Fraction:
-    """Midpoint, in [0, 1), of the angle's k-digit enclosure (exact for rationals)."""
-    lo, hi, den = a.interval(k)
-    return Fraction(lo + hi, 2 * den)
 
 
 # ---------------------------------------------------------------------------

@@ -102,15 +102,24 @@ def _ser_bounds(lo: int, hi: int, den: int) -> _Leaf:
     )
 
 
-def _ser_angle(a: Angle, k: int = REPORT_DIGITS) -> _Leaf:
-    out = _ser_ratio(a.n, a.q) if a.is_rational else _ser_bounds(*a.interval(k))
+def _ser_angle(a: Angle, bounds=None) -> _Leaf:
+    """An angle and its literal: a rational as its ratio, a stream as
+    ``bounds`` (lo, hi, den), by default its ``REPORT_DIGITS``-digit enclosure."""
+    iv = bounds or a.interval(REPORT_DIGITS)
+    out = _ser_ratio(a.n, a.q) if a.is_rational else _ser_bounds(*iv)
     literal = encode_basestring_ascii(format_angle(a))
     return _Leaf(out[:-2] + ',\n  "literal": ' + literal + "\n}")  # the last key
 
 
-def _ser_value(v: Value, k: int = REPORT_DIGITS) -> _Leaf:
+def _ser_vertices(P: Polygon) -> list[_Leaf]:
+    """P's vertices, each stream one's enclosure from the polygon's bounds."""
+    bounds, D = P._bounds(REPORT_DIGITS)
+    return [_ser_angle(v, (lo, hi, D)) for v, (lo, hi) in zip(P.vertices, bounds)]
+
+
+def _ser_value(v: Value) -> _Leaf:
     if isinstance(v, Approx):
-        return _ser_bounds(*v.interval(k))
+        return _ser_bounds(*v.interval(REPORT_DIGITS))
     return _ser_ratio(v.numerator, v.denominator)
 
 
@@ -307,25 +316,30 @@ def _parse_epsilon(text: str) -> Fraction:
     return eps
 
 
-def _read_polygon_lines(path: str) -> list[list[Angle]]:
-    with open(path, encoding="utf-8") as fh:
+def _input_polygons(args) -> list[list[Angle]]:
+    """The angle literals as one polygon, or the polygons of ``--file``, one
+    per line that is not blank or a ``#`` comment; never both."""
+    if not args.file:
+        return [[parse_angle(t) for t in args.angles]] if args.angles else []
+    if args.angles:
+        raise PreconditionError("give angle literals or --file, not both")
+    with open(args.file, encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh]
-    out = []
-    for ln in lines:
-        if not ln or ln.startswith("#"):
-            continue
-        out.append([parse_angle(tok) for tok in ln.split(",") if tok.strip()])
-    return out
+    return [
+        [parse_angle(tok) for tok in ln.split(",") if tok.strip()]
+        for ln in lines
+        if ln and not ln.startswith("#")
+    ]
 
 
 def _input_angles(args) -> list[Angle]:
-    if args.angles:
-        return [parse_angle(t) for t in args.angles]
-    if args.file:
-        polys = _read_polygon_lines(args.file)
-        if polys:
-            return polys[0]
-    return []
+    """The one input polygon's angles (none when there is no input)."""
+    polys = _input_polygons(args)
+    if len(polys) > 1:
+        raise PreconditionError(
+            f"--file holds {len(polys)} polygons; {args.command} takes one"
+        )
+    return polys[0] if polys else []
 
 
 def _config_echo(args, eps: Fraction) -> dict:
@@ -349,14 +363,14 @@ def _cmd_analyze(args, budget, eps):
     d = args.degree
     profile = hole_profile(P, d, budget)
     cert = _orientation(_image_sort(P, d, budget)[1], profile, d, budget)
-    cr = None
-    cr_reason = None
+    arcs, vertices, M = cert.witness_arcs, _ser_vertices(P), P.card
+    ends = [{"start": vertices[i], "end": vertices[(i + 1) % M]} for i in range(M)]
+    cr = cr_reason = None
     try:
         rank = critical_hole_index(profile, d, budget)
-        h = profile.hole(rank)
         cr = {
             "rank": rank,
-            "hole": _ser_arc(h),
+            "hole": ends[profile.order[rank - 1]],
             "remainder": _ser_value(profile.remainder(rank)),
         }
     except NoHoleExceeds1OverD:
@@ -364,25 +378,20 @@ def _cmd_analyze(args, budget, eps):
     except TieUnresolvable as exc:
         cr_reason = str(exc)
     return {
-        "vertices": [_ser_angle(v) for v in P.vertices],
+        "vertices": vertices,
         "holes": [
             {
-                "start": _ser_angle(h.start),
-                "end": _ser_angle(h.end),
+                **ends[i],
                 "size": _ser_value(profile.sizes_cyclic[i]),
                 "remainder": _ser_value(profile.remainders_cyclic[i]),
                 "rank": profile.rank_of_cyclic(i),
             }
-            for i, h in enumerate(profile.holes)
+            for i in range(M)
         ],
         "orientation": {
             "verdict": cert.verdict,
             "remainder_sum": _ser_value(cert.remainder_sum),
-            "witness_arcs": (
-                [_ser_arc(a) for a in cert.witness_arcs]
-                if cert.witness_arcs is not None
-                else None
-            ),
+            "witness_arcs": None if arcs is None else [_ser_arc(a) for a in arcs],
         },
         "cr": cr,
         "cr_unavailable_reason": cr_reason,
@@ -400,7 +409,7 @@ def _cmd_orbit(args, budget, eps):
         "records": [
             {
                 "index": rec.index,
-                "vertices": [_ser_angle(v) for v in rec.polygon.vertices],
+                "vertices": _ser_vertices(rec.polygon),
                 "sizes_by_rank": [
                     _ser_size(rec.profile, k) for k in range(1, rec.polygon.card + 1)
                 ],
@@ -478,10 +487,7 @@ def _cmd_verify(args, budget, eps):
 
 
 def _cmd_collection(args, budget, eps):
-    if args.file:
-        polys = [Polygon(vs, budget) for vs in _read_polygon_lines(args.file)]
-    else:
-        polys = [Polygon(_input_angles(args), budget)] if args.angles else []
+    polys = [Polygon(vs, budget) for vs in _input_polygons(args)]
     if not polys:
         raise PreconditionError("collection needs --file polygons or angle literals")
     try:

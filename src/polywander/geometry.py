@@ -9,9 +9,10 @@ the next iterate and where each vertex's image lands in it.
 
 A rational polygon holds its vertex numerators over one denominator L.
 The image of n/L is (d*n mod L)/L, so its whole orbit lives over L and its
-image sort and linkage family run on ints.  A stream polygon's image sort
-is decided on one enclosure per image at k* = min(REPORT_DIGITS,
-max_digits) digits over one denominator D, which the next iterate carries.
+image sort and linkage family run on ints.  A stream polygon carries one
+enclosure per vertex at k* = min(REPORT_DIGITS, max_digits) digits over
+one denominator D, on which the sort that built it decided where it could;
+every later reader takes them from ``Polygon._bounds``.
 
 Either way a ``HoleProfile`` holds one int pair (lo, hi) per hole size over
 one denominator: the exact size (lo == hi) over L, as differences of
@@ -98,9 +99,10 @@ class Polygon:
     rotated so the vertex of minimal angle comes first.  When every vertex
     is rational, ``nums`` are their numerators over ``den``, the lcm of their
     denominators or, for an iterate, its orbit's (else both are None), and
-    ``vertices`` are built from them on first read.  A stream iterate
-    carries ``enclosures`` (k, bounds, D): its vertices' k-digit enclosures
-    as int pairs (lo, hi) over one denominator D, in ccw order (else None)."""
+    ``vertices`` are built from them on first read.  Otherwise the polygon
+    carries ``enclosures`` (k, bounds, D), its vertices' only stored
+    enclosures: their k*-digit ones as int pairs (lo, hi) over one
+    denominator D, in ccw order (else None)."""
 
     __slots__ = ("_vertices", "nums", "den", "enclosures")
 
@@ -110,14 +112,18 @@ class Polygon:
             raise PreconditionError("a polygon needs at least 2 distinct vertices")
         if len(set(vs)) < len(vs):  # before the sort, which may fail to separate others
             raise PreconditionError("polygon vertices must be pairwise distinct")
-        order, tie = ccw_order(vs, budget)
+        k = min(REPORT_DIGITS, budget.max_digits)
+        bounds, D = _over_lcm([v.interval(k) for v in vs])  # (n, n) for n/q
+        order = _decided_order(bounds, False)
+        order, tie = (order, None) if order else ccw_order(vs, budget)  # rungs > k*
         if tie:
             raise PreconditionError("polygon vertices must be pairwise distinct")
-        self._vertices = vs = tuple(vs[i] for i in order)
-        self.nums = self.den = self.enclosures = None
+        self._vertices = tuple(vs[i] for i in order)
+        bounds = [bounds[i] for i in order]
         if all(v.source is None for v in vs):
-            self.den = L = lcm(*(v.q for v in vs))
-            self.nums = tuple(v.n * (L // v.q) for v in vs)
+            self.nums, self.den, self.enclosures = tuple(b[0] for b in bounds), D, None
+        else:
+            self.nums, self.den, self.enclosures = None, None, (k, bounds, D)
 
     @classmethod
     def _sorted(cls, vertices, nums=None, den=None, enclosures=None) -> "Polygon":
@@ -131,7 +137,7 @@ class Polygon:
     def _bounds(self, k: int):
         """The vertices' k-digit enclosures as int pairs over one denominator
         D, and D: (n, n) over L for a rational polygon, the carried ones when
-        they are from k digits."""
+        they are from k digits, else computed once for this call."""
         if self.nums is not None:
             return [(n, n) for n in self.nums], self.den
         e = self.enclosures
@@ -636,8 +642,8 @@ class CriticalStrip:
     remainder ``rho_value``, and every such chord is at rho-distance rho from
     the hole's edge.  ``ranges`` are the ranges of c and of its partner
     c + j/d as int pairs (lo, hi) over ``den``, with lo <= hi < lo + den (hi
-    may exceed den when a range runs past 0).  Exact for a rational hole
-    (den = d*L), from 64-digit enclosures otherwise."""
+    may exceed den when a range runs past 0), from the polygon's 64-digit
+    bounds (exact for a rational polygon)."""
 
     hole: Arc
     degree: int
@@ -652,26 +658,19 @@ def critical_strip(
 ) -> CriticalStrip:
     """The strip of the profile's rank-k hole, from its floor j and its
     remainder: j/d < len < (j+1)/d holds iff 1 <= j <= d-1 and the
-    remainder is positive, decided on its int bounds first.  On a rational
-    polygon the range of c is read off the ints over d*L (u*d, u*d +
-    remainder); nothing is measured again."""
+    remainder is positive, decided on its int bounds first.  The range of c
+    is read off the polygon's bounds (u, w) over D as [d*u_lo, d*w_hi - j*D]
+    over d*D, D added to w for the hole past 0; nothing is measured again."""
     c, d = profile.order[k - 1], profile.degree
     j, H, rho = profile.floors[c], profile.holes[c], profile.remainder(k)
     if not 1 <= j <= d - 1:
         raise PreconditionError(f"j must be in 1..{d - 1}, got {j}")
-    r = profile.remainder_bounds(k)
-    if (positive := cmp_bounds(r, (0, 0, 1))) is None:
+    if (positive := cmp_bounds(profile.remainder_bounds(k), (0, 0, 1))) is None:
         positive = cmp_values(rho, ZERO, budget)
     if positive != GT:
         raise PreconditionError("hole length must satisfy j/d < len < (j+1)/d")
-    if (nums := profile.polygon.nums) is not None:  # r is exact, over d*L
-        den, lo = r[2], d * nums[c]
-        hi = lo + r[0]
-    else:
-        lo, _, p = H.start.interval(REPORT_DIGITS)
-        _, hi, q = shift_angle(H.end, -Fraction(j, d)).interval(REPORT_DIGITS)
-        den = lcm(p, q, d)
-        lo, hi = lo * (den // p), hi * (den // q)
-        hi += den if hi < lo else 0  # the range runs past 0
-    off = j * den // d
-    return CriticalStrip(H, d, j, rho, den, ((lo, hi), (lo + off, hi + off)))
+    bounds, D = profile.polygon._bounds(REPORT_DIGITS)
+    M = len(bounds)
+    lo, whi = d * bounds[c][0], bounds[(c + 1) % M][1] + (D if c == M - 1 else 0)
+    hi = d * whi - j * D
+    return CriticalStrip(H, d, j, rho, d * D, ((lo, hi), (lo + j * D, hi + j * D)))

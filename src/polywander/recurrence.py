@@ -25,7 +25,6 @@ from .angles import (
     Angle,
     PrecisionBudget,
     map_angle,
-    midpoint,
 )
 from .errors import (
     AssertionBreach,
@@ -517,12 +516,12 @@ def approx_limit_leaf(
     if M < 3:
         raise PreconditionError("limit-leaf approximation needs card >= 3")
     big = sorted((profile.order[M - 1], profile.order[M - 2]))
-    vs = rec.polygon.vertices
+    bounds, D = rec.polygon._bounds(64)
+    mids = [Fraction(lo + hi, 2 * D) for lo, hi in bounds]  # of 64-digit enclosures
 
     def cluster_mid(start_hole: int, end_hole: int) -> Fraction:
         # vertices from the end of one big hole around to the start of the next
-        first = midpoint(vs[(start_hole + 1) % M], 64)
-        last = midpoint(vs[end_hole], 64)
+        first, last = mids[(start_hole + 1) % M], mids[end_hole]
         return (first + ((last - first) % 1) / 2) % 1
 
     return (cluster_mid(big[0], big[1]), cluster_mid(big[1], big[0]))

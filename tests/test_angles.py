@@ -20,7 +20,6 @@ from polywander import (
     format_angle,
     map_angle,
     parse_angle,
-    refine,
     register_generator,
     shift_angle,
 )
@@ -182,19 +181,8 @@ def test_arc_length_stream_bounds():
 def test_refine_examples():
     register_generator("alt01b", lambda params: (2, lambda i: i & 1))
     a = Angle.from_generator("alt01b")  # value 1/3
-    enc = refine(a, 2)
-    assert enc.lower == F(1, 4) and enc.width == F(1, 4)
-    assert refine(parse_angle("0/1"), 10).width == 0
-
-
-def test_refine_nests():
-    a = parse_angle("gen:thue_morse?base=2")
-    prev = refine(a, 1)
-    for k in range(2, 12):
-        cur = refine(a, k)
-        assert cur.width < prev.width
-        assert prev.contains(cur.lower)
-        prev = cur
+    assert a.enclosure_bounds(2) == (F(1, 4), F(1, 2))
+    assert parse_angle("0/1").enclosure_bounds(10) == (ZERO, ZERO)
 
 
 @given(st.lists(fractions_01, min_size=1, max_size=12, unique=True))
@@ -376,7 +364,7 @@ def test_dec12_examples():
 
 
 # ---------------------------------------------------------------------------
-# stream enclosures, computed once per digit count and kept on the angle
+# stream enclosures, computed on each call from the memoized digits
 
 
 def _stream_literal(name: str, base: int, shift: int, offset: F) -> str:
@@ -406,7 +394,7 @@ def stream_angles(draw, seam_digits=st.integers(1, 40)):
 
 @given(stream_angles(), st.lists(st.integers(1, 100), min_size=1, max_size=12))
 @settings(max_examples=200, deadline=None)
-def test_stream_enclosures_are_kept_and_match_a_fresh_parse(a, ks):
+def test_stream_enclosures_repeat_and_match_a_fresh_parse(a, ks):
     image = map_angle(a, a.base)
     for angle in (a, image):
         h = hash(angle)
@@ -421,7 +409,7 @@ def test_stream_enclosures_are_kept_and_match_a_fresh_parse(a, ks):
 @given(stream_angles())
 @settings(max_examples=200, deadline=None)
 def test_stream_enclosures_nest(a):
-    ks = range(80, 0, -1)  # the longest first, so the kept ones fill in reverse
+    ks = range(80, 0, -1)  # the longest first, so the digit cache fills at once
     bounds = {k: a.enclosure_bounds(k) for k in ks}
     for k in range(1, 80):
         (lo, hi), (lo2, hi2) = bounds[k], bounds[k + 1]

@@ -403,6 +403,50 @@ def test_file_input_single_polygon(tmp_path):
     assert len(rep["payload"]["vertices"]) == 3
 
 
+ALL_COMMANDS = ["analyze", "orbit", "jumps", "leaves", "verify", "collection", "render"]
+
+
+@pytest.mark.parametrize("command", ALL_COMMANDS)
+def test_file_and_literals_together_exit_2(command, tmp_path, capsys):
+    """Neither input source is dropped: ``analyze --file f 1/5 2/5 3/5``
+    printed the vertices 1/5, 2/5 and 3/5 (and ``collection`` the file's)."""
+    f = tmp_path / "poly.txt"
+    f.write_text("0/1, 1/7, 2/7\n")
+    assert main([command, "--file", str(f), "1/5", "2/5", "3/5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: give angle literals or --file, not both\n"
+
+
+@pytest.mark.parametrize("command", [c for c in ALL_COMMANDS if c != "collection"])
+def test_file_of_several_polygons_to_a_single_polygon_command_exits_2(
+    command, tmp_path, capsys
+):
+    """A single-polygon command used the first polygon of the file and
+    dropped the rest; ``collection`` reads them all."""
+    f = tmp_path / "polys.txt"
+    f.write_text("# two members\n30/100, 31/100, 32/100\n305/1000, 315/1000, 325/1000\n")
+    argv = ["--file", str(f), "-d", "2", "--horizon", "1", "--no-kiwi-precheck"]
+    assert main([command, *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: --file holds 2 polygons; {command} takes one\n"
+    assert main(["collection", *argv]) == 0
+    assert json.loads(capsys.readouterr().out)["payload"]["members"] == [0, 1]
+
+
+def test_analyze_reports_a_critical_hole_tie():
+    """Two candidate critical holes share the minimal remainder: ``analyze``
+    reports no critical hole and the reason, with exit 0 (``jumps`` and
+    ``leaves`` exit 4 on the same tie)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["analyze", "-d", "4", "0/1", "2/3", "1/3"]) == 0
+    payload = json.loads(out.getvalue())["payload"]
+    assert payload["cr"] is None
+    assert payload["cr_unavailable_reason"] == (
+        "holes of ranks 1 and 2 share the minimal remainder"
+    )
+
+
 def test_main_in_process_exit_codes():
     assert main(["analyze", "0/1", "1/7", "2/7"]) == 0
     assert main(["analyze", "junk"]) == 2

@@ -27,6 +27,7 @@ from polywander import (
     PreconditionError,
     UnresolvedComparison,
     critical_strip,
+    format_angle,
     hole_profile,
     image_hole,
     is_orientation_preserving,
@@ -367,6 +368,84 @@ def test_critical_strip_decides_a_remainder_its_bounds_leave_open():
             assert s.j == 1 and s.rho_value.bounds(digits)[0] > 0
 
 
+def _strip_polygon(rng, d):
+    """Two to four distinct points: one to all of them streams of base d
+    (a shift, and an offset or none), the rest rationals, or (one time in
+    four) all rationals."""
+    N = rng.randint(2, 4)
+    streams = 0 if rng.random() < 0.25 else rng.randint(1, N)
+    points = set()
+    while len(points) < N:
+        if len(points) < streams:
+            name = rng.choice(["thue_morse", "champernowne"])
+            q = rng.randint(1, 60)
+            off = f"&offset={rng.randrange(q)}/{q}" if q > 1 else ""
+            shift = rng.randint(0, 30)
+            points.add(parse_angle(f"gen:{name}?base={d}&shift={shift}{off}"))
+        else:
+            q = rng.randint(2, 90)
+            points.add(ang(F(rng.randrange(q), q)))
+    return sorted(points, key=format_angle)
+
+
+def test_strips_match_a_plain_fraction_restatement():
+    """Seeded stream, mixed and rational polygons, d = 2..4, budgets below
+    and at 64 digits: each strip's range of c is [u_lo, w_hi - j/d], one turn
+    added to w for the hole past 0, from the ends' 64-digit
+    ``enclosure_bounds`` (exact ends for rationals); the partner range lies
+    j/d further on; j and rho are the profile's floor and remainder, and
+    agree with 300-digit enclosures of the hole's size.  On a rational
+    polygon the range is (d * n_c, d * n_c + r) over d * L, r the
+    remainder's numerator over d * L."""
+    rng = random.Random(20)
+    seen = Counter()
+    for _ in range(400):
+        d = rng.randint(2, 4)
+        budget = PrecisionBudget(rng.choice([16, 40, 64, 4096]))
+        vs = _strip_polygon(rng, d)
+        try:
+            P = Polygon(vs, budget)
+            profile = hole_profile(P, d, budget)
+        except UnresolvedComparison:
+            continue
+        M = P.card
+        for k in range(1, M + 1):
+            try:
+                s = critical_strip(profile, k, budget)
+            except (PreconditionError, UnresolvedComparison):
+                continue
+            c = profile.order[k - 1]
+            u, w = P.vertices[c], P.vertices[(c + 1) % M]
+            turn = 1 if c == M - 1 else 0
+            assert s.hole == Arc(u, w) and s.degree == d
+            assert s.j == profile.floors[c] and s.rho_value is profile.remainder(k)
+            j, rho_value = s.j, s.rho_value
+            lo = u.enclosure_bounds(64)[0]
+            hi = w.enclosure_bounds(64)[1] + turn - F(j, d)
+            assert strip_range(s) == (lo, hi)
+            assert strip_range(s, 1) == (lo + F(j, d), hi + F(j, d))
+            (ulo, uhi), (wlo, whi) = (point_enclosure(_spec(x), 300) for x in (u, w))
+            slo, shi = wlo + turn - uhi, whi + turn - ulo
+            if d * slo // 1 == d * shi // 1:
+                assert j == d * slo // 1
+            if isinstance(rho_value, F):
+                assert slo == shi and rho_value == slo - F(j, d)
+            else:
+                rlo, rhi = rho_value.bounds(300)
+                assert rlo <= shi - F(j, d) and slo - F(j, d) <= rhi
+            if P.nums is not None:
+                r = d * profile.bounds[c][0] - j * P.den
+                n_c = P.nums[c]
+                assert s.den == d * P.den and s.ranges[0] == (d * n_c, d * n_c + r)
+            seen["rational" if P.nums is not None else "stream"] += 1
+            seen["past 0"] += turn
+            seen["stream end"] += u.source is not None or w.source is not None
+            seen["recomputed"] += P.nums is None and P.enclosures[0] < 64
+            seen[f"d = {d}"] += 1
+    assert min(seen.values()) >= 10, seen
+    assert len(seen) == 8, seen
+
+
 def test_polygon_rejects_repeats_and_too_few_before_sorting(monkeypatch):
     """Equal angles and inputs of fewer than 2 vertices are refused before
     the sort compares anything, so a pair the budget cannot separate does
@@ -529,10 +608,10 @@ def test_rational_orbit_step_does_not_compare_angles(monkeypatch):
 
 def test_stream_orbit_step_does_not_compare_angles(monkeypatch):
     """The stream-orbit golden request, with ``compare`` and ``cmp_values``
-    counted wherever the package refers to them: each orbit step, profile
-    and orientation is decided on int enclosures, so only the sort of the
-    input polygon compares angles, and nothing compares values."""
-    calls = {"compare": 0, "cmp_values": 0, "input sort": 0}
+    counted wherever the package refers to them: the sort of the input
+    polygon and each orbit step, profile and orientation are decided on int
+    enclosures, so nothing compares angles or values."""
+    calls = {"compare": 0, "cmp_values": 0}
     for name in ("compare", "cmp_values"):
         fn = getattr(angles, name)
 
@@ -543,22 +622,13 @@ def test_stream_orbit_step_does_not_compare_angles(monkeypatch):
         for mod in [m for n, m in sys.modules.items() if n.startswith("polywander")]:
             if getattr(mod, name, None) is fn:
                 monkeypatch.setattr(mod, name, counted)
-    init = Polygon.__init__
-
-    def input_sort(self, *args, **kwargs):
-        before = calls["compare"]
-        init(self, *args, **kwargs)
-        calls["input sort"] += calls["compare"] - before
-
-    monkeypatch.setattr(Polygon, "__init__", input_sort)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(["orbit", "gen:thue_morse?base=4", "1/3", "2/3", "-d", "4",
                      "--horizon", "20"])
     golden = Path(__file__).parent / "golden" / "stream-orbit.out"
     assert code == 0 and out.getvalue() == golden.read_text(encoding="utf-8")
-    assert 0 < calls["compare"] == calls["input sort"] <= 5
-    assert calls["cmp_values"] == 0
+    assert calls == {"compare": 0, "cmp_values": 0}
 
 
 # ---------------------------------------------------------------------------
@@ -936,7 +1006,8 @@ def _size_oracle(vs, i: int, k: int) -> tuple[F, F]:
 @settings(max_examples=200, deadline=None)
 def test_carried_enclosures_give_the_fresh_profile(case, digits):
     """Along four steps of a stream orbit, each iterate's profile, computed
-    from the k*-digit enclosures its step carried, has the order, floors
+    from the k*-digit enclosures its polygon carries (T_0's from its
+    construction, a later iterate's from its step), has the order, floors
     and size bounds (as rationals) of the profile of a fresh polygon on the
     same vertices.  Sizes read afterwards, at k* and at the budget, enclose
     the sizes' bounds from 300-digit ``point_enclosure``s.  A size's bounds
@@ -954,7 +1025,7 @@ def test_carried_enclosures_give_the_fresh_profile(case, digits):
         records.extend(orbit._records(P, d, 4, budget))
     for rec in records:
         got, vs = rec.profile, rec.polygon.vertices
-        assert (rec.polygon.enclosures is None) == (rec.index == 0)
+        assert rec.polygon.enclosures[0] == k
         want = hole_profile(Polygon(vs, budget), d, budget)
         assert (got.order, got.floors, got.k) == (want.order, want.floors, k)
         assert [(F(lo, got.D), F(hi, got.D)) for lo, hi in got.bounds] == [

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from polywander import recurrence
+from polywander import Angle, recurrence
 from polywander.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -36,6 +36,7 @@ WIDE = ["-d", "3", "--horizon", "5", "--burn-in", "0", "5932890787/22759870860",
 
 
 TM2 = "gen:thue_morse?base=2"
+STREAM_JUMPS = ["-d", "2", "--horizon", "3", f"{TM2}&offset=1/2", "7/10", "3/4"]
 CH3 = "gen:champernowne?base=3"
 # polygons whose orbit steps the 64-digit vertex enclosures do not decide,
 # so that the compare ladder goes on past 64 digits:
@@ -143,6 +144,9 @@ CASES = {
     "stream-render": (
         0, ["render", "-d", "4", "--horizon", "2", "gen:thue_morse?base=4", "1/3", "2/3"]
     ),
+    # two jumps of a stream triangle: the critical strips of stream holes
+    "stream-jumps": (0, ["jumps", *STREAM_JUMPS]),
+    "stream-strips-render": (0, ["render", *STREAM_JUMPS]),
     "stream-reversed-analyze": (
         0,
         ["analyze", "-d", "3", "gen:champernowne?base=3&shift=5", "1/4", "1/2", "7/8"],
@@ -206,6 +210,25 @@ def test_verify_walks_each_value_orbit_once(monkeypatch):
         0, (GOLDEN / "tri3-verify.out").read_text(encoding="utf-8")
     )
     assert len(calls) == 2
+
+
+def test_stream_orbit_report_reads_no_enclosure_twice(monkeypatch):
+    """``stream-orbit`` computes one enclosure per stream vertex of T_0 and
+    one per stream image of its 21 steps, and nothing else: the hole
+    profiles and the report take them from the polygons that carry them."""
+    calls = []
+    interval = Angle.interval
+
+    def counted(self, k):
+        if self.source is not None:
+            calls.append(k)
+        return interval(self, k)
+
+    monkeypatch.setattr(Angle, "interval", counted)
+    code, argv = CASES["stream-orbit"]
+    want = (GOLDEN / "stream-orbit.out").read_text(encoding="utf-8")
+    assert _run(argv) == (code, want)
+    assert calls == [64] * (1 + 21)
 
 
 def _run_err(argv) -> tuple[int, str, str]:

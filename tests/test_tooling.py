@@ -184,8 +184,6 @@ def _definitions(tree: ast.Module):
 # that the tests exercise.
 TESTED_API = {
     "Angle.from_fraction": "the constructor of an angle from an exact rational",
-    "AngleEnclosure.contains": "states that refine's enclosures nest",
-    "refine": "the nested-enclosure API that the refinement properties check",
     "rho": "the paper's rho metric; acceptance criterion 3 checks its laws",
     "omega_approx": "the omega-limit bins of one angle; acceptance criterion 10",
     "recurrence_evidence": "a leaf's recurrence series; acceptance criterion 8",
