@@ -45,6 +45,7 @@ from .angles import (
     Value,
     REPORT_DIGITS,
     Approx,
+    _precision_ladder,
     arc_length,
     arc_value,
     ccw_order,
@@ -52,6 +53,7 @@ from .angles import (
     cmp_values,
     compare,
     floor_scaled,
+    format_angle,
     map_angle,
     rational_angle,
     shift_angle,
@@ -63,6 +65,7 @@ from .errors import (
     DegenerateChordError,
     NotInjectiveError,
     PreconditionError,
+    UnresolvedComparison,
 )
 
 
@@ -112,18 +115,15 @@ class Polygon:
             raise PreconditionError("a polygon needs at least 2 distinct vertices")
         if len(set(vs)) < len(vs):  # before the sort, which may fail to separate others
             raise PreconditionError("polygon vertices must be pairwise distinct")
-        k = min(REPORT_DIGITS, budget.max_digits)
-        bounds, D = _over_lcm([v.interval(k) for v in vs])  # (n, n) for n/q
-        order = _decided_order(bounds, False)
-        order, tie = (order, None) if order else ccw_order(vs, budget)  # rungs > k*
+        order, tie, enclosures = _enclosure_sort(vs, budget)  # (n, n) for n/q
         if tie:
             raise PreconditionError("polygon vertices must be pairwise distinct")
         self._vertices = tuple(vs[i] for i in order)
-        bounds = [bounds[i] for i in order]
         if all(v.source is None for v in vs):
+            _, bounds, D = enclosures
             self.nums, self.den, self.enclosures = tuple(b[0] for b in bounds), D, None
         else:
-            self.nums, self.den, self.enclosures = None, None, (k, bounds, D)
+            self.nums, self.den, self.enclosures = None, None, enclosures
 
     @classmethod
     def _sorted(cls, vertices, nums=None, den=None, enclosures=None) -> "Polygon":
@@ -182,6 +182,17 @@ def _decided_order(bounds, ties: bool):
     return order
 
 
+def _enclosure_sort(angles, budget: PrecisionBudget):
+    """``ccw_order`` of the angles, on their k*-digit enclosures as int pairs
+    over one denominator D where these do not overlap, else on its rungs
+    above k* = min(REPORT_DIGITS, max_digits); and (k*, the pairs in order, D)."""
+    k = min(REPORT_DIGITS, budget.max_digits)
+    bounds, D = _over_lcm([v.interval(k) for v in angles])
+    order = _decided_order(bounds, False)
+    order, tie = (order, None) if order else ccw_order(angles, budget)
+    return order, tie, (k, [bounds[i] for i in order], D)
+
+
 def _image_sort(P: Polygon, d: int, budget: PrecisionBudget):
     """The next iterate, the polygon of P's vertex images, and ``landing``:
     for each vertex of P, the position of its image in it.  One sort: of
@@ -198,10 +209,7 @@ def _image_sort(P: Polygon, d: int, budget: PrecisionBudget):
         )
     else:
         images = [map_angle(v, d) for v in P.vertices]
-        k = min(REPORT_DIGITS, budget.max_digits)
-        bounds, D = _over_lcm([v.interval(k) for v in images])
-        order = _decided_order(bounds, False)
-        order, tie = (order, None) if order else ccw_order(images, budget)  # rungs > k*
+        order, tie, enclosures = _enclosure_sort(images, budget)
     if tie:
         vs = P.vertices
         raise NotInjectiveError(
@@ -210,7 +218,7 @@ def _image_sort(P: Polygon, d: int, budget: PrecisionBudget):
     landing = tuple(sorted(range(len(order)), key=order.__getitem__))
     images = tuple(images[c] for c in order)
     if L is None:
-        nxt = Polygon._sorted(images, enclosures=(k, [bounds[c] for c in order], D))
+        nxt = Polygon._sorted(images, enclosures=enclosures)
     else:
         nxt = Polygon._sorted(None, images, L)
     return nxt, landing
@@ -643,7 +651,8 @@ class CriticalStrip:
     the hole's edge.  ``ranges`` are the ranges of c and of its partner
     c + j/d as int pairs (lo, hi) over ``den``, with lo <= hi < lo + den (hi
     may exceed den when a range runs past 0), from the polygon's 64-digit
-    bounds (exact for a rational polygon)."""
+    bounds (exact for a rational polygon), or from more digits for an end
+    that straddles the 0/1 seam at 64."""
 
     hole: Arc
     degree: int
@@ -660,7 +669,9 @@ def critical_strip(
     remainder: j/d < len < (j+1)/d holds iff 1 <= j <= d-1 and the
     remainder is positive, decided on its int bounds first.  The range of c
     is read off the polygon's bounds (u, w) over D as [d*u_lo, d*w_hi - j*D]
-    over d*D, D added to w for the hole past 0; nothing is measured again."""
+    over d*D, D added to w for the hole past 0; nothing is measured again
+    but an end that they widen to the whole circle at the 0/1 seam, which
+    ``_off_seam`` reads (the range is then over d times an lcm)."""
     c, d = profile.order[k - 1], profile.degree
     j, H, rho = profile.floors[c], profile.holes[c], profile.remainder(k)
     if not 1 <= j <= d - 1:
@@ -669,8 +680,25 @@ def critical_strip(
         positive = cmp_values(rho, ZERO, budget)
     if positive != GT:
         raise PreconditionError("hole length must satisfy j/d < len < (j+1)/d")
-    bounds, D = profile.polygon._bounds(REPORT_DIGITS)
+    P = profile.polygon
+    bounds, D = P._bounds(REPORT_DIGITS)
     M = len(bounds)
-    lo, whi = d * bounds[c][0], bounds[(c + 1) % M][1] + (D if c == M - 1 else 0)
-    hi = d * whi - j * D
-    return CriticalStrip(H, d, j, rho, d * D, ((lo, hi), (lo + j * D, hi + j * D)))
+    (lo, _, p), (_, hi, q) = (
+        (*bounds[i], D) if bounds[i][1] - bounds[i][0] < D else _off_seam(P.vertices[i], budget)
+        for i in (c, (c + 1) % M)
+    )
+    E = lcm(p, q)  # D, unless an end is read off the seam
+    lo, hi = d * lo * (E // p), d * (hi + (q if c == M - 1 else 0)) * (E // q) - j * E
+    return CriticalStrip(H, d, j, rho, d * E, ((lo, hi), (lo + j * E, hi + j * E)))
+
+
+def _off_seam(v: Angle, budget: PrecisionBudget) -> tuple[int, int, int]:
+    """The enclosure (lo, hi, den) of a vertex widened at the 0/1 seam at
+    REPORT_DIGITS digits, from the first rung of the compare ladder above
+    that moves it off (the sort that placed the vertex needed one)."""
+    for k in _precision_ladder(budget):
+        if k > REPORT_DIGITS and (iv := v.interval(k))[1] - iv[0] < iv[2]:
+            return iv
+    raise UnresolvedComparison(
+        f"cannot move {format_angle(v)} off the 0/1 seam within {budget.max_digits} digits"
+    )

@@ -446,6 +446,61 @@ def test_strips_match_a_plain_fraction_restatement():
     assert len(seen) == 8, seen
 
 
+def _seam_stream(rng, base):
+    """A Thue-Morse or Champernowne stream put within base**-m of the 0/1
+    seam (m in 65..72), just past 0 or just below 1, so that its 64-digit
+    enclosure straddles the seam."""
+    name, m = rng.choice(["thue_morse", "champernowne"]), rng.randint(65, 72)
+    x = point_enclosure(Stream(name, base, 0, F(0)), m)[0]
+    off = (1 - x + (F(1, 2 * base**m) if rng.random() < 0.5 else -F(1, base**m))) % 1
+    return parse_angle(f"gen:{name}?base={base}&offset={off.numerator}/{off.denominator}")
+
+
+def test_strips_with_an_end_on_the_seam_enclose_their_chords():
+    """Seeded polygons with one or two vertices whose 64-digit enclosures
+    straddle the 0/1 seam, at either end of a critical hole, the hole past 0
+    included: each range of c starts in [0, 1), is less than a turn wide,
+    holds [u, w - j/d] from 300-digit enclosures of the ends (lifted by a
+    turn where the range starts above u), and is no wider than that by more
+    than two 64-digit widths; the partner range lies j/d further on."""
+    rng = random.Random(64)
+    seen = Counter()
+    for _ in range(150):
+        d, base = rng.randint(2, 4), rng.choice([2, 3])
+        vs = {_seam_stream(rng, base) for _ in range(rng.choice([1, 1, 2]))}
+        N = rng.randint(2, 4)
+        while len(vs) < N:
+            q = rng.randint(2, 30)
+            vs.add(ang(F(rng.randrange(q), q)))
+        P = Polygon(sorted(vs, key=format_angle))
+        profile = hole_profile(P, d)
+        M = P.card
+        for k in range(1, M + 1):
+            try:
+                s = critical_strip(profile, k)
+            except PreconditionError:
+                continue
+            c = profile.order[k - 1]
+            u, w = P.vertices[c], P.vertices[(c + 1) % M]
+            turn, jd = (1 if c == M - 1 else 0), F(s.j, d)
+            (ulo, uhi), (wlo, whi) = (point_enclosure(_spec(x), 300) for x in (u, w))
+            assert uhi - ulo < 1 and whi - wlo < 1  # off the seam at 300 digits
+            lo, hi = strip_range(s)
+            lift = 1 if lo > ulo else 0
+            assert 0 <= lo < 1 and lo <= hi < lo + 1
+            assert lo <= ulo + lift and whi + turn + lift - jd <= hi
+            assert hi - lo <= whi + turn - ulo - jd + 2 * F(1, base**64)
+            assert strip_range(s, 1) == (lo + jd, hi + jd)
+            for x, end in ((u, "u"), (w, "w")):
+                if x.source is not None and x.enclosure_bounds(64) == (0, 1):
+                    seen[end + " on the seam" + (", past 0" if turn else "")] += 1
+    assert len(seen) == 4 and min(seen.values()) >= 10, seen
+    # a budget with no rung above 64 digits cannot read such an end off the seam
+    P = Polygon([_seam_stream(random.Random(1), 2), ang("1/5"), ang("3/10")])
+    with pytest.raises(UnresolvedComparison, match="off the 0/1 seam within 64 digits"):
+        critical_strip(hole_profile(P, 2), 3, PrecisionBudget(64))  # the largest hole
+
+
 def test_polygon_rejects_repeats_and_too_few_before_sorting(monkeypatch):
     """Equal angles and inputs of fewer than 2 vertices are refused before
     the sort compares anything, so a pair the budget cannot separate does
