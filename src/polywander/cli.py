@@ -57,6 +57,7 @@ from .recurrence import (
 from .render import render_svg
 
 __version__ = "0.1.0"
+MAX_BINS = 2**20  # the report lists every omega bin: 1/MAX_BINS is the finest epsilon
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +204,7 @@ def _ser_evidence(ev) -> dict:
 def _ser_omega(o) -> dict:
     return {
         "resolution": _ser_fraction(o.resolution),
-        "bins": sorted(o.bins),
+        "bins": [m for lo, hi in o.runs for m in range(lo, hi + 1)],
         "burn_in": o.burn_in,
         "horizon": o.horizon,
     }
@@ -312,7 +313,8 @@ def _parse_epsilon(text: str) -> Fraction:
         eps = Fraction(text) if "/" in text else Fraction(1, int(text))
     except ZeroDivisionError:
         eps = Fraction(0)  # a zero denominator fails the check below
-    _check_epsilon(eps, text)
+    if _check_epsilon(eps, text) > MAX_BINS:
+        raise PreconditionError(f"epsilon must be at least 1/{MAX_BINS}, got {text!r}")
     return eps
 
 

@@ -683,19 +683,31 @@ def critical_strip(
     P = profile.polygon
     bounds, D = P._bounds(REPORT_DIGITS)
     M = len(bounds)
-    (lo, _, p), (_, hi, q) = (
-        (*bounds[i], D) if bounds[i][1] - bounds[i][0] < D else _off_seam(P.vertices[i], budget)
-        for i in (c, (c + 1) % M)
-    )
+    (lo, _, p), (_, hi, q) = (_off_seam(P, i, bounds, D, budget) for i in (c, (c + 1) % M))
     E = lcm(p, q)  # D, unless an end is read off the seam
     lo, hi = d * lo * (E // p), d * (hi + (q if c == M - 1 else 0)) * (E // q) - j * E
     return CriticalStrip(H, d, j, rho, d * E, ((lo, hi), (lo + j * E, hi + j * E)))
 
 
-def _off_seam(v: Angle, budget: PrecisionBudget) -> tuple[int, int, int]:
-    """The enclosure (lo, hi, den) of a vertex widened at the 0/1 seam at
-    REPORT_DIGITS digits, from the first rung of the compare ladder above
-    that moves it off (the sort that placed the vertex needed one)."""
+def vertex_midpoints(P: Polygon, budget: PrecisionBudget = DEFAULT_BUDGET):
+    """Each vertex of P as ints (n, q): the midpoint of its REPORT_DIGITS-digit
+    enclosure (the vertex itself when it is rational), read off the 0/1 seam
+    by ``_off_seam`` where that enclosure is the whole circle."""
+    bounds, D = P._bounds(REPORT_DIGITS)
+    ends = (_off_seam(P, i, bounds, D, budget) for i in range(len(bounds)))
+    return [(lo + hi, 2 * q) for lo, hi, q in ends]
+
+
+def _off_seam(P: Polygon, i: int, bounds, D: int, budget: PrecisionBudget):
+    """Vertex i's pair in ``bounds`` over D as (lo, hi, D); or, when that
+    pair is the whole circle (the vertex's REPORT_DIGITS-digit enclosure
+    straddles the 0/1 seam), its enclosure (lo, hi, den) from the first rung
+    of the compare ladder above that moves it off (the sort that placed the
+    vertex needed one)."""
+    lo, hi = bounds[i]
+    if hi - lo < D:
+        return lo, hi, D
+    v = P.vertices[i]
     for k in _precision_ladder(budget):
         if k > REPORT_DIGITS and (iv := v.interval(k))[1] - iv[0] < iv[2]:
             return iv

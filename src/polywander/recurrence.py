@@ -13,10 +13,12 @@ always signals a violated precondition or insufficient precision.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from itertools import combinations
+from math import floor, lcm
 
 from .angles import (
     DEFAULT_BUDGET,
@@ -35,7 +37,7 @@ from .errors import (
     PreconditionError,
     UnresolvedComparison,
 )
-from .geometry import Polygon
+from .geometry import Polygon, vertex_midpoints
 from .orbit import (
     CriticalValueTrace,
     JumpLog,
@@ -98,20 +100,14 @@ def _map_iv(iv: Iv, d: int, p) -> Iv | None:
     return (lo, lo + w)
 
 
-def _circ_point_dist(x: Fraction, y: Fraction) -> Fraction:
-    g = (x - y) % 1
-    return min(g, 1 - g)
-
-
 def _components(n: int, joined) -> list[list[int]]:
     """Connected components of the graph on 0..n-1 with an edge a-b wherever
     ``joined(a, b)`` (a < b): each ascending, listed by least member."""
     label = list(range(n))  # least member of each vertex's component so far
-    for a in range(n):
-        for b in range(a + 1, n):
-            if joined(a, b) and label[a] != label[b]:
-                old, new = max(label[a], label[b]), min(label[a], label[b])
-                label = [new if x == old else x for x in label]
+    for a, b in combinations(range(n), 2):
+        if joined(a, b) and label[a] != label[b]:
+            old, new = max(label[a], label[b]), min(label[a], label[b])
+            label = [new if x == old else x for x in label]
     comps: dict[int, list[int]] = {}
     for i in range(n):
         comps.setdefault(label[i], []).append(i)
@@ -134,7 +130,6 @@ class CandidateLeaf:
     arcs: tuple[Iv, Iv]
     support: tuple[int, ...]
     value_arc: Iv
-    degree: int
 
 
 def _strips_overlap(p: tuple[Iv, Iv], q: tuple[Iv, Iv], D: int) -> bool:
@@ -176,7 +171,6 @@ def extract_jumping_leaves(log: JumpLog, d: int) -> list[CandidateLeaf]:
                 arcs=(as_fractions(arcs[0]), as_fractions(arcs[1])),
                 support=tuple(sorted(records[i].index for i in members)),
                 value_arc=as_fractions(_combine(values, D) if values else (0, D)),
-                degree=d,
             )
         )
     leaves.sort(key=lambda l: (l.arcs[0][0], l.arcs[1][0]))
@@ -275,11 +269,9 @@ def orbit_disjointness(
 
 def _pair_statuses(orbits) -> dict[tuple[int, int], PairStatus]:
     """``orbit_disjointness`` from the leaves' value orbits."""
-    n = len(orbits)
     return {
         (a, b): _pair_status(orbits[a], orbits[b])
-        for a in range(n)
-        for b in range(a + 1, n)
+        for a, b in combinations(range(len(orbits)), 2)
     }
 
 
@@ -287,18 +279,20 @@ def _pair_statuses(orbits) -> dict[tuple[int, int], PairStatus]:
 # omega-limit approximation
 
 
+Run = tuple  # bins m_lo..m_hi of one OmegaApproximation, 0 <= m_lo <= m_hi < B
+
+
 @dataclass(frozen=True)
 class OmegaApproximation:
-    """Occupied bins [m*eps, (m+1)*eps) visited by an orbit tail."""
+    """Occupied bins [m*eps, (m+1)*eps) visited by an orbit tail, as sorted
+    runs (m_lo, m_hi) of B = 1/eps bins: runs do not touch and do not wrap
+    past 0, and the full circle is the one run (0, B-1).  Nothing here is
+    linear in B; only the report lists every bin."""
 
     resolution: Fraction
-    bins: frozenset[int]
+    runs: tuple[Run, ...]
     burn_in: int
     horizon: int
-
-    @property
-    def bin_count(self) -> int:
-        return int(1 / self.resolution)
 
 
 def _check_epsilon(epsilon: Fraction, literal: str | None = None) -> int:
@@ -312,10 +306,23 @@ def _check_epsilon(epsilon: Fraction, literal: str | None = None) -> int:
     return B
 
 
-def _bins_of_interval(lo: Fraction, hi: Fraction, B: int) -> set[int]:
-    m_lo = (lo.numerator * B) // lo.denominator
-    m_hi = (hi.numerator * B) // hi.denominator
-    return {m % B for m in range(m_lo, m_hi + 1)}
+def _runs(spans, B: int) -> tuple[Run, ...]:
+    """The sorted runs of the bins m mod B for m in the int spans (a, b),
+    a <= b: a span of B bins or more is the full circle, one that crosses 0
+    is split there, and runs that overlap or touch are merged."""
+    pieces = []
+    for a, b in spans:
+        if b - a + 1 >= B:
+            return ((0, B - 1),)
+        a, b = a % B, b % B
+        pieces += [(a, b)] if a <= b else [(0, b), (a, B - 1)]
+    runs: list[Run] = []
+    for a, b in sorted(pieces):
+        if runs and a <= runs[-1][1] + 1:
+            runs[-1] = (runs[-1][0], max(b, runs[-1][1]))
+        else:
+            runs.append((a, b))
+    return tuple(runs)
 
 
 def omega_approx(
@@ -342,43 +349,47 @@ def omega_approx(
     for i in range(horizon + 1):
         arcs.append(v.enclosure_bounds(k) if i >= burn_in else None)
         v = map_angle(v, d)
-    return _omega_from_arcs(arcs, burn_in, epsilon)
+    return _omega_from_arcs(arcs, burn_in, B)
 
 
-def _omega_from_arcs(
-    arcs: list[Iv | None], burn_in: int, epsilon: Fraction
-) -> OmegaApproximation:
-    B = _check_epsilon(epsilon)
-    bins: set[int] = set()
-    for iv in arcs[burn_in:]:
-        if iv is None:
-            bins |= set(range(B))
-        else:
-            bins |= _bins_of_interval(iv[0], iv[1], B)
-    return OmegaApproximation(
-        resolution=Fraction(1, B),
-        bins=frozenset(bins),
-        burn_in=burn_in,
-        horizon=len(arcs) - 1,
-    )
+def _omega_from_arcs(arcs: list[Iv | None], burn_in: int, B: int) -> OmegaApproximation:
+    """The bins of B that the arcs from burn_in on touch; an arc of None
+    covers the circle."""
+    spans = [
+        (0, B - 1) if iv is None else (floor(iv[0] * B), floor(iv[1] * B))
+        for iv in arcs[burn_in:]
+    ]
+    return OmegaApproximation(Fraction(1, B), _runs(spans, B), burn_in, len(arcs) - 1)
+
+
+def _bin_distance(m: int, runs, B: int) -> int:
+    """Circular distance in bins from bin m to the nearest run; one bisect."""
+    i = bisect_right(runs, (m, B)) - 1  # the last run that starts at or before m, or -1
+    if i >= 0 and m <= runs[i][1]:
+        return 0
+    return min((m - runs[i][1]) % B, (runs[(i + 1) % len(runs)][0] - m) % B)
 
 
 def hausdorff_bins(a: OmegaApproximation, b: OmegaApproximation) -> Fraction:
-    """Hausdorff distance between two occupied-bin sets at equal resolution."""
+    """Hausdorff distance between two occupied-bin sets at equal resolution,
+    in O(r log r) for r runs.  The distance from a bin of ``src`` to ``dst``
+    rises to the middle of each gap of ``dst`` and falls again, so its
+    largest value is at an end of a run of ``src`` or at the floor-midpoint
+    of a gap of ``dst`` that lies in ``src``."""
     if a.resolution != b.resolution:
         raise PreconditionError("resolutions differ")
-    if not a.bins or not b.bins:
-        return ONE if a.bins != b.bins else ZERO
-    B = a.bin_count
+    if not a.runs or not b.runs:
+        return ONE if a.runs != b.runs else ZERO
+    B = a.resolution.denominator
 
     def directed(src, dst):
-        worst = 0
-        for m in src:
-            best = min(min((m - n) % B, (n - m) % B) for n in dst)
-            worst = max(worst, best)
-        return worst
+        cands = [m for run in src for m in run]
+        for (_, hi), (lo, _) in zip(dst, dst[1:] + dst[:1]):  # one run: its gap goes round
+            if gap := (lo - hi - 1) % B:
+                cands.append((hi + 1 + (gap - 1) // 2) % B)
+        return max(_bin_distance(m, dst, B) for m in cands if not _bin_distance(m, src, B))
 
-    return Fraction(max(directed(a.bins, b.bins), directed(b.bins, a.bins)), B)
+    return Fraction(max(directed(a.runs, b.runs), directed(b.runs, a.runs)), B)
 
 
 # ---------------------------------------------------------------------------
@@ -475,9 +486,6 @@ BREACH = "AssertionBreach"
 
 @dataclass(frozen=True)
 class TheoremReport:
-    degree: int
-    horizon: int
-    epsilon: Fraction
     certificate: WanderingCertificate
     burn_in: int | None = None
     jumps: JumpLog | None = None
@@ -516,8 +524,7 @@ def approx_limit_leaf(
     if M < 3:
         raise PreconditionError("limit-leaf approximation needs card >= 3")
     big = sorted((profile.order[M - 1], profile.order[M - 2]))
-    bounds, D = rec.polygon._bounds(64)
-    mids = [Fraction(lo + hi, 2 * D) for lo, hi in bounds]  # of 64-digit enclosures
+    mids = [Fraction(n, q) for n, q in vertex_midpoints(rec.polygon, budget)]
 
     def cluster_mid(start_hole: int, end_hole: int) -> Fraction:
         # vertices from the end of one big hole around to the start of the next
@@ -528,14 +535,12 @@ def approx_limit_leaf(
 
 
 def _near_bins(x: Fraction, omega: OmegaApproximation, tol: Fraction) -> bool:
+    """Whether x lies within tol of an occupied bin: of the closed arc
+    [lo/B, (hi+1)/B] of some run, one Fraction test per run."""
     eps = omega.resolution
-    for m in omega.bins:
-        lo, hi = m * eps, (m + 1) * eps
-        if (x - lo) % 1 <= (hi - lo):
-            return True
-        if _circ_point_dist(x, lo) <= tol or _circ_point_dist(x, hi) <= tol:
-            return True
-    return False
+    return any(
+        (x - lo * eps + tol) % 1 <= (hi + 1 - lo) * eps + 2 * tol for lo, hi in omega.runs
+    )
 
 
 def _grade_leaves(leaves, orbits, epsilon: Fraction, burn_in: int, notes):
@@ -552,7 +557,7 @@ def _grade_leaves(leaves, orbits, epsilon: Fraction, burn_in: int, notes):
             notes.append(f"leaf {li}: value enclosure too wide for recurrence")
         if None in arcs:
             notes.append(f"leaf {li}: omega bins degraded to full circle")
-        omegas.append(_omega_from_arcs(arcs, burn_in, epsilon))
+        omegas.append(_omega_from_arcs(arcs, burn_in, epsilon.denominator))
     return evidence, omegas
 
 
@@ -571,8 +576,7 @@ def verify_theorem1(
     NotCertifiedWandering when certification fails, and PreconditionError
     when a record from ``burn_in_override`` on fails a burn-in condition;
     otherwise always returns a three-valued status."""
-    epsilon = Fraction(epsilon)
-    _check_epsilon(epsilon)
+    epsilon = Fraction(1, _check_epsilon(epsilon))
     if burn_in_override is not None and burn_in_override < 0:
         raise PreconditionError("burn-in must be >= 0")
     cert = certify_wandering(T, d, horizon, budget, kiwi_precheck)
@@ -589,7 +593,7 @@ def verify_theorem1(
     notes: list[str] = []
 
     def report(**kw):
-        return TheoremReport(d, horizon, epsilon, cert, notes=tuple(notes), **kw)
+        return TheoremReport(cert, notes=tuple(notes), **kw)
 
     try:
         log = run.jumps
@@ -614,15 +618,11 @@ def verify_theorem1(
     all_witnessed = all(e is not None and e.verdict.kind == WITNESSED for e in evidence)
 
     omega_consistent = all(
-        hausdorff_bins(omegas[a], omegas[b]) <= 2 * epsilon
-        for a in range(len(omegas))
-        for b in range(a + 1, len(omegas))
+        hausdorff_bins(a, b) <= 2 * epsilon for a, b in combinations(omegas, 2)
     )
 
-    union_bins = frozenset().union(*(o.bins for o in omegas))
-    union_omega = OmegaApproximation(
-        resolution=epsilon, bins=union_bins, burn_in=run.burn_in, horizon=horizon
-    )
+    union_runs = _runs((r for o in omegas for r in o.runs), epsilon.denominator)
+    union_omega = OmegaApproximation(epsilon, union_runs, run.burn_in, horizon)
     limit_leaves = tuple(approx_limit_leaf(r, budget) for r in run.tail[-3:])
     limcoin_ok = all(
         _near_bins(p[0], union_omega, epsilon) or _near_bins(p[1], union_omega, epsilon)
@@ -653,9 +653,6 @@ def verify_theorem1(
 
 @dataclass(frozen=True)
 class CollectionReport:
-    degree: int
-    horizon: int
-    epsilon: Fraction
     cards: tuple[int, ...]
     sigma: int
     r_hat: int
@@ -668,11 +665,7 @@ def _max_disjoint_subset(n: int, matrix: dict[tuple[int, int], PairStatus]) -> i
     best = 0
     for mask in range(1 << n):
         members = [i for i in range(n) if mask >> i & 1]
-        ok = all(
-            matrix[(a, b)].kind == DISJOINT
-            for x, a in enumerate(members)
-            for b in members[x + 1:]
-        )
+        ok = all(matrix[(a, b)].kind == DISJOINT for a, b in combinations(members, 2))
         if ok:
             best = max(best, len(members))
     return best
@@ -698,8 +691,7 @@ def verify_collection_bound(
     later member b, O(N log(HN)) compares per query.
     ``CrossPairLinked(a, n, b, m)`` names the first pair (a, b), then the
     first iterate n of a, then the smallest iterate m of b linked with it."""
-    epsilon = Fraction(epsilon)
-    _check_epsilon(epsilon)
+    epsilon = Fraction(1, _check_epsilon(epsilon))
     notes: list[str] = []
     certs: list[WanderingCertificate] = []
     for idx, T in enumerate(Gamma):
@@ -751,9 +743,6 @@ def verify_collection_bound(
             "precision or horizon limitation"
         )
     return CollectionReport(
-        degree=d,
-        horizon=horizon,
-        epsilon=epsilon,
         cards=tuple(T.card for T in Gamma),
         sigma=sigma,
         r_hat=r_hat,

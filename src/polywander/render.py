@@ -11,7 +11,7 @@ import math
 
 from .angles import DEFAULT_BUDGET, Angle, PrecisionBudget
 from .errors import PolywanderError, PreconditionError
-from .geometry import Polygon
+from .geometry import Polygon, vertex_midpoints
 from .orbit import iterate_orbit
 from .recurrence import JumpAnalysis
 
@@ -52,13 +52,6 @@ def _strip_path(strip) -> str:
     return f"M {a} {_arc_to(span, q, b)} L {c} {_arc_to(q - span, q, e)} Z"
 
 
-def _points(P: Polygon) -> list[tuple[int, int]]:
-    """Each vertex of P as ints (n, q): the midpoint of its 32-digit
-    enclosure, which is the vertex itself when it is rational."""
-    bounds, D = P._bounds(32)
-    return [(lo + hi, 2 * D) for lo, hi in bounds]
-
-
 def render_svg(
     angles: list[Angle],
     d: int = 2,
@@ -84,7 +77,7 @@ def render_svg(
         except PolywanderError as exc:
             orbit = getattr(exc, "records", None) or iterate_orbit(P, d, 0, budget)
 
-        drawn = [_points(rec.polygon) for rec in orbit]
+        drawn = [vertex_midpoints(rec.polygon, budget) for rec in orbit]
         drawn = [(pts, [_xy(n, q) for n, q in pts]) for pts in drawn]
         for rec, (_, xys) in zip(orbit, drawn):
             color = PALETTE[rec.index % len(PALETTE)]

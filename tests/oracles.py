@@ -142,6 +142,45 @@ def cycle_of(x: Fraction, d: int) -> list[Fraction]:
     return seen
 
 
+def oracle_bins(arcs, B: int) -> set[int]:
+    """The set of bins [m/B, (m+1)/B) that closed arcs (lo, hi), hi possibly
+    past 1, touch; an arc of None covers the circle."""
+    bins: set[int] = set()
+    for iv in arcs:
+        if iv is None:
+            bins |= set(range(B))
+        else:
+            bins |= {m % B for m in range(floor(iv[0] * B), floor(iv[1] * B) + 1)}
+    return bins
+
+
+def oracle_hausdorff_bins(a: set[int], b: set[int], B: int) -> Fraction:
+    """Hausdorff distance of two bin sets on a circle of B bins, every bin
+    against every bin."""
+    if not a or not b:
+        return Fraction(1) if a != b else Fraction(0)
+
+    def directed(src, dst):
+        return max(min(min((m - n) % B, (n - m) % B) for n in dst) for m in src)
+
+    return Fraction(max(directed(a, b), directed(b, a)), B)
+
+
+def oracle_near_bins(x: Fraction, bins: set[int], B: int, tol: Fraction) -> bool:
+    """Whether x lies in a closed bin [m/B, (m+1)/B] or within tol of an end
+    of one, bin by bin."""
+
+    def dist(y, z):
+        g = (y - z) % 1
+        return min(g, 1 - g)
+
+    for m in bins:
+        lo, hi = Fraction(m, B), Fraction(m + 1, B)
+        if (x - lo) % 1 <= hi - lo or dist(x, lo) <= tol or dist(x, hi) <= tol:
+            return True
+    return False
+
+
 def oracle_collision_step(points: list[Fraction], d: int, horizon: int):
     """First i <= horizon at which f is not injective on T_i, or None."""
     cur = sorted(points)

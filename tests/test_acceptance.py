@@ -243,7 +243,6 @@ def test_criterion_8_recurrence_smoke():
         arcs=((F(1, 14), F(1, 14)), (F(4, 7), F(4, 7))),
         support=(0,),
         value_arc=(F(1, 7), F(1, 7)),
-        degree=2,
     )
     ev = recurrence_evidence(leaf, 2, 10)
     assert ev.verdict.kind == "RecurrentWitnessed"
@@ -299,7 +298,7 @@ def test_criterion_10_stream_fixture_pipeline():
     # exercise 1000 stream iterations directly: long orbit plus omega bins
     a = parse_angle("gen:thue_morse?base=4")
     om = omega_approx(a, 4, 10, 1000, F(1, 64))
-    assert om.bins and all(0 <= b < 64 for b in om.bins)
+    assert om.runs and all(0 <= lo <= hi < 64 for lo, hi in om.runs)
     P = Polygon([a, parse_angle("1/3"), parse_angle("2/3")])
     orbit = iterate_orbit(P, 4, 1000)
     assert len(orbit) == 1001

@@ -19,6 +19,8 @@ from polywander.cli import (
     main,
 )
 
+from test_golden import WIDE
+
 JUMP = ["19/100", "45/100", "96/100"]
 CLUSTER = ["30/100", "31/100", "32/100"]
 
@@ -74,6 +76,20 @@ def test_bad_epsilon_message_names_literal(literal, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: epsilon must be 1/2^r, got '{literal}'\n"
+
+
+@pytest.mark.parametrize("literal", ["1/2097152", "2097152"])
+def test_epsilon_finer_than_the_ceiling_exits_2(literal, capsys):
+    """The report lists every omega bin, so epsilon stops at 1/2^20."""
+    assert main(["verify", *CLUSTER, "--epsilon", literal]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: epsilon must be at least 1/1048576, got '{literal}'\n"
+
+
+def test_epsilon_at_the_ceiling_is_accepted(capsys):
+    assert main(["verify", *CLUSTER, "--horizon", "2", "--epsilon", "1/1048576"]) == 0
+    assert '"epsilon": "1/1048576"' in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(
@@ -582,7 +598,8 @@ def cli_argv(draw):
         argv.append("--no-kiwi-precheck")
     if (wild or command in ("jumps", "leaves", "verify")) and draw(st.booleans()):
         argv += ["--burn-in", str(draw(st.integers(-1 if wild else 0, 3)))]
-    epsilons = ["1/64", "8", "1/48", "0", "x"] if wild else ["1/64", "8"]
+    r = draw(st.integers(0, 24))  # past 20, epsilon is finer than the ceiling
+    epsilons = [f"1/{2**r}", str(2**r)] + (["1/48", "0", "x"] if wild else [])
     if draw(st.booleans()):
         argv += ["--epsilon", draw(st.sampled_from(epsilons))]
     if draw(st.booleans()):
@@ -592,10 +609,14 @@ def cli_argv(draw):
 
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(cli_argv())
+@example(["verify", *WIDE, "--epsilon", "65536"])
+@example(["verify", *WIDE, "--epsilon", "1/16777216"])
 def test_generated_input_keeps_the_exit_code_contract(argv):
     """Any command on generated literals and options exits 0, 2, 3 or 4
     (argparse exits 2 itself), prints no traceback, and writes to stdout
-    only on success."""
+    only on success.  Generated inputs seldom reach the omega bins, so two
+    examples take ``wide-verify``'s triangle there, on each side of the
+    epsilon ceiling."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:

@@ -44,6 +44,8 @@ from polywander import (
     geometry,
     iterate_orbit,
     orbit,
+    recurrence,
+    render_svg,
     verify_collection_bound,
 )
 from polywander.cli import main
@@ -499,6 +501,25 @@ def test_strips_with_an_end_on_the_seam_enclose_their_chords():
     P = Polygon([_seam_stream(random.Random(1), 2), ang("1/5"), ang("3/10")])
     with pytest.raises(UnresolvedComparison, match="off the 0/1 seam within 64 digits"):
         critical_strip(hole_profile(P, 2), 3, PrecisionBudget(64))  # the largest hole
+
+
+def test_vertex_midpoints_read_a_vertex_on_the_seam_off_the_seam():
+    """A Thue-Morse stream 2^-70 past 0, whose 64-digit enclosure is the
+    whole circle, has its midpoint just past 0 and not at 1/2: in
+    ``vertex_midpoints``, in the limit leaf that ``approx_limit_leaf`` takes
+    from them (once (0.5, 0.9)), and in the first point that ``render``
+    draws (once on top of the vertex 1/2)."""
+    x = point_enclosure(Stream("thue_morse", 2, 0, F(0)), 70)[0]
+    off = 1 - x + F(1, 2**70)
+    lits = [f"gen:thue_morse?base=2&offset={off}", "1/5", "3/10", "1/2"]
+    P = Polygon([parse_angle(t) for t in lits])
+    assert P.vertices[0].enclosure_bounds(64) == (0, 1)
+    n, q = geometry.vertex_midpoints(P)[0]
+    assert 0 < F(n, q) < F(1, 2**64)
+    leaf = recurrence.approx_limit_leaf(iterate_orbit(P, 2, 0)[0])
+    assert leaf[0] == F(1, 2) and 0 < leaf[1] - F(3, 20) < F(1, 2**64)
+    svg = render_svg([parse_angle(t) for t in lits], 2, 0)
+    assert 'id="polygon-0" d="M 950.000 500.000 L ' in svg
 
 
 def test_polygon_rejects_repeats_and_too_few_before_sorting(monkeypatch):

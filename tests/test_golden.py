@@ -7,6 +7,7 @@ record the outputs again after an intended change, run
 """
 
 import contextlib
+import hashlib
 import io
 import sys
 from fractions import Fraction
@@ -210,6 +211,28 @@ def test_verify_walks_each_value_orbit_once(monkeypatch):
         0, (GOLDEN / "tri3-verify.out").read_text(encoding="utf-8")
     )
     assert len(calls) == 2
+
+
+def test_verify_work_does_not_grow_with_the_bin_count(monkeypatch):
+    """``wide-verify``'s triangle at epsilon 1/2^10 and 1/2^16 makes the same
+    number of calls into the bin distance, since each omega is held as runs
+    of bins; and its report at 1/2^16 is the one that the bin-set code
+    printed, bin for bin (the sha256 of that stdout)."""
+    calls = []
+    dist = recurrence._bin_distance
+    monkeypatch.setattr(
+        recurrence, "_bin_distance", lambda *a: calls.append(a) or dist(*a)
+    )
+    counts = []
+    for eps in ("1/1024", "1/65536"):
+        calls.clear()
+        code, out = _run(["verify", *WIDE, "--epsilon", eps])
+        assert code == 0
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "b3779a8e76ed9b839ebe239851fb1470c393d05b625d62e8cd5487d07256dc6f"
+    )
 
 
 def test_stream_orbit_report_reads_no_enclosure_twice(monkeypatch):

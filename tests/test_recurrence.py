@@ -32,7 +32,14 @@ from polywander.orbit import JumpLog, JumpRecord
 from polywander import recurrence
 from polywander.recurrence import JumpAnalysis, OmegaApproximation, _decide_status
 
-from oracles import cycle_of, oracle_leaves, oracle_unlinked
+from oracles import (
+    cycle_of,
+    oracle_bins,
+    oracle_hausdorff_bins,
+    oracle_leaves,
+    oracle_near_bins,
+    oracle_unlinked,
+)
 from test_geometry import strip_of
 
 
@@ -46,7 +53,6 @@ def leaf_exact(a, b, value, d=2) -> CandidateLeaf:
         arcs=tuple(sorted(((a, a), (b, b)))),
         support=(0,),
         value_arc=(value, value),
-        degree=d,
     )
 
 
@@ -296,17 +302,17 @@ def test_pair_status_matches_the_brute_force_walk():
 def test_omega_cycle_of_sevenths():
     om = omega_approx(parse_angle("1/7"), 2, 0, 50, F(1, 64))
     expect = {int(x * 64) for x in cycle_of(F(1, 7), 2)}
-    assert set(om.bins) == expect
+    assert bins_of(om) == expect
 
 
 def test_omega_fixed_point():
     om = omega_approx(parse_angle("0/1"), 2, 0, 10, F(1, 64))
-    assert om.bins == frozenset({0})
+    assert om.runs == ((0, 0),)
 
 
 def test_omega_half_after_burn_in():
     om = omega_approx(parse_angle("1/2"), 2, 1, 10, F(1, 64))
-    assert om.bins == frozenset({0})
+    assert om.runs == ((0, 0),)
 
 
 def test_omega_determinism_and_epsilon_validation():
@@ -320,12 +326,67 @@ def test_omega_determinism_and_epsilon_validation():
 
 
 def test_hausdorff_bins():
-    A = OmegaApproximation(F(1, 8), frozenset({0}), 0, 1)
-    B = OmegaApproximation(F(1, 8), frozenset({0, 3}), 0, 1)
+    A = OmegaApproximation(F(1, 8), ((0, 0),), 0, 1)
+    B = OmegaApproximation(F(1, 8), ((0, 0), (3, 3)), 0, 1)
     assert hausdorff_bins(A, A) == 0
     assert hausdorff_bins(A, B) == F(3, 8)
-    C = OmegaApproximation(F(1, 8), frozenset({7}), 0, 1)
+    C = OmegaApproximation(F(1, 8), ((7, 7),), 0, 1)
     assert hausdorff_bins(A, C) == F(1, 8)  # circular wrap
+
+
+def bins_of(om) -> set[int]:
+    return {m for lo, hi in om.runs for m in range(lo, hi + 1)}
+
+
+def _random_arcs(rng, B):
+    """Up to five closed arcs (lo, hi) with 0 <= lo < 1: points, arcs under
+    a turn and arcs of one or two turns, some starting in bin 0 or B-1; and
+    now and then None, the whole circle."""
+    arcs = []
+    for _ in range(rng.randint(0, 5)):
+        if rng.random() < 0.05:
+            arcs.append(None)
+            continue
+        lo = F(rng.choice([0, 4 * B - 1, rng.randrange(4 * B)]), 4 * B)
+        width = rng.choice([0, F(rng.randrange(1, 3 * B), 4 * B)] * 3 + [rng.randint(1, 2)])
+        arcs.append((lo, lo + width))
+    return arcs
+
+
+def test_runs_match_the_set_based_bins_hausdorff_and_near_test():
+    """On seeded arcs at B <= 128, the runs hold the set-based bins, and
+    ``hausdorff_bins``, ``_near_bins`` and the union of runs agree with
+    the bin-by-bin reference."""
+    rng = random.Random(20)
+    met = Counter()
+    for _ in range(3000):
+        B = 2 ** rng.randint(1, 7)
+        omegas, sets = [], []
+        for _ in range(2):
+            arcs = _random_arcs(rng, B)
+            burn_in = rng.choice([0, 0, rng.randint(0, len(arcs))])
+            om = recurrence._omega_from_arcs(arcs, burn_in, B)
+            want = oracle_bins(arcs[burn_in:], B)
+            assert bins_of(om) == want, (arcs, burn_in, B)
+            runs = om.runs
+            assert all(0 <= lo <= hi < B for lo, hi in runs)
+            assert all(hi + 1 < lo for (_, hi), (lo, _) in zip(runs, runs[1:]))
+            met["empty"] += not runs
+            met["full circle"] += runs == ((0, B - 1),)
+            met["runs at 0 and B-1"] += len(runs) > 1 and runs[0][0] == 0 == B - 1 - runs[-1][1]
+            met["wider than a turn"] += any(
+                iv is not None and iv[1] - iv[0] >= 1 for iv in arcs[burn_in:]
+            )
+            omegas.append(om)
+            sets.append(want)
+        a, b = omegas
+        met["one-run dst"] += len(b.runs) == 1 and b.runs != ((0, B - 1),)
+        assert hausdorff_bins(a, b) == oracle_hausdorff_bins(sets[0], sets[1], B)
+        union = recurrence._runs(a.runs + b.runs, B)
+        assert {m for lo, hi in union for m in range(lo, hi + 1)} == sets[0] | sets[1]
+        x, tol = F(rng.randrange(8 * B), 8 * B), F(rng.randrange(3), 2 * B)
+        assert recurrence._near_bins(x, a, tol) == oracle_near_bins(x, sets[0], B, tol)
+    assert len(met) == 5 and all(met.values()), met
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +420,6 @@ def test_recurrence_running_min_nonincreasing_with_intervals():
         arcs=((F(1, 10), F(11, 100)), (F(6, 10), F(61, 100))),
         support=(0,),
         value_arc=(F(2, 10), F(201, 1000)),
-        degree=2,
     )
     ev = recurrence_evidence(leaf, 2, 6)
     mins = ev.running_min
