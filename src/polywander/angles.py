@@ -410,6 +410,15 @@ def _precision_ladder(budget: PrecisionBudget):
     yield budget.max_digits
 
 
+def decide(test, budget: PrecisionBudget, what):
+    """The first answer other than None of ``test(k)`` on the ladder's rungs
+    k, the one loop that refines; else UnresolvedComparison worded by ``what()``."""
+    for k in _precision_ladder(budget):
+        if (got := test(k)) is not None:
+            return got
+    raise UnresolvedComparison(f"{what()} within {budget.max_digits} digits")
+
+
 def compare(a: Angle, b: Angle, budget: PrecisionBudget = DEFAULT_BUDGET) -> int:
     """Total-order comparison of values in [0, 1): LT, EQ or GT.
 
@@ -419,26 +428,10 @@ def compare(a: Angle, b: Angle, budget: PrecisionBudget = DEFAULT_BUDGET) -> int
     if a.source is None and b.source is None:
         x, y = a.n * b.q, b.n * a.q
         return LT if x < y else GT if x > y else EQ
-    if (
-        a.source is not None
-        and b.source is not None
-        and (
-            (a.source is b.source and a.shift == b.shift and a.offset == b.offset)
-            or a._key() == b._key()
-        )
-    ):
+    if a._key() == b._key():
         return EQ
-    for k in _precision_ladder(budget):
-        alo, ahi, ad = a.interval(k)
-        blo, bhi, bd = b.interval(k)
-        if ahi * bd < blo * ad:
-            return LT
-        if bhi * ad < alo * bd:
-            return GT
-    raise UnresolvedComparison(
-        f"cannot separate {_describe_angle(a)} and {_describe_angle(b)} "
-        f"within {budget.max_digits} digits"
-    )
+    return decide(lambda k: cmp_bounds(a.interval(k), b.interval(k)), budget,
+                  lambda: f"cannot separate {_describe_angle(a)} and {_describe_angle(b)}")
 
 
 # ---------------------------------------------------------------------------
@@ -538,17 +531,10 @@ def cmp_values(x: Value, y: Value, budget: PrecisionBudget = DEFAULT_BUDGET) -> 
     """-1, 0 or 1; 0 only for provably equal (both exact) values."""
     if isinstance(x, Fraction) and isinstance(y, Fraction):
         return LT if x < y else GT if x > y else EQ
-    for k in _precision_ladder(budget):
-        xlo, xhi, xd = value_interval(x, k)
-        ylo, yhi, yd = value_interval(y, k)
-        if xhi * yd < ylo * xd:
-            return LT
-        if yhi * xd < xlo * yd:
-            return GT
-    raise UnresolvedComparison(
-        f"cannot order {_describe(x, budget.max_digits)} and "
-        f"{_describe(y, budget.max_digits)} within {budget.max_digits} digits"
-    )
+    # "or None": EQ is kept for two Fractions, so a rung's EQ (0) stays open
+    return decide(lambda k: cmp_bounds(value_interval(x, k), value_interval(y, k)) or None,
+                  budget, lambda: f"cannot order {_describe(x, budget.max_digits)} and "
+                  f"{_describe(y, budget.max_digits)}")
 
 
 def cmp_bounds(x: tuple[int, int, int], y: tuple[int, int, int]) -> int | None:
@@ -596,15 +582,14 @@ def floor_scaled(x: Value, d: int, budget: PrecisionBudget = DEFAULT_BUDGET) -> 
     """floor(d * x), resolved by refinement for enclosure values."""
     if isinstance(x, Fraction):
         return (d * x.numerator) // x.denominator
-    for k in _precision_ladder(budget):
+
+    def test(k):
         lo, hi, den = x.interval(k)
         j = d * lo // den
-        if j == d * hi // den:
-            return j
-    raise UnresolvedComparison(
-        f"floor({d}*x) undecided for x in {_describe(x, budget.max_digits)} "
-        f"within {budget.max_digits} digits"
-    )
+        return j if j == d * hi // den else None
+
+    return decide(test, budget, lambda: f"floor({d}*x) undecided for x in "
+                  f"{_describe(x, budget.max_digits)}")
 
 
 def arc_length(u: Angle, w: Angle, budget: PrecisionBudget = DEFAULT_BUDGET) -> Value:

@@ -103,11 +103,10 @@ def _ser_bounds(lo: int, hi: int, den: int) -> _Leaf:
     )
 
 
-def _ser_angle(a: Angle, bounds=None) -> _Leaf:
-    """An angle and its literal: a rational as its ratio, a stream as
-    ``bounds`` (lo, hi, den), by default its ``REPORT_DIGITS``-digit enclosure."""
-    iv = bounds or a.interval(REPORT_DIGITS)
-    out = _ser_ratio(a.n, a.q) if a.is_rational else _ser_bounds(*iv)
+def _ser_angle(a: Angle, bounds: tuple[int, int, int]) -> _Leaf:
+    """An angle and its literal: a rational as its ratio, a stream as its
+    ``REPORT_DIGITS``-digit enclosure ``bounds`` (lo, hi, den)."""
+    out = _ser_ratio(a.n, a.q) if a.is_rational else _ser_bounds(*bounds)
     literal = encode_basestring_ascii(format_angle(a))
     return _Leaf(out[:-2] + ',\n  "literal": ' + literal + "\n}")  # the last key
 
@@ -137,7 +136,10 @@ def _ser_size(p: HoleProfile, k: int) -> _Leaf:
 
 
 def _ser_arc(arc) -> dict:
-    return {"start": _ser_angle(arc.start), "end": _ser_angle(arc.end)}
+    """An arc whose ends no polygon carries, from their enclosures."""
+    s, e = arc.start, arc.end
+    return {"start": _ser_angle(s, s.interval(REPORT_DIGITS)),
+            "end": _ser_angle(e, e.interval(REPORT_DIGITS))}
 
 
 def _ser_iv(iv) -> dict:
@@ -156,8 +158,12 @@ def _ser_certificate(cert) -> dict:
     }
 
 
-def _ser_jump(jr) -> dict:
+def _ser_jump(jr, records) -> dict:
+    """A jump, its edge and image hole printed from its records' polygons."""
     den = jr.strip.den
+    rec, nxt = records[jr.index], records[jr.index + 1]
+    c, p = rec.profile.order[jr.cr - 1], nxt.profile.order[jr.image_rank - 1]
+    vs, ws = _ser_vertices(rec.polygon), _ser_vertices(nxt.polygon)
 
     def ser_range(lo: int, hi: int) -> dict:
         return {"lo": _ser_ratio(lo % den, den), "hi": _ser_ratio(hi % den, den)}
@@ -166,14 +172,14 @@ def _ser_jump(jr) -> dict:
         "index": jr.index,
         "cr": jr.cr,
         "s_tilde_cr": _ser_value(jr.s_tilde_cr),
-        "edge": [_ser_angle(jr.edge.a), _ser_angle(jr.edge.b)],
+        "edge": [vs[c], vs[(c + 1) % len(vs)]],
         "strip": {
             "j": jr.strip.j,
             "start_range": ser_range(*jr.strip.ranges[0]),
             "partner_range": ser_range(*jr.strip.ranges[1]),
             "rho_value": _ser_value(jr.strip.rho_value),
         },
-        "image_hole": _ser_arc(jr.image_hole),
+        "image_hole": {"start": ws[p], "end": ws[(p + 1) % len(ws)]},
         "image_rank": jr.image_rank,
     }
 
@@ -363,6 +369,8 @@ def _config_echo(args, eps: Fraction) -> dict:
 def _cmd_analyze(args, budget, eps):
     P = Polygon(_input_angles(args), budget)
     d = args.degree
+    # profile before image sort (orbit's records sort first): where neither
+    # decides within the budget, analyze names the floor and orbit the sort
     profile = hole_profile(P, d, budget)
     cert = _orientation(_image_sort(P, d, budget)[1], profile, d, budget)
     arcs, vertices, M = cert.witness_arcs, _ser_vertices(P), P.card
@@ -427,7 +435,7 @@ def _cmd_jumps(args, budget, eps):
     run = JumpAnalysis(orbit, args.degree, budget, args.burn_in or 0)
     log = run.jumps
     payload = {
-        "jumps": [_ser_jump(j) for j in log.records],
+        "jumps": [_ser_jump(j, orbit) for j in log.records],
         "gaps": list(log.gaps),
     }
     try:

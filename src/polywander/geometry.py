@@ -45,13 +45,13 @@ from .angles import (
     Value,
     REPORT_DIGITS,
     Approx,
-    _precision_ladder,
     arc_length,
     arc_value,
     ccw_order,
     cmp_bounds,
     cmp_values,
     compare,
+    decide,
     floor_scaled,
     format_angle,
     map_angle,
@@ -65,7 +65,6 @@ from .errors import (
     DegenerateChordError,
     NotInjectiveError,
     PreconditionError,
-    UnresolvedComparison,
 )
 
 
@@ -708,9 +707,6 @@ def _off_seam(P: Polygon, i: int, bounds, D: int, budget: PrecisionBudget):
     if hi - lo < D:
         return lo, hi, D
     v = P.vertices[i]
-    for k in _precision_ladder(budget):
-        if k > REPORT_DIGITS and (iv := v.interval(k))[1] - iv[0] < iv[2]:
-            return iv
-    raise UnresolvedComparison(
-        f"cannot move {format_angle(v)} off the 0/1 seam within {budget.max_digits} digits"
-    )
+    return decide(
+        lambda k: iv if k > REPORT_DIGITS and (iv := v.interval(k))[1] - iv[0] < iv[2] else None,
+        budget, lambda: f"cannot move {format_angle(v)} off the 0/1 seam")

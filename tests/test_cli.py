@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polywander import Angle, PreconditionError, format_angle, render_svg
+from polywander.angles import REPORT_DIGITS
 from polywander.cli import (
     _ser_angle,
     _ser_bounds,
@@ -19,7 +20,7 @@ from polywander.cli import (
     main,
 )
 
-from test_golden import WIDE
+from test_golden import TRI3, WIDE
 
 JUMP = ["19/100", "45/100", "96/100"]
 CLUSTER = ["30/100", "31/100", "32/100"]
@@ -580,10 +581,35 @@ odd_literals = st.one_of(
 )
 
 
+# cubic triangles that certify, jump and reach the omega bins at horizons 1..5
+TRIANGLES = (TRI3[:3], WIDE[-3:])
+
+
+@st.composite
+def omega_argv(draw):
+    """verify or collection on one of ``TRIANGLES`` at degree 3, with the
+    horizon, burn-in, epsilon and budget drawn."""
+    command = draw(st.sampled_from(["verify", "collection"]))
+    horizon = draw(st.integers(1, 5))
+    argv = [command, *draw(st.sampled_from(TRIANGLES)), "-d", "3"]
+    argv += ["--horizon", str(horizon)]
+    if command == "verify" and draw(st.booleans()):
+        argv += ["--burn-in", str(draw(st.integers(0, horizon)))]
+    r = draw(st.integers(0, 24))
+    argv += ["--epsilon", draw(st.sampled_from([f"1/{2**r}", str(2**r)]))]
+    if draw(st.booleans()):
+        argv += ["--budget", str(draw(st.integers(1, 64)))]
+    return argv
+
+
 @st.composite
 def cli_argv(draw):
-    """A command, literals and options; half the time every option is in
-    range and every literal plain, so that the run reaches the analysis."""
+    """A command, literals and options.  A quarter of the time it is
+    ``omega_argv``, which reaches the omega stage; else half the time every
+    option is in range and every literal plain, so that the run reaches
+    the analysis."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(omega_argv())
     wild = draw(st.booleans())
     literals = draw(
         st.lists(plain_literals, min_size=0 if wild else 3, max_size=5, unique=not wild)
@@ -614,9 +640,8 @@ def cli_argv(draw):
 def test_generated_input_keeps_the_exit_code_contract(argv):
     """Any command on generated literals and options exits 0, 2, 3 or 4
     (argparse exits 2 itself), prints no traceback, and writes to stdout
-    only on success.  Generated inputs seldom reach the omega bins, so two
-    examples take ``wide-verify``'s triangle there, on each side of the
-    epsilon ceiling."""
+    only on success.  Two examples take ``wide-verify``'s triangle to the
+    omega bins on each side of the epsilon ceiling."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -660,7 +685,8 @@ def leaf_objects(draw):
         x = draw(st.fractions(min_value=0, max_value=1).filter(lambda f: f < 1))
         a = Angle.from_fraction(x)
         literal = f"{x.numerator}/{x.denominator}"
-        return _ser_angle(a), dict(_ratio_object(x), literal=literal)
+        leaf = _ser_angle(a, a.interval(REPORT_DIGITS))
+        return leaf, dict(_ratio_object(x), literal=literal)
     params = {"base": str(draw(st.integers(2, 5)))}
     params.update(draw(st.dictionaries(
         st.text(alphabet=_TRICKY + "ab=&", min_size=1, max_size=4).map("p".__add__),
@@ -670,7 +696,7 @@ def leaf_objects(draw):
     params["shift"] = str(draw(st.integers(0, 50)))
     name = draw(st.sampled_from(["thue_morse", "champernowne"]))
     a = Angle.from_generator(name, params)
-    return _ser_angle(a), _stream_object(a)
+    return _ser_angle(a, a.interval(REPORT_DIGITS)), _stream_object(a)
 
 
 def _stream_object(a: Angle) -> dict:
@@ -706,11 +732,12 @@ report_pairs = st.recursive(
 _ODD = Angle.from_generator(
     "champernowne", {"base": "3", "shift": "5", 'p"\\\u00e9': '\\"\U0001f600\n'}
 )
+_ODD_LEAF = _ser_angle(_ODD, _ODD.interval(REPORT_DIGITS))
 
 
 @settings(max_examples=500, deadline=None)
 @given(report_pairs)
-@example(([{"a": [_ser_angle(_ODD)]}, _ser_angle(_ODD)],
+@example(([{"a": [_ODD_LEAF]}, _ODD_LEAF],
           [{"a": [_stream_object(_ODD)]}, _stream_object(_ODD)]))
 def test_to_json_matches_json_dumps(pair):
     """A report, with pre-rendered ratio, bounds and angle leaves at any

@@ -254,6 +254,24 @@ def test_stream_orbit_report_reads_no_enclosure_twice(monkeypatch):
     assert calls == [64] * (1 + 21)
 
 
+def test_jump_report_computes_no_enclosure(monkeypatch):
+    """``stream-jumps`` computes one enclosure per stream vertex of T_0 and
+    one per stream image of its 4 records, and nothing else: each jump's
+    edge and image hole are printed from the polygons of its records."""
+    calls = []
+    interval = Angle.interval
+
+    def counted(self, k):
+        if self.source is not None:
+            calls.append(k)
+        return interval(self, k)
+
+    monkeypatch.setattr(Angle, "interval", counted)
+    want = (GOLDEN / "stream-jumps.out").read_text(encoding="utf-8")
+    assert _run(["jumps", *STREAM_JUMPS]) == (0, want)
+    assert calls == [64] * (1 + 4)
+
+
 def _run_err(argv) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

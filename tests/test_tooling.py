@@ -79,6 +79,25 @@ def test_only_geometry_reads_the_int_representation(path):
     assert hits == [], f"{path.name} reads {hits}"
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_angles_runs_the_precision_ladder(path):
+    """No module but ``angles.py`` names ``_precision_ladder`` (imports,
+    loads or reads it as an attribute): every refinement past the carried
+    enclosures goes through ``angles.decide``, the one place that raises
+    the ladder's UnresolvedComparison."""
+    if path.name == "angles.py":
+        return
+    name = "_precision_ladder"
+    hits = [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Name) and node.id == name)
+        or (isinstance(node, ast.Attribute) and node.attr == name)
+        or (isinstance(node, ast.alias) and node.name == name)
+    ]
+    assert hits == [], f"{path.name} names {name} at lines {hits}"
+
+
 LAYERS_PY = SRC.parent.parent / "perfbench" / "layers.py"
 
 
