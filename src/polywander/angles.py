@@ -127,24 +127,26 @@ def register_generator(name: str, factory) -> None:
     _GENERATORS[name] = factory
 
 
-def _int_param(generator: str, key: str, text: str) -> int:
-    """``text``, parameter ``key`` of a generator literal, as an int."""
+def _param(generator: str, key: str, text: str, kind=int):
+    """``text``, parameter ``key`` of a generator literal, as an int (or as
+    a ``Fraction`` for ``kind=Fraction``)."""
     try:
-        return int(text)
+        return kind(text)
     except ValueError:
         shown = repr(text[:24]) + ("..." if len(text) > 24 else "")
+        noun = "an integer" if kind is int else "a rational"
         raise AngleSyntaxError(
-            f"gen:{generator} parameter {key} must be an integer, got {shown}"
+            f"gen:{generator} parameter {key} must be {noun}, got {shown}"
         ) from None
 
 
 def _thue_morse_factory(params):
-    base = _int_param("thue_morse", "base", params.get("base", "2"))
+    base = _param("thue_morse", "base", params.get("base", "2"))
     return base, lambda i: bin(i).count("1") & 1
 
 
 def _champernowne_factory(params):
-    base = _int_param("champernowne", "base", params.get("base", "2"))
+    base = _param("champernowne", "base", params.get("base", "2"))
     if base < 2:
         raise AngleSyntaxError("champernowne base must be >= 2")
 
@@ -226,11 +228,11 @@ class Angle:
         params = {k: str(v) for k, v in (params or {}).items()}
         if name not in _GENERATORS:
             raise UnknownGeneratorError(f"unknown generator {name!r}")
-        shift = _int_param(name, "shift", params.pop("shift", "0"))
+        shift = _param(name, "shift", params.pop("shift", "0"))
         if shift < 0:
             raise AngleSyntaxError(f"generator shift must be >= 0, got {shift}")
         try:
-            offset = Fraction(params.pop("offset", "0"))
+            offset = _param(name, "offset", params.pop("offset", "0"), Fraction)
         except ZeroDivisionError:
             raise AngleSyntaxError("zero denominator in generator offset") from None
         base, fn = _GENERATORS[name](params)

@@ -58,6 +58,7 @@ from .render import render_svg
 
 __version__ = "0.1.0"
 MAX_BINS = 2**20  # the report lists every omega bin: 1/MAX_BINS is the finest epsilon
+MAX_ARCS = 2**16  # analyze lists the d - 1 witness arcs of a preserving polygon
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +161,7 @@ def _ser_certificate(cert) -> dict:
 
 def _ser_jump(jr, records) -> dict:
     """A jump, its edge and image hole printed from its records' polygons."""
-    den = jr.strip.den
+    den, rho = jr.strip.den, _ser_value(jr.strip.rho_value)
     rec, nxt = records[jr.index], records[jr.index + 1]
     c, p = rec.profile.order[jr.cr - 1], nxt.profile.order[jr.image_rank - 1]
     vs, ws = _ser_vertices(rec.polygon), _ser_vertices(nxt.polygon)
@@ -171,13 +172,13 @@ def _ser_jump(jr, records) -> dict:
     return {
         "index": jr.index,
         "cr": jr.cr,
-        "s_tilde_cr": _ser_value(jr.s_tilde_cr),
+        "s_tilde_cr": rho,
         "edge": [vs[c], vs[(c + 1) % len(vs)]],
         "strip": {
             "j": jr.strip.j,
             "start_range": ser_range(*jr.strip.ranges[0]),
             "partner_range": ser_range(*jr.strip.ranges[1]),
-            "rho_value": _ser_value(jr.strip.rho_value),
+            "rho_value": rho,
         },
         "image_hole": {"start": ws[p], "end": ws[(p + 1) % len(ws)]},
         "image_rank": jr.image_rank,
@@ -317,8 +318,8 @@ def _parse_epsilon(text: str) -> Fraction:
     text = text.strip()
     try:
         eps = Fraction(text) if "/" in text else Fraction(1, int(text))
-    except ZeroDivisionError:
-        eps = Fraction(0)  # a zero denominator fails the check below
+    except (ValueError, ZeroDivisionError):
+        eps = Fraction(0)  # a malformed value or zero denominator fails the check below
     if _check_epsilon(eps, text) > MAX_BINS:
         raise PreconditionError(f"epsilon must be at least 1/{MAX_BINS}, got {text!r}")
     return eps
@@ -373,6 +374,9 @@ def _cmd_analyze(args, budget, eps):
     # decides within the budget, analyze names the floor and orbit the sort
     profile = hole_profile(P, d, budget)
     cert = _orientation(_image_sort(P, d, budget)[1], profile, d, budget)
+    if cert.verdict and d - 1 > MAX_ARCS:
+        raise PreconditionError(
+            f"analyze lists d - 1 witness arcs: degree must be at most {MAX_ARCS + 1}")
     arcs, vertices, M = cert.witness_arcs, _ser_vertices(P), P.card
     ends = [{"start": vertices[i], "end": vertices[(i + 1) % M]} for i in range(M)]
     cr = cr_reason = None

@@ -333,9 +333,6 @@ class HoleProfile:
     def card(self) -> int:
         return len(self.order)
 
-    def hole(self, k: int) -> Arc:
-        return self.holes[self.order[k - 1]]
-
     def size(self, k: int) -> Value:
         return self._size_value(self.order[k - 1])
 
@@ -653,8 +650,6 @@ class CriticalStrip:
     bounds (exact for a rational polygon), or from more digits for an end
     that straddles the 0/1 seam at 64."""
 
-    hole: Arc
-    degree: int
     j: int
     rho_value: Value
     den: int
@@ -672,7 +667,7 @@ def critical_strip(
     but an end that they widen to the whole circle at the 0/1 seam, which
     ``_off_seam`` reads (the range is then over d times an lcm)."""
     c, d = profile.order[k - 1], profile.degree
-    j, H, rho = profile.floors[c], profile.holes[c], profile.remainder(k)
+    j, rho = profile.floors[c], profile.remainder(k)
     if not 1 <= j <= d - 1:
         raise PreconditionError(f"j must be in 1..{d - 1}, got {j}")
     if (positive := cmp_bounds(profile.remainder_bounds(k), (0, 0, 1))) is None:
@@ -685,7 +680,7 @@ def critical_strip(
     (lo, _, p), (_, hi, q) = (_off_seam(P, i, bounds, D, budget) for i in (c, (c + 1) % M))
     E = lcm(p, q)  # D, unless an end is read off the seam
     lo, hi = d * lo * (E // p), d * (hi + (q if c == M - 1 else 0)) * (E // q) - j * E
-    return CriticalStrip(H, d, j, rho, d * E, ((lo, hi), (lo + j * E, hi + j * E)))
+    return CriticalStrip(j, rho, d * E, ((lo, hi), (lo + j * E, hi + j * E)))
 
 
 def vertex_midpoints(P: Polygon, budget: PrecisionBudget = DEFAULT_BUDGET):

@@ -25,7 +25,6 @@ from .angles import (
     GT,
     LT,
     PrecisionBudget,
-    Value,
     cmp_bounds,
     cmp_values,
     scale_value,
@@ -41,8 +40,6 @@ from .errors import (
     TooFewJumps,
 )
 from .geometry import (
-    Arc,
-    Chord,
     CriticalStrip,
     HoleProfile,
     OrientationCertificate,
@@ -264,12 +261,13 @@ def critical_hole_index(
 
 @dataclass(frozen=True)
 class JumpRecord:
+    """A jump at record ``index``: its critical hole is the rank-``cr``
+    hole of that record, and that hole's image the rank-``image_rank`` hole
+    of record ``index + 1``."""
+
     index: int
     cr: int
-    s_tilde_cr: Value
-    edge: Chord
     strip: CriticalStrip
-    image_hole: Arc
     image_rank: int
 
 
@@ -317,9 +315,9 @@ def detect_jumps(
 ) -> JumpLog:
     """Jumps are the iterates i with d*s_{N-2}(T_i) > s_{N-2}(T_{i+1}).
 
-    For each jump the critical hole, its remainder, edge, critical strip,
-    image-hole and the image-hole's size rank in the next iterate are
-    recorded; the rank must be at most N-2.  For non-jump steps the holes
+    For each jump the critical hole's size rank, its critical strip and
+    the size rank of its image-hole in the next iterate are recorded; the
+    latter must be at most N-2.  For non-jump steps the holes
     of ranks 1..N-2 must map rank-to-rank; a jump step must satisfy the
     shift dichotomy governed by the critical remainder.  Any failure of
     these guaranteed facts raises AssertionBreach: the input is not past
@@ -378,17 +376,7 @@ def detect_jumps(
                     f"jump dichotomy failed at step {rec.index}: hole rank {k} "
                     f"mapped to rank {got}, expected {expected}"
                 )
-        out.append(
-            JumpRecord(
-                index=rec.index,
-                cr=cr,
-                s_tilde_cr=strip.rho_value,
-                edge=Chord(strip.hole.start, strip.hole.end),
-                strip=strip,
-                image_hole=nxt.profile.hole(rank),
-                image_rank=rank,
-            )
-        )
+        out.append(JumpRecord(index=rec.index, cr=cr, strip=strip, image_rank=rank))
     return JumpLog(records=tuple(out))
 
 

@@ -26,6 +26,7 @@ from .angles import (
     ZERO,
     Angle,
     PrecisionBudget,
+    decide,
     map_angle,
 )
 from .errors import (
@@ -35,7 +36,6 @@ from .errors import (
     NoBurnInWithinHorizon,
     NotCertifiedWandering,
     PreconditionError,
-    UnresolvedComparison,
 )
 from .geometry import Polygon, vertex_midpoints
 from .orbit import (
@@ -341,10 +341,8 @@ def omega_approx(
     k = 1
     while d**k < B:
         k += 1
-    if k > budget.max_digits:
-        raise UnresolvedComparison(
-            f"resolution 1/{B} needs {k} digits, over budget {budget.max_digits}"
-        )
+    decide(lambda rung: rung >= k or None, budget,
+           lambda: f"cannot bin at resolution 1/{B}")
     arcs: list[Iv | None] = []
     for i in range(horizon + 1):
         arcs.append(v.enclosure_bounds(k) if i >= burn_in else None)

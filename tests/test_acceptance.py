@@ -151,13 +151,12 @@ def test_criterion_4_worked_jump_example():
     assert len(log.records) == 1
     jr = log.records[0]
     assert jr.index == 0
-    assert jr.s_tilde_cr == F(1, 100)
+    assert jr.strip.rho_value == F(1, 100)
     (lo, hi), _ = jr.strip.ranges
     assert (F(lo, jr.strip.den), F(hi, jr.strip.den)) == (F(45, 100), F(46, 100))
-    assert (jr.image_hole.start.value, jr.image_hole.end.value) == (
-        F(90, 100),
-        F(92, 100),
-    )
+    nxt = orbit[1].profile
+    image_hole = nxt.holes[nxt.order[jr.image_rank - 1]]
+    assert (image_hole.start.value, image_hole.end.value) == (F(90, 100), F(92, 100))
     assert jr.image_rank == 1
 
 

@@ -71,7 +71,7 @@ def test_bad_epsilon_exits_2():
     assert proc.returncode == 2
 
 
-@pytest.mark.parametrize("literal", ["1/48", "48"])
+@pytest.mark.parametrize("literal", ["1/48", "48", "abc", "0.5", "1/abc"])
 def test_bad_epsilon_message_names_literal(literal, capsys):
     assert main(["verify", *CLUSTER, "--epsilon", literal]) == 2
     out, err = capsys.readouterr()
@@ -86,6 +86,24 @@ def test_epsilon_finer_than_the_ceiling_exits_2(literal, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: epsilon must be at least 1/1048576, got '{literal}'\n"
+
+
+@pytest.mark.parametrize("degree", [65539, 10**20])
+def test_analyze_stops_before_more_witness_arcs_than_the_ceiling(degree, capsys):
+    """An orientation-preserving triangle has d - 1 witness arcs, and the
+    report lists each: past 2^16 of them analyze exits 2 before building
+    any."""
+    assert main(["analyze", "-d", str(degree), "1/3", "2/3", "1/5"]) == 2
+    message = "analyze lists d - 1 witness arcs: degree must be at most 65537"
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_analyze_of_a_reversing_polygon_takes_any_degree(capsys):
+    """A polygon that reverses orientation lists no witness arcs, so the
+    ceiling on them does not bound its degree."""
+    assert main(["analyze", "-d", str(10**20 + 1), "0/1", "1/3", "2/3"]) == 0
+    out = capsys.readouterr().out
+    assert '"verdict": false' in out and '"witness_arcs": null' in out
 
 
 def test_epsilon_at_the_ceiling_is_accepted(capsys):
@@ -284,6 +302,11 @@ def test_collection_file_without_polygons_exits_2(tmp_path, capsys):
          "integer, got 'x'"),
         ("gen:champernowne?base=", "gen:champernowne parameter base must be an "
          "integer, got ''"),
+        ("gen:thue_morse?offset=abc", "gen:thue_morse parameter offset must be a "
+         "rational, got 'abc'"),
+        ("gen:thue_morse?offset=" + "x" * 30, "gen:thue_morse parameter offset "
+         "must be a rational, got '" + "x" * 24 + "'..."),
+        ("gen:thue_morse?offset=1/0", "zero denominator in generator offset"),
     ],
 )
 def test_non_integer_generator_parameter_exits_2(literal, message, capsys):

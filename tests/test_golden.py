@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from polywander import Angle, recurrence
+from polywander import Angle, Polygon, geometry, iterate_orbit, parse_angle, recurrence
 from polywander.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -270,6 +270,24 @@ def test_jump_report_computes_no_enclosure(monkeypatch):
     want = (GOLDEN / "stream-jumps.out").read_text(encoding="utf-8")
     assert _run(["jumps", *STREAM_JUMPS]) == (0, want)
     assert calls == [64] * (1 + 4)
+
+
+def test_jump_stages_build_no_angle(monkeypatch):
+    """On a rational orbit the jump, leaf and trace stages read only the
+    records' ints: a jump names its holes by rank, so no vertex ``Angle``
+    of any record is built."""
+    orbit = iterate_orbit(Polygon([parse_angle(x) for x in THIN]), 2, 20)
+    calls = []
+    rational_angle = geometry.rational_angle
+
+    def counted(n, q):
+        calls.append((n, q))
+        return rational_angle(n, q)
+
+    monkeypatch.setattr(geometry, "rational_angle", counted)
+    run = recurrence.JumpAnalysis(orbit, 2, burn_in=0)
+    assert len(run.jumps.records) == 4 and run.leaves and run.traces
+    assert calls == []
 
 
 def _run_err(argv) -> tuple[int, str, str]:

@@ -326,7 +326,7 @@ def test_burn_in_failure_on_stream_records_matches_the_enclosure_oracle():
 def test_critical_hole_sevenths():
     prof = hole_profile(poly(0, F(1, 7), F(2, 7)), 2)
     rank = critical_hole_index(prof, 2)
-    h = prof.hole(rank)
+    h = prof.holes[prof.order[rank - 1]]
     assert (h.start.value, h.end.value) == (F(2, 7), 0)
     assert prof.remainder(rank) == F(3, 14)
 
@@ -426,16 +426,15 @@ def test_detect_jumps_worked_example():
     assert len(log.records) == 1
     jr = log.records[0]
     assert jr.index == 0
-    assert jr.s_tilde_cr == F(1, 100)
+    assert jr.strip.rho_value == F(1, 100)
     (lo, hi), _ = jr.strip.ranges
     assert (F(lo, jr.strip.den), F(hi, jr.strip.den)) == (F(45, 100), F(46, 100))
-    assert (jr.image_hole.start.value, jr.image_hole.end.value) == (
-        F(90, 100),
-        F(92, 100),
-    )
+    rec, nxt = orbit[0].profile, orbit[1].profile
+    image_hole = nxt.holes[nxt.order[jr.image_rank - 1]]
+    assert (image_hole.start.value, image_hole.end.value) == (F(90, 100), F(92, 100))
     assert jr.image_rank == 1
-    edge = {jr.edge.a.value, jr.edge.b.value}
-    assert edge == {F(45, 100), F(96, 100)}
+    edge = rec.holes[rec.order[jr.cr - 1]]
+    assert (edge.start.value, edge.end.value) == (F(45, 100), F(96, 100))
 
 
 def test_detect_jumps_none_on_doubling_cluster():
@@ -453,15 +452,7 @@ def test_detect_jumps_breach_without_critical_hole():
 def _fake_log(indices):
     return JumpLog(
         records=tuple(
-            JumpRecord(
-                index=i,
-                cr=1,
-                s_tilde_cr=F(0),
-                edge=None,
-                strip=None,
-                image_hole=None,
-                image_rank=1,
-            )
+            JumpRecord(index=i, cr=1, strip=None, image_rank=1)
             for i in indices
         )
     )
@@ -805,10 +796,12 @@ def _jump_outcome(records, d, want):
         return "tie", want[1]
     except PreconditionError:
         return "no strip", want[1]
-    return "ok", [
-        (j.index, j.image_rank, (j.image_hole.start.value, j.image_hole.end.value))
-        for j in log.records
-    ]
+    out = []
+    for j in log.records:
+        nxt = records[j.index + 1 - records[0].index].profile
+        h = nxt.holes[nxt.order[j.image_rank - 1]]
+        out.append((j.index, j.image_rank, (h.start.value, h.end.value)))
+    return "ok", out
 
 
 def _trace_outcome(log, records, d):

@@ -13,7 +13,9 @@ from polywander import (
     NoBurnInWithinHorizon,
     NotCertifiedWandering,
     Polygon,
+    PrecisionBudget,
     PreconditionError,
+    UnresolvedComparison,
     certify_wandering,
     detect_jumps,
     extract_jumping_leaves,
@@ -58,15 +60,7 @@ def leaf_exact(a, b, value, d=2) -> CandidateLeaf:
 
 def _record_with_strip(index, hole, d):
     strip = strip_of(F(hole[0]), F(hole[1]), d)
-    return JumpRecord(
-        index=index,
-        cr=1,
-        s_tilde_cr=strip.rho_value,
-        edge=None,
-        strip=strip,
-        image_hole=None,
-        image_rank=1,
-    )
+    return JumpRecord(index=index, cr=1, strip=strip, image_rank=1)
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +317,15 @@ def test_omega_determinism_and_epsilon_validation():
     )
     with pytest.raises(PreconditionError):
         omega_approx(a, 2, 0, 10, F(1, 48))
+
+
+def test_omega_resolution_over_budget_is_the_ladders_error():
+    """Bins of 1/2^20 need 20 binary digits, more than a budget of 8: the
+    ladder's one error, in its one message form."""
+    a = parse_angle("gen:thue_morse?base=2")
+    msg = "cannot bin at resolution 1/1048576 within 8 digits"
+    with pytest.raises(UnresolvedComparison, match=msg):
+        omega_approx(a, 2, 0, 10, F(1, 2**20), PrecisionBudget(8))
 
 
 def test_hausdorff_bins():

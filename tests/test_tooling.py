@@ -208,6 +208,7 @@ TESTED_API = {
     "recurrence_evidence": "a leaf's recurrence series; acceptance criterion 8",
     "orbit_disjointness": "pairwise status of leaf value orbits, as verify grades it",
     "image_hole": "the arc (f(u), f(w)) of a hole; acceptance criterion 2",
+    "Chord": "the chords `rho` takes; acceptance criterion 3",
 }
 
 
