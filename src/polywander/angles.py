@@ -61,10 +61,6 @@ class PrecisionBudget:
 DEFAULT_BUDGET = PrecisionBudget()
 
 
-def _mod1(x: Fraction) -> Fraction:
-    return x % 1
-
-
 # ---------------------------------------------------------------------------
 # digit generators
 
@@ -72,59 +68,67 @@ def _mod1(x: Fraction) -> Fraction:
 class DigitSource:
     """A deterministic, memoized base-d digit sequence.
 
-    Digits are computed once, in index order, and cached; the cache only
-    grows, so a digit never changes once read.  ``query`` is the
-    parameters' "key=value" texts in key order, for literals and equality.
+    Digits from index ``start`` on (a literal's shift, the lowest index its
+    orbit reads) are computed once, in index order, and cached; the cache
+    only grows, so a digit never changes once read.  A digit below
+    ``start`` is computed on each request and not kept.
     """
 
-    def __init__(self, base: int, fn: Callable[[int], int], name: str, params=None):
-        if base < 2:
-            raise AngleSyntaxError(f"stream base must be >= 2, got {base}")
+    def __init__(self, base: int, fn: Callable[[int], int], name: str, start: int):
         self.base = base
         self.fn = fn
         self.name = name
-        self.query = tuple(f"{k}={v}" for k, v in sorted((params or {}).items()))
-        self._cache: list[int] = []
+        self.start = start
+        self._cache: list[int] = []  # digits start, start + 1, ...
         self._last = (-1, 0, 0)  # shift, k and numerator of the last prefix
 
+    def _checked(self, i: int) -> int:
+        d = self.fn(i)
+        if not 0 <= d < self.base:
+            raise AngleSyntaxError(
+                f"generator {self.name!r} produced digit {d} "
+                f"outside base {self.base} at index {i}"
+            )
+        return d
+
     def digit(self, i: int) -> int:
-        while len(self._cache) <= i:
-            k = len(self._cache)
-            d = self.fn(k)
-            if not 0 <= d < self.base:
-                raise AngleSyntaxError(
-                    f"generator {self.name!r} produced digit {d} "
-                    f"outside base {self.base} at index {k}"
-                )
-            self._cache.append(d)
-        return self._cache[i]
+        cache, j = self._cache, i - self.start
+        while len(cache) <= j:
+            cache.append(self._checked(self.start + len(cache)))
+        return cache[j] if j >= 0 else self._checked(i)
 
     def prefix_numerator(self, shift: int, k: int) -> int:
-        """Integer n such that the first k digits from ``shift`` denote n/base**k;
+        """Integer n such that the first k digits from ``shift`` (at least
+        ``start``, as for every angle on this source) denote n/base**k;
         rolled on from the last call's when that read k digits from shift - 1."""
-        self.digit(shift + k - 1)  # fill cache in one pass
-        cache = self._cache
+        last = self.digit(shift + k - 1)  # fill cache in one pass
         base = self.base
         if self._last[:2] == (shift - 1, k):
-            n = self._last[2] % base ** (k - 1) * base + cache[shift + k - 1]
+            n = self._last[2] % base ** (k - 1) * base + last
         else:
+            j = shift - self.start
             n = 0
-            for i in range(shift, shift + k):
-                n = n * base + cache[i]
+            for d in self._cache[j:j + k]:
+                n = n * base + d
         self._last = (shift, k, n)
         return n
 
 
-_GENERATORS: dict[str, Callable[[dict], tuple[int, Callable[[int], int]]]] = {}
+_GENERATORS: dict[str, Callable[[int], Callable[[int], int]]] = {}
 
 
 def register_generator(name: str, factory) -> None:
     """Register a named digit-stream generator.
 
-    ``factory(params)`` receives the literal's key/value parameters (strings)
-    and must return ``(base, digit_fn)`` where ``digit_fn(i)`` is digit i.
+    ``factory(base)`` receives the literal's base (an int >= 2) and must
+    return ``digit_fn`` where ``digit_fn(i)`` is digit i.
     """
     _GENERATORS[name] = factory
+
+
+def _cut(text: str) -> str:
+    """``text`` quoted and cut to 24 characters, for error messages."""
+    return repr(text[:24]) + ("..." if len(text) > 24 else "")
 
 
 def _param(generator: str, key: str, text: str, kind=int):
@@ -133,23 +137,17 @@ def _param(generator: str, key: str, text: str, kind=int):
     try:
         return kind(text)
     except ValueError:
-        shown = repr(text[:24]) + ("..." if len(text) > 24 else "")
         noun = "an integer" if kind is int else "a rational"
         raise AngleSyntaxError(
-            f"gen:{generator} parameter {key} must be {noun}, got {shown}"
+            f"gen:{generator} parameter {key} must be {noun}, got {_cut(text)}"
         ) from None
 
 
-def _thue_morse_factory(params):
-    base = _param("thue_morse", "base", params.get("base", "2"))
-    return base, lambda i: bin(i).count("1") & 1
+def _thue_morse_factory(base: int):
+    return lambda i: bin(i).count("1") & 1
 
 
-def _champernowne_factory(params):
-    base = _param("champernowne", "base", params.get("base", "2"))
-    if base < 2:
-        raise AngleSyntaxError("champernowne base must be >= 2")
-
+def _champernowne_factory(base: int):
     block = (1, 0, 1)  # a numeral length, its block's first index, base**(length-1)
 
     def digit(i: int) -> int:
@@ -163,7 +161,7 @@ def _champernowne_factory(params):
         number, pos = divmod(i - start, length)
         return (first + number) // base ** (length - 1 - pos) % base
 
-    return base, digit
+    return digit
 
 
 register_generator("thue_morse", _thue_morse_factory)
@@ -172,17 +170,6 @@ register_generator("champernowne", _champernowne_factory)
 
 # ---------------------------------------------------------------------------
 # angles
-
-
-_set = object.__setattr__
-
-
-def _fill(a: "Angle", n, q, source, shift, offset) -> None:
-    _set(a, "n", n)
-    _set(a, "q", q)
-    _set(a, "source", source)
-    _set(a, "shift", shift)
-    _set(a, "offset", offset)
 
 
 class Angle:
@@ -198,14 +185,15 @@ class Angle:
 
     __slots__ = ("n", "q", "source", "shift", "offset")
 
-    def __init__(self, value=None, source=None, shift=0, offset=ZERO):
-        if value is not None:
-            v = _mod1(Fraction(value))
-            _fill(self, v.numerator, v.denominator, None, 0, ZERO)
-        elif source is None:
-            raise ValueError("Angle needs a value or a digit source")
-        else:
-            _fill(self, None, None, source, shift, _mod1(offset))
+    def __init__(self, n, q, source=None, shift=0, offset=ZERO):
+        """The one constructor, from reduced parts: every other builder
+        reduces its inputs and calls it."""
+        write = object.__setattr__
+        write(self, "n", n)
+        write(self, "q", q)
+        write(self, "source", source)
+        write(self, "shift", shift)
+        write(self, "offset", offset)
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("Angle is immutable")
@@ -213,31 +201,34 @@ class Angle:
     # -- construction helpers
 
     @classmethod
-    def _stream(cls, source: DigitSource, shift: int, offset: Fraction) -> "Angle":
-        """The stream angle with an offset already reduced into [0, 1)."""
-        a = object.__new__(cls)
-        _fill(a, None, None, source, shift, offset)
-        return a
-
-    @classmethod
     def from_fraction(cls, f) -> "Angle":
-        return cls(value=Fraction(f))
+        f = Fraction(f) % 1
+        return cls(f.numerator, f.denominator)
 
     @classmethod
     def from_generator(cls, name: str, params=None) -> "Angle":
+        """The stream of generator ``name`` in ``base`` (default 2) read from
+        digit ``shift`` (default 0) on, plus ``offset`` (default 0): the
+        parameters of a literal, and the only ones it may name."""
         params = {k: str(v) for k, v in (params or {}).items()}
         if name not in _GENERATORS:
             raise UnknownGeneratorError(f"unknown generator {name!r}")
-        shift = _param(name, "shift", params.pop("shift", "0"))
+        for key in params:
+            if key not in ("base", "shift", "offset"):
+                raise AngleSyntaxError(
+                    f"gen:{name} takes only base, shift and offset, got {_cut(key)}")
+        base = _param(name, "base", params.get("base", "2"))
+        if base < 2:
+            raise AngleSyntaxError(f"gen:{name} parameter base must be >= 2, got {base}")
+        shift = _param(name, "shift", params.get("shift", "0"))
         if shift < 0:
             raise AngleSyntaxError(f"generator shift must be >= 0, got {shift}")
         try:
-            offset = _param(name, "offset", params.pop("offset", "0"), Fraction)
+            offset = _param(name, "offset", params.get("offset", "0"), Fraction)
         except ZeroDivisionError:
             raise AngleSyntaxError("zero denominator in generator offset") from None
-        base, fn = _GENERATORS[name](params)
-        src = DigitSource(base, fn, name, params)
-        return cls(source=src, shift=shift, offset=offset)
+        source = DigitSource(base, _GENERATORS[name](base), name, shift)
+        return cls(None, None, source, shift, offset % 1)
 
     # -- basic queries
 
@@ -291,8 +282,7 @@ class Angle:
     def _key(self):
         if self.source is None:
             return (self.n, self.q)
-        src = self.source
-        return ("gen", src.name, src.query, src.base, self.shift, self.offset)
+        return ("gen", self.source.name, self.source.base, self.shift, self.offset)
 
     def __eq__(self, other):
         return isinstance(other, Angle) and self._key() == other._key()
@@ -307,31 +297,32 @@ class Angle:
 # ---------------------------------------------------------------------------
 # parsing and printing
 
-_RATIONAL_RE = re.compile(r"^(\d+)/(\d+)$")
-_DECIMAL_RE = re.compile(r"^\d+\.\d+$")
+_RATIONAL_RE = re.compile(r"^\d+[/.]\d+$")  # "p/q" or a decimal
 _STREAM_RE = re.compile(r"^(\d+):([0-9a-z]*)(?:\(([0-9a-z]+)\))?$")
 _GEN_RE = re.compile(r"^gen:([A-Za-z_][A-Za-z0-9_]*)(?:\?(.*))?$")
 
 
-def _digit_val(ch: str, base: int) -> int:
-    d = int(ch, 36)
-    if d >= base:
-        raise AngleSyntaxError(f"digit {ch!r} is not valid in base {base}")
-    return d
+def _digits(text: str, base: int) -> tuple[int, int]:
+    """The int that the digits of ``text`` denote in ``base``, and base**len(text)."""
+    n = 0
+    for ch in text:
+        d = int(ch, 36)
+        if d >= base:
+            raise AngleSyntaxError(f"digit {ch!r} is not valid in base {base}")
+        n = n * base + d
+    return n, base ** len(text)
 
 
 def parse_angle(text: str) -> Angle:
     """Parse an angle literal: "p/q", "<d>:<digits>", "<d>:<digits>(<digits>)",
-    a decimal such as "0.45", or "gen:<name>[?k=v&...]"."""
+    a decimal such as "0.45", or "gen:<name>[?base=<b>&shift=<n>&offset=<p/q>]"."""
     text = text.strip()
-    m = _RATIONAL_RE.match(text)
-    if m:
-        p, q = int(m.group(1)), int(m.group(2))
-        if q == 0:
-            raise AngleSyntaxError(f"zero denominator in {text!r}")
-        return Angle(value=Fraction(p, q))
-    if _DECIMAL_RE.match(text):
-        return Angle(value=Fraction(text))
+    if _RATIONAL_RE.match(text):
+        try:
+            v = Fraction(text)
+        except ZeroDivisionError:
+            raise AngleSyntaxError(f"zero denominator in {text!r}") from None
+        return rational_angle(v.numerator % v.denominator, v.denominator)
     m = _STREAM_RE.match(text)
     if m:
         base = int(m.group(1))
@@ -340,20 +331,11 @@ def parse_angle(text: str) -> Angle:
         pre, per = m.group(2), m.group(3)
         if not pre and not per:
             raise AngleSyntaxError(f"no digits in {text!r}")
-        pre_digits = [_digit_val(c, base) for c in pre]
-        n_pre = 0
-        for d in pre_digits:
-            n_pre = n_pre * base + d
-        value = Fraction(n_pre, base ** len(pre_digits)) if pre_digits else ZERO
-        if per:
-            per_digits = [_digit_val(c, base) for c in per]
-            n_per = 0
-            for d in per_digits:
-                n_per = n_per * base + d
-            value += Fraction(
-                n_per, base ** len(pre_digits) * (base ** len(per_digits) - 1)
-            )
-        return Angle(value=value)
+        n, scale = _digits(pre, base)
+        if per:  # 0.pre(per) = (n + n_per / (cycle - 1)) / scale
+            n_per, cycle = _digits(per, base)
+            n, scale = n * (cycle - 1) + n_per, scale * (cycle - 1)
+        return rational_angle(n % scale, scale)
     m = _GEN_RE.match(text)
     if m:
         name, query = m.group(1), m.group(2)
@@ -372,14 +354,12 @@ def format_angle(a: Angle) -> str:
     """Canonical literal: "p/q" for rationals, a gen literal otherwise."""
     if a.is_rational:
         return f"{a.n}/{a.q}"
-    src = a.source
-    parts = list(src.query)
+    literal = f"gen:{a.source.name}?base={a.source.base}"
     if a.shift:
-        parts.append(f"shift={a.shift}")
+        literal += f"&shift={a.shift}"
     if a.offset:
-        parts.append(f"offset={a.offset.numerator}/{a.offset.denominator}")
-    query = "?" + "&".join(parts) if parts else ""
-    return f"gen:{src.name}{query}"
+        literal += f"&offset={a.offset.numerator}/{a.offset.denominator}"
+    return literal
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +376,8 @@ def map_angle(a: Angle, d: int) -> Angle:
         raise BaseMismatchError(
             f"stream base {a.source.base} does not match degree {d}"
         )
-    offset = _mod1(a.offset * d) if a.offset else ZERO  # Fraction arithmetic is slow
-    return Angle._stream(a.source, a.shift + 1, offset)
+    offset = a.offset * d % 1 if a.offset else ZERO  # Fraction arithmetic is slow
+    return Angle(None, None, a.source, a.shift + 1, offset)
 
 
 # ---------------------------------------------------------------------------
@@ -642,12 +622,10 @@ def shift_angle(a: Angle, delta: Fraction) -> Angle:
     if a.source is None:
         q = a.q * delta.denominator
         return rational_angle((a.n * delta.denominator + delta.numerator * a.q) % q, q)
-    return Angle(source=a.source, shift=a.shift, offset=a.offset + delta)
+    return Angle(None, None, a.source, a.shift, (a.offset + delta) % 1)
 
 
 def rational_angle(n: int, q: int) -> Angle:
     """The angle n/q for ints 0 <= n < q, reduced."""
     g = gcd(n, q)
-    a = object.__new__(Angle)
-    _fill(a, n // g, q // g, None, 0, ZERO)
-    return a
+    return Angle(n // g, q // g)

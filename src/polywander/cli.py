@@ -378,6 +378,8 @@ def _cmd_analyze(args, budget, eps):
         raise PreconditionError(
             f"analyze lists d - 1 witness arcs: degree must be at most {MAX_ARCS + 1}")
     arcs, vertices, M = cert.witness_arcs, _ser_vertices(P), P.card
+    sizes, rems = profile.sizes_cyclic, profile.remainders_cyclic  # each read builds all M
+    ranks = {i: r for r, i in enumerate(profile.order, 1)}
     ends = [{"start": vertices[i], "end": vertices[(i + 1) % M]} for i in range(M)]
     cr = cr_reason = None
     try:
@@ -396,9 +398,9 @@ def _cmd_analyze(args, budget, eps):
         "holes": [
             {
                 **ends[i],
-                "size": _ser_value(profile.sizes_cyclic[i]),
-                "remainder": _ser_value(profile.remainders_cyclic[i]),
-                "rank": profile.rank_of_cyclic(i),
+                "size": _ser_value(sizes[i]),
+                "remainder": _ser_value(rems[i]),
+                "rank": ranks[i],
             }
             for i in range(M)
         ],

@@ -90,13 +90,34 @@ def test_generator_literal_roundtrip():
 
 
 def test_generator_literal_sorts_its_parameters():
-    """A stream literal's parameters print in key order whatever order they
-    were written in, and the angles they give are equal, with one hash."""
-    a = parse_angle("gen:thue_morse?z=1&base=4&a=x&shift=2")
-    b = parse_angle("gen:thue_morse?shift=2&a=x&base=4&z=1")
-    assert format_angle(a) == format_angle(b) == "gen:thue_morse?a=x&base=4&z=1&shift=2"
-    assert a == b and hash(a) == hash(b)
-    assert a != parse_angle("gen:thue_morse?z=2&base=4&a=x&shift=2")
+    """One stream written in several ways (keys in any order, the base
+    zero-padded or left at its default 2, a zero shift or offset spelled
+    out, an offset past 1) is one angle: equal, with one hash and one
+    printed literal.  A key other than base, shift and offset is an error
+    that names it."""
+    spellings = [
+        ("gen:thue_morse?offset=5/4&shift=2&base=4",
+         "gen:thue_morse?base=04&shift=2&offset=1/4",
+         "gen:thue_morse?base=4&shift=2&offset=1/4"),
+        ("gen:thue_morse",
+         "gen:thue_morse?base=2&shift=0&offset=0",
+         "gen:thue_morse?base=2"),
+        ("gen:champernowne?shift=3",
+         "gen:champernowne?offset=2/2&base=002&shift=03",
+         "gen:champernowne?base=2&shift=3"),
+    ]
+    for x, y, literal in spellings:
+        a, b = parse_angle(x), parse_angle(y)
+        assert a == b and hash(a) == hash(b)
+        assert format_angle(a) == format_angle(b) == literal
+        assert parse_angle(literal) == a
+    assert parse_angle("gen:thue_morse?base=4") != parse_angle("gen:thue_morse?base=2")
+    for literal in ["gen:thue_morse?base=2&foo=1", "gen:thue_morse?z=1&base=4"]:
+        with pytest.raises(AngleSyntaxError, match="gen:thue_morse takes only "
+                           "base, shift and offset, got '(foo|z)'"):
+            parse_angle(literal)
+    with pytest.raises(AngleSyntaxError, match=r"got 'k{24}'\.\.\."):
+        Angle.from_generator("champernowne", {"k" * 30: "1"})
 
 
 @given(fractions_01)
@@ -143,7 +164,7 @@ def test_compare_examples():
 
 def test_compare_unresolved_within_budget():
     # digits 0101... agree with 1/3 forever, but the generator is opaque
-    register_generator("alt01", lambda params: (2, lambda i: i & 1))
+    register_generator("alt01", lambda base: lambda i: i & 1)
     a = Angle.from_generator("alt01")
     with pytest.raises(UnresolvedComparison):
         compare(a, parse_angle("1/3"), PrecisionBudget(max_digits=64))
@@ -179,7 +200,7 @@ def test_arc_length_stream_bounds():
 
 
 def test_refine_examples():
-    register_generator("alt01b", lambda params: (2, lambda i: i & 1))
+    register_generator("alt01b", lambda base: lambda i: i & 1)
     a = Angle.from_generator("alt01b")  # value 1/3
     assert a.enclosure_bounds(2) == (F(1, 4), F(1, 2))
     assert parse_angle("0/1").enclosure_bounds(10) == (ZERO, ZERO)
@@ -199,6 +220,12 @@ def test_digit_generator_is_deterministic_and_validated():
     assert first == again
     # base-3 champernowne starts 1 2 10 11 12 20 ...
     assert first[:8] == [1, 2, 1, 0, 1, 1, 1, 2]
+    # a shifted stream caches from its shift on and computes the digits
+    # below it on request, after and before the cache fills
+    b = parse_angle("gen:champernowne?base=3&shift=7")
+    assert [b.source.digit(i) for i in range(20)] == first
+    assert [b.source.digit(i) for i in range(19, -1, -1)] == first[::-1]
+    assert b.source.prefix_numerator(7, 5) == a.source.prefix_numerator(7, 5)
 
 
 @pytest.mark.parametrize("base", [2, 3, 4, 5])
@@ -222,7 +249,7 @@ def test_champernowne_digits_match_the_concatenated_numerals(base):
     indices = list(range(5000))
     shuffled = random.Random(base).sample(indices, len(indices))
     for order in (indices, indices[::-1], shuffled):
-        _, digit = _champernowne_factory({"base": str(base)})
+        digit = _champernowne_factory(base)
         assert [digit(i) for i in order] == [want[i] for i in order]
 
 

@@ -9,8 +9,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polywander import Angle, PreconditionError, format_angle, render_svg
-from polywander.angles import REPORT_DIGITS
+from polywander import (
+    Angle,
+    HoleProfile,
+    PreconditionError,
+    format_angle,
+    register_generator,
+    render_svg,
+)
+from polywander.angles import REPORT_DIGITS, _champernowne_factory
 from polywander.cli import (
     _ser_angle,
     _ser_bounds,
@@ -579,6 +586,69 @@ def test_stream_literal_through_cli():
     assert "gen:thue_morse?base=2" in lits
 
 
+def test_stream_literal_prints_its_default_base(capsys):
+    """A literal written without a base prints with base=2, its default."""
+    assert main(["analyze", "gen:thue_morse", "1/2", "3/4", "-d", "2"]) == 0
+    vertices = json.loads(capsys.readouterr().out)["payload"]["vertices"]
+    assert [v["literal"] for v in vertices] == ["gen:thue_morse?base=2", "1/2", "3/4"]
+
+
+@pytest.mark.parametrize(
+    "same",
+    [
+        ["gen:thue_morse", "gen:thue_morse?base=2"],
+        ["gen:thue_morse?base=02", "gen:thue_morse?base=2"],
+        ["gen:thue_morse?offset=3/3&shift=0", "gen:thue_morse?base=2"],
+    ],
+    ids=["default-base", "padded-base", "zero-shift-and-offset"],
+)
+def test_one_stream_written_two_ways_is_one_vertex(same, capsys):
+    """Two spellings of one stream are one point of the circle, so the
+    polygon's vertices are not distinct.  Were each spelling a stream of its
+    own, separating the two would run out of digits and exit 3."""
+    assert main(["analyze", "-d", "2", *same, "1/3"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: polygon vertices must be pairwise distinct\n")
+
+
+def test_unknown_generator_parameter_exits_2(capsys):
+    assert main(["analyze", "-d", "2", "gen:thue_morse?base=2&foo=1", "1/3"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: gen:thue_morse takes only base, shift and offset, got 'foo'\n")
+
+
+def test_generator_shift_costs_no_digit_below_it(capsys):
+    """A stream's digits are cached from its literal's shift on: ``analyze``
+    calls the digit function as often at shift 10**5 as at shift 0 (the
+    digits have period 5, so both are one stream), and never below the
+    shift."""
+    calls = []
+    register_generator("every_fifth",
+                       lambda base: lambda i: calls.append(i) or int(i % 5 == 0))
+    counts = []
+    for shift in (0, 10**5):
+        calls.clear()
+        literal = f"gen:every_fifth?base=2&shift={shift}"
+        assert main(["analyze", "-d", "2", literal, "1/3", "2/3"]) == 0
+        assert min(calls) == shift
+        counts.append(len(calls))
+    capsys.readouterr()
+    assert counts[0] == counts[1] > 0
+
+
+def test_analyze_builds_each_hole_size_a_bounded_number_of_times(monkeypatch, capsys):
+    """``analyze`` on N vertices builds hole sizes at most 3N times, not
+    all N sizes for each hole's row (N**2 + N)."""
+    calls = []
+    size_value = HoleProfile._size_value
+    monkeypatch.setattr(HoleProfile, "_size_value",
+                        lambda self, i: calls.append(i) or size_value(self, i))
+    N = 200
+    assert main(["analyze", "-d", "3", *(f"{7 * i}/{7 * N + 1}" for i in range(N))]) == 0
+    assert len(json.loads(capsys.readouterr().out)["payload"]["holes"]) == N
+    assert 0 < len(calls) <= 3 * N
+
+
 # the exit-code contract under generated input
 
 COMMANDS = ("analyze", "orbit", "jumps", "leaves", "verify", "collection", "render")
@@ -589,14 +659,22 @@ plain_literals = st.one_of(
     st.builds("{}.{}".format, st.integers(0, 1), st.integers(0, 99)),
     st.builds("{}:{}({})".format, st.integers(2, 5), _bits, _bits),
 )
-# streams, with a base that may differ from the degree, and malformed text
+# a generator literal's parameters: the base zero-padded or out of range,
+# shifts up to 10**12, offsets with a zero denominator, unknown keys and
+# malformed pieces
+_gen_params = st.one_of(
+    st.builds("base={}{}".format, st.sampled_from(["", "0", "00"]), st.integers(0, 5)),
+    st.builds("shift={}".format, st.integers(-1, 12) | st.integers(0, 10**12)),
+    st.builds("offset={}/{}".format, st.integers(0, 7), st.integers(0, 7)),
+    st.sampled_from(["foo=1", "base", "=", ""]),
+)
+# streams, with a base that may differ from the degree or be omitted, and
+# malformed text
 odd_literals = st.one_of(
     st.builds(
-        "gen:{}?base={}&shift={}&offset={}".format,
+        lambda name, params: f"gen:{name}" + ("?" + "&".join(params) if params else ""),
         st.sampled_from(["thue_morse", "champernowne", "nosuch"]),
-        st.integers(0, 5),
-        st.integers(-1, 12),
-        st.builds("{}/{}".format, st.integers(0, 7), st.integers(0, 7)),
+        st.lists(_gen_params, max_size=4),
     ),
     st.sampled_from(["gen:thue_morse", "gen:champernowne?base=3", "gen:x?base"]),
     st.builds("{}:{}".format, st.integers(0, 12), st.text("0123456789ab", max_size=3)),
@@ -693,8 +771,9 @@ report_leaves = (
 @st.composite
 def leaf_objects(draw):
     """A pre-rendered ratio, bounds or angle leaf and the object it stands
-    for, built here from Fraction arithmetic; stream literals carry extra
-    generator params with quotes, backslashes and non-ASCII characters."""
+    for, built here from Fraction arithmetic; stream literals name
+    generators registered here with quotes, backslashes and non-ASCII
+    characters in their names, the only free text a literal carries."""
     kind = draw(st.sampled_from(["ratio", "bounds", "rational", "stream"]))
     ints = st.integers(min_value=0, max_value=10**30)
     if kind == "ratio":
@@ -710,14 +789,11 @@ def leaf_objects(draw):
         literal = f"{x.numerator}/{x.denominator}"
         leaf = _ser_angle(a, a.interval(REPORT_DIGITS))
         return leaf, dict(_ratio_object(x), literal=literal)
-    params = {"base": str(draw(st.integers(2, 5)))}
-    params.update(draw(st.dictionaries(
-        st.text(alphabet=_TRICKY + "ab=&", min_size=1, max_size=4).map("p".__add__),
-        st.text(alphabet=_TRICKY + "ab=&", max_size=4),
-        max_size=2,
-    )))
-    params["shift"] = str(draw(st.integers(0, 50)))
-    name = draw(st.sampled_from(["thue_morse", "champernowne"]))
+    name = draw(st.text(alphabet=_TRICKY + "ab=&?", min_size=1, max_size=6))
+    register_generator(name, _champernowne_factory)
+    params = {"base": draw(st.integers(2, 5)), "shift": draw(st.integers(0, 50))}
+    if draw(st.booleans()):
+        params["offset"] = draw(st.fractions(min_value=0, max_value=2))
     a = Angle.from_generator(name, params)
     return _ser_angle(a, a.interval(REPORT_DIGITS)), _stream_object(a)
 
@@ -752,9 +828,9 @@ report_pairs = st.recursive(
 )
 
 
-_ODD = Angle.from_generator(
-    "champernowne", {"base": "3", "shift": "5", 'p"\\\u00e9': '\\"\U0001f600\n'}
-)
+_ODD_NAME = 'p"\\\u00e9\\"\U0001f600\n'
+register_generator(_ODD_NAME, _champernowne_factory)
+_ODD = Angle.from_generator(_ODD_NAME, {"base": 3, "shift": 5, "offset": "1/7"})
 _ODD_LEAF = _ser_angle(_ODD, _ODD.interval(REPORT_DIGITS))
 
 

@@ -98,6 +98,43 @@ def test_only_angles_runs_the_precision_ladder(path):
     assert hits == [], f"{path.name} names {name} at lines {hits}"
 
 
+def test_angles_builds_every_angle_in_one_constructor():
+    """``angles.py`` calls no ``__new__`` and writes an ``Angle``'s slots
+    (as attributes, or by ``setattr`` or ``object.__setattr__`` under any
+    name it binds them to) only inside ``Angle.__init__``: every rational
+    or stream angle comes from that one constructor, from reduced parts."""
+    tree = ast.parse((SRC / "angles.py").read_text(encoding="utf-8"))
+    angle = next(
+        n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Angle"
+    )
+    slots = next(
+        ast.literal_eval(n.value)
+        for n in angle.body
+        if isinstance(n, ast.Assign) and ast.unparse(n.targets[0]) == "__slots__"
+    )
+    init = next(
+        n for n in angle.body if isinstance(n, ast.FunctionDef) and n.name == "__init__"
+    )
+    inside = set(map(id, ast.walk(init)))
+    setters = {"setattr", "object.__setattr__"} | {
+        ast.unparse(target)
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Assign) and ast.unparse(n.value) == "object.__setattr__"
+        for target in n.targets
+    }
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("__new__"):
+            hits.append((node.lineno, ast.unparse(node.func)))
+        elif isinstance(node, ast.Call) and ast.unparse(node.func) in setters:
+            if id(node) not in inside:
+                hits.append((node.lineno, ast.unparse(node.func)))
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            if node.attr in slots and id(node) not in inside:
+                hits.append((node.lineno, node.attr))
+    assert hits == [], f"angles.py builds or writes an Angle at {hits}"
+
+
 LAYERS_PY = SRC.parent.parent / "perfbench" / "layers.py"
 
 
