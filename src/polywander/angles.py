@@ -133,8 +133,11 @@ def _cut(text: str) -> str:
 
 def _param(generator: str, key: str, text: str, kind=int):
     """``text``, parameter ``key`` of a generator literal, as an int (or as
-    a ``Fraction`` for ``kind=Fraction``)."""
+    a ``Fraction`` for ``kind=Fraction``, written as an integer, "p/q" or a
+    decimal: no exponent, which would build a huge denominator)."""
     try:
+        if kind is Fraction and not re.fullmatch(r"\d+(?:[/.]\d+)?", text):
+            raise ValueError
         return kind(text)
     except ValueError:
         noun = "an integer" if kind is int else "a rational"

@@ -105,11 +105,15 @@ def _ser_bounds(lo: int, hi: int, den: int) -> _Leaf:
 
 
 def _ser_angle(a: Angle, bounds: tuple[int, int, int]) -> _Leaf:
-    """An angle and its literal: a rational as its ratio, a stream as its
+    """An angle and its literal: a rational as its ratio, which is its
+    literal "n/q" (already in lowest terms), a stream as its
     ``REPORT_DIGITS``-digit enclosure ``bounds`` (lo, hi, den)."""
-    out = _ser_ratio(a.n, a.q) if a.is_rational else _ser_bounds(*bounds)
+    if a.source is None:
+        frac = f"{a.n}/{a.q}"
+        return _Leaf(f'{{\n  "decimal_approx_12": "{_dec12(a.n, a.q)}",'
+                     f'\n  "fraction": "{frac}",\n  "literal": "{frac}"\n}}')
     literal = encode_basestring_ascii(format_angle(a))
-    return _Leaf(out[:-2] + ',\n  "literal": ' + literal + "\n}")  # the last key
+    return _Leaf(_ser_bounds(*bounds)[:-2] + ',\n  "literal": ' + literal + "\n}")
 
 
 def _ser_vertices(P: Polygon) -> list[_Leaf]:
@@ -253,6 +257,9 @@ def _write_json(x, pad: str, put) -> None:
             put("[]")
             return
         inner = pad + "  "
+        if all(type(v) is _Leaf for v in x):  # vertices and sizes: one replace
+            put("[" + inner + ",\n".join(x).replace("\n", inner) + pad + "]")
+            return
         sep = "[" + inner
         for v in x:
             put(sep)

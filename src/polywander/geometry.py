@@ -12,7 +12,10 @@ The image of n/L is (d*n mod L)/L, so its whole orbit lives over L and its
 image sort and linkage family run on ints.  A stream polygon carries one
 enclosure per vertex at k* = min(REPORT_DIGITS, max_digits) digits over
 one denominator D, on which the sort that built it decided where it could;
-every later reader takes them from ``Polygon._bounds``.
+every later reader takes them from ``Polygon._bounds``.  Its whole orbit
+keeps T_0's D: a rational vertex's pair (a, a) maps to d*a mod D, and a
+stream image's k*-digit enclosure is scaled onto D, so a step takes no
+lcm and builds no rational interval.
 
 Either way a ``HoleProfile`` holds one int pair (lo, hi) per hole size over
 one denominator: the exact size (lo == hi) over L, as differences of
@@ -114,7 +117,9 @@ class Polygon:
             raise PreconditionError("a polygon needs at least 2 distinct vertices")
         if len(set(vs)) < len(vs):  # before the sort, which may fail to separate others
             raise PreconditionError("polygon vertices must be pairwise distinct")
-        order, tie, enclosures = _enclosure_sort(vs, budget)  # (n, n) for n/q
+        k = min(REPORT_DIGITS, budget.max_digits)
+        bounds, D = _over_lcm([v.interval(k) for v in vs])  # (n, n) for n/q
+        order, tie, enclosures = _sort_on(vs, k, bounds, D, budget)
         if tie:
             raise PreconditionError("polygon vertices must be pairwise distinct")
         self._vertices = tuple(vs[i] for i in order)
@@ -181,12 +186,10 @@ def _decided_order(bounds, ties: bool):
     return order
 
 
-def _enclosure_sort(angles, budget: PrecisionBudget):
-    """``ccw_order`` of the angles, on their k*-digit enclosures as int pairs
-    over one denominator D where these do not overlap, else on its rungs
-    above k* = min(REPORT_DIGITS, max_digits); and (k*, the pairs in order, D)."""
-    k = min(REPORT_DIGITS, budget.max_digits)
-    bounds, D = _over_lcm([v.interval(k) for v in angles])
+def _sort_on(angles, k: int, bounds, D: int, budget: PrecisionBudget):
+    """``ccw_order`` of the angles, on their k-digit enclosures ``bounds``
+    (int pairs over one denominator D) where these do not overlap, else on
+    the compare ladder's rungs; and (k, the pairs in order, D)."""
     order = _decided_order(bounds, False)
     order, tie = (order, None) if order else ccw_order(angles, budget)
     return order, tie, (k, [bounds[i] for i in order], D)
@@ -196,9 +199,14 @@ def _image_sort(P: Polygon, d: int, budget: PrecisionBudget):
     """The next iterate, the polygon of P's vertex images, and ``landing``:
     for each vertex of P, the position of its image in it.  One sort: of
     the image numerators (d * n) % L over P's own denominator L when P is
-    rational, else of their k*-digit enclosures, then ``compare``; a stream
-    iterate carries those enclosures.  Equal images are a collision and
-    raise NotInjectiveError."""
+    rational, else of their k*-digit enclosures over P's D, then
+    ``compare``; a stream iterate carries those enclosures.  Equal images
+    are a collision and raise NotInjectiveError.
+
+    P's D serves its images: the image of a rational vertex a/D is
+    (d * a mod D)/D, and a stream image's enclosure denominator (base**k*
+    times its offset's) divides D, since the map, times d = base, only
+    shrinks an offset's denominator."""
     L = P.den
     if L is not None:
         images = [d * n % L for n in P.nums]
@@ -207,8 +215,18 @@ def _image_sort(P: Polygon, d: int, budget: PrecisionBudget):
             (i, j) for i, j in pairwise(order) if images[i] == images[j]
         )
     else:
+        k = min(REPORT_DIGITS, budget.max_digits)
+        ends, D = P._bounds(k)
         images = [map_angle(v, d) for v in P.vertices]
-        order, tie, enclosures = _enclosure_sort(images, budget)
+        bounds = []
+        for v, (lo, hi) in zip(images, ends):
+            if lo == hi:  # a rational vertex
+                lo = hi = d * lo % D
+            else:
+                lo, hi, q = v.interval(k)
+                lo, hi = lo * (m := D // q), hi * m
+            bounds.append((lo, hi))
+        order, tie, enclosures = _sort_on(images, k, bounds, D, budget)
     if tie:
         vs = P.vertices
         raise NotInjectiveError(
@@ -402,29 +420,30 @@ def hole_profile(
         return HoleProfile(P, d, order, floors, bounds, L, (L, L), k, sizes, rems)
 
     ends, D = P._bounds(k)
-    ends = [*ends, (ends[0][0] + D, ends[0][1] + D)]  # the last hole runs past 0
-    bounds = tuple(
-        (max(0, wlo - uhi), min(D, whi - ulo))
-        for (ulo, uhi), (wlo, whi) in pairwise(ends)
-    )
-
-    def value(i):
-        return _size(sizes, P, i, bounds, D, k)
-
+    bounds, floors, slo, shi = [], [], 0, 0
+    last = ends[0][0] + D, ends[0][1] + D  # the last hole runs past 0
+    for (ulo, uhi), (wlo, whi) in pairwise([*ends, last]):
+        lo, hi = max(0, wlo - uhi), min(D, whi - ulo)
+        bounds.append((lo, hi))
+        floors.append(j if (j := d * lo // D) == d * hi // D else None)
+        slo, shi = slo + lo, shi + hi
     order = _decided_order(bounds, True)
-    if order is None:  # the ladder's rungs above k*; equal exact sizes in ccw order
-        order = sorted(range(M), key=cmp_to_key(
-            lambda i, j: cmp_values(value(i), value(j), budget) or i - j))
-    floors = tuple(
-        d * lo // D if d * lo // D == d * hi // D else floor_scaled(value(i), d, budget)
-        for i, (lo, hi) in enumerate(bounds)
-    )
-    for i, s in enumerate(sizes):  # fix the k*-digit enclosures of the built
-        if isinstance(s, Approx):  # sizes' remainders before a later stage refines s
-            rems[i] = r = remainder(s, d, budget, floors[i])
-            r.interval(k)
-    total = tuple(map(sum, zip(*bounds)))
-    return HoleProfile(P, d, tuple(order), floors, bounds, D, total, k, sizes, rems)
+    if order is None or None in floors:  # the ladder's rungs above k*
+
+        def value(i):
+            return _size(sizes, P, i, bounds, D, k)
+
+        if order is None:  # equal exact sizes in ccw order
+            order = sorted(range(M), key=cmp_to_key(
+                lambda i, j: cmp_values(value(i), value(j), budget) or i - j))
+        floors = [floor_scaled(value(i), d, budget) if j is None else j
+                  for i, j in enumerate(floors)]
+        for i, s in enumerate(sizes):  # fix the k*-digit enclosures of the built
+            if isinstance(s, Approx):  # sizes' remainders before a later stage refines s
+                rems[i] = r = remainder(s, d, budget, floors[i])
+                r.interval(k)
+    return HoleProfile(P, d, tuple(order), tuple(floors), tuple(bounds), D, (slo, shi), k,
+                       sizes, rems)
 
 
 # ---------------------------------------------------------------------------

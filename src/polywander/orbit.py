@@ -298,14 +298,21 @@ def _check_consecutive(orbit: list[OrbitRecord]) -> None:
 
 
 def _jumped(
-    a: HoleProfile, b: HoleProfile, d: int, N: int, budget: PrecisionBudget
+    a: HoleProfile, b: HoleProfile, d: int, N: int, budget: PrecisionBudget, image_rank
 ) -> bool:
-    """d * s_{N-2} of ``a`` > s_{N-2} of ``b``: on the sizes' int bounds,
-    and by ``cmp_values`` where those overlap."""
+    """d * s_{N-2} of ``a`` > s_{N-2} of ``b``: on the sizes' int bounds;
+    where those overlap and ``a``'s rank-(N-2) hole is shorter than 1/d and
+    maps onto a hole, whose size is then exactly d times its own, from that
+    image's rank ``image_rank(N - 2)`` in ``b`` (``b``'s sort ordered it
+    strictly against every size that cmp_bounds leaves open); else by
+    ``cmp_values``.  So the equal stream sizes of a non-jump step are never
+    compared."""
     lo, hi, D = a.size_bounds(N - 2)
-    if (c := cmp_bounds((d * lo, d * hi, D), b.size_bounds(N - 2))) is None:
-        c = cmp_values(scale_value(a.size(N - 2), d), b.size(N - 2), budget)
-    return c == GT
+    if (c := cmp_bounds((d * lo, d * hi, D), b.size_bounds(N - 2))) is not None:
+        return c == GT
+    if a.floors[a.order[N - 3]] == 0 and (rank := image_rank(N - 2)) is not None:
+        return rank > N - 2
+    return cmp_values(scale_value(a.size(N - 2), d), b.size(N - 2), budget) == GT
 
 
 def detect_jumps(
@@ -339,7 +346,7 @@ def detect_jumps(
             return None if p is None else nxt.profile.rank_of_cyclic(p)
 
         a, b = rec.profile, nxt.profile
-        if not _jumped(a, b, d, N, budget):
+        if not _jumped(a, b, d, N, budget, image_rank):
             for k in range(1, N - 1):
                 if image_rank(k) != k:
                     raise AssertionBreach(

@@ -121,6 +121,7 @@ def test_generator_literal_sorts_its_parameters():
 
 
 @given(fractions_01)
+@settings(deadline=None)
 def test_rational_print_parse_roundtrip(v):
     a = Angle.from_fraction(v)
     assert parse_angle(format_angle(a)).value == a.value
@@ -147,7 +148,7 @@ def test_map_stream_shifts():
     st.lists(st.integers(min_value=0, max_value=4), max_size=6),
     st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=6),
 )
-@settings(max_examples=300)
+@settings(max_examples=300, deadline=None)
 def test_map_distributes_over_representation(d, pre, per):
     pre = [x % d for x in pre]
     per = [x % d for x in per]
@@ -185,6 +186,7 @@ def test_arc_length_examples():
 
 
 @given(fractions_01, fractions_01)
+@settings(deadline=None)
 def test_arc_length_complement(u, w):
     if u == w:
         return
@@ -207,6 +209,7 @@ def test_refine_examples():
 
 
 @given(st.lists(fractions_01, min_size=1, max_size=12, unique=True))
+@settings(deadline=None)
 def test_sorting_matches_fraction_order(vals):
     order, tie = ccw_order([Angle.from_fraction(v) for v in vals])
     assert [vals[i] for i in order] == sorted(vals)
@@ -280,7 +283,7 @@ def _canonical(a: Angle, v: F) -> bool:
 
 
 @given(rationals, rationals)
-@settings(max_examples=300)
+@settings(max_examples=300, deadline=None)
 def test_integer_compare_and_arc_length_match_fractions(u, w):
     au, aw = Angle.from_fraction(u), Angle.from_fraction(w)
     assert compare(au, aw) == _sign(u - w)
@@ -291,7 +294,7 @@ def test_integer_compare_and_arc_length_match_fractions(u, w):
 
 
 @given(rationals, degrees)
-@settings(max_examples=300)
+@settings(max_examples=300, deadline=None)
 def test_integer_map_matches_fractions(u, d):
     img = map_angle(Angle.from_fraction(u), d)
     assert _canonical(img, (d * u) % 1)
@@ -302,12 +305,13 @@ def test_integer_map_matches_fractions(u, d):
 
 
 @given(rationals, st.fractions(min_value=-3, max_value=3))
-@settings(max_examples=300)
+@settings(max_examples=300, deadline=None)
 def test_integer_shift_matches_fractions(u, delta):
     assert _canonical(shift_angle(Angle.from_fraction(u), delta), (u + delta) % 1)
 
 
 @given(rationals, st.integers(1, 12))
+@settings(deadline=None)
 def test_unreduced_literals_are_canonical(u, k):
     lit = f"{k * u.numerator}/{k * u.denominator}"
     a = parse_angle(lit)
@@ -345,7 +349,7 @@ def _thue_morse_bounds(k: int, offset: F) -> tuple[F, F]:
 
 
 @given(rationals, st.sampled_from([F(0), F(1, 3), F(1, 8)]))
-@settings(max_examples=200)
+@settings(max_examples=200, deadline=None)
 def test_stream_vs_rational_compare_matches_fractions(u, offset):
     s = parse_angle(f"gen:thue_morse?base=2&offset={offset}")
     lo, hi = _thue_morse_bounds(200, offset)
@@ -376,7 +380,7 @@ def _dec12_by_fractions(fr: F) -> str:
     | st.builds(F, st.integers(), st.integers(min_value=1, max_value=3**2000)),
     st.integers(min_value=1, max_value=10**30),
 )
-@settings(max_examples=300)
+@settings(max_examples=300, deadline=None)
 def test_dec12_matches_fraction_formula(x, k):
     """The digits of n/q, from the pair in lowest terms or scaled by k."""
     n, q = x.numerator, x.denominator

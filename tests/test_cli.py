@@ -314,6 +314,9 @@ def test_collection_file_without_polygons_exits_2(tmp_path, capsys):
         ("gen:thue_morse?offset=" + "x" * 30, "gen:thue_morse parameter offset "
          "must be a rational, got '" + "x" * 24 + "'..."),
         ("gen:thue_morse?offset=1/0", "zero denominator in generator offset"),
+        # exponent notation: Fraction alone built 10**3000 as the denominator
+        ("gen:thue_morse?offset=1e-3000", "gen:thue_morse parameter offset must be a "
+         "rational, got '1e-3000'"),
     ],
 )
 def test_non_integer_generator_parameter_exits_2(literal, message, capsys):
@@ -359,7 +362,7 @@ def _ratio_object(x: Fraction) -> dict:
 
 
 @given(st.fractions(), st.integers(min_value=1, max_value=10**20))
-@settings(max_examples=200)
+@settings(max_examples=200, deadline=None)
 def test_report_rational_from_an_unreduced_pair(x, k):
     """A rational written from ints over any common multiple reads as the
     Fraction itself does: "p/q" in lowest terms and the same decimal."""

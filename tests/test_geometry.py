@@ -266,7 +266,7 @@ def test_rho_crossing_raises():
         unique=True,
     )
 )
-@settings(max_examples=300)
+@settings(max_examples=300, deadline=None)
 def test_rho_partition_identity(vals):
     a1, a2, a3, a4, a5, a6 = sorted(vals)
     p, l, q = chord(a1, a2), chord(a3, a6), chord(a4, a5)
@@ -281,7 +281,7 @@ def test_rho_partition_identity(vals):
         unique=True,
     )
 )
-@settings(max_examples=200)
+@settings(max_examples=200, deadline=None)
 def test_rho_matches_arc_sum_oracle(vals):
     a1, a2, a3, a4 = sorted(vals)
     p, q = chord(a1, a2), chord(a3, a4)
@@ -944,12 +944,12 @@ def _prefix_value(x: Stream, j: int) -> F:
 
 
 @st.composite
-def stream_polygons(draw):
-    """A degree d = base in 2..5 and 2..5 points: at least one stream of
+def stream_polygons(draw, degrees=st.integers(2, 5)):
+    """A degree d = base from ``degrees`` and 2..5 points: at least one stream of
     either generator with a shift and an offset (none, random, just past
     the 0/1 seam after j digits, or its twin's plus base^-m, m around 64),
     the rest rationals (random, or inside a stream's j-digit enclosure)."""
-    d = draw(st.integers(2, 5))
+    d = draw(degrees)
     N = draw(st.integers(2, 5))
     points: list = []
     for _ in range(draw(st.integers(1, N))):
@@ -1067,6 +1067,44 @@ def test_stream_step_matches_the_ladder_only_oracle(case):
                 (lo, hi), (lo1, hi1) = w.fn(k), w.fn(k + 1)
                 assert lo <= lo1 <= hi1 <= hi
         P, specs = nxt, want["images"]
+
+
+_TM2 = Stream("thue_morse", 2, 0, F(0))
+
+
+@given(stream_polygons(st.integers(2, 3)))
+# a 64-digit enclosure on the 0/1 seam for four steps, between two rationals
+@example((2, [_TM2._replace(offset=1 - _prefix_value(_TM2, 68)), F(1, 3), F(2, 3)]))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_stream_orbit_steps_over_one_denominator(case):
+    """Along eight steps of a stream orbit of degree 2 or 3, each iterate
+    carries its vertices' k*-digit enclosures over T_0's denominator D, and
+    as rationals they are the vertices' enclosures computed afresh over
+    their lcm (an enclosure on the 0/1 seam is the whole circle in both).
+    Its order, floors, landing and orientation verdict are those of a
+    polygon built from scratch on the same vertices."""
+    d, points = case
+    assume(len(set(points)) == len(points))
+    budget = PrecisionBudget(STEP_BUDGET)
+    records = []
+    with contextlib.suppress(UnresolvedComparison, NotInjectiveError):
+        P = Polygon([_angle(x) for x in points], budget)
+        records.extend(orbit._records(P, d, 8, budget))
+    for rec in records:
+        vs = rec.polygon.vertices
+        k, bounds, D = rec.polygon.enclosures
+        assert D == records[0].polygon.enclosures[2]
+        fresh, E = geometry._over_lcm([v.interval(k) for v in vs])
+        assert [(F(lo, D), F(hi, D)) for lo, hi in bounds] == [
+            (F(lo, E), F(hi, E)) for lo, hi in fresh
+        ]
+        Q = Polygon(vs, budget)
+        _, landing = geometry._image_sort(Q, d, budget)
+        want = hole_profile(Q, d, budget)
+        verdict = geometry._orientation(landing, want, d, budget).verdict
+        got = rec.profile
+        assert (got.order, got.floors, rec.landing, rec.orientation.verdict) == (
+            want.order, want.floors, landing, verdict)
 
 
 def _size_oracle(vs, i: int, k: int) -> tuple[F, F]:

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import json
 import random
 import re
 from fractions import Fraction as F
@@ -32,6 +33,8 @@ from polywander import (
     track_critical_value,
 )
 from polywander import angles, geometry, orbit, recurrence, render
+from polywander.angles import register_generator
+from polywander.cli import main
 
 from oracles import (
     f_map,
@@ -46,7 +49,7 @@ from oracles import (
     stream_image,
     Stream,
 )
-from test_geometry import _angle
+from test_geometry import _angle, _prefix_value
 from test_golden import CASES, GOLDEN, _run, _w1
 
 
@@ -512,6 +515,10 @@ def test_nonjump_label_persistence_against_oracle():
         cur = nxt
 
 
+def _no_rank(k):
+    pytest.fail("exact sizes are ordered on their numerators, not by an image rank")
+
+
 def test_jump_test_on_numerators_matches_the_cross_multiplied_form():
     """``orbit._jumped`` on exact profiles against the cross-multiplied
     d * s_{N-2}(a) * D(b) > s_{N-2}(b) * D(a) on the numerators of
@@ -543,9 +550,53 @@ def test_jump_test_on_numerators_matches_the_cross_multiplied_form():
             assert (x, y, Da, Db) == (x1, y1, a.D, b.D)
             want = d * x * Db > y * Da
             assert want == (d * F(x, Da) > F(y, Db))
-            assert orbit._jumped(a, b, d, N, angles.DEFAULT_BUDGET) == want
+            assert orbit._jumped(a, b, d, N, angles.DEFAULT_BUDGET, _no_rank) == want
             seen.add((Da == Db, want))
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+# the eight thin triangles of the jump-session benchmark plan for seed 1
+JUMP_SESSION_TRIANGLES = (
+    ("699005/961032", "4274896091/5876710680", "11843/80086"),
+    ("100273/883728", "24355079/214524972", "186169/294576"),
+    ("1261/545729", "18900845/7943631324", "192759/545729"),
+    ("159120/621971", "2598892451/10156164459", "394088/621971"),
+    ("579143/822083", "2050988303/2910173820", "224246/822083"),
+    ("58073/805072", "757322043/10487672944", "274019/402536"),
+    ("107026/159391", "359338647/534916196", "7361/796955"),
+    ("559267/798258", "676615343/965626094", "392765/399129"),
+)
+
+
+def _jumps_and_leaves(literals, capsys):
+    """(index, cr, image_rank) of each jump and the leaf supports that
+    ``jumps`` and ``leaves`` print for the triangle at d = 2, H = 20."""
+    payloads = []
+    for command in ("jumps", "leaves"):
+        argv = [command, "-d", "2", "--horizon", "20", "--no-kiwi-precheck", *literals]
+        assert main(argv) == 0, capsys.readouterr().err
+        payloads.append(json.loads(capsys.readouterr().out)["payload"])
+    jumps, leaves = payloads
+    return ([(j["index"], j["cr"], j["image_rank"]) for j in jumps["jumps"]],
+            [leaf["support"] for leaf in leaves["leaves"]])
+
+
+@pytest.mark.parametrize("triangle", JUMP_SESSION_TRIANGLES)
+def test_stream_triangle_jumps_as_its_rational_form(triangle, capsys):
+    """Each vertex p/q written as a registered base-2 stream of its own
+    digits gives the jumps and leaves of the rational triangle.  At every
+    non-jump step the rank-1 sizes d * s(T_i) and s(T_i+1) are equal, so
+    their enclosures never separate: the test is read from the image's
+    rank (these exited 3 on "cannot order" within 4096 digits)."""
+    streams = []
+    for literal in triangle:
+        p, q = map(int, literal.split("/"))
+        register_generator(f"digits_{p}_{q}",
+                           lambda base, p=p, q=q: lambda i: 2 * (p * pow(2, i, q) % q) // q)
+        streams.append(f"gen:digits_{p}_{q}")
+    want = _jumps_and_leaves(triangle, capsys)
+    assert want[0]  # the triangle jumps
+    assert _jumps_and_leaves(streams, capsys) == want
 
 
 def _mixed_points(rng: random.Random, d: int) -> list:
@@ -620,14 +671,22 @@ def _critical_by_cmp_values(p, d: int, budget):
     return best
 
 
+# a base-3 stream on the 0/1 seam for 6 steps at 64 digits: at step 5 the
+# carried bounds overlap and the smallest hole maps to no hole
+_TM3 = Stream("thue_morse", 3, 29, F(0))
+_SEAM_FALLBACK = (_TM3._replace(offset=1 - _prefix_value(_TM3, 70)), F(15, 454), F(201, 608))
+
+
 def test_int_bound_decisions_match_cmp_values(monkeypatch):
     """On seeded orbits, rational and with stream vertices, at budgets 8 to
     128 (so k* = min(64, budget) and some sizes ranked or floored only by
     the ladder's rungs above k*), the burn-in thinness test, ``_jumped``,
     ``critical_hole_index`` (or what it raises) and the orientation verdict
     each give what their ``cmp_values`` form gives on the built values.
-    Where the profiles' k*-digit bounds decide the burn-in and jump tests,
-    those build no ``Approx``."""
+    Where those values are equal stream sizes, which no rung separates,
+    ``_jumped`` reads the image's rank instead, as ``detect_jumps`` passes
+    it.  Where the profiles' k*-digit bounds decide the burn-in and jump
+    tests, those build no ``Approx``."""
     rng = random.Random(1818)
     seen, calls = set(), []
     cmp_values = orbit.cmp_values
@@ -638,9 +697,11 @@ def test_int_bound_decisions_match_cmp_values(monkeypatch):
         before = len(calls)
         return _outcome(fn), len(calls) > before
 
-    for n in range(240):
+    for n in range(241):
         d, budget = rng.randrange(2, 5), PrecisionBudget([8, 32, 63, 64, 65, 128][n % 6])
         points = _mixed_points(rng, d)
+        if n == 240:
+            d, budget, points = 3, PrecisionBudget(256), list(_SEAM_FALLBACK)
         records = []
         with contextlib.suppress(PolywanderError, UnresolvedComparison):
             P = Polygon([_angle(x) for x in points], budget)
@@ -676,20 +737,33 @@ def test_int_bound_decisions_match_cmp_values(monkeypatch):
                                    f"has s_{N - 2} >= 1/{3 * d * N}")
             if nxt is not None:
                 q = nxt.profile
+
+                def image_rank(k, rec=rec, p=p, q=q):
+                    c = orbit._image_cyclic(rec, p.order[k - 1])
+                    return None if c is None else q.rank_of_cyclic(c)
+
                 (alo, ahi), (blo, bhi) = p.bounds[p.order[N - 3]], q.bounds[q.order[N - 3]]
                 jump_decided = F(d * ahi, p.D) < F(blo, q.D) or F(d * alo, p.D) > F(bhi, q.D)
                 with monkeypatch.context() as m:
                     m.setattr(angles.Approx, "__init__", _raise_approx_built)
-                    got = _outcome(lambda: orbit._jumped(p, q, d, N, budget))
+                    got = _outcome(lambda: orbit._jumped(p, q, d, N, budget, image_rank))
                 if jump_decided:
                     assert not isinstance(got, tuple)
                     seen.add(("jump decided", stream))
+                got, fallback = fell_back(  # before the next line builds q's size
+                    lambda: orbit._jumped(p, q, d, N, budget, image_rank))
                 want = _outcome(lambda: angles.cmp_values(
                     angles.scale_value(p.size(N - 2), d), q.size(N - 2), budget))
-                got, fallback = fell_back(lambda: orbit._jumped(p, q, d, N, budget))
                 seen.add(("jump fallback", fallback))
-                assert got == (want if isinstance(want, tuple) else want == angles.GT)
-                seen.add(("jump", got if isinstance(got, bool) else "unresolved"))
+                if isinstance(want, tuple) and isinstance(got, bool):
+                    # equal sizes, which no enclosure separates: read from
+                    # the rank of the image of a hole shorter than 1/d
+                    assert p.floors[p.order[N - 3]] == 0 and not fallback
+                    assert got == (image_rank(N - 2) > N - 2)
+                    seen.add(("jump", "by rank"))
+                else:
+                    assert got == (want if isinstance(want, tuple) else want == angles.GT)
+                    seen.add(("jump", got if isinstance(got, bool) else "unresolved"))
             # the critical hole against the cmp_values form
             want = _outcome(lambda: _critical_by_cmp_values(p, d, budget))
             got, fallback = fell_back(lambda: critical_hole_index(p, d, budget))
@@ -708,7 +782,7 @@ def test_int_bound_decisions_match_cmp_values(monkeypatch):
                 assert tlo * d <= tden <= thi * d
     assert {"stream", "rational", "refined above k*", "burn-in unresolved",
             ("burn-in decided", True), ("jump decided", True), ("jump", True),
-            ("jump", False), ("jump", "unresolved"), ("burn-in fallback", True),
+            ("jump", False), ("jump", "by rank"), ("burn-in fallback", True),
             ("jump fallback", True), ("critical fallback", True),
             ("critical", "NoHoleExceeds1OverD"), ("critical", "UnresolvedComparison")
             } <= seen

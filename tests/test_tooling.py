@@ -135,6 +135,35 @@ def test_angles_builds_every_angle_in_one_constructor():
     assert hits == [], f"angles.py builds or writes an Angle at {hits}"
 
 
+MEMOS = {"cache", "lru_cache"}
+
+
+def test_no_memo_outlives_a_request():
+    """``functools.cache`` and ``lru_cache`` wrap nothing in the package but
+    ``cli._build_parser``, whose parser is the same for every run.  The
+    benchmark resends one plan in a closed loop, so a memo of values or of
+    report text kept across requests would time lookups, not work."""
+    hits = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        decorators = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                for dec in node.decorator_list:
+                    dec = dec.func if isinstance(dec, ast.Call) else dec
+                    if ast.unparse(dec).split(".")[-1] in MEMOS:
+                        hits.append(f"{path.stem}.{node.name}")
+                        decorators.add(id(dec))
+        hits += [  # any other use: a call such as cache(f), functools.cache read
+            f"{path.stem}:{node.lineno}"
+            for node in ast.walk(tree)
+            if id(node) not in decorators
+            and (isinstance(node, ast.Call) and ast.unparse(node.func) in MEMOS
+                 or isinstance(node, ast.Attribute) and node.attr in MEMOS)
+        ]
+    assert hits == ["cli._build_parser"]
+
+
 LAYERS_PY = SRC.parent.parent / "perfbench" / "layers.py"
 
 
