@@ -10,8 +10,9 @@ statuses), 2 = input error, 3 = precision exhausted, 4 = assertion breach
 JSON with sorted keys, written by ``_to_json`` byte for byte as
 ``json.dumps(sort_keys=True, indent=2)`` would; rationals are serialized
 as "p/q" strings plus a non-authoritative 12-place decimal.  The objects of
-rationals, enclosures and angles are rendered to text once, as ``_Leaf``s,
-and the writer re-indents each where it sits.
+rationals, enclosures and angles are leaves: each is rendered to text once,
+by its kind's renderer, at the indentation where it sits.  ``orbit`` writes
+its records in one loop that puts each size and vertex the same way.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from math import gcd
 from json.encoder import encode_basestring_ascii
 
@@ -65,79 +66,97 @@ MAX_ARCS = 2**16  # analyze lists the d - 1 witness arcs of a preserving polygon
 # serialization
 
 
-class _Leaf(str):
-    """The JSON text of a report's leaf object as ``_write_json`` writes it
-    at indentation "\\n": members on lines of their own, two spaces deeper
-    per level, and no other newline.  The writer re-indents it in place."""
-
-    __slots__ = ()
+# A report leaf is ``partial(render, *args)``: ``_write_json`` calls it with
+# the indentation where the leaf sits, and ``render`` puts the leaf's JSON text
+# at that indentation, once.  There is one renderer per kind of leaf (ratio,
+# bounds, angle); ``_put_size`` picks the one for a profile's size.
 
 
-def _reduced(n: int, q: int) -> str:
-    """n/q (q > 0) as "p/q" in lowest terms."""
-    g = gcd(n, q)
-    return f"{n // g}/{q // g}"
+def _put_ratio(n: int, q: int, pad: str, put, tail: str = "") -> None:
+    """Put the rational n/q (q > 0) at indentation ``pad``: "p/q" in lowest
+    terms and its truncated 12-place decimal, which the unreduced pair gives
+    as well, then ``tail``, the JSON text of any further members."""
+    i, g = pad + "  ", gcd(n, q)
+    put(f'{{{i}"decimal_approx_12": "{_dec12(n, q)}",{i}"fraction": "{n // g}/{q // g}"'
+        f"{tail}{pad}}}")
 
 
-def _ser_ratio(n: int, q: int) -> _Leaf:
-    """The rational n/q (q > 0) as "p/q" in lowest terms and its truncated
-    12-place decimal, which the unreduced pair gives as well."""
-    dec, frac = _dec12(n, q), _reduced(n, q)
-    return _Leaf(f'{{\n  "decimal_approx_12": "{dec}",\n  "fraction": "{frac}"\n}}')
+def _put_bounds(lo: int, hi: int, den: int, pad: str, put, tail: str = "") -> None:
+    """Put the int enclosure [lo/den, hi/den] and its midpoint at indentation
+    ``pad``, then ``tail`` as ``_put_ratio``.  Truncation is monotone, so
+    when lo's 12 places stay the same up to hi (lo's remainder plus the
+    width stays below one unit of the 12th place), they are hi's and the
+    midpoint's, from one pair of divisions."""
+    whole, rest = divmod(lo, den)
+    digits, rest = divmod(rest * 10**12, den)
+    if 0 <= lo <= hi and rest + (hi - lo) * 10**12 < den:
+        dlo = dhi = mid = f"{whole}.{digits:012d}"
+    else:
+        dlo, dhi = _dec12(lo, den), _dec12(hi, den)
+        mid = dlo if dlo == dhi else _dec12(lo + hi, 2 * den)
+    i, j, k = pad + "  ", pad + "    ", pad + "      "
+    g, h = gcd(hi, den), gcd(lo, den)
+    put(f'{{{i}"decimal_approx_12": "{mid}",{i}"enclosure": {{{j}"hi": {{'
+        f'{k}"decimal_approx_12": "{dhi}",{k}"fraction": "{hi // g}/{den // g}"{j}}},'
+        f'{j}"lo": {{{k}"decimal_approx_12": "{dlo}",'
+        f'{k}"fraction": "{lo // h}/{den // h}"{j}}}{i}}}{tail}{pad}}}')
 
 
-def _ser_fraction(fr: Fraction) -> _Leaf:
+def _put_angle(a: Angle, lo: int, hi: int, den: int, pad: str, put) -> None:
+    """Put an angle and its literal at indentation ``pad``: a rational as its
+    ratio, which is its literal "n/q", a stream as its ``REPORT_DIGITS``-digit
+    enclosure [lo/den, hi/den]."""
+    if a.source is None:
+        _put_ratio(a.n, a.q, pad, put, f',{pad}  "literal": "{a.n}/{a.q}"')
+    else:
+        literal = encode_basestring_ascii(format_angle(a))
+        _put_bounds(lo, hi, den, pad, put, f',{pad}  "literal": {literal}')
+
+
+def _put_size(p: HoleProfile, k: int, pad: str, put) -> None:
+    """Put the profile's rank-k size: from its int bounds when they are
+    exact, or from k* digits with k* the report's digit count (so its value
+    would print the same); else from its value."""
+    lo, hi, den = p.size_bounds(k)
+    if lo == hi:
+        _put_ratio(lo, den, pad, put)
+    elif p.k == REPORT_DIGITS:
+        _put_bounds(lo, hi, den, pad, put)
+    else:
+        _ser_value(p.size(k))(pad, put)
+
+
+def _ser_ratio(n: int, q: int) -> partial:
+    return partial(_put_ratio, n, q)
+
+
+def _ser_fraction(fr: Fraction) -> partial:
     return _ser_ratio(fr.numerator, fr.denominator)
 
 
-def _ser_bounds(lo: int, hi: int, den: int) -> _Leaf:
-    """An int enclosure [lo/den, hi/den] and its midpoint.  Truncation is
-    monotone, so the midpoint's decimal is the ends' when theirs agree."""
-    dlo, dhi = _dec12(lo, den), _dec12(hi, den)
-    mid = dlo if dlo == dhi else _dec12(lo + hi, 2 * den)
-    flo, fhi, p = _reduced(lo, den), _reduced(hi, den), "\n      "
-    return _Leaf(
-        f'{{\n  "decimal_approx_12": "{mid}",\n  "enclosure": {{'
-        f'\n    "hi": {{{p}"decimal_approx_12": "{dhi}",{p}"fraction": "{fhi}"\n    }},'
-        f'\n    "lo": {{{p}"decimal_approx_12": "{dlo}",{p}"fraction": "{flo}"\n    }}'
-        "\n  }\n}"
-    )
+def _ser_bounds(lo: int, hi: int, den: int) -> partial:
+    return partial(_put_bounds, lo, hi, den)
 
 
-def _ser_angle(a: Angle, bounds: tuple[int, int, int]) -> _Leaf:
-    """An angle and its literal: a rational as its ratio, which is its
-    literal "n/q" (already in lowest terms), a stream as its
-    ``REPORT_DIGITS``-digit enclosure ``bounds`` (lo, hi, den)."""
-    if a.source is None:
-        frac = f"{a.n}/{a.q}"
-        return _Leaf(f'{{\n  "decimal_approx_12": "{_dec12(a.n, a.q)}",'
-                     f'\n  "fraction": "{frac}",\n  "literal": "{frac}"\n}}')
-    literal = encode_basestring_ascii(format_angle(a))
-    return _Leaf(_ser_bounds(*bounds)[:-2] + ',\n  "literal": ' + literal + "\n}")
+def _ser_angle(a: Angle, bounds: tuple[int, int, int]) -> partial:
+    """An angle; ``bounds`` (lo, hi, den) is a stream's enclosure."""
+    return partial(_put_angle, a, *bounds)
 
 
-def _ser_vertices(P: Polygon) -> list[_Leaf]:
+def _ser_vertices(P: Polygon) -> list[partial]:
     """P's vertices, each stream one's enclosure from the polygon's bounds."""
     bounds, D = P._bounds(REPORT_DIGITS)
     return [_ser_angle(v, (lo, hi, D)) for v, (lo, hi) in zip(P.vertices, bounds)]
 
 
-def _ser_value(v: Value) -> _Leaf:
+def _ser_size(p: HoleProfile, k: int) -> partial:
+    return partial(_put_size, p, k)
+
+
+def _ser_value(v: Value) -> partial:
     if isinstance(v, Approx):
         return _ser_bounds(*v.interval(REPORT_DIGITS))
     return _ser_ratio(v.numerator, v.denominator)
-
-
-def _ser_size(p: HoleProfile, k: int) -> _Leaf:
-    """The profile's rank-k size from its int bounds when they are exact,
-    or from k* digits with k* the report's digit count (so its value would
-    print the same); else from its value."""
-    lo, hi, den = p.size_bounds(k)
-    if lo == hi:
-        return _ser_ratio(lo, den)
-    if p.k == REPORT_DIGITS:
-        return _ser_bounds(lo, hi, den)
-    return _ser_value(p.size(k))
 
 
 def _ser_arc(arc) -> dict:
@@ -232,11 +251,12 @@ def _to_json(x) -> str:
 
 def _write_json(x, pad: str, put) -> None:
     """Put the JSON text of ``x`` at indentation ``pad``.  Only the value
-    types a report holds are written: dicts with str keys, lists, ``_Leaf``
-    texts, str, int, bool and None; anything else raises TypeError."""
+    types a report holds are written: dicts with str keys, lists, leaves
+    (``partial`` renderers), str, int, bool and None; anything else raises
+    TypeError."""
     t = type(x)
-    if t is _Leaf:
-        put(x.replace("\n", pad))
+    if t is partial:
+        x(pad, put)
     elif t is str:
         put(encode_basestring_ascii(x))
     elif t is dict:
@@ -257,13 +277,13 @@ def _write_json(x, pad: str, put) -> None:
             put("[]")
             return
         inner = pad + "  "
-        if all(type(v) is _Leaf for v in x):  # vertices and sizes: one replace
-            put("[" + inner + ",\n".join(x).replace("\n", inner) + pad + "]")
-            return
         sep = "[" + inner
         for v in x:
             put(sep)
-            _write_json(v, inner, put)
+            if type(v) is partial:  # a leaf: one call fewer per size or vertex
+                v(inner, put)
+            else:
+                _write_json(v, inner, put)
             sep = "," + inner
         put(pad + "]")
     elif x is None:
@@ -276,6 +296,34 @@ def _write_json(x, pad: str, put) -> None:
         put(int.__repr__(x))
     else:
         raise TypeError(f"cannot write {t.__name__} into a report")
+
+
+def _put_records(orbit, pad: str, put) -> None:
+    """Put ``orbit``'s records as the JSON list ``_write_json`` would write
+    at indentation ``pad``, in one loop: each record's keys in sorted order,
+    each size and vertex put by its renderer where it sits."""
+    i1, i2, i3 = pad + "  ", pad + "    ", pad + "      "
+    sep = "[" + i1
+    for rec in orbit:
+        P, p = rec.polygon, rec.profile
+        verdict = "true" if rec.orientation.verdict else "false"
+        put(f'{sep}{{{i2}"index": {rec.index},{i2}"orientation": {verdict},'
+            f'{i2}"sizes_by_rank": [')
+        sep = i3
+        for k in range(1, P.card + 1):
+            put(sep)
+            _put_size(p, k, i3, put)
+            sep = "," + i3
+        put(f'{i2}],{i2}"vertices": [')
+        bounds, D = P._bounds(REPORT_DIGITS)
+        sep = i3
+        for v, (lo, hi) in zip(P.vertices, bounds):
+            put(sep)
+            _put_angle(v, lo, hi, D, i3, put)
+            sep = "," + i3
+        put(f"{i2}]{i1}}}")
+        sep = "," + i1
+    put(pad + "]")
 
 
 # ---------------------------------------------------------------------------
@@ -427,20 +475,7 @@ def _orbit_records(args, budget):
 
 
 def _cmd_orbit(args, budget, eps):
-    orbit = _orbit_records(args, budget)
-    return {
-        "records": [
-            {
-                "index": rec.index,
-                "vertices": _ser_vertices(rec.polygon),
-                "sizes_by_rank": [
-                    _ser_size(rec.profile, k) for k in range(1, rec.polygon.card + 1)
-                ],
-                "orientation": rec.orientation.verdict,
-            }
-            for rec in orbit
-        ]
-    }
+    return {"records": partial(_put_records, _orbit_records(args, budget))}
 
 
 def _cmd_jumps(args, budget, eps):

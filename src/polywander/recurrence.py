@@ -505,9 +505,15 @@ def _decide_status(
     all_witnessed: bool | None,
     omega_consistent: bool | None,
     limcoin_ok: bool | None,
+    covers_circle: bool,
 ) -> str:
+    """CONSISTENT only when every check holds and no leaf's value enclosure
+    covers the circle within the horizon (its recurrence is then
+    unavailable and its omega the full circle): a full-circle omega is near
+    every limit leaf, and omegas that are all full agree, whatever the
+    orbit does."""
     checks = (leaf_count_ok, all_disjoint, all_witnessed, omega_consistent, limcoin_ok)
-    if all(c is True for c in checks):
+    if not covers_circle and all(c is True for c in checks):
         return CONSISTENT
     return INCONCLUSIVE_EVIDENCE
 
@@ -627,8 +633,10 @@ def verify_theorem1(
         for p in limit_leaves
     )
 
+    covers_circle = any(None in arcs for arcs in orbits)  # each noted by _grade_leaves
     status = _decide_status(
-        leaf_count_ok, all_disjoint, all_witnessed, omega_consistent, limcoin_ok
+        leaf_count_ok, all_disjoint, all_witnessed, omega_consistent, limcoin_ok,
+        covers_circle,
     )
     return report(
         burn_in=run.burn_in,

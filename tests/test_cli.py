@@ -6,18 +6,26 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from polywander import (
     Angle,
     HoleProfile,
+    Polygon,
     PreconditionError,
     format_angle,
+    iterate_orbit,
+    parse_angle,
     register_generator,
     render_svg,
 )
-from polywander.angles import REPORT_DIGITS, _champernowne_factory
+from polywander.angles import (
+    REPORT_DIGITS,
+    Approx,
+    PrecisionBudget,
+    _champernowne_factory,
+)
 from polywander.cli import (
     _ser_angle,
     _ser_bounds,
@@ -27,7 +35,8 @@ from polywander.cli import (
     main,
 )
 
-from test_golden import TRI3, WIDE
+from test_angles import stream_angles
+from test_golden import TRI3, UNDECIDED_AT_64, WIDE
 
 JUMP = ["19/100", "45/100", "96/100"]
 CLUSTER = ["30/100", "31/100", "32/100"]
@@ -368,7 +377,8 @@ def test_report_rational_from_an_unreduced_pair(x, k):
     Fraction itself does: "p/q" in lowest terms and the same decimal."""
     n, q = x.numerator, x.denominator
     want = _ratio_object(x)
-    assert json.loads(_ser_ratio(k * n, k * q)) == json.loads(_ser_fraction(x)) == want
+    leaves = (_ser_ratio(k * n, k * q), _ser_fraction(x))
+    assert [json.loads(_to_json(leaf)) for leaf in leaves] == [want, want]
 
 
 LINKED_QUAD = ["gen:thue_morse?base=4&shift=39", "43/86", "128/130",
@@ -773,18 +783,23 @@ report_leaves = (
 
 @st.composite
 def leaf_objects(draw):
-    """A pre-rendered ratio, bounds or angle leaf and the object it stands
-    for, built here from Fraction arithmetic; stream literals name
-    generators registered here with quotes, backslashes and non-ASCII
-    characters in their names, the only free text a literal carries."""
-    kind = draw(st.sampled_from(["ratio", "bounds", "rational", "stream"]))
-    ints = st.integers(min_value=0, max_value=10**30)
+    """A ratio, bounds or angle leaf and the object it stands for, built
+    here from Fraction arithmetic; ratio and bounds ends are any ints, and
+    bounds are drawn both at random (so also with hi < lo) and as narrow
+    enclosures (hi - lo below one unit of the 12th place, about as often on
+    either side of a 12th-place step); stream literals name generators
+    registered here with quotes, backslashes and non-ASCII characters in
+    their names, the only free text a literal carries."""
+    kind = draw(st.sampled_from(["ratio", "bounds", "narrow", "rational", "stream"]))
+    ints = st.integers(min_value=-(10**30), max_value=10**30)
+    q = draw(st.integers(min_value=1, max_value=10**30))
     if kind == "ratio":
-        n, q = draw(ints), draw(st.integers(min_value=1, max_value=10**30))
+        n = draw(ints)
         return _ser_ratio(n, q), _ratio_object(Fraction(n, q))
-    if kind == "bounds":
-        lo, hi = draw(ints), draw(ints)
-        q = draw(st.integers(min_value=1, max_value=10**30))
+    if kind in ("bounds", "narrow"):
+        lo = draw(ints)
+        width = st.integers(0, q // 10**12 + 1)
+        hi = draw(ints) if kind == "bounds" else lo + draw(width)
         return _ser_bounds(lo, hi, q), _bounds_object(lo, hi, q)
     if kind == "rational":
         x = draw(st.fractions(min_value=0, max_value=1).filter(lambda f: f < 1))
@@ -842,9 +857,9 @@ _ODD_LEAF = _ser_angle(_ODD, _ODD.interval(REPORT_DIGITS))
 @example(([{"a": [_ODD_LEAF]}, _ODD_LEAF],
           [{"a": [_stream_object(_ODD)]}, _stream_object(_ODD)]))
 def test_to_json_matches_json_dumps(pair):
-    """A report, with pre-rendered ratio, bounds and angle leaves at any
-    depth among its plain values, is written as ``json.dumps`` writes it
-    with each leaf's object in its place."""
+    """A report, with ratio, bounds and angle leaves at any depth among its
+    plain values, is written as ``json.dumps`` writes it with each leaf's
+    object in its place."""
     x, want = pair
     assert _to_json(x) == json.dumps(want, sort_keys=True, indent=2)
 
@@ -862,3 +877,82 @@ def test_to_json_empty_and_nested_containers():
 def test_to_json_rejects_other_types(x):
     with pytest.raises(TypeError):
         _to_json(x)
+
+
+# orbit reports against json.dumps
+
+
+def _size_object(p: HoleProfile, k: int) -> dict:
+    lo, hi, den = p.size_bounds(k)
+    if lo == hi:
+        return _ratio_object(Fraction(lo, den))
+    if p.k == REPORT_DIGITS:
+        return _bounds_object(lo, hi, den)
+    v = p.size(k)
+    if isinstance(v, Approx):
+        return _bounds_object(*v.interval(REPORT_DIGITS))
+    return _ratio_object(v)
+
+
+def _vertex_object(a: Angle) -> dict:
+    if a.source is None:
+        return dict(_ratio_object(Fraction(a.n, a.q)), literal=f"{a.n}/{a.q}")
+    return _stream_object(a)
+
+
+def _orbit_report(literals: list[str], d: int, horizon: int) -> str:
+    """The ``orbit`` report as ``json.dumps`` writes it, from plain objects
+    built here for each record of ``iterate_orbit``."""
+    budget = PrecisionBudget(max_digits=4096)
+    orbit = iterate_orbit(Polygon([parse_angle(t) for t in literals], budget), d,
+                          horizon, budget)
+    records = [
+        {
+            "index": rec.index,
+            "orientation": rec.orientation.verdict,
+            "sizes_by_rank": [_size_object(rec.profile, k)
+                              for k in range(1, rec.polygon.card + 1)],
+            "vertices": [_vertex_object(v) for v in rec.polygon.vertices],
+        }
+        for rec in orbit
+    ]
+    config = {"degree": d, "horizon": horizon, "epsilon": "1/64", "budget": 4096,
+              "kiwi_precheck": True, "burn_in": None, "seed": 0}
+    report = {"version": "0.1.0", "command": "orbit", "config": config,
+              "payload": {"records": records}}
+    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+@st.composite
+def orbit_requests(draw):
+    """(literals, degree, horizon) of a rational polygon, or of a stream
+    vertex among rationals at the stream's base; half of the streams sit
+    within base**-m of the 0/1 seam (m in 65..72), so that their 64-digit
+    enclosures straddle it, and 0/1 is often among the rationals."""
+    stream = draw(st.none() | stream_angles(seam_digits=st.integers(65, 72)))
+    d = draw(st.integers(2, 4)) if stream is None else stream.source.base
+    fractions = st.integers(1, 40).flatmap(
+        lambda q: st.integers(0, q - 1).map(lambda n: Fraction(n, q)))
+    rats = draw(st.lists(fractions, min_size=1 if stream else 2, max_size=3, unique=True))
+    literals = [f"{x.numerator}/{x.denominator}" for x in rats]
+    if stream is not None:
+        literals.insert(draw(st.integers(0, len(literals))), format_angle(stream))
+    return literals, d, draw(st.integers(0, 6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(orbit_requests())
+@example((["0/1", "1/3", "2/3"], 4, 0))
+@example((UNDECIDED_AT_64["sizes"][2:], int(UNDECIDED_AT_64["sizes"][1]), 2))
+@example((UNDECIDED_AT_64["pair"][2:], int(UNDECIDED_AT_64["pair"][1]), 2))
+def test_orbit_report_matches_json_dumps(request):
+    """``orbit``'s report, whose records are written in one loop, is the
+    one ``json.dumps(sort_keys=True, indent=2)`` writes for the same records
+    built as plain objects: horizon 0, offsets, vertices on or near the 0/1
+    seam, and sizes and sorts that 64 digits leave undecided."""
+    literals, d, horizon = request
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["orbit", *literals, "-d", str(d), "--horizon", str(horizon)])
+    assume(code == 0)  # two vertices may share an image: exit 2
+    assert out.getvalue() == _orbit_report(literals, d, horizon)

@@ -9,6 +9,7 @@ record the outputs again after an intended change, run
 import contextlib
 import hashlib
 import io
+import json
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -197,6 +198,17 @@ def test_golden_output(name):
     got_code, got = _run(argv)
     assert got_code == code
     assert got == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "name", sorted(n for n, (_, argv) in CASES.items() if argv[0] != "render")
+)
+def test_json_golden_is_canonical(name):
+    """Each JSON golden is the text ``json.dumps(sort_keys=True, indent=2)``
+    writes for its own content, so a golden recorded again cannot take in a
+    drift of the report writer's format."""
+    text = (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
 
 
 def test_verify_walks_each_value_orbit_once(monkeypatch):

@@ -43,6 +43,7 @@ from oracles import (
     oracle_unlinked,
 )
 from test_geometry import strip_of
+from test_golden import WIDE
 
 
 def poly(*vals) -> Polygon:
@@ -470,13 +471,44 @@ def test_verify_inconclusive_without_burn_in():
 
 
 def test_decide_status_combinations():
-    assert _decide_status(True, True, True, True, True) == "ConsistentWithTheorem"
+    assert _decide_status(True, True, True, True, True, False) == "ConsistentWithTheorem"
+    assert _decide_status(True, True, True, True, True, True) == "InconclusiveEvidence"
     for i in range(5):
-        flags = [True] * 5
+        flags = [True] * 5 + [False]
         flags[i] = False
         assert _decide_status(*flags) == "InconclusiveEvidence"
         flags[i] = None
         assert _decide_status(*flags) == "InconclusiveEvidence"
+
+
+def test_a_value_enclosure_covering_the_circle_is_not_consistent(monkeypatch):
+    """``wide-verify``'s triangle at epsilon 1/4: leaf 0's value enclosure
+    covers the circle, so its recurrence is unavailable and its omega is
+    every bin; with recurrence and disjointness forced to pass, every check
+    holds (the full omega agrees with the other at this resolution and is
+    near every limit leaf), yet the status is not consistent."""
+    grade = recurrence._grade_leaves
+    witnessed = recurrence.RecurrenceEvidence(
+        (), (F(0),), recurrence.Verdict(kind=recurrence.WITNESSED, step=0))
+
+    def graded_witnessed(leaves, *args):
+        evidence, omegas = grade(leaves, *args)
+        return [witnessed] * len(evidence), omegas
+
+    monkeypatch.setattr(recurrence, "_grade_leaves", graded_witnessed)
+    monkeypatch.setattr(recurrence, "_pair_statuses", lambda orbits: {
+        pair: recurrence.PairStatus(kind=recurrence.DISJOINT)
+        for pair in itertools.combinations(range(len(orbits)), 2)})
+    assert WIDE[:6] == ["-d", "3", "--horizon", "5", "--burn-in", "0"]
+    rep = verify_theorem1(Polygon([parse_angle(v) for v in WIDE[6:]]), 3, 5, F(1, 4),
+                          burn_in_override=0)
+    assert rep.notes == ("leaf 0: value enclosure too wide for recurrence",
+                         "leaf 0: omega bins degraded to full circle")
+    assert rep.omegas[0].runs == ((0, 3),)
+    assert (rep.leaf_count_ok, rep.omega_consistent, rep.limcoin_ok) == (True, True, True)
+    assert all(s.kind == "Disjoint" for s in rep.disjointness.values())
+    assert all(e.verdict.kind == "RecurrentWitnessed" for e in rep.recurrence)
+    assert rep.status == "InconclusiveEvidence"
 
 
 # ---------------------------------------------------------------------------

@@ -135,6 +135,19 @@ def test_angles_builds_every_angle_in_one_constructor():
     assert hits == [], f"angles.py builds or writes an Angle at {hits}"
 
 
+def test_report_leaves_are_not_reindented():
+    """``cli.py`` calls no ``replace``: each report leaf is rendered once, at
+    the indentation where it sits, never rendered at one indentation and
+    then moved to another by ``str.replace``."""
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    hits = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "replace"
+    ]
+    assert hits == [], f"cli.py reads .replace at lines {hits}"
+
+
 MEMOS = {"cache", "lru_cache"}
 
 
