@@ -74,11 +74,16 @@ MAX_ARCS = 2**16  # analyze lists the d - 1 witness arcs of a preserving polygon
 
 def _put_ratio(n: int, q: int, pad: str, put, tail: str = "") -> None:
     """Put the rational n/q (q > 0) at indentation ``pad``: "p/q" in lowest
-    terms and its truncated 12-place decimal, which the unreduced pair gives
-    as well, then ``tail``, the JSON text of any further members."""
-    i, g = pad + "  ", gcd(n, q)
-    put(f'{{{i}"decimal_approx_12": "{_dec12(n, q)}",{i}"fraction": "{n // g}/{q // g}"'
-        f"{tail}{pad}}}")
+    terms and its truncated 12-place decimal, then ``tail``, the JSON text
+    of any further members."""
+    g = gcd(n, q)
+    _put_reduced(n // g, q // g, pad, put, tail)
+
+
+def _put_reduced(n: int, q: int, pad: str, put, tail: str = "") -> None:
+    """``_put_ratio`` of an n/q already in lowest terms: no gcd."""
+    i = pad + "  "
+    put(f'{{{i}"decimal_approx_12": "{_dec12(n, q)}",{i}"fraction": "{n}/{q}"{tail}{pad}}}')
 
 
 def _put_bounds(lo: int, hi: int, den: int, pad: str, put, tail: str = "") -> None:
@@ -104,10 +109,10 @@ def _put_bounds(lo: int, hi: int, den: int, pad: str, put, tail: str = "") -> No
 
 def _put_angle(a: Angle, lo: int, hi: int, den: int, pad: str, put) -> None:
     """Put an angle and its literal at indentation ``pad``: a rational as its
-    ratio, which is its literal "n/q", a stream as its ``REPORT_DIGITS``-digit
-    enclosure [lo/den, hi/den]."""
+    ratio, which is its literal "n/q" (an ``Angle`` keeps it in lowest terms),
+    a stream as its ``REPORT_DIGITS``-digit enclosure [lo/den, hi/den]."""
     if a.source is None:
-        _put_ratio(a.n, a.q, pad, put, f',{pad}  "literal": "{a.n}/{a.q}"')
+        _put_reduced(a.n, a.q, pad, put, f',{pad}  "literal": "{a.n}/{a.q}"')
     else:
         literal = encode_basestring_ascii(format_angle(a))
         _put_bounds(lo, hi, den, pad, put, f',{pad}  "literal": {literal}')

@@ -5,17 +5,19 @@ list that grows.
 Lengths are exact ``Fraction``s when all endpoints are rational and
 refinable enclosures otherwise.  One sort of a polygon's vertex images
 (``_image_sort``) gives injectivity, the cyclic-order half of orientation,
-the next iterate and where each vertex's image lands in it.
+the next iterate and where each vertex's image lands in it; an orbit step
+(``orbit_step``) is that sort, the hole profile and orientation.
 
 A rational polygon holds its vertex numerators over one denominator L.
-The image of n/L is (d*n mod L)/L, so its whole orbit lives over L and its
-image sort and linkage family run on ints.  A stream polygon carries one
-enclosure per vertex at k* = min(REPORT_DIGITS, max_digits) digits over
-one denominator D, on which the sort that built it decided where it could;
-every later reader takes them from ``Polygon._bounds``.  Its whole orbit
-keeps T_0's D: a rational vertex's pair (a, a) maps to d*a mod D, and a
-stream image's k*-digit enclosure is scaled onto D, so a step takes no
-lcm and builds no rational interval.
+The image of n/L is (d*n mod L)/L, so its whole orbit lives over L; each
+step is one int pass over the numerators, and the linkage family runs on
+ints.  A stream polygon carries one enclosure per vertex at
+k* = min(REPORT_DIGITS, max_digits) digits over one denominator D, on
+which the sort that built it decided where it could; every later reader
+takes them from ``Polygon._bounds``.  Its whole orbit keeps T_0's D: a
+rational vertex's pair (a, a) maps to d*a mod D, and a stream image's
+k*-digit enclosure is scaled onto D, so a step takes no lcm and builds no
+rational interval.
 
 Either way a ``HoleProfile`` holds one int pair (lo, hi) per hole size over
 one denominator: the exact size (lo == hi) over L, as differences of
@@ -199,46 +201,51 @@ def _image_sort(P: Polygon, d: int, budget: PrecisionBudget):
     """The next iterate, the polygon of P's vertex images, and ``landing``:
     for each vertex of P, the position of its image in it.  One sort: of
     the image numerators (d * n) % L over P's own denominator L when P is
-    rational, else of their k*-digit enclosures over P's D, then
-    ``compare``; a stream iterate carries those enclosures.  Equal images
-    are a collision and raise NotInjectiveError.
+    rational (``_exact_sort``), else of their k*-digit enclosures over P's
+    D, then ``compare``; a stream iterate carries those enclosures.  Equal
+    images are a collision and raise NotInjectiveError.
 
     P's D serves its images: the image of a rational vertex a/D is
     (d * a mod D)/D, and a stream image's enclosure denominator (base**k*
     times its offset's) divides D, since the map, times d = base, only
     shrinks an offset's denominator."""
-    L = P.den
-    if L is not None:
-        images = [d * n % L for n in P.nums]
-        order = sorted(range(len(images)), key=images.__getitem__)  # stable on ties
-        tie = len(set(images)) < len(images) and next(
-            (i, j) for i, j in pairwise(order) if images[i] == images[j]
-        )
-    else:
-        k = min(REPORT_DIGITS, budget.max_digits)
-        ends, D = P._bounds(k)
-        images = [map_angle(v, d) for v in P.vertices]
-        bounds = []
-        for v, (lo, hi) in zip(images, ends):
-            if lo == hi:  # a rational vertex
-                lo = hi = d * lo % D
-            else:
-                lo, hi, q = v.interval(k)
-                lo, hi = lo * (m := D // q), hi * m
-            bounds.append((lo, hi))
-        order, tie, enclosures = _sort_on(images, k, bounds, D, budget)
+    if P.den is not None:
+        return _exact_sort(P, d)
+    k = min(REPORT_DIGITS, budget.max_digits)
+    ends, D = P._bounds(k)
+    images = [map_angle(v, d) for v in P.vertices]
+    bounds = []
+    for v, (lo, hi) in zip(images, ends):
+        if lo == hi:  # a rational vertex
+            lo = hi = d * lo % D
+        else:
+            lo, hi, q = v.interval(k)
+            lo, hi = lo * (m := D // q), hi * m
+        bounds.append((lo, hi))
+    order, tie, enclosures = _sort_on(images, k, bounds, D, budget)
     if tie:
-        vs = P.vertices
-        raise NotInjectiveError(
-            "two vertices share an image under the map", pair=(vs[tie[0]], vs[tie[1]])
-        )
+        _collision(P, tie)
     landing = tuple(sorted(range(len(order)), key=order.__getitem__))
-    images = tuple(images[c] for c in order)
-    if L is None:
-        nxt = Polygon._sorted(images, enclosures=enclosures)
-    else:
-        nxt = Polygon._sorted(None, images, L)
-    return nxt, landing
+    return Polygon._sorted(tuple(images[c] for c in order), enclosures=enclosures), landing
+
+
+def _exact_sort(P: Polygon, d: int):
+    """``_image_sort`` of a rational P: its image numerators (d * n) % L
+    over its L, sorted."""
+    L, N = P.den, len(P.nums)
+    images = [d * n % L for n in P.nums]
+    order = sorted(range(N), key=images.__getitem__)  # stable on ties
+    if len(set(images)) < N:
+        _collision(P, next((i, j) for i, j in pairwise(order) if images[i] == images[j]))
+    landing = tuple(sorted(range(N), key=order.__getitem__))
+    return Polygon._sorted(None, tuple([images[c] for c in order]), L), landing
+
+
+def _collision(P: Polygon, pair: tuple[int, int]):
+    vs = P.vertices
+    raise NotInjectiveError(
+        "two vertices share an image under the map", pair=(vs[pair[0]], vs[pair[1]])
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +399,18 @@ def _size(sizes: list, P: Polygon, i: int, bounds, D: int, k: int) -> Value:
     return sizes[i]
 
 
+def _exact_profile(P: Polygon, d: int, k: int) -> HoleProfile:
+    """``hole_profile`` of a rational P over its L: a hole's size is a
+    difference x of numerators (L added past 0), its floor d * x // L."""
+    ns, L, M = P.nums, P.den, len(P.nums)
+    xs = [b - a for a, b in pairwise(ns)]
+    xs.append(ns[0] + L - ns[-1])
+    order = tuple(sorted(range(M), key=xs.__getitem__))  # stable on ties
+    floors = tuple([d * x // L for x in xs])
+    return HoleProfile(P, d, order, floors, tuple(zip(xs, xs)), L, (L, L), k,
+                       [None] * M, [None] * M)
+
+
 def hole_profile(
     P: Polygon, d: int, budget: PrecisionBudget = DEFAULT_BUDGET
 ) -> HoleProfile:
@@ -409,16 +428,12 @@ def hole_profile(
     its ends' k*-digit bounds (carried by a stream iterate), D added past 0
     and clamped to [0, D].  These decide ranks and floors where they can,
     the compare ladder the rest; only the ladder builds size values here."""
-    k, M = min(REPORT_DIGITS, budget.max_digits), P.card
-    sizes, rems = [None] * M, [None] * M
-    if (L := P.den) is not None:
-        ns = P.nums
-        xs = (*(b - a for a, b in pairwise(ns)), ns[0] + L - ns[-1])
-        order = tuple(sorted(range(M), key=xs.__getitem__))  # stable on ties
-        floors = tuple(d * x // L for x in xs)
-        bounds = tuple(zip(xs, xs))
-        return HoleProfile(P, d, order, floors, bounds, L, (L, L), k, sizes, rems)
+    k = min(REPORT_DIGITS, budget.max_digits)
+    if P.den is not None:
+        return _exact_profile(P, d, k)
 
+    M = P.card
+    sizes, rems = [None] * M, [None] * M
     ends, D = P._bounds(k)
     bounds, floors, slo, shi = [], [], 0, 0
     last = ends[0][0] + D, ends[0][1] + D  # the last hole runs past 0
@@ -487,12 +502,12 @@ def is_orientation_preserving(
 ) -> OrientationCertificate:
     """Certificate that f restricted to P's vertices preserves orientation.
 
-    Three equivalent criteria are evaluated and required to agree: the
-    cyclic order of the sorted vertex images, the count of d-1 pairwise
-    disjoint open 1/d arcs in the complement, and the remainder sum 1/d.
+    Three equivalent criteria are required to agree: the cyclic order of
+    the sorted vertex images, the count of d-1 pairwise disjoint open 1/d
+    arcs in the complement, and the remainder sum 1/d, which for a rational
+    P is the second restated and is not evaluated apart (``orbit_step``).
     """
-    _, landing = _image_sort(P, d, budget)
-    return _orientation(landing, hole_profile(P, d, budget), d, budget)
+    return orbit_step(P, d, budget)[3]
 
 
 def _orientation(
@@ -516,11 +531,39 @@ def _orientation(
     if by_remainders is not None:
         verdicts.add(by_remainders)
     if len(verdicts) != 1:
-        raise AssertionBreach(
-            "orientation criteria disagree: "
-            f"cyclic={by_cyclic_order} arcs={by_disjoint_arcs} remainders={by_remainders}"
-        )
+        raise _disagreement(by_cyclic_order, by_disjoint_arcs, by_remainders)
     return OrientationCertificate(verdict=by_cyclic_order, profile=profile)
+
+
+def _disagreement(cyclic, arcs, remainders) -> AssertionBreach:
+    return AssertionBreach(
+        f"orientation criteria disagree: cyclic={cyclic} arcs={arcs} remainders={remainders}"
+    )
+
+
+def orbit_step(P: Polygon, d: int, budget: PrecisionBudget = DEFAULT_BUDGET):
+    """One step of P's orbit: the next iterate and ``landing`` (as
+    ``_image_sort``), P's hole profile and its orientation certificate.
+
+    A stream P sorts its images, then builds its profile, and
+    ``_orientation`` reads the certificate from both.  A rational P takes
+    one int pass: ``_exact_sort`` and ``_exact_profile`` over its L, then
+    two criteria on ints, the cyclic order and the floors' sum F.  Its
+    exact sizes sum to L, so its remainder sum over d * L is d * L - F * L,
+    which is L iff F = d - 1: the third criterion is the second one here
+    (in ``_orientation`` too), and is not tested twice."""
+    if P.den is None:
+        nxt, landing = _image_sort(P, d, budget)
+        profile = hole_profile(P, d, budget)
+        return nxt, landing, profile, _orientation(landing, profile, d, budget)
+    nxt, landing = _exact_sort(P, d)
+    profile = _exact_profile(P, d, min(REPORT_DIGITS, budget.max_digits))
+    N, s = len(landing), landing[0]
+    by_cyclic_order = landing == (*range(s, N), *range(s))
+    by_disjoint_arcs = sum(profile.floors) == d - 1
+    if by_cyclic_order != by_disjoint_arcs:
+        raise _disagreement(by_cyclic_order, by_disjoint_arcs, by_disjoint_arcs)
+    return nxt, landing, profile, OrientationCertificate(by_cyclic_order, profile)
 
 
 # ---------------------------------------------------------------------------
@@ -543,8 +586,11 @@ class UnlinkedFamily:
     only the other arcs are counted, and a label is linked iff it shows up
     in one of them fewer times than its card.  Checking P costs O(N log V)
     searches of V listed vertices, plus a pass over the labels outside P's
-    most populated arc: a few for a small P that cuts the list once, still
-    O(V) when P's two most populated arcs split the list evenly.
+    most populated arc: none when P sits in one gap of the list (all its
+    cuts equal, so its one nonempty arc is the wrap-around one), a few for
+    a small P that cuts the list once, still O(V) when P's two most
+    populated arcs split the list evenly.  A P in one gap joins the list as
+    one slice.
     """
 
     __slots__ = ("keys", "labels", "cards", "den", "budget")
@@ -583,6 +629,8 @@ class UnlinkedFamily:
                 if lo < len(angles) and compare(angles[lo], v, budget) == EQ:
                     linked.add(labels[lo])
                 cuts.append(lo)
+        if cuts[0] == lo:  # one gap: every arc is empty but the largest, which wraps
+            return cuts, linked
         V, cards = len(labels), self.cards
         arcs = [*zip(cuts, cuts[1:]), (cuts[-1], cuts[0] + V)]  # the last wraps past 0
         arcs.remove(max(arcs, key=lambda arc: arc[1] - arc[0]))
@@ -610,9 +658,13 @@ class UnlinkedFamily:
                     self.keys = [k * (D // M) for k in self.keys]
                 if D != L:
                     new = [n * (D // L) for n in new]
-            for i in reversed(range(P.card)):
-                self.keys.insert(cuts[i], new[i])
-                self.labels.insert(cuts[i], label)
+            if (c := cuts[0]) == cuts[-1]:  # one gap: P's vertices in order at c
+                self.keys[c:c] = new
+                self.labels[c:c] = [label] * P.card
+            else:
+                for i in reversed(range(P.card)):
+                    self.keys.insert(cuts[i], new[i])
+                    self.labels.insert(cuts[i], label)
             self.cards[label] = self.cards.get(label, 0) + P.card
         return linked
 

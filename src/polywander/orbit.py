@@ -45,10 +45,8 @@ from .geometry import (
     OrientationCertificate,
     Polygon,
     UnlinkedFamily,
-    _image_sort,
-    _orientation,
     critical_strip,
-    hole_profile,
+    orbit_step,
 )
 
 
@@ -74,13 +72,12 @@ class OrbitRecord:
 
 
 def _records(T: Polygon, d: int, n: int, budget: PrecisionBudget):
-    """Lazily yield the records of T_0 .. T_n.  Each step sorts the vertex
-    images once, builds one hole profile and reads orientation from both."""
+    """Lazily yield the records of T_0 .. T_n, one ``orbit_step`` each: it
+    sorts the vertex images once, builds one hole profile and reads
+    orientation from both."""
     P = T
     for i in range(n + 1):
-        nxt, landing = _image_sort(P, d, budget)
-        profile = hole_profile(P, d, budget)
-        cert = _orientation(landing, profile, d, budget)
+        nxt, landing, profile, cert = orbit_step(P, d, budget)
         yield OrbitRecord(i, P, profile, cert, landing)
         P = nxt
 
@@ -139,14 +136,17 @@ def certify_wandering(
 ) -> WanderingCertificate:
     """Check card preservation and pairwise unlinkedness of T_0 .. T_horizon.
 
-    Record by record, the iterate is checked injective, then checked against
-    one ``UnlinkedFamily`` holding the vertices of all earlier iterates in
-    ccw order and joins it when unlinked: O(N log(HN)) compares per iterate
+    Record by record (one ``orbit_step`` each, one int pass for a rational
+    iterate), the iterate is checked injective, then checked against one
+    ``UnlinkedFamily`` holding the vertices of all earlier iterates in ccw
+    order and joins it when unlinked: O(N log(HN)) compares per iterate
     instead of a pairwise scan of every earlier one, plus a count of the
-    labels outside the iterate's most populated arc of the list (a few for
-    a tiny iterate; still O(HN) when its two most populated arcs split the
-    list evenly).  Certification stops at the first non-injective or linked
-    record; ``pair`` is (smallest earlier index linked with it, its index).
+    labels outside the iterate's most populated arc of the list (none for
+    an iterate that sits in one gap of the list, which it joins as one
+    slice; a few for a tiny iterate that cuts the list once; still O(HN)
+    when its two most populated arcs split the list evenly).  Certification
+    stops at the first non-injective or linked record; ``pair`` is
+    (smallest earlier index linked with it, its index).
 
     With the precheck enabled, any polygon with more than d vertices is
     rejected outright and no iteration is performed.

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from polywander import (
     Angle,
     Arc,
+    AssertionBreach,
     arc_length,
     Chord,
     ChordsCrossError,
@@ -232,6 +233,57 @@ def test_unlinked_family_matches_unlinked():
             v.value for _, Q in members for v in Q.vertices
         )
         assert len(members) > 1
+
+
+_ONE_GAP_MEMBERS = ([F(1, 10), F(2, 10), F(3, 10)], [F(5, 10), F(6, 10)], [F(8, 10), F(9, 10)])
+_ONE_GAP_CASES = {  # query points, whether all its cuts are equal, linked labels
+    "all cuts at 0": ([F(1, 100), F(2, 100), F(5, 100)], True, set()),
+    "all cuts in the middle": ([F(41, 100), F(42, 100), F(45, 100)], True, set()),
+    "all cuts at V": ([F(91, 100), F(95, 100), F(99, 100)], True, set()),
+    "one gap, sharing a listed vertex": ([F(35, 100), F(4, 10), F(5, 10)], True, {1}),
+    "one gap at 0, sharing the first key": ([F(5, 100), F(1, 10)], True, {0}),
+    "straddling 0": ([F(2, 100), F(95, 100)], False, set()),
+    "straddling 0, linked": ([F(15, 100), F(95, 100)], False, {0}),
+}
+
+
+@pytest.mark.parametrize("stream", [False, True], ids=["ints", "with a stream member"])
+@pytest.mark.parametrize("case", list(_ONE_GAP_CASES))
+def test_unlinked_family_one_gap_matches_oracle(case, stream):
+    """A polygon whose vertices all fall in one gap of the family's list
+    (all cuts equal) is linked only through a shared vertex, and joins the
+    list as one block; a polygon straddling 0 sits in the wrap-around gap
+    with cuts 0 and V.  Each answer of ``linked`` and ``add``, and the list
+    after ``add``, equal ``oracle_unlinked`` and the sorted member points,
+    on an int family and on one holding a stream member."""
+    family, members = UnlinkedFamily(), []
+    for label, pts in enumerate(_ONE_GAP_MEMBERS):
+        assert family.add(poly(*pts), label) == set()
+        members.append((label, pts))
+    s = parse_angle("gen:thue_morse?base=2&shift=11")  # 0.7058...: in the gap (0.6, 0.8)
+    lo, _ = s.enclosure_bounds(200)
+    if stream:
+        assert family.add(Polygon([s, ang(F(7, 10))]), 3) == set()
+        members.append((3, [F(7, 10), lo]))
+    q, one_gap, linked = _ONE_GAP_CASES[case]
+    P = poly(*q)
+    assert (len(set(family._linked(P)[0])) == 1) == one_gap
+    want = {m for m, Q in members if not oracle_unlinked(Q, q)}
+    assert want == linked
+    assert family.linked(P) == want
+    assert family.add(P, 9) == want
+    if not want:
+        members.append((9, q))
+    listed = sorted((x, m) for m, Q in members for x in Q)
+
+    def point(k):  # a listed key as the oracle's point
+        if family.den is not None:
+            return F(k, family.den)
+        return lo if k == s else k.value
+
+    assert [point(k) for k in family.keys] == [x for x, _ in listed]
+    assert family.labels == [m for _, m in listed]
+    assert family.cards == {m: len(Q) for m, Q in members}
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +622,10 @@ def _kernel_corpus():
 def test_integer_kernel_matches_fraction_oracles():
     """Sizes, remainders, floors, rank order, remainder sum and holes, the
     orientation verdict, landing and the collision step of rational
-    polygons agree with plain-Fraction restatements."""
+    polygons agree with plain-Fraction restatements; so do every orbit
+    record's profile, landing and verdict, and the next iterate that
+    ``orbit_step`` returns from each record's polygon, which also gives
+    that polygon's ``hole_profile``."""
     ties = collisions = 0
     for d, pts in _kernel_corpus():
         P = Polygon([ang(x) for x in pts])
@@ -595,13 +650,45 @@ def test_integer_kernel_matches_fraction_oracles():
             assert f_map(a.value, d) == f_map(b.value, d) and a != b
             records = info.value.records
             collisions += 1
-        for rec in records:
-            vals = [v.value for v in rec.polygon.vertices]
+        iterates = _fraction_iterates(pts, d, len(records))
+        for rec, vals, nxt_vals in zip(records, iterates, iterates[1:]):
+            assert [v.value for v in rec.polygon.vertices] == vals
+            want, p = oracle_profile(vals, d), rec.profile
+            assert list(p.sizes_cyclic) == want["sizes"]
+            assert list(p.remainders_cyclic) == want["remainders"]
+            assert list(p.floors) == want["floors"]
+            assert list(p.order) == want["order"]
             assert list(rec.landing) == oracle_landing(vals, d)
             assert rec.orientation.verdict == oracle_cyclic_order(vals, d)
+            nxt, landing, profile, cert = geometry.orbit_step(rec.polygon, d)
+            assert vertex_values(nxt) == nxt_vals
+            assert (landing, profile, cert.verdict) == (rec.landing, p, rec.orientation.verdict)
+            assert hole_profile(rec.polygon, d) == p
         if oracle_injective(pts, d):
             assert is_orientation_preserving(P, d).verdict == oracle_cyclic_order(pts, d)
     assert ties > 50 and collisions > 50
+
+
+@pytest.mark.parametrize(
+    "pts, d, verdict",
+    [([F(1, 7), F(2, 7), F(4, 7)], 2, True), ([F(0), F(1, 5), F(2, 5)], 3, False)],
+)
+def test_rational_orbit_step_raises_when_orientation_criteria_disagree(
+    monkeypatch, pts, d, verdict
+):
+    """A rational step whose floors' sum contradicts the cyclic order of its
+    images (floors summing to d on a polygon that keeps its order, or to
+    d - 1 on one that does not) raises ``AssertionBreach`` with
+    ``_orientation``'s message."""
+    P = Polygon([ang(x) for x in pts])
+    assert geometry.orbit_step(P, d)[3].verdict is verdict
+    floors = (d,) if verdict else (d - 1,)
+    monkeypatch.setattr(
+        geometry, "_exact_profile", lambda *_: SimpleNamespace(floors=floors)
+    )
+    want = f"cyclic={verdict} arcs={not verdict} remainders={not verdict}"
+    with pytest.raises(AssertionBreach, match=want):
+        geometry.orbit_step(P, d)
 
 
 def test_mixed_polygon_keeps_the_enclosure_path():

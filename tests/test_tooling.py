@@ -352,3 +352,24 @@ def test_jump_stage_called_only_from_the_analysis(name):
     callers = _callers(name)
     assert len(callers) == 1, callers
     assert callers.pop().startswith("recurrence.JumpAnalysis."), name
+
+
+def test_every_orbit_step_is_one_geometry_step():
+    """``orbit.py`` names none of ``_image_sort``, ``hole_profile`` or
+    ``_orientation`` (imports, calls or reads them): each record comes from
+    ``geometry.orbit_step``, which takes one int pass over a rational
+    polygon's numerators."""
+    names = {"_image_sort", "hole_profile", "_orientation"}
+    hits = [
+        (node.lineno, name)
+        for node in ast.walk(ast.parse((SRC / "orbit.py").read_text(encoding="utf-8")))
+        for name in [
+            node.id if isinstance(node, ast.Name)
+            else node.attr if isinstance(node, ast.Attribute)
+            else node.name if isinstance(node, ast.alias)
+            else None
+        ]
+        if name in names
+    ]
+    assert hits == []
+    assert _callers("orbit_step") >= {"orbit._records"}
