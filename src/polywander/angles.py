@@ -535,17 +535,6 @@ def cmp_bounds(x: tuple[int, int, int], y: tuple[int, int, int]) -> int | None:
     return EQ if xlo == xhi == ylo == yhi else None
 
 
-def scale_value(x: Value, n: int) -> Value:
-    if isinstance(x, Fraction):
-        return n * x
-
-    def refine_fn(k):
-        lo, hi, den = x.interval(k)
-        return n * lo, n * hi, den
-
-    return Approx(refine_fn)
-
-
 def sum_values(values) -> Value:
     """The sum: a ``Fraction`` when every term is exact, else one ``Approx``
     whose enclosure adds the terms' numerators over one denominator."""

@@ -433,7 +433,7 @@ def _cmd_analyze(args, budget, eps):
     # profile before image sort (orbit's records sort first): where neither
     # decides within the budget, analyze names the floor and orbit the sort
     profile = hole_profile(P, d, budget)
-    cert = _orientation(_image_sort(P, d, budget)[1], profile, d, budget)
+    cert = _orientation(_image_sort(P, d, budget)[1], profile, d)
     if cert.verdict and d - 1 > MAX_ARCS:
         raise PreconditionError(
             f"analyze lists d - 1 witness arcs: degree must be at most {MAX_ARCS + 1}")

@@ -22,7 +22,7 @@ rational interval.
 Either way a ``HoleProfile`` holds one int pair (lo, hi) per hole size over
 one denominator: the exact size (lo == hi) over L, as differences of
 numerators, or the difference of the ends' k*-digit enclosures over D.
-Ranks, floors, orientation's remainder sum and every later stage's test
+Ranks, floors, orientation's floors' sum and every later stage's test
 are decided on these ints; only what they leave open (an overlap, a vertex
 widened at the 0/1 seam) takes the compare ladder's rungs above k*.  A
 size's or remainder's value (a ``Fraction`` when exact, else an ``Approx``
@@ -291,14 +291,15 @@ class HoleProfile:
 
     ``bounds[i]`` is cyclic hole i's size as ints (lo, hi) over one
     denominator ``D``: lo == hi for an exact size (each of a rational
-    polygon's, over its L), else its enclosure from ``k`` = k* digits;
-    ``total`` sums them.  A size or remainder is built on first read and
-    kept in ``_sizes`` or ``_rems``: a ``Fraction`` when exact, else an
-    ``Approx`` seeded with its k*-digit enclosure (a remainder's from its
-    size's bounds and floor), so later refinements nest as if it had been
-    built at once.  A size that the profile had to refine above k* to rank
-    or floor it is built there, with its remainder.  Built values and
-    ``holes`` take no part in equality or hashing.
+    polygon's, over its L), else its enclosure from ``k`` = k* digits.  A
+    size or remainder is built on first read and kept in ``_sizes`` or
+    ``_rems``: a ``Fraction`` when exact, else an ``Approx`` seeded with
+    its k*-digit enclosure (a remainder's from its size's bounds and
+    floor), so later refinements nest as if it had been built at once.  A
+    size that the profile had to refine above k* to rank or floor it is
+    built there, with its remainder.  Built values and ``holes`` take no
+    part in equality or hashing.  The floors decide orientation; the
+    remainder sum is only reported.
     """
 
     polygon: Polygon
@@ -307,18 +308,15 @@ class HoleProfile:
     floors: tuple[int, ...]
     bounds: tuple[tuple[int, int], ...]
     D: int
-    total: tuple[int, int]
     k: int = field(compare=False)  # exact pairs are the same at any k
     _sizes: list = field(compare=False, repr=False)
     _rems: list = field(compare=False, repr=False)
 
-    def __init__(self, polygon, degree, order, floors, bounds, D, total, k, _sizes,
-                 _rems):
+    def __init__(self, polygon, degree, order, floors, bounds, D, k, _sizes, _rems):
         # one dict update: a frozen dataclass's generated __init__ sets each
         # field through object.__setattr__, as slow as a rational profile's ints
         vars(self).update(polygon=polygon, degree=degree, order=order, floors=floors,
-                          bounds=bounds, D=D, total=total, k=k, _sizes=_sizes,
-                          _rems=_rems)
+                          bounds=bounds, D=D, k=k, _sizes=_sizes, _rems=_rems)
 
     @cached_property
     def holes(self) -> tuple[Arc, ...]:
@@ -407,8 +405,8 @@ def _exact_profile(P: Polygon, d: int, k: int) -> HoleProfile:
     xs.append(ns[0] + L - ns[-1])
     order = tuple(sorted(range(M), key=xs.__getitem__))  # stable on ties
     floors = tuple([d * x // L for x in xs])
-    return HoleProfile(P, d, order, floors, tuple(zip(xs, xs)), L, (L, L), k,
-                       [None] * M, [None] * M)
+    return HoleProfile(P, d, order, floors, tuple(zip(xs, xs)), L, k, [None] * M,
+                       [None] * M)
 
 
 def hole_profile(
@@ -435,13 +433,12 @@ def hole_profile(
     M = P.card
     sizes, rems = [None] * M, [None] * M
     ends, D = P._bounds(k)
-    bounds, floors, slo, shi = [], [], 0, 0
+    bounds, floors = [], []
     last = ends[0][0] + D, ends[0][1] + D  # the last hole runs past 0
     for (ulo, uhi), (wlo, whi) in pairwise([*ends, last]):
         lo, hi = max(0, wlo - uhi), min(D, whi - ulo)
         bounds.append((lo, hi))
         floors.append(j if (j := d * lo // D) == d * hi // D else None)
-        slo, shi = slo + lo, shi + hi
     order = _decided_order(bounds, True)
     if order is None or None in floors:  # the ladder's rungs above k*
 
@@ -457,8 +454,8 @@ def hole_profile(
             if isinstance(s, Approx):  # sizes' remainders before a later stage refines s
                 rems[i] = r = remainder(s, d, budget, floors[i])
                 r.interval(k)
-    return HoleProfile(P, d, tuple(order), tuple(floors), tuple(bounds), D, (slo, shi), k,
-                       sizes, rems)
+    return HoleProfile(P, d, tuple(order), tuple(floors), tuple(bounds), D, k, sizes,
+                       rems)
 
 
 # ---------------------------------------------------------------------------
@@ -502,43 +499,33 @@ def is_orientation_preserving(
 ) -> OrientationCertificate:
     """Certificate that f restricted to P's vertices preserves orientation.
 
-    Three equivalent criteria are required to agree: the cyclic order of
-    the sorted vertex images, the count of d-1 pairwise disjoint open 1/d
-    arcs in the complement, and the remainder sum 1/d, which for a rational
-    P is the second restated and is not evaluated apart (``orbit_step``).
-    """
+    Two equivalent criteria must agree: the cyclic order of the sorted
+    vertex images and the count of d-1 pairwise disjoint open 1/d arcs in
+    the complement (the floors' sum).  The remainder sum 1/d, a third, is
+    reported (``remainder_sum``) and decides nothing (``_orientation``)."""
     return orbit_step(P, d, budget)[3]
 
 
-def _orientation(
-    landing, profile: HoleProfile, d: int, budget: PrecisionBudget
-) -> OrientationCertificate:
+def _orientation(landing, profile: HoleProfile, d: int) -> OrientationCertificate:
     """The certificate of ``is_orientation_preserving`` from the image
-    positions ``landing`` of ``_image_sort`` (the images keep the vertices'
-    cyclic order iff they are a rotation of 0..N-1) and the hole profile."""
+    positions ``landing`` of ``_image_sort`` (a rotation of 0..N-1 iff the
+    images keep the cyclic order) and the profile's floors (d-1 disjoint 1/d
+    arcs iff their sum F is d-1).  The remainder sum over d * D is
+    d * S - F * D for the sizes' sum S, and cannot change a verdict: exact
+    sizes sum to D, so it is D (that is 1/d) iff F = d-1; enclosures' int
+    bounds contain the true sizes, which sum to D, so [d * slo - F * D,
+    d * shi - F * D] contains (d - F) * D: D when F = d-1, which decides
+    nothing, and otherwise the arcs criterion is already False."""
     N, s = len(landing), landing[0]
     by_cyclic_order = landing == (*range(s, N), *range(s))
-    F = sum(profile.floors)
-    by_disjoint_arcs = F == d - 1
-
-    # the remainder sum's bounds over d * D, from the sizes' sum's; an
-    # enclosure cannot prove the sum is 1/d = D/(dD), but it must not exclude it
-    D, (slo, shi) = profile.D, profile.total
-    lo, hi = d * slo - F * D, d * shi - F * D
-    by_remainders = lo == D if lo == hi else (None if lo <= D <= hi else False)
-
-    verdicts = {by_cyclic_order, by_disjoint_arcs}
-    if by_remainders is not None:
-        verdicts.add(by_remainders)
-    if len(verdicts) != 1:
-        raise _disagreement(by_cyclic_order, by_disjoint_arcs, by_remainders)
+    by_disjoint_arcs = sum(profile.floors) == d - 1
+    if by_cyclic_order != by_disjoint_arcs:
+        raise _disagreement(by_cyclic_order, by_disjoint_arcs)
     return OrientationCertificate(verdict=by_cyclic_order, profile=profile)
 
 
-def _disagreement(cyclic, arcs, remainders) -> AssertionBreach:
-    return AssertionBreach(
-        f"orientation criteria disagree: cyclic={cyclic} arcs={arcs} remainders={remainders}"
-    )
+def _disagreement(cyclic, arcs) -> AssertionBreach:
+    return AssertionBreach(f"orientation criteria disagree: cyclic={cyclic} arcs={arcs}")
 
 
 def orbit_step(P: Polygon, d: int, budget: PrecisionBudget = DEFAULT_BUDGET):
@@ -548,21 +535,19 @@ def orbit_step(P: Polygon, d: int, budget: PrecisionBudget = DEFAULT_BUDGET):
     A stream P sorts its images, then builds its profile, and
     ``_orientation`` reads the certificate from both.  A rational P takes
     one int pass: ``_exact_sort`` and ``_exact_profile`` over its L, then
-    two criteria on ints, the cyclic order and the floors' sum F.  Its
-    exact sizes sum to L, so its remainder sum over d * L is d * L - F * L,
-    which is L iff F = d - 1: the third criterion is the second one here
-    (in ``_orientation`` too), and is not tested twice."""
+    ``_orientation``'s two criteria, inline: the cyclic order and the
+    floors' sum F."""
     if P.den is None:
         nxt, landing = _image_sort(P, d, budget)
         profile = hole_profile(P, d, budget)
-        return nxt, landing, profile, _orientation(landing, profile, d, budget)
+        return nxt, landing, profile, _orientation(landing, profile, d)
     nxt, landing = _exact_sort(P, d)
     profile = _exact_profile(P, d, min(REPORT_DIGITS, budget.max_digits))
     N, s = len(landing), landing[0]
     by_cyclic_order = landing == (*range(s, N), *range(s))
     by_disjoint_arcs = sum(profile.floors) == d - 1
     if by_cyclic_order != by_disjoint_arcs:
-        raise _disagreement(by_cyclic_order, by_disjoint_arcs, by_disjoint_arcs)
+        raise _disagreement(by_cyclic_order, by_disjoint_arcs)
     return nxt, landing, profile, OrientationCertificate(by_cyclic_order, profile)
 
 

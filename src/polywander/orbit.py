@@ -11,7 +11,8 @@ from which every image-hole is read without comparing angles again.
 
 The stages decide their tests on the int bounds of each profile's sizes
 and remainders (``cmp_bounds``), and call ``cmp_values`` on the values only
-where the bounds overlap.
+where the bounds overlap; the jump test reads floors and image ranks
+there instead.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .angles import (
     PrecisionBudget,
     cmp_bounds,
     cmp_values,
-    scale_value,
 )
 from .errors import (
     AssertionBreach,
@@ -297,22 +297,23 @@ def _check_consecutive(orbit: list[OrbitRecord]) -> None:
         raise PreconditionError("orbit records must have consecutive indices")
 
 
-def _jumped(
-    a: HoleProfile, b: HoleProfile, d: int, N: int, budget: PrecisionBudget, image_rank
-) -> bool:
-    """d * s_{N-2} of ``a`` > s_{N-2} of ``b``: on the sizes' int bounds;
-    where those overlap and ``a``'s rank-(N-2) hole is shorter than 1/d and
-    maps onto a hole, whose size is then exactly d times its own, from that
-    image's rank ``image_rank(N - 2)`` in ``b`` (``b``'s sort ordered it
-    strictly against every size that cmp_bounds leaves open); else by
-    ``cmp_values``.  So the equal stream sizes of a non-jump step are never
-    compared."""
+def _jumped(a: HoleProfile, b: HoleProfile, d: int, N: int, image_rank) -> bool | None:
+    """d * s_{N-2} of ``a`` > s_{N-2} of ``b``, on ints and ranks only.  In
+    order: the sizes' int bounds; else a floor of ``a``'s rank-(N-2) hole of
+    at least 1 (d * s >= 1 exceeds every hole of ``b``); else that hole is
+    shorter than 1/d, and if it maps onto a hole, whose size is then exactly
+    d times its own, from that image's rank ``image_rank(N - 2)`` in ``b``
+    (``b``'s sort ordered it strictly against every size that cmp_bounds
+    leaves open).  So the equal stream sizes of a non-jump step are never
+    compared.  None when it maps onto no hole: the step reverses
+    orientation, which no step past burn-in does."""
     lo, hi, D = a.size_bounds(N - 2)
     if (c := cmp_bounds((d * lo, d * hi, D), b.size_bounds(N - 2))) is not None:
         return c == GT
-    if a.floors[a.order[N - 3]] == 0 and (rank := image_rank(N - 2)) is not None:
-        return rank > N - 2
-    return cmp_values(scale_value(a.size(N - 2), d), b.size(N - 2), budget) == GT
+    if a.floors[a.order[N - 3]]:
+        return True
+    rank = image_rank(N - 2)
+    return None if rank is None else rank > N - 2
 
 
 def detect_jumps(
@@ -328,9 +329,10 @@ def detect_jumps(
     of ranks 1..N-2 must map rank-to-rank; a jump step must satisfy the
     shift dichotomy governed by the critical remainder.  Any failure of
     these guaranteed facts raises AssertionBreach: the input is not past
-    burn-in, not wandering, or precision is insufficient.  Image-holes and
-    their ranks are read from each record's ``landing``, so the records
-    must have consecutive indices.
+    burn-in, not wandering, or precision is insufficient; so does a step
+    whose rank-(N-2) hole ``_jumped`` finds mapped onto no hole.
+    Image-holes and their ranks are read from each record's ``landing``, so
+    the records must have consecutive indices.
     """
     if not orbit:
         return JumpLog(records=())
@@ -346,7 +348,10 @@ def detect_jumps(
             return None if p is None else nxt.profile.rank_of_cyclic(p)
 
         a, b = rec.profile, nxt.profile
-        if not _jumped(a, b, d, N, budget, image_rank):
+        if (jumped := _jumped(a, b, d, N, image_rank)) is None:
+            raise AssertionBreach(f"hole of rank {N - 2} at step {rec.index} maps to "
+                                  f"no hole of step {nxt.index}")
+        if not jumped:
             for k in range(1, N - 1):
                 if image_rank(k) != k:
                     raise AssertionBreach(

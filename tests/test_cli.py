@@ -36,7 +36,7 @@ from polywander.cli import (
 )
 
 from test_angles import stream_angles
-from test_golden import TRI3, UNDECIDED_AT_64, WIDE
+from test_golden import CASES, GOLDEN, TRI3, UNDECIDED_AT_64, WIDE
 
 JUMP = ["19/100", "45/100", "96/100"]
 CLUSTER = ["30/100", "31/100", "32/100"]
@@ -454,6 +454,62 @@ def test_out_flag_writes_file(tmp_path):
     proc = run_cli("analyze", "0/1", "1/7", "2/7", "--out", str(out))
     assert proc.returncode == 0 and proc.stdout == ""
     assert json.loads(out.read_text())["command"] == "analyze"
+
+
+@pytest.mark.parametrize(
+    "name", ["crit9-analyze", "stream-analyze", "tri3-render", "stream-render"]
+)
+def test_out_writes_the_bytes_stdout_would(name, tmp_path, capsys):
+    """In process, ``--out`` writes exactly the golden stdout of a request to
+    the file, byte for byte, and prints nothing."""
+    code, argv = CASES[name]
+    out = tmp_path / "report"
+    assert main([*argv, "--out", str(out)]) == code
+    assert capsys.readouterr() == ("", "")
+    assert out.read_bytes() == (GOLDEN / f"{name}.out").read_bytes()
+
+
+def test_collection_names_the_member_that_failed_certification(tmp_path, capsys):
+    """The first member certifies; the second is its own image, so its
+    T_1 is linked with its T_0, and the report is NotCertifiedWandering
+    with that member's certificate and ``"member": 1``."""
+    f = tmp_path / "gamma.txt"
+    f.write_text("30/100,31/100,32/100\n1/7,2/7,4/7\n")
+    assert main(["collection", "--file", str(f), "-d", "2", "--horizon", "3",
+                 "--no-kiwi-precheck"]) == 0
+    out, err = capsys.readouterr()
+    payload = json.loads(out)["payload"]
+    assert err == "" and list(payload) == ["certificate", "member", "status"]
+    assert (payload["status"], payload["member"]) == ("NotCertifiedWandering", 1)
+    assert (payload["certificate"]["status"], payload["certificate"]["pair"]) == (
+        "FailedLinked", [0, 1])
+
+
+# a triangle certified to horizon 1 whose smallest hole, 1/100, equals the
+# critical remainder: step 0 is no jump, and the two equal holes of T_1 (the
+# images of those two holes) are ranked by ccw position, so rank 1 does not
+# persist and the jump analysis breaches
+TIE_BREACH = ["-d", "2", "--horizon", "1", "--no-kiwi-precheck", "7/200", "9/200",
+              "21/40"]
+TIE_NOTE = "jump analysis breach: hole of rank 1 did not persist across non-jump step 0"
+
+
+def test_verify_reports_a_jump_analysis_breach(capsys):
+    assert main(["verify", *TIE_BREACH]) == 0
+    out, err = capsys.readouterr()
+    payload = json.loads(out)["payload"]
+    assert err == "" and payload["certificate"]["status"] == "CertifiedToHorizon"
+    assert (payload["status"], payload["burn_in"]) == ("AssertionBreach", 0)
+    assert payload["jump_indices"] is None and payload["leaves"] == []
+    assert payload["notes"] == [TIE_NOTE]
+
+
+def test_collection_notes_a_member_s_jump_analysis_breach(capsys):
+    assert main(["collection", *TIE_BREACH]) == 0
+    out, err = capsys.readouterr()
+    payload = json.loads(out)["payload"]
+    assert err == "" and payload["status"] == "InconclusiveEvidence"
+    assert payload["notes"][0] == f"member 0: {TIE_NOTE}"
 
 
 def test_file_input_single_polygon(tmp_path):

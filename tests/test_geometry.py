@@ -184,12 +184,12 @@ def test_orientation_reads_a_rotation_as_the_modular_test_does(N):
     """On every permutation of 0..N-1, N <= 6, ``_orientation``'s cyclic
     order test (the landing equals a rotation of 0..N-1) agrees with
     (landing[c] - landing[0]) % N == c for every c.  Its profile stands in
-    with floors that give the arc count the same verdict and a remainder sum
-    that decides nothing, so a disagreement would raise AssertionBreach."""
+    with floors that give the arc count the same verdict, so a disagreement
+    would raise AssertionBreach."""
     for landing in itertools.permutations(range(N)):
         want = all((landing[c] - landing[0]) % N == c for c in range(N))
-        profile = SimpleNamespace(floors=(1 if want else 0,), D=1, total=(0, 10))
-        cert = geometry._orientation(landing, profile, 2, PrecisionBudget())
+        profile = SimpleNamespace(floors=(1 if want else 0,))
+        cert = geometry._orientation(landing, profile, 2)
         assert cert.verdict is want
 
 
@@ -686,7 +686,7 @@ def test_rational_orbit_step_raises_when_orientation_criteria_disagree(
     monkeypatch.setattr(
         geometry, "_exact_profile", lambda *_: SimpleNamespace(floors=floors)
     )
-    want = f"cyclic={verdict} arcs={not verdict} remainders={not verdict}"
+    want = f"cyclic={verdict} arcs={not verdict}$"
     with pytest.raises(AssertionBreach, match=want):
         geometry.orbit_step(P, d)
 
@@ -1092,7 +1092,7 @@ def _package_step(P: Polygon, d: int, budget) -> tuple:
     except NotInjectiveError:
         return None, dict(got, images=None)
     prof = hole_profile(P, d, budget)
-    cert = geometry._orientation(landing, prof, d, budget)
+    cert = geometry._orientation(landing, prof, d)
     return nxt, dict(
         got,
         images=[_spec(v) for v in nxt.vertices],
@@ -1188,7 +1188,7 @@ def test_stream_orbit_steps_over_one_denominator(case):
         Q = Polygon(vs, budget)
         _, landing = geometry._image_sort(Q, d, budget)
         want = hole_profile(Q, d, budget)
-        verdict = geometry._orientation(landing, want, d, budget).verdict
+        verdict = geometry._orientation(landing, want, d).verdict
         got = rec.profile
         assert (got.order, got.floors, rec.landing, rec.orientation.verdict) == (
             want.order, want.floors, landing, verdict)

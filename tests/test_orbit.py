@@ -33,7 +33,7 @@ from polywander import (
     track_critical_value,
 )
 from polywander import angles, geometry, orbit, recurrence, render
-from polywander.angles import register_generator
+from polywander.angles import format_angle, register_generator
 from polywander.cli import main
 
 from oracles import (
@@ -43,6 +43,7 @@ from oracles import (
     oracle_cyclic_order,
     oracle_jumps,
     oracle_landing,
+    oracle_profile,
     oracle_traces,
     oracle_unlinked,
     point_enclosure,
@@ -550,7 +551,7 @@ def test_jump_test_on_numerators_matches_the_cross_multiplied_form():
             assert (x, y, Da, Db) == (x1, y1, a.D, b.D)
             want = d * x * Db > y * Da
             assert want == (d * F(x, Da) > F(y, Db))
-            assert orbit._jumped(a, b, d, N, angles.DEFAULT_BUDGET, _no_rank) == want
+            assert orbit._jumped(a, b, d, N, _no_rank) == want
             seen.add((Da == Db, want))
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
@@ -630,6 +631,18 @@ def _mixed_points(rng: random.Random, d: int) -> list:
     return points
 
 
+def _scaled(x, d: int):
+    """d * x: exact, or an ``Approx`` whose enclosures are d times x's."""
+    if isinstance(x, F):
+        return d * x
+
+    def refine(k):
+        lo, hi, den = x.interval(k)
+        return d * lo, d * hi, den
+
+    return angles.Approx(refine)
+
+
 class _ApproxBuilt(Exception):
     pass
 
@@ -682,11 +695,13 @@ def test_int_bound_decisions_match_cmp_values(monkeypatch):
     128 (so k* = min(64, budget) and some sizes ranked or floored only by
     the ladder's rungs above k*), the burn-in thinness test, ``_jumped``,
     ``critical_hole_index`` (or what it raises) and the orientation verdict
-    each give what their ``cmp_values`` form gives on the built values.
-    Where those values are equal stream sizes, which no rung separates,
-    ``_jumped`` reads the image's rank instead, as ``detect_jumps`` passes
-    it.  Where the profiles' k*-digit bounds decide the burn-in and jump
-    tests, those build no ``Approx``."""
+    each give what their ``cmp_values`` form gives on the built values
+    (for the jump test, d * s built here).  ``_jumped`` never calls
+    ``cmp_values``: where its values are equal stream sizes, which no rung
+    separates, it reads the image's rank, as ``detect_jumps`` passes it, and
+    where the hole maps onto no hole (``_SEAM_FALLBACK``, a step that
+    reverses orientation) it answers None.  Where the profiles' k*-digit
+    bounds decide the burn-in and jump tests, those build no ``Approx``."""
     rng = random.Random(1818)
     seen, calls = set(), []
     cmp_values = orbit.cmp_values
@@ -746,24 +761,30 @@ def test_int_bound_decisions_match_cmp_values(monkeypatch):
                 jump_decided = F(d * ahi, p.D) < F(blo, q.D) or F(d * alo, p.D) > F(bhi, q.D)
                 with monkeypatch.context() as m:
                     m.setattr(angles.Approx, "__init__", _raise_approx_built)
-                    got = _outcome(lambda: orbit._jumped(p, q, d, N, budget, image_rank))
+                    got = _outcome(lambda: orbit._jumped(p, q, d, N, image_rank))
                 if jump_decided:
                     assert not isinstance(got, tuple)
                     seen.add(("jump decided", stream))
                 got, fallback = fell_back(  # before the next line builds q's size
-                    lambda: orbit._jumped(p, q, d, N, budget, image_rank))
+                    lambda: orbit._jumped(p, q, d, N, image_rank))
                 want = _outcome(lambda: angles.cmp_values(
-                    angles.scale_value(p.size(N - 2), d), q.size(N - 2), budget))
-                seen.add(("jump fallback", fallback))
-                if isinstance(want, tuple) and isinstance(got, bool):
+                    _scaled(p.size(N - 2), d), q.size(N - 2), budget))
+                assert not fallback
+                if got is None:
+                    # a hole shorter than 1/d that maps onto no hole: the
+                    # step reverses orientation, so the input is not past burn-in
+                    assert not jump_decided and p.floors[p.order[N - 3]] == 0
+                    assert image_rank(N - 2) is None and not rec.orientation.verdict
+                    seen.add(("jump", "no hole", n == 240))
+                elif isinstance(want, tuple):
                     # equal sizes, which no enclosure separates: read from
                     # the rank of the image of a hole shorter than 1/d
-                    assert p.floors[p.order[N - 3]] == 0 and not fallback
+                    assert p.floors[p.order[N - 3]] == 0
                     assert got == (image_rank(N - 2) > N - 2)
                     seen.add(("jump", "by rank"))
                 else:
-                    assert got == (want if isinstance(want, tuple) else want == angles.GT)
-                    seen.add(("jump", got if isinstance(got, bool) else "unresolved"))
+                    assert got == (want == angles.GT)
+                    seen.add(("jump", got))
             # the critical hole against the cmp_values form
             want = _outcome(lambda: _critical_by_cmp_values(p, d, budget))
             got, fallback = fell_back(lambda: critical_hole_index(p, d, budget))
@@ -783,10 +804,91 @@ def test_int_bound_decisions_match_cmp_values(monkeypatch):
     assert {"stream", "rational", "refined above k*", "burn-in unresolved",
             ("burn-in decided", True), ("jump decided", True), ("jump", True),
             ("jump", False), ("jump", "by rank"), ("burn-in fallback", True),
-            ("jump fallback", True), ("critical fallback", True),
+            ("jump", "no hole", True), ("critical fallback", True),
             ("critical", "NoHoleExceeds1OverD"), ("critical", "UnresolvedComparison")
             } <= seen
     assert any(x[0] == "critical" and isinstance(x[1], int) for x in seen if isinstance(x, tuple))
+
+
+@pytest.mark.parametrize("command", ["jumps", "leaves"])
+def test_jump_stage_breach_names_a_hole_that_maps_to_no_hole(command, capsys):
+    """At step 5 of ``_SEAM_FALLBACK`` the 64-digit bounds leave the jump
+    test open, and the smallest hole, shorter than 1/3, maps onto no hole
+    of step 6 (the step reverses orientation): jumps and leaves exit 4 and
+    name that rank and step, without comparing the sizes' values."""
+    argv = [command, "-d", "3", "--budget", "256", "--horizon", "6",
+            *(format_angle(_angle(x)) for x in _SEAM_FALLBACK)]
+    assert main(argv) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(
+        "assertion breach: hole of rank 1 at step 5 maps to no hole of step 6; ")
+    assert err.count("\n") == 1
+
+
+def _value_calls(monkeypatch) -> list:
+    """The arguments of every ``cmp_values`` call that ``orbit`` makes."""
+    calls, cmp_values = [], orbit.cmp_values
+    monkeypatch.setattr(orbit, "cmp_values", lambda *a: calls.append(a) or cmp_values(*a))
+    return calls
+
+
+def _open_at_k_star(x: Stream, gaps) -> list:
+    """x and the rationals past its 64-digit upper end by the running sums
+    of ``gaps``: the hole after x is gaps[0] plus less than one last digit,
+    and its 64-digit bounds start exactly at gaps[0]."""
+    lo, hi = point_enclosure(x, 64)
+    points = [x]
+    for g in gaps:
+        hi += g
+        points.append(hi % 1)
+    return points
+
+
+def _critical_by_fractions(points, d: int) -> int:
+    """The critical hole's rank on the points' values, a stream's taken from
+    400 digits: least remainder among the holes longer than 1/d."""
+    vals = sorted(point_enclosure(x, 400)[0] for x in points)
+    prof = oracle_profile(vals, d)
+    longer = [i for i in prof["order"] if prof["sizes"][i] > F(1, d)]
+    return prof["order"].index(min(longer, key=prof["remainders"].__getitem__)) + 1
+
+
+def test_critical_hole_size_left_open_by_the_bounds_takes_the_ladder(monkeypatch):
+    """A hole just over 1/3 whose 64-digit size bounds start at 1/3: at
+    budget 128 ``critical_hole_index`` compares that size with 1/3 by
+    ``cmp_values``, and its rank is the Fraction oracle's; at budget 64 the
+    ladder has no rung above the bounds, and the comparison is unresolved."""
+    points = _open_at_k_star(Stream("thue_morse", 3, 5, F(1, 10)), [F(1, 3), F(1, 4)])
+    P = Polygon([_angle(x) for x in points], PrecisionBudget(128))
+    p = hole_profile(P, 3, PrecisionBudget(128))
+    assert [angles.cmp_bounds(p.size_bounds(k), (1, 1, 3)) for k in (1, 2, 3)] == [
+        angles.LT, None, angles.GT]
+    calls = _value_calls(monkeypatch)
+    assert critical_hole_index(p, 3, PrecisionBudget(128)) == _critical_by_fractions(points, 3)
+    assert [a[1] for a in calls] == [F(1, 3)]
+    with pytest.raises(UnresolvedComparison, match="within 64 digits"):
+        critical_hole_index(hole_profile(P, 3, PrecisionBudget(64)), 3, PrecisionBudget(64))
+
+
+def test_jump_dichotomy_left_open_by_the_bounds_takes_the_ladder(monkeypatch):
+    """A degree-2 triangle whose smallest hole exceeds the critical remainder
+    by less than two 64th digits (sizes s, 1/2 - 2 s' and the rest, s' the
+    64-digit lower bound of s): at budget 128 its step 0 is a jump whose
+    dichotomy compares s with the critical remainder by ``cmp_values``, and
+    the jump and its image rank are the Fraction oracle's."""
+    points = _open_at_k_star(Stream("thue_morse", 2, 5, F(1, 10)), [F(1, 20), F(2, 5)])
+    budget = PrecisionBudget(128)
+    records = iterate_orbit(Polygon([_angle(x) for x in points], budget), 2, 1, budget)
+    p = records[0].profile
+    assert angles.cmp_bounds(p.size_bounds(1), p.remainder_bounds(3)) is None
+    calls = _value_calls(monkeypatch)
+    log = detect_jumps(records, 2, budget)
+    assert [(a[0], a[1]) for a in calls] == [(p.size(1), p.remainder(3))]
+    vals = sorted(point_enclosure(x, 400)[0] for x in points)
+    status, jumps = oracle_jumps([vals, [f_map(v, 2) for v in vals]], 2)
+    assert status == "ok"
+    assert [(r.index, r.image_rank) for r in log.records] == [(i, r) for i, r, _ in jumps]
+    assert log.records[0].cr == 3
 
 
 @pytest.mark.parametrize("name", [f"{f}-{c}" for f in ("thin", "tri3")

@@ -373,3 +373,45 @@ def test_every_orbit_step_is_one_geometry_step():
     ]
     assert hits == []
     assert _callers("orbit_step") >= {"orbit._records"}
+
+
+def _function(path: Path, name: str) -> ast.FunctionDef:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name)
+
+
+@pytest.mark.parametrize(
+    "module, name", [("geometry.py", "_orientation"), ("orbit.py", "_jumped")]
+)
+def test_orientation_and_jumps_are_decided_on_ints(module, name):
+    """``_orientation`` and ``_jumped`` take no precision budget and call
+    none of ``cmp_values``, ``compare``, ``decide`` or ``floor_scaled``:
+    orientation reads the landing and the floors, a jump the sizes' int
+    bounds, a floor and an image rank."""
+    fn = _function(SRC / module, name)
+    assert "budget" not in [a.arg for a in fn.args.args + fn.args.kwonlyargs]
+    called = {
+        f.id if isinstance(f, ast.Name) else f.attr
+        for node in ast.walk(fn) if isinstance(node, ast.Call)
+        for f in [node.func] if isinstance(f, (ast.Name, ast.Attribute))
+    }
+    assert called.isdisjoint({"cmp_values", "compare", "decide", "floor_scaled"})
+
+
+def test_no_remainder_sum_recheck_is_left():
+    """``HoleProfile`` has no ``total`` field (the sizes' sum that only a
+    remainder-sum re-check of orientation read), and nothing in ``src/``
+    defines ``scale_value``."""
+    geometry = ast.parse((SRC / "geometry.py").read_text(encoding="utf-8"))
+    profile = next(
+        n for n in geometry.body if isinstance(n, ast.ClassDef) and n.name == "HoleProfile"
+    )
+    fields = [n.target.id for n in profile.body if isinstance(n, ast.AnnAssign)]
+    assert "order" in fields and "total" not in fields
+    defined = [
+        node.name
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    ]
+    assert "orbit_step" in defined and "scale_value" not in defined
