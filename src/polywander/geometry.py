@@ -520,35 +520,27 @@ def _orientation(landing, profile: HoleProfile, d: int) -> OrientationCertificat
     by_cyclic_order = landing == (*range(s, N), *range(s))
     by_disjoint_arcs = sum(profile.floors) == d - 1
     if by_cyclic_order != by_disjoint_arcs:
-        raise _disagreement(by_cyclic_order, by_disjoint_arcs)
+        raise AssertionBreach(
+            "orientation criteria disagree: "
+            f"cyclic={by_cyclic_order} arcs={by_disjoint_arcs}"
+        )
     return OrientationCertificate(verdict=by_cyclic_order, profile=profile)
-
-
-def _disagreement(cyclic, arcs) -> AssertionBreach:
-    return AssertionBreach(f"orientation criteria disagree: cyclic={cyclic} arcs={arcs}")
 
 
 def orbit_step(P: Polygon, d: int, budget: PrecisionBudget = DEFAULT_BUDGET):
     """One step of P's orbit: the next iterate and ``landing`` (as
     ``_image_sort``), P's hole profile and its orientation certificate.
 
-    A stream P sorts its images, then builds its profile, and
-    ``_orientation`` reads the certificate from both.  A rational P takes
-    one int pass: ``_exact_sort`` and ``_exact_profile`` over its L, then
-    ``_orientation``'s two criteria, inline: the cyclic order and the
-    floors' sum F."""
+    A stream P sorts its images, then builds its profile; a rational P
+    takes one int pass, ``_exact_sort`` and ``_exact_profile`` over its L.
+    ``_orientation`` reads the certificate from both."""
     if P.den is None:
         nxt, landing = _image_sort(P, d, budget)
         profile = hole_profile(P, d, budget)
-        return nxt, landing, profile, _orientation(landing, profile, d)
-    nxt, landing = _exact_sort(P, d)
-    profile = _exact_profile(P, d, min(REPORT_DIGITS, budget.max_digits))
-    N, s = len(landing), landing[0]
-    by_cyclic_order = landing == (*range(s, N), *range(s))
-    by_disjoint_arcs = sum(profile.floors) == d - 1
-    if by_cyclic_order != by_disjoint_arcs:
-        raise _disagreement(by_cyclic_order, by_disjoint_arcs)
-    return nxt, landing, profile, OrientationCertificate(by_cyclic_order, profile)
+    else:
+        nxt, landing = _exact_sort(P, d)
+        profile = _exact_profile(P, d, min(REPORT_DIGITS, budget.max_digits))
+    return nxt, landing, profile, _orientation(landing, profile, d)
 
 
 # ---------------------------------------------------------------------------

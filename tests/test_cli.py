@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from polywander import (
     Angle,
+    AssertionBreach,
     HoleProfile,
     Polygon,
     PreconditionError,
@@ -20,6 +21,7 @@ from polywander import (
     register_generator,
     render_svg,
 )
+from polywander import recurrence
 from polywander.angles import (
     REPORT_DIGITS,
     Approx,
@@ -488,7 +490,12 @@ def test_collection_names_the_member_that_failed_certification(tmp_path, capsys)
 # a triangle certified to horizon 1 whose smallest hole, 1/100, equals the
 # critical remainder: step 0 is no jump, and the two equal holes of T_1 (the
 # images of those two holes) are ranked by ccw position, so rank 1 does not
-# persist and the jump analysis breaches
+# persist and the jump analysis breaches.  The input reaches the breach only
+# through that exact tie of two sizes, which is reported as a breach while an
+# exact tie of two remainders raises TieUnresolvable; should the tie be
+# handled, the two tests below lose their input, and
+# ``test_breach_reports_name_what_detect_jumps_raises`` still covers the
+# reports
 TIE_BREACH = ["-d", "2", "--horizon", "1", "--no-kiwi-precheck", "7/200", "9/200",
               "21/40"]
 TIE_NOTE = "jump analysis breach: hole of rank 1 did not persist across non-jump step 0"
@@ -510,6 +517,29 @@ def test_collection_notes_a_member_s_jump_analysis_breach(capsys):
     payload = json.loads(out)["payload"]
     assert err == "" and payload["status"] == "InconclusiveEvidence"
     assert payload["notes"][0] == f"member 0: {TIE_NOTE}"
+
+
+@pytest.mark.parametrize(
+    "command, status, note",
+    [("verify", "AssertionBreach", "jump analysis breach: stand-in"),
+     ("collection", "InconclusiveEvidence", "member 0: jump analysis breach: stand-in")],
+)
+def test_breach_reports_name_what_detect_jumps_raises(
+    command, status, note, monkeypatch, capsys
+):
+    """A certified triangle with a burn-in whose ``detect_jumps`` raises
+    AssertionBreach: ``verify`` reports the status with the breach as its
+    note, ``collection`` notes it for member 0, and both exit 0."""
+
+    def breach(*_):
+        raise AssertionBreach("stand-in")
+
+    monkeypatch.setattr(recurrence, "detect_jumps", breach)
+    assert main([command, *TRI3]) == 0
+    out, err = capsys.readouterr()
+    payload = json.loads(out)["payload"]
+    assert err == "" and payload["status"] == status
+    assert payload["notes"][0] == note
 
 
 def test_file_input_single_polygon(tmp_path):

@@ -4,6 +4,7 @@ import json
 import random
 import re
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 
@@ -554,6 +555,35 @@ def test_jump_test_on_numerators_matches_the_cross_multiplied_form():
             assert orbit._jumped(a, b, d, N, _no_rank) == want
             seen.add((Da == Db, want))
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+@pytest.mark.parametrize(
+    "bounds, floor, rank, want",
+    [((4, 5, 8), 1, None, True), ((3, 4, 8), 0, 3, True),
+     ((3, 4, 8), 0, 2, False), ((3, 4, 8), 0, None, None)],
+)
+def test_jump_left_open_by_the_bounds_reads_the_floor_then_the_image_rank(
+    bounds, floor, rank, want
+):
+    """Where the size bounds overlap (``b``'s rank-(N-2) bounds widened to
+    [0, 1]), a rank-(N-2) hole of ``a`` with floor >= 1 is a jump, since
+    d * s >= 1 exceeds every hole of ``b``, and ``_jumped`` asks for no
+    image rank; a hole of floor 0 is a jump iff its image's rank exceeds
+    N - 2, and None when it maps onto no hole.  Stand-in profiles, d = 2,
+    N = 4."""
+    a = SimpleNamespace(
+        size_bounds=lambda k: bounds, floors=(0, floor, 0, 0), order=(2, 1, 0, 3)
+    )
+    b = SimpleNamespace(size_bounds=lambda k: (0, 8, 8))
+    assert angles.cmp_bounds((2 * bounds[0], 2 * bounds[1], 8), (0, 8, 8)) is None
+    asked = []
+
+    def image_rank(k):
+        asked.append(k)
+        return rank
+
+    assert orbit._jumped(a, b, 2, 4, image_rank) is want
+    assert asked == ([] if floor else [2])
 
 
 # the eight thin triangles of the jump-session benchmark plan for seed 1
