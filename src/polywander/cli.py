@@ -12,7 +12,9 @@ JSON with sorted keys, written by ``_to_json`` byte for byte as
 as "p/q" strings plus a non-authoritative 12-place decimal.  The objects of
 rationals, enclosures and angles are leaves: each is rendered to text once,
 by its kind's renderer, at the indentation where it sits.  ``orbit`` writes
-its records in one loop that puts each size and vertex the same way.
+its records, and ``verify`` its ``s_trajectory``, in one loop each that puts
+each size and vertex the same way; a rational vertex is printed from its
+polygon's numerators, with no ``Angle`` built for it.
 """
 
 from __future__ import annotations
@@ -107,12 +109,15 @@ def _put_bounds(lo: int, hi: int, den: int, pad: str, put, tail: str = "") -> No
         f'{k}"fraction": "{lo // h}/{den // h}"{j}}}{i}}}{tail}{pad}}}')
 
 
-def _put_angle(a: Angle, lo: int, hi: int, den: int, pad: str, put) -> None:
-    """Put an angle and its literal at indentation ``pad``: a rational as its
-    ratio, which is its literal "n/q" (an ``Angle`` keeps it in lowest terms),
-    a stream as its ``REPORT_DIGITS``-digit enclosure [lo/den, hi/den]."""
-    if a.source is None:
-        _put_reduced(a.n, a.q, pad, put, f',{pad}  "literal": "{a.n}/{a.q}"')
+def _put_angle(a: Angle | None, lo: int, hi: int, den: int, pad: str, put) -> None:
+    """Put an angle and its literal at indentation ``pad`` from its
+    ``REPORT_DIGITS``-digit enclosure [lo/den, hi/den]: a rational (lo == hi,
+    ``a`` not read) as its ratio in lowest terms, which is its literal "n/q",
+    a stream ``a`` as its enclosure."""
+    if lo == hi:
+        g = gcd(lo, den)
+        n, q = lo // g, den // g
+        _put_reduced(n, q, pad, put, f',{pad}  "literal": "{n}/{q}"')
     else:
         literal = encode_basestring_ascii(format_angle(a))
         _put_bounds(lo, hi, den, pad, put, f',{pad}  "literal": {literal}')
@@ -143,19 +148,24 @@ def _ser_bounds(lo: int, hi: int, den: int) -> partial:
     return partial(_put_bounds, lo, hi, den)
 
 
-def _ser_angle(a: Angle, bounds: tuple[int, int, int]) -> partial:
-    """An angle; ``bounds`` (lo, hi, den) is a stream's enclosure."""
+def _ser_angle(a: Angle | None, bounds: tuple[int, int, int]) -> partial:
+    """An angle and its enclosure ``bounds`` (lo, hi, den), as ``_put_angle``."""
     return partial(_put_angle, a, *bounds)
 
 
-def _ser_vertices(P: Polygon) -> list[partial]:
-    """P's vertices, each stream one's enclosure from the polygon's bounds."""
+def _vertex_ends(P: Polygon):
+    """Each vertex of P as (its ``Angle``, lo, hi) for ``_put_angle``, and D:
+    [lo/D, hi/D] is its enclosure from the polygon's bounds.  A rational
+    vertex (lo == hi) is printed from these, so its ``Angle`` is None: none
+    is built only to be printed."""
     bounds, D = P._bounds(REPORT_DIGITS)
-    return [_ser_angle(v, (lo, hi, D)) for v, (lo, hi) in zip(P.vertices, bounds)]
+    return [(None if lo == hi else P.vertices[i], lo, hi)
+            for i, (lo, hi) in enumerate(bounds)], D
 
 
-def _ser_size(p: HoleProfile, k: int) -> partial:
-    return partial(_put_size, p, k)
+def _ser_vertices(P: Polygon) -> list[partial]:
+    ends, D = _vertex_ends(P)
+    return [_ser_angle(v, (lo, hi, D)) for v, lo, hi in ends]
 
 
 def _ser_value(v: Value) -> partial:
@@ -181,9 +191,7 @@ def _ser_certificate(cert) -> dict:
         "status": cert.status,
         "step": cert.step,
         "pair": list(cert.pair) if cert.pair else None,
-        "s_trajectory": [
-            _ser_size(r.profile, r.polygon.card - 2) for r in cert.records
-        ],
+        "s_trajectory": partial(_put_trajectory, cert.records),
     }
 
 
@@ -320,14 +328,29 @@ def _put_records(orbit, pad: str, put) -> None:
             _put_size(p, k, i3, put)
             sep = "," + i3
         put(f'{i2}],{i2}"vertices": [')
-        bounds, D = P._bounds(REPORT_DIGITS)
+        ends, D = _vertex_ends(P)
         sep = i3
-        for v, (lo, hi) in zip(P.vertices, bounds):
+        for v, lo, hi in ends:
             put(sep)
             _put_angle(v, lo, hi, D, i3, put)
             sep = "," + i3
         put(f"{i2}]{i1}}}")
         sep = "," + i1
+    put(pad + "]")
+
+
+def _put_trajectory(records, pad: str, put) -> None:
+    """Put each record's rank-(N-2) size, in one loop, as the JSON list
+    ``_write_json`` would write at indentation ``pad``."""
+    if not records:
+        put("[]")
+        return
+    inner = pad + "  "
+    sep, k = "[" + inner, records[0].polygon.card - 2
+    for rec in records:
+        put(sep)
+        _put_size(rec.profile, k, inner, put)
+        sep = "," + inner
     put(pad + "]")
 
 
@@ -392,7 +415,7 @@ def _input_polygons(args) -> list[list[Angle]]:
         return [[parse_angle(t) for t in args.angles]] if args.angles else []
     if args.angles:
         raise PreconditionError("give angle literals or --file, not both")
-    with open(args.file, encoding="utf-8") as fh:
+    with open(args.file, encoding="utf-8-sig") as fh:  # a leading BOM is no literal
         lines = [ln.strip() for ln in fh]
     return [
         [parse_angle(tok) for tok in ln.split(",") if tok.strip()]

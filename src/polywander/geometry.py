@@ -19,9 +19,10 @@ rational vertex's pair (a, a) maps to d*a mod D, and a stream image's
 k*-digit enclosure is scaled onto D, so a step takes no lcm and builds no
 rational interval.
 
-Either way a ``HoleProfile`` holds one int pair (lo, hi) per hole size over
-one denominator: the exact size (lo == hi) over L, as differences of
-numerators, or the difference of the ends' k*-digit enclosures over D.
+Either way a ``HoleProfile`` gives one int pair (lo, hi) per hole size over
+one denominator: the exact size (lo == hi) over L, a difference of
+numerators stored once, or the difference of the ends' k*-digit enclosures
+over D.
 Ranks, floors, orientation's floors' sum and every later stage's test
 are decided on these ints; only what they leave open (an overlap, a vertex
 widened at the 0/1 seam) takes the compare ladder's rungs above k*.  A
@@ -39,6 +40,7 @@ from fractions import Fraction
 from functools import cached_property, cmp_to_key
 from itertools import pairwise
 from math import lcm
+from operator import eq
 
 from .angles import (
     DEFAULT_BUDGET,
@@ -109,7 +111,8 @@ class Polygon:
     ``vertices`` are built from them on first read.  Otherwise the polygon
     carries ``enclosures`` (k, bounds, D), its vertices' only stored
     enclosures: their k*-digit ones as int pairs (lo, hi) over one
-    denominator D, in ccw order (else None)."""
+    denominator D, in ccw order (else None).  An iterate is set up by the
+    image sort that ordered it, without ``__init__``."""
 
     __slots__ = ("_vertices", "nums", "den", "enclosures")
 
@@ -130,15 +133,6 @@ class Polygon:
             self.nums, self.den, self.enclosures = tuple(b[0] for b in bounds), D, None
         else:
             self.nums, self.den, self.enclosures = None, None, enclosures
-
-    @classmethod
-    def _sorted(cls, vertices, nums=None, den=None, enclosures=None) -> "Polygon":
-        """The polygon on distinct points already in ccw order from 0: their
-        ``Angle``s (and maybe their ``enclosures``), or None and their
-        numerators over ``den``."""
-        P = object.__new__(cls)
-        P._vertices, P.nums, P.den, P.enclosures = vertices, nums, den, enclosures
-        return P
 
     def _bounds(self, k: int):
         """The vertices' k-digit enclosures as int pairs over one denominator
@@ -226,19 +220,29 @@ def _image_sort(P: Polygon, d: int, budget: PrecisionBudget):
     if tie:
         _collision(P, tie)
     landing = tuple(sorted(range(len(order)), key=order.__getitem__))
-    return Polygon._sorted(tuple(images[c] for c in order), enclosures=enclosures), landing
+    nxt = object.__new__(Polygon)  # its images, already distinct and in ccw order
+    nxt._vertices, nxt.nums, nxt.den, nxt.enclosures = (
+        tuple(images[c] for c in order), None, None, enclosures)
+    return nxt, landing
 
 
 def _exact_sort(P: Polygon, d: int):
     """``_image_sort`` of a rational P: its image numerators (d * n) % L
-    over its L, sorted."""
+    over its L, sorted; one loop over the sorted order puts each image in
+    the next iterate, notes where it lands and meets equal images as
+    neighbours."""
     L, N = P.den, len(P.nums)
     images = [d * n % L for n in P.nums]
     order = sorted(range(N), key=images.__getitem__)  # stable on ties
-    if len(set(images)) < N:
-        _collision(P, next((i, j) for i, j in pairwise(order) if images[i] == images[j]))
-    landing = tuple(sorted(range(N), key=order.__getitem__))
-    return Polygon._sorted(None, tuple([images[c] for c in order]), L), landing
+    nums, landing, last = [], [0] * N, None
+    for pos, c in enumerate(order):
+        if (m := images[c]) == last:
+            _collision(P, (order[pos - 1], c))
+        nums.append(m)
+        landing[c], last = pos, m
+    nxt = object.__new__(Polygon)  # its Angles are built only when read
+    nxt._vertices, nxt.nums, nxt.den, nxt.enclosures = None, tuple(nums), L, None
+    return nxt, tuple(landing)
 
 
 def _collision(P: Polygon, pair: tuple[int, int]):
@@ -281,7 +285,7 @@ def image_hole(H: Arc, d: int, budget: PrecisionBudget = DEFAULT_BUDGET) -> Arc:
     return Arc(map_angle(H.start, d), map_angle(H.end, d))
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class HoleProfile:
     """Per-polygon record of holes, sizes (ascending) and remainders.
 
@@ -291,7 +295,8 @@ class HoleProfile:
 
     ``bounds[i]`` is cyclic hole i's size as ints (lo, hi) over one
     denominator ``D``: lo == hi for an exact size (each of a rational
-    polygon's, over its L), else its enclosure from ``k`` = k* digits.  A
+    polygon's, over its L, whose ``_ExactProfile`` stores it once and makes
+    the pair on first read), else its enclosure from ``k`` = k* digits.  A
     size or remainder is built on first read and kept in ``_sizes`` or
     ``_rems``: a ``Fraction`` when exact, else an ``Approx`` seeded with
     its k*-digit enclosure (a remainder's from its size's bounds and
@@ -311,12 +316,6 @@ class HoleProfile:
     k: int = field(compare=False)  # exact pairs are the same at any k
     _sizes: list = field(compare=False, repr=False)
     _rems: list = field(compare=False, repr=False)
-
-    def __init__(self, polygon, degree, order, floors, bounds, D, k, _sizes, _rems):
-        # one dict update: a frozen dataclass's generated __init__ sets each
-        # field through object.__setattr__, as slow as a rational profile's ints
-        vars(self).update(polygon=polygon, degree=degree, order=order, floors=floors,
-                          bounds=bounds, D=D, k=k, _sizes=_sizes, _rems=_rems)
 
     @cached_property
     def holes(self) -> tuple[Arc, ...]:
@@ -383,6 +382,29 @@ class HoleProfile:
         return self.order.index(i) + 1
 
 
+class _ExactProfile(HoleProfile):
+    """The profile of a rational polygon.  Each size is stored once, as the
+    int ``size_num[i]`` over D = L; its pair (x, x) in ``bounds`` and the
+    lists of built values are made on first read, which no stage of a
+    rational orbit needs."""
+
+    @cached_property
+    def bounds(self) -> tuple[tuple[int, int], ...]:
+        return tuple(zip(self.size_num, self.size_num))
+
+    @cached_property
+    def _sizes(self) -> list:
+        return [None] * len(self.size_num)
+
+    @cached_property
+    def _rems(self) -> list:
+        return [None] * len(self.size_num)
+
+    def size_bounds(self, k: int) -> tuple[int, int, int]:
+        x = self.size_num[self.order[k - 1]]
+        return x, x, self.D
+
+
 def _size(sizes: list, P: Polygon, i: int, bounds, D: int, k: int) -> Value:
     """The size of P's hole i, built into ``sizes`` on first read from its
     int ``bounds`` over D: a ``Fraction`` when they are one point, else an
@@ -405,8 +427,13 @@ def _exact_profile(P: Polygon, d: int, k: int) -> HoleProfile:
     xs.append(ns[0] + L - ns[-1])
     order = tuple(sorted(range(M), key=xs.__getitem__))  # stable on ties
     floors = tuple([d * x // L for x in xs])
-    return HoleProfile(P, d, order, floors, tuple(zip(xs, xs)), L, k, [None] * M,
-                       [None] * M)
+    # one dict update and no __init__ frame: a frozen dataclass's generated
+    # __init__ sets each field through object.__setattr__, which costs about
+    # as much as computing the ints
+    profile = object.__new__(_ExactProfile)
+    profile.__dict__.update({"polygon": P, "degree": d, "order": order, "floors": floors,
+                             "size_num": xs, "D": L, "k": k})
+    return profile
 
 
 def hole_profile(
@@ -420,7 +447,7 @@ def hole_profile(
     polygon's denominator L (``P.den``): a size is a difference of
     consecutive numerators (the last one past 0), its floor is d * x // L,
     and the sizes sum to 1 since their numerators telescope to L.  Each
-    size's bounds are (x, x) over L.
+    size is stored once, as x over L (``_ExactProfile``).
 
     Otherwise each size's bounds over one denominator D are differences of
     its ends' k*-digit bounds (carried by a stream iterate), D added past 0
@@ -454,24 +481,24 @@ def hole_profile(
             if isinstance(s, Approx):  # sizes' remainders before a later stage refines s
                 rems[i] = r = remainder(s, d, budget, floors[i])
                 r.interval(k)
-    return HoleProfile(P, d, tuple(order), tuple(floors), tuple(bounds), D, k, sizes,
-                       rems)
+    profile = object.__new__(HoleProfile)  # one dict update, as _exact_profile's
+    profile.__dict__.update({"polygon": P, "degree": d, "order": tuple(order),
+                             "floors": tuple(floors), "bounds": tuple(bounds), "D": D,
+                             "k": k, "_sizes": sizes, "_rems": rems})
+    return profile
 
 
 # ---------------------------------------------------------------------------
 # orientation
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class OrientationCertificate:
     """Verdict of the orientation test plus a re-checkable witness: the d-1
     pairwise disjoint open 1/d arcs on success, the remainder sum on failure."""
 
     verdict: bool
     profile: HoleProfile = field(repr=False, compare=False)
-
-    def __init__(self, verdict, profile):  # one dict update, as HoleProfile's
-        vars(self).update(verdict=verdict, profile=profile)
 
     @property
     def remainder_sum(self) -> Value:
@@ -524,7 +551,9 @@ def _orientation(landing, profile: HoleProfile, d: int) -> OrientationCertificat
             "orientation criteria disagree: "
             f"cyclic={by_cyclic_order} arcs={by_disjoint_arcs}"
         )
-    return OrientationCertificate(verdict=by_cyclic_order, profile=profile)
+    cert = object.__new__(OrientationCertificate)  # one dict update, as a profile's
+    cert.__dict__.update({"verdict": by_cyclic_order, "profile": profile})
+    return cert
 
 
 def orbit_step(P: Polygon, d: int, budget: PrecisionBudget = DEFAULT_BUDGET):
@@ -561,13 +590,14 @@ class UnlinkedFamily:
     vertices cut the list.  A label in two arcs shows up in each fewer
     times than its card, and one of them is not the most populated arc; so
     only the other arcs are counted, and a label is linked iff it shows up
-    in one of them fewer times than its card.  Checking P costs O(N log V)
-    searches of V listed vertices, plus a pass over the labels outside P's
-    most populated arc: none when P sits in one gap of the list (all its
-    cuts equal, so its one nonempty arc is the wrap-around one), a few for
-    a small P that cuts the list once, still O(V) when P's two most
-    populated arcs split the list evenly.  A P in one gap joins the list as
-    one slice.
+    in one of them fewer times than its card.  Checking P costs two
+    O(log V) searches of the V listed vertices when P sits in one gap of
+    the list (its first and last vertices cut it at one index, so every
+    vertex does, and its one nonempty arc is the wrap-around one), else N of
+    them, plus a pass over the labels outside P's most populated arc: none
+    in one gap, a few for a small P that cuts the list once, still O(V)
+    when P's two most populated arcs split the list evenly.  A P in one gap
+    joins the list as one slice.
     """
 
     __slots__ = ("keys", "labels", "cards", "den", "budget")
@@ -586,29 +616,40 @@ class UnlinkedFamily:
 
     def _linked(self, P: Polygon):
         """Insertion index of each vertex of P, and the labels of the
-        members linked with P."""
-        keys, labels = self.keys, self.labels
-        cuts, linked = [], set()
-        lo = 0
+        members linked with P.  P's vertices ascend, so its first and last
+        are searched first.  Equal cuts make every cut equal: P sits in one
+        gap (keys[c - 1] < each vertex <= keys[c]), and only its last vertex
+        can be a listed one.  Otherwise each middle vertex is searched from
+        the cut before it."""
         L, M = P.den, self.den
         if L is not None and M is not None:
-            for n in P.nums:  # ascending, so each search starts at the last cut
-                t, r = (n, 0) if L == M else divmod(n * M, L)  # n/L = (t + r/L)/M
-                lo = bisect_left(keys, t + (r > 0), lo)
-                if lo < len(keys) and keys[lo] == t:  # a shared vertex (so r == 0)
-                    linked.add(labels[lo])
-                cuts.append(lo)
+            seq, key, same = self.keys, None, eq
+            if L == M:
+                xs = ys = P.nums
+            else:  # n/L = (t + r/L)/M: searched as t + (r > 0), listed iff keys[c] == t
+                qr = [divmod(n * M, L) for n in P.nums]
+                xs, ys = [t + (r > 0) for t, r in qr], [t for t, _ in qr]
         else:
-            angles, budget = self._angles(), self.budget
+            seq, budget = self._angles(), self.budget
             key = cmp_to_key(lambda a, b: compare(a, b, budget))
-            for v in P.vertices:
-                lo = bisect_left(angles, key(v), lo, key=key)
-                if lo < len(angles) and compare(angles[lo], v, budget) == EQ:
-                    linked.add(labels[lo])
-                cuts.append(lo)
-        if cuts[0] == lo:  # one gap: every arc is empty but the largest, which wraps
-            return cuts, linked
-        V, cards = len(labels), self.cards
+            ys = P.vertices
+            xs = [key(v) for v in ys]
+
+            def same(a, b):
+                return compare(a, b, budget) == EQ
+
+        V, labels = len(seq), self.labels
+        first = bisect_left(seq, xs[0], key=key)
+        last = bisect_left(seq, xs[-1], first, key=key)
+        if first == last:  # one gap: every arc is empty but the largest, which wraps
+            shared = last < V and same(seq[last], ys[-1])
+            return [last] * len(xs), {labels[last]} if shared else set()
+        cuts = [first]
+        for x in xs[1:-1]:
+            cuts.append(bisect_left(seq, x, cuts[-1], last, key=key))
+        cuts.append(last)
+        linked = {labels[i] for i, y in zip(cuts, ys) if i < V and same(seq[i], y)}
+        cards = self.cards
         arcs = [*zip(cuts, cuts[1:]), (cuts[-1], cuts[0] + V)]  # the last wraps past 0
         arcs.remove(max(arcs, key=lambda arc: arc[1] - arc[0]))
         for a, b in arcs:

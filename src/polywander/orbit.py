@@ -54,7 +54,7 @@ from .geometry import (
 # orbit records
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class OrbitRecord:
     """T_i, its holes and orientation.  ``landing[c]`` is the position in
     T_{i+1} of the image of vertex c of T_i."""
@@ -65,11 +65,6 @@ class OrbitRecord:
     orientation: OrientationCertificate
     landing: tuple[int, ...]
 
-    def __init__(self, index, polygon, profile, orientation, landing):
-        # one dict update, as HoleProfile's: one record is built per step
-        vars(self).update(index=index, polygon=polygon, profile=profile,
-                          orientation=orientation, landing=landing)
-
 
 def _records(T: Polygon, d: int, n: int, budget: PrecisionBudget):
     """Lazily yield the records of T_0 .. T_n, one ``orbit_step`` each: it
@@ -78,7 +73,10 @@ def _records(T: Polygon, d: int, n: int, budget: PrecisionBudget):
     P = T
     for i in range(n + 1):
         nxt, landing, profile, cert = orbit_step(P, d, budget)
-        yield OrbitRecord(i, P, profile, cert, landing)
+        rec = object.__new__(OrbitRecord)  # one dict update, as a hole profile's
+        rec.__dict__.update({"index": i, "polygon": P, "profile": profile,
+                             "orientation": cert, "landing": landing})
+        yield rec
         P = nxt
 
 
@@ -139,12 +137,13 @@ def certify_wandering(
     Record by record (one ``orbit_step`` each, one int pass for a rational
     iterate), the iterate is checked injective, then checked against one
     ``UnlinkedFamily`` holding the vertices of all earlier iterates in ccw
-    order and joins it when unlinked: O(N log(HN)) compares per iterate
-    instead of a pairwise scan of every earlier one, plus a count of the
-    labels outside the iterate's most populated arc of the list (none for
-    an iterate that sits in one gap of the list, which it joins as one
-    slice; a few for a tiny iterate that cuts the list once; still O(HN)
-    when its two most populated arcs split the list evenly).  Certification
+    order and joins it when unlinked, instead of a pairwise scan of every
+    earlier one.  An iterate that sits in one gap of the list takes two
+    searches of O(log(HN)) compares (its first and last vertex), no label
+    count, and joins the list as one slice; any other takes N searches and
+    a count of the labels outside its most populated arc of the list (a few
+    for a tiny iterate that cuts the list once; still O(HN) when its two
+    most populated arcs split the list evenly).  Certification
     stops at the first non-injective or linked record; ``pair`` is
     (smallest earlier index linked with it, its index).
 

@@ -21,7 +21,7 @@ from polywander import (
     register_generator,
     render_svg,
 )
-from polywander import recurrence
+from polywander import NotCertifiedWandering, recurrence, verify_theorem1
 from polywander.angles import (
     REPORT_DIGITS,
     Approx,
@@ -38,7 +38,7 @@ from polywander.cli import (
 )
 
 from test_angles import stream_angles
-from test_golden import CASES, GOLDEN, TRI3, UNDECIDED_AT_64, WIDE
+from test_golden import CASES, GOLDEN, THIN, TRI3, UNDECIDED_AT_64, WIDE
 
 JUMP = ["19/100", "45/100", "96/100"]
 CLUSTER = ["30/100", "31/100", "32/100"]
@@ -549,6 +549,19 @@ def test_file_input_single_polygon(tmp_path):
     assert len(rep["payload"]["vertices"]) == 3
 
 
+def test_file_with_a_utf8_bom_reads_as_without(tmp_path, capsys):
+    """A UTF-8 file that starts with a byte order mark, as some editors save
+    one, gives the same report as the file without it (the mark was read as
+    part of the first literal: exit 2)."""
+    outputs = []
+    for name, head in (("plain.txt", b""), ("bom.txt", b"\xef\xbb\xbf")):
+        f = tmp_path / name
+        f.write_bytes(head + b"1/7,2/7,4/7")
+        assert main(["collection", "--file", str(f), "-d", "3"]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1] and outputs[0].err == ""
+
+
 ALL_COMMANDS = ["analyze", "orbit", "jumps", "leaves", "verify", "collection", "render"]
 
 
@@ -1042,3 +1055,45 @@ def test_orbit_report_matches_json_dumps(request):
         code = main(["orbit", *literals, "-d", str(d), "--horizon", str(horizon)])
     assume(code == 0)  # two vertices may share an image: exit 2
     assert out.getvalue() == _orbit_report(literals, d, horizon)
+
+
+def _certificate_object(literals: list[str], d: int, horizon: int) -> dict:
+    """``verify --no-kiwi-precheck``'s certificate as a plain object, from
+    ``verify_theorem1`` on the same input: its later stages may build and
+    refine a stream size, which the report then prints."""
+    budget = PrecisionBudget(max_digits=4096)
+    P = Polygon([parse_angle(t) for t in literals], budget)
+    try:
+        cert = verify_theorem1(P, d, horizon, Fraction(1, 64), budget,
+                               kiwi_precheck=False).certificate
+    except NotCertifiedWandering as exc:
+        cert = exc.certificate
+    return {
+        "horizon": cert.horizon,
+        "status": cert.status,
+        "step": cert.step,
+        "pair": list(cert.pair) if cert.pair else None,
+        "s_trajectory": [_size_object(r.profile, r.polygon.card - 2)
+                         for r in cert.records],
+    }
+
+
+@settings(max_examples=100, deadline=None)
+@given(orbit_requests())
+@example((["0/1", "1/4", "1/2"], 2, 20))  # FailedNonPrecritical at step 0: no record
+@example((THIN, 2, 20))  # FailedLinked
+@example((TRI3[:3], 3, 3))  # CertifiedToHorizon
+def test_verify_certificate_matches_json_dumps(request):
+    """``verify``'s report, whose ``s_trajectory`` is written in one loop, is
+    the one ``json.dumps(sort_keys=True, indent=2)`` writes with the
+    certificate built as a plain object: an empty trajectory, a linked and a
+    certified orbit, rational and stream polygons."""
+    literals, d, horizon = request
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["verify", *literals, "-d", str(d), "--horizon", str(horizon),
+                     "--no-kiwi-precheck"])
+    assume(code == 0)  # card 2, or a later stage's breach or precision error
+    report = json.loads(out.getvalue())
+    report["payload"]["certificate"] = _certificate_object(literals, d, horizon)
+    assert out.getvalue() == json.dumps(report, sort_keys=True, indent=2) + "\n"

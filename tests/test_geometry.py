@@ -3,7 +3,7 @@ import io
 import itertools
 import random
 import sys
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
@@ -244,18 +244,26 @@ _ONE_GAP_CASES = {  # query points, whether all its cuts are equal, linked label
     "one gap at 0, sharing the first key": ([F(5, 100), F(1, 10)], True, {0}),
     "straddling 0": ([F(2, 100), F(95, 100)], False, set()),
     "straddling 0, linked": ([F(15, 100), F(95, 100)], False, {0}),
+    "last vertex on the next key": ([F(82, 100), F(85, 100), F(9, 10)], True, {2}),
+    "first vertex on a key": ([F(2, 10), F(25, 100)], False, {0}),
+    "one key between first and last": ([F(45, 100), F(47, 100), F(55, 100)], False, {1}),
+    "same denominator, on the next key": ([F(4, 10), F(5, 10)], True, {1}),
+    "coprime denominator, one gap": ([F(3, 7), F(4, 9)], True, set()),
+    "coprime denominator, linked": ([F(1, 7), F(2, 7)], False, {0}),
 }
 
 
 @pytest.mark.parametrize("stream", [False, True], ids=["ints", "with a stream member"])
 @pytest.mark.parametrize("case", list(_ONE_GAP_CASES))
-def test_unlinked_family_one_gap_matches_oracle(case, stream):
+def test_unlinked_family_one_gap_matches_oracle(case, stream, monkeypatch):
     """A polygon whose vertices all fall in one gap of the family's list
-    (all cuts equal) is linked only through a shared vertex, and joins the
-    list as one block; a polygon straddling 0 sits in the wrap-around gap
-    with cuts 0 and V.  Each answer of ``linked`` and ``add``, and the list
-    after ``add``, equal ``oracle_unlinked`` and the sorted member points,
-    on an int family and on one holding a stream member."""
+    (all cuts equal) is linked only through a shared vertex, is placed by
+    two searches (its first and last vertex), and joins the list as one
+    block; a polygon straddling 0 sits in the wrap-around gap with cuts 0
+    and V.  Each answer of ``linked`` and ``add``, and the list after
+    ``add``, equal ``oracle_unlinked`` and the sorted member points, on an
+    int family (over the query's denominator, a multiple of it or one
+    coprime to it) and on one holding a stream member."""
     family, members = UnlinkedFamily(), []
     for label, pts in enumerate(_ONE_GAP_MEMBERS):
         assert family.add(poly(*pts), label) == set()
@@ -267,7 +275,17 @@ def test_unlinked_family_one_gap_matches_oracle(case, stream):
         members.append((3, [F(7, 10), lo]))
     q, one_gap, linked = _ONE_GAP_CASES[case]
     P = poly(*q)
-    assert (len(set(family._linked(P)[0])) == 1) == one_gap
+    searched = []
+
+    def counted_bisect_left(a, x, *args, **kwargs):
+        searched.append(x)
+        return bisect_left(a, x, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(geometry, "bisect_left", counted_bisect_left)
+        cuts = family._linked(P)[0]
+    assert (len(set(cuts)) == 1) == one_gap
+    assert len(searched) == (2 if one_gap else len(q))
     want = {m for m, Q in members if not oracle_unlinked(Q, q)}
     assert want == linked
     assert family.linked(P) == want

@@ -302,6 +302,24 @@ def test_jump_stages_build_no_angle(monkeypatch):
     assert calls == []
 
 
+def test_orbit_report_builds_no_vertex_angle(monkeypatch):
+    """``orbit`` prints each rational record's vertices from its polygon's
+    numerators over L: on W1(350) to horizon 300 no vertex ``Angle`` is
+    built past the parsing of the input (one per vertex of each record
+    after T_0, 1,200 in all, when the report read ``Polygon.vertices``)."""
+    calls = []
+    rational_angle = geometry.rational_angle
+
+    def counted(n, q):
+        calls.append((n, q))
+        return rational_angle(n, q)
+
+    monkeypatch.setattr(geometry, "rational_angle", counted)
+    code, out = _run(["orbit", "-d", "3", "--horizon", "300", *_w1(350)])
+    assert code == 0 and out.count('"literal": ') == 4 * 301
+    assert calls == []
+
+
 def _run_err(argv) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
