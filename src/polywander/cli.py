@@ -153,18 +153,8 @@ def _ser_angle(a: Angle | None, bounds: tuple[int, int, int]) -> partial:
     return partial(_put_angle, a, *bounds)
 
 
-def _vertex_ends(P: Polygon):
-    """Each vertex of P as (its ``Angle``, lo, hi) for ``_put_angle``, and D:
-    [lo/D, hi/D] is its enclosure from the polygon's bounds.  A rational
-    vertex (lo == hi) is printed from these, so its ``Angle`` is None: none
-    is built only to be printed."""
-    bounds, D = P._bounds(REPORT_DIGITS)
-    return [(None if lo == hi else P.vertices[i], lo, hi)
-            for i, (lo, hi) in enumerate(bounds)], D
-
-
 def _ser_vertices(P: Polygon) -> list[partial]:
-    ends, D = _vertex_ends(P)
+    ends, D = P.vertex_ends(REPORT_DIGITS)
     return [_ser_angle(v, (lo, hi, D)) for v, lo, hi in ends]
 
 
@@ -328,7 +318,7 @@ def _put_records(orbit, pad: str, put) -> None:
             _put_size(p, k, i3, put)
             sep = "," + i3
         put(f'{i2}],{i2}"vertices": [')
-        ends, D = _vertex_ends(P)
+        ends, D = P.vertex_ends(REPORT_DIGITS)
         sep = i3
         for v, lo, hi in ends:
             put(sep)

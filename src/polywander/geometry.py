@@ -16,8 +16,9 @@ k* = min(REPORT_DIGITS, max_digits) digits over one denominator D, on
 which the sort that built it decided where it could; every later reader
 takes them from ``Polygon._bounds``.  Its whole orbit keeps T_0's D: a
 rational vertex's pair (a, a) maps to d*a mod D, and a stream image's
-k*-digit enclosure is scaled onto D, so a step takes no lcm and builds no
-rational interval.
+k*-digit enclosure is scaled onto D, so a step takes no lcm, builds no
+rational interval and maps only its stream vertices; a stream iterate
+builds a rational vertex's ``Angle`` only when its ``vertices`` are read.
 
 Either way a ``HoleProfile`` gives one int pair (lo, hi) per hole size over
 one denominator: the exact size (lo == hi) over L, a difference of
@@ -111,8 +112,11 @@ class Polygon:
     ``vertices`` are built from them on first read.  Otherwise the polygon
     carries ``enclosures`` (k, bounds, D), its vertices' only stored
     enclosures: their k*-digit ones as int pairs (lo, hi) over one
-    denominator D, in ccw order (else None).  An iterate is set up by the
-    image sort that ordered it, without ``__init__``."""
+    denominator D, in ccw order (else None); a rational vertex's pair is
+    the point (a, a).  An iterate is set up by the image sort that ordered
+    it, without ``__init__``; a stream iterate holds an ``Angle`` only for
+    its stream vertices (None in a rational vertex's slot of ``_vertices``,
+    which ``vertices`` fills from its pair on first read)."""
 
     __slots__ = ("_vertices", "nums", "den", "enclosures")
 
@@ -124,15 +128,17 @@ class Polygon:
             raise PreconditionError("polygon vertices must be pairwise distinct")
         k = min(REPORT_DIGITS, budget.max_digits)
         bounds, D = _over_lcm([v.interval(k) for v in vs])  # (n, n) for n/q
-        order, tie, enclosures = _sort_on(vs, k, bounds, D, budget)
-        if tie:
-            raise PreconditionError("polygon vertices must be pairwise distinct")
+        order = _decided_order(bounds, False)
+        if order is None:  # overlapping enclosures: the compare ladder's rungs
+            order, tie = ccw_order(vs, budget)
+            if tie:
+                raise PreconditionError("polygon vertices must be pairwise distinct")
         self._vertices = tuple(vs[i] for i in order)
+        bounds = [bounds[i] for i in order]
         if all(v.source is None for v in vs):
-            _, bounds, D = enclosures
             self.nums, self.den, self.enclosures = tuple(b[0] for b in bounds), D, None
         else:
-            self.nums, self.den, self.enclosures = None, None, enclosures
+            self.nums, self.den, self.enclosures = None, None, (k, bounds, D)
 
     def _bounds(self, k: int):
         """The vertices' k-digit enclosures as int pairs over one denominator
@@ -141,15 +147,32 @@ class Polygon:
         if self.nums is not None:
             return [(n, n) for n in self.nums], self.den
         e = self.enclosures
-        if e is not None and e[0] == k:
+        if e[0] == k:
             return e[1], e[2]
         return _over_lcm([v.interval(k) for v in self.vertices])
 
+    def vertex_ends(self, k: int):
+        """Each vertex as (its ``Angle``, lo, hi), and D: [lo/D, hi/D] is its
+        k-digit enclosure (``_bounds``).  A rational vertex (lo == hi) is
+        read off its pair, so it is given as None and no ``Angle`` is built
+        for it; this is how a report reads a stream iterate's vertices."""
+        bounds, D = self._bounds(k)
+        vs = self._vertices
+        return [(None if lo == hi else vs[i], lo, hi) for i, (lo, hi) in enumerate(bounds)], D
+
     @property
     def vertices(self) -> tuple[Angle, ...]:
-        if self._vertices is None:
-            self._vertices = tuple(rational_angle(n, self.den) for n in self.nums)
-        return self._vertices
+        vs = self._vertices
+        if vs is None:
+            vs = tuple(rational_angle(n, self.den) for n in self.nums)
+        elif self.nums is None and None in vs:  # a stream iterate's rational slots
+            _, bounds, D = self.enclosures
+            vs = tuple(rational_angle(b[0], D) if v is None else v
+                       for v, b in zip(vs, bounds))
+        else:
+            return vs
+        self._vertices = vs
+        return vs
 
     @property
     def card(self) -> int:
@@ -182,48 +205,17 @@ def _decided_order(bounds, ties: bool):
     return order
 
 
-def _sort_on(angles, k: int, bounds, D: int, budget: PrecisionBudget):
-    """``ccw_order`` of the angles, on their k-digit enclosures ``bounds``
-    (int pairs over one denominator D) where these do not overlap, else on
-    the compare ladder's rungs; and (k, the pairs in order, D)."""
-    order = _decided_order(bounds, False)
-    order, tie = (order, None) if order else ccw_order(angles, budget)
-    return order, tie, (k, [bounds[i] for i in order], D)
-
-
 def _image_sort(P: Polygon, d: int, budget: PrecisionBudget):
     """The next iterate, the polygon of P's vertex images, and ``landing``:
     for each vertex of P, the position of its image in it.  One sort: of
     the image numerators (d * n) % L over P's own denominator L when P is
-    rational (``_exact_sort``), else of their k*-digit enclosures over P's
-    D, then ``compare``; a stream iterate carries those enclosures.  Equal
-    images are a collision and raise NotInjectiveError.
-
-    P's D serves its images: the image of a rational vertex a/D is
-    (d * a mod D)/D, and a stream image's enclosure denominator (base**k*
-    times its offset's) divides D, since the map, times d = base, only
-    shrinks an offset's denominator."""
+    rational (``_exact_sort``), else of the images' k*-digit pairs over P's
+    D (``_stream_sort``), then ``compare``.  Equal images are a collision
+    and raise NotInjectiveError."""
     if P.den is not None:
         return _exact_sort(P, d)
     k = min(REPORT_DIGITS, budget.max_digits)
-    ends, D = P._bounds(k)
-    images = [map_angle(v, d) for v in P.vertices]
-    bounds = []
-    for v, (lo, hi) in zip(images, ends):
-        if lo == hi:  # a rational vertex
-            lo = hi = d * lo % D
-        else:
-            lo, hi, q = v.interval(k)
-            lo, hi = lo * (m := D // q), hi * m
-        bounds.append((lo, hi))
-    order, tie, enclosures = _sort_on(images, k, bounds, D, budget)
-    if tie:
-        _collision(P, tie)
-    landing = tuple(sorted(range(len(order)), key=order.__getitem__))
-    nxt = object.__new__(Polygon)  # its images, already distinct and in ccw order
-    nxt._vertices, nxt.nums, nxt.den, nxt.enclosures = (
-        tuple(images[c] for c in order), None, None, enclosures)
-    return nxt, landing
+    return _stream_sort(P, d, k, *P._bounds(k), budget)
 
 
 def _exact_sort(P: Polygon, d: int):
@@ -242,6 +234,47 @@ def _exact_sort(P: Polygon, d: int):
         landing[c], last = pos, m
     nxt = object.__new__(Polygon)  # its Angles are built only when read
     nxt._vertices, nxt.nums, nxt.den, nxt.enclosures = None, tuple(nums), L, None
+    return nxt, tuple(landing)
+
+
+def _stream_sort(P: Polygon, d: int, k: int, ends, D: int, budget: PrecisionBudget):
+    """``_image_sort`` of a stream P from its vertices' k-digit pairs
+    ``ends`` over D.  A rational vertex's image is the point d * a mod D,
+    with no ``Angle``; only a stream vertex is mapped (``map_angle``), its
+    image's rolling ``interval(k)`` scaled onto D, whose denominator
+    (base**k times its offset's) divides D, since the map, times d = base,
+    only shrinks an offset's denominator.  The pairs are sorted once; one
+    loop over that order tests that each lies below the next and gives
+    ``landing``, the next iterate's vertices and its pairs.  Where two
+    overlap, ``ccw_order``'s rungs order the images (rationals built now)."""
+    vs, N = P._vertices, len(ends)
+    images, bounds = [None] * N, []
+    for c, (lo, hi) in enumerate(ends):
+        if lo == hi:  # a rational vertex
+            lo = hi = d * lo % D
+        else:
+            images[c] = w = map_angle(vs[c], d)
+            lo, hi, q = w.interval(k)
+            lo, hi = lo * (m := D // q), hi * m
+        bounds.append((lo, hi))
+    order = sorted(range(N), key=bounds.__getitem__)
+    landing, last, nvs, pairs = [0] * N, -1, [], []
+    for pos, c in enumerate(order):
+        lo, hi = b = bounds[c]
+        if lo <= last:  # two pairs overlap
+            images = [rational_angle(e[0], D) if w is None else w
+                      for w, e in zip(images, bounds)]
+            order, tie = ccw_order(images, budget)
+            if tie:
+                _collision(P, tie)
+            landing = sorted(range(N), key=order.__getitem__)
+            nvs, pairs = [images[c] for c in order], [bounds[c] for c in order]
+            break
+        landing[c], last = pos, hi
+        nvs.append(images[c])
+        pairs.append(b)
+    nxt = object.__new__(Polygon)  # its images, already distinct and in ccw order
+    nxt._vertices, nxt.nums, nxt.den, nxt.enclosures = tuple(nvs), None, None, (k, pairs, D)
     return nxt, tuple(landing)
 
 
@@ -436,38 +469,30 @@ def _exact_profile(P: Polygon, d: int, k: int) -> HoleProfile:
     return profile
 
 
-def hole_profile(
-    P: Polygon, d: int, budget: PrecisionBudget = DEFAULT_BUDGET
-) -> HoleProfile:
-    """Holes of P with sizes sorted ascending (ties broken by ccw position
-    of the hole's start from angle 0, which is exactly the cyclic index
-    since vertex 0 has minimal angle) and their remainders.
-
-    When every vertex is rational, all of it is integer arithmetic over the
-    polygon's denominator L (``P.den``): a size is a difference of
-    consecutive numerators (the last one past 0), its floor is d * x // L,
-    and the sizes sum to 1 since their numerators telescope to L.  Each
-    size is stored once, as x over L (``_ExactProfile``).
-
-    Otherwise each size's bounds over one denominator D are differences of
-    its ends' k*-digit bounds (carried by a stream iterate), D added past 0
-    and clamped to [0, D].  These decide ranks and floors where they can,
-    the compare ladder the rest; only the ladder builds size values here."""
-    k = min(REPORT_DIGITS, budget.max_digits)
-    if P.den is not None:
-        return _exact_profile(P, d, k)
-
-    M = P.card
+def _stream_profile(P: Polygon, d: int, k: int, ends, D: int,
+                    budget: PrecisionBudget) -> HoleProfile:
+    """``hole_profile`` of a stream P from its vertices' k-digit pairs
+    ``ends`` over D.  One loop over the pairs gives each size's bounds, the
+    difference of its ends' pairs (D added past 0) clamped to [0, D], and
+    its floor where d * lo and d * hi give the same one; the bounds then
+    decide the rank order where each lies below the next or is the same
+    exact point.  What they leave open goes to the compare ladder, which
+    alone builds size values here."""
+    M = len(ends)
     sizes, rems = [None] * M, [None] * M
-    ends, D = P._bounds(k)
-    bounds, floors = [], []
+    bounds, floors, decided = [], [], True
     last = ends[0][0] + D, ends[0][1] + D  # the last hole runs past 0
     for (ulo, uhi), (wlo, whi) in pairwise([*ends, last]):
-        lo, hi = max(0, wlo - uhi), min(D, whi - ulo)
+        if (lo := wlo - uhi) < 0:
+            lo = 0
+        if (hi := whi - ulo) > D:
+            hi = D
         bounds.append((lo, hi))
-        floors.append(j if (j := d * lo // D) == d * hi // D else None)
+        if (j := d * lo // D) != d * hi // D:
+            j = decided = None
+        floors.append(j)
     order = _decided_order(bounds, True)
-    if order is None or None in floors:  # the ladder's rungs above k*
+    if order is None or decided is None:  # the ladder's rungs above k*
 
         def value(i):
             return _size(sizes, P, i, bounds, D, k)
@@ -486,6 +511,27 @@ def hole_profile(
                              "floors": tuple(floors), "bounds": tuple(bounds), "D": D,
                              "k": k, "_sizes": sizes, "_rems": rems})
     return profile
+
+
+def hole_profile(
+    P: Polygon, d: int, budget: PrecisionBudget = DEFAULT_BUDGET
+) -> HoleProfile:
+    """Holes of P with sizes sorted ascending (ties broken by ccw position
+    of the hole's start from angle 0, which is exactly the cyclic index
+    since vertex 0 has minimal angle) and their remainders.
+
+    When every vertex is rational, all of it is integer arithmetic over the
+    polygon's denominator L (``P.den``): a size is a difference of
+    consecutive numerators (the last one past 0), its floor is d * x // L,
+    and the sizes sum to 1 since their numerators telescope to L.  Each
+    size is stored once, as x over L (``_ExactProfile``).
+
+    Otherwise ``_stream_profile`` decides them on the vertices' carried
+    k*-digit pairs where it can, on the compare ladder the rest."""
+    k = min(REPORT_DIGITS, budget.max_digits)
+    if P.den is not None:
+        return _exact_profile(P, d, k)
+    return _stream_profile(P, d, k, *P._bounds(k), budget)
 
 
 # ---------------------------------------------------------------------------
@@ -560,15 +606,19 @@ def orbit_step(P: Polygon, d: int, budget: PrecisionBudget = DEFAULT_BUDGET):
     """One step of P's orbit: the next iterate and ``landing`` (as
     ``_image_sort``), P's hole profile and its orientation certificate.
 
-    A stream P sorts its images, then builds its profile; a rational P
-    takes one int pass, ``_exact_sort`` and ``_exact_profile`` over its L.
+    A rational P takes one int pass over its L, ``_exact_sort`` and
+    ``_exact_profile``; a stream P reads its carried k*-digit pairs once
+    and takes ``_stream_sort`` (images first, so a collision is reported
+    before any profile decision) and ``_stream_profile`` on them.
     ``_orientation`` reads the certificate from both."""
+    k = min(REPORT_DIGITS, budget.max_digits)
     if P.den is None:
-        nxt, landing = _image_sort(P, d, budget)
-        profile = hole_profile(P, d, budget)
+        ends, D = P._bounds(k)
+        nxt, landing = _stream_sort(P, d, k, ends, D, budget)
+        profile = _stream_profile(P, d, k, ends, D, budget)
     else:
         nxt, landing = _exact_sort(P, d)
-        profile = _exact_profile(P, d, min(REPORT_DIGITS, budget.max_digits))
+        profile = _exact_profile(P, d, k)
     return nxt, landing, profile, _orientation(landing, profile, d)
 
 
@@ -790,7 +840,7 @@ def _off_seam(P: Polygon, i: int, bounds, D: int, budget: PrecisionBudget):
     lo, hi = bounds[i]
     if hi - lo < D:
         return lo, hi, D
-    v = P.vertices[i]
+    v = P._vertices[i]  # a stream vertex: its slot is never empty
     return decide(
         lambda k: iv if k > REPORT_DIGITS and (iv := v.interval(k))[1] - iv[0] < iv[2] else None,
         budget, lambda: f"cannot move {format_angle(v)} off the 0/1 seam")

@@ -570,3 +570,98 @@ def ladder_step(points, d: int, budget: int) -> dict:
         "order": ranks,
         "verdict": cyclic,
     }
+
+
+# ---------------------------------------------------------------------------
+# one orbit step decided on k-digit Fraction enclosures alone (no ladder)
+
+
+class EnclosureUndecided(Exception):
+    """k digits leave an order, a rank or a floor of the step open."""
+
+
+def enclosure_step(points, d: int, k: int = 400) -> dict:
+    """The step of the polygon on ``points`` (Fractions and Streams of base
+    d), decided on k-digit ``point_enclosure``s alone: the vertices in ccw
+    order; then either the collision, {"images": None, "pair": (a, b)}, the
+    first pair of equal images that a comparison sort of the images (in
+    vertex order, each pair compared as (earlier, later)) meets, or the
+    images sorted, ``landing``, the holes by size rank (equal exact sizes
+    in ccw order), floor(d * size) per hole and the orientation verdict, on
+    which the image order and the floors agree.  A hole's size between two
+    rationals is exact, else the enclosure [max(0, w_lo - u_hi),
+    min(1, w_hi - u_lo)] of its ends', one turn added to w past 0.  Raises
+    EnclosureUndecided where two enclosures that should be ordered overlap
+    or a floor is open."""
+
+    def bounds(x):
+        return x if isinstance(x, tuple) else (x, x)
+
+    def cmp(x, y):
+        """Order of two points or sizes, each a Fraction or an enclosure."""
+        (xlo, xhi), (ylo, yhi) = bounds(x), bounds(y)
+        if xhi < ylo:
+            return -1
+        if yhi < xlo:
+            return 1
+        if isinstance(x, Fraction) and isinstance(y, Fraction):
+            return 0
+        raise EnclosureUndecided
+
+    def sort(items, keys):
+        """Indices in ascending order of ``keys``, by one comparison sort
+        comparing each pair as (earlier, later); and the first equal pair."""
+        ties = []
+
+        def by_key(i, j):
+            if i > j:
+                return -by_key(j, i)
+            c = 0 if items[i] == items[j] else cmp(keys[i], keys[j])
+            if c == 0:
+                ties.append((i, j))
+            return c
+
+        return sorted(range(len(items)), key=cmp_to_key(by_key)), next(iter(ties), None)
+
+    def enclosure(x):
+        return point_enclosure(x, k) if isinstance(x, Stream) else x
+
+    order, _ = sort(points, [enclosure(x) for x in points])
+    vs = [points[i] for i in order]
+    images = [stream_image(v, d) for v in vs]
+    by_image, tie = sort(images, [enclosure(x) for x in images])
+    if tie is not None:
+        return {"vertices": vs, "images": None, "pair": (vs[tie[0]], vs[tie[1]])}
+    M = len(vs)
+    sizes = []
+    for i in range(M):
+        u, w = vs[i], vs[(i + 1) % M]
+        turn = 1 if i == M - 1 else 0
+        if not isinstance(u, Stream) and not isinstance(w, Stream):
+            sizes.append(w + turn - u)
+            continue
+        (ulo, uhi), (wlo, whi) = point_enclosure(u, k), point_enclosure(w, k)
+        sizes.append((max(Fraction(0), wlo + turn - uhi), min(Fraction(1), whi + turn - ulo)))
+
+    def rank_cmp(i, j):
+        return cmp(sizes[i], sizes[j]) or i - j
+
+    ranks = sorted(range(M), key=cmp_to_key(rank_cmp))
+    floors = []
+    for s in sizes:
+        lo, hi = bounds(s)
+        if floor(d * lo) != floor(d * hi):
+            raise EnclosureUndecided
+        floors.append(floor(d * lo))
+    landing = [by_image.index(c) for c in range(M)]
+    cyclic = all((landing[c] - landing[0]) % M == c for c in range(M))
+    if cyclic != (sum(floors) == d - 1):
+        raise AssertionError("the orientation criteria disagree")
+    return {
+        "vertices": vs,
+        "images": [images[i] for i in by_image],
+        "landing": landing,
+        "order": ranks,
+        "floors": floors,
+        "verdict": cyclic,
+    }

@@ -54,9 +54,11 @@ from polywander.geometry import UnlinkedFamily
 from polywander.recurrence import JumpAnalysis
 
 from oracles import (
+    EnclosureUndecided,
     LadderUnresolved,
     LadderValue,
     Stream,
+    enclosure_step,
     f_map,
     hole_sizes,
     holes_of,
@@ -1049,11 +1051,12 @@ def _prefix_value(x: Stream, j: int) -> F:
 
 
 @st.composite
-def stream_polygons(draw, degrees=st.integers(2, 5)):
+def stream_polygons(draw, degrees=st.integers(2, 5), digits=st.integers(1, 70)):
     """A degree d = base from ``degrees`` and 2..5 points: at least one stream of
     either generator with a shift and an offset (none, random, just past
     the 0/1 seam after j digits, or its twin's plus base^-m, m around 64),
-    the rest rationals (random, or inside a stream's j-digit enclosure)."""
+    the rest rationals (random, or inside a stream's j-digit enclosure);
+    j is drawn from ``digits``."""
     d = draw(degrees)
     N = draw(st.integers(2, 5))
     points: list = []
@@ -1071,7 +1074,7 @@ def stream_polygons(draw, degrees=st.integers(2, 5)):
             q = draw(st.integers(2, 10**6))
             x = x._replace(offset=F(draw(st.integers(0, q - 1)), q))
         elif kind == "seam":
-            j = draw(st.integers(1, 70))
+            j = draw(digits)
             x = x._replace(offset=(1 - _prefix_value(x, j)) % 1)
         points.append(x)
     streams = [x for x in points if isinstance(x, Stream)]
@@ -1080,7 +1083,7 @@ def stream_polygons(draw, degrees=st.integers(2, 5)):
             q = draw(st.integers(2, 10**6))
             points.append(F(draw(st.integers(0, q - 1)), q))
         else:
-            x, j = draw(st.sampled_from(streams)), draw(st.integers(1, 70))
+            x, j = draw(st.sampled_from(streams)), draw(digits)
             points.append((x.offset + _prefix_value(x, j) + F(1, 2 * d**j)) % 1)
     return d, points
 
@@ -1269,6 +1272,120 @@ def test_carried_enclosures_give_the_fresh_profile(case, digits):
             lo, hi, den = got.size_bounds(rank)
             assert (F(lo, den), F(hi, den)) == ((s, s) if exact else _enclosure(s, k))
             assert blo <= F(lo, den) <= F(hi, den) <= bhi
+
+
+_TM4 = Stream("thue_morse", 4, 209, F(0))
+
+
+@st.composite
+def colliding_stream_polygons(draw):
+    """``stream_polygons`` with j often around 64, and in half the cases
+    one more point: a copy of a point moved by j/d^t (1 <= j < d), whose
+    image meets that point's at step t - 1."""
+    d, points = draw(stream_polygons(digits=st.one_of(st.integers(1, 70),
+                                                      st.integers(60, 72))))
+    if len(points) < 5 and draw(st.booleans()):
+        x = draw(st.sampled_from(points))
+        delta = F(draw(st.integers(1, d - 1)), d ** draw(st.integers(1, 3)))
+        if isinstance(x, Stream):
+            points = [*points, x._replace(offset=(x.offset + delta) % 1)]
+        else:
+            points = [*points, (x + delta) % 1]
+    return d, points
+
+
+@given(colliding_stream_polygons())
+@example((4, [_TM4, F(0), F(2, 3)]))  # the stream-orbit triangle
+@example((2, [_TM2, _TM2._replace(offset=F(1, 2)), F(1, 3)]))  # stream images collide
+@example((3, [_TM2._replace(base=3), F(1, 9), F(4, 9)]))  # rational images collide
+@example((2, [_TM2._replace(offset=1 - _prefix_value(_TM2, 66)), F(1, 3), F(2, 3)]))
+@example((4, [_TM4, _prefix_value(_TM4, 64) + F(1, 2 * 4**66), F(2, 3)]))  # overlap at 64
+@settings(max_examples=150, deadline=None)
+def test_orbit_step_records_match_the_400_digit_oracle(case):
+    """Each ``orbit_step`` record of a stream orbit (budget 256) has the
+    vertex order, ``landing``, rank order, floors and orientation verdict
+    of ``enclosure_step`` on 400-digit Fraction enclosures, which decides
+    whatever the package decides within 256 digits: so where it leaves a
+    decision open, the package is out of digits.  A step whose images
+    collide raises NonInjectiveAtStep at that step, with the colliding pair
+    the oracle's comparison sort meets first (the one ``ccw_order`` names).
+    The cases put a stream just past the 0/1 seam, a rational or a twin
+    stream within base^-64 of a stream, and images that collide."""
+    d, points = case
+    assume(len(set(points)) == len(points))
+    budget = PrecisionBudget(STEP_BUDGET)
+    try:
+        P = Polygon([_angle(x) for x in points], budget)
+    except UnresolvedComparison:
+        return
+    records, error = [], None
+    try:
+        records.extend(orbit._records(P, d, 6, budget))
+    except (NotInjectiveError, UnresolvedComparison) as exc:
+        error = exc
+    specs = points
+    for rec in records:
+        want = enclosure_step(specs, d)
+        assert want["images"] is not None
+        P, p = rec.polygon, rec.profile
+        got = {"vertices": [_spec(v) for v in P.vertices], "landing": list(rec.landing),
+               "order": list(p.order), "floors": list(p.floors),
+               "verdict": rec.orientation.verdict}
+        assert got == {key: want[key] for key in got}
+        specs = want["images"]
+    if error is None:
+        return
+    try:
+        want = enclosure_step(specs, d)
+    except EnclosureUndecided:
+        assert isinstance(error, UnresolvedComparison)
+        return
+    if isinstance(error, UnresolvedComparison):
+        return  # decided within 400 digits, not within 256
+    assert want["images"] is None
+    assert tuple(map(_spec, error.pair)) == want["pair"]
+    with pytest.raises(NonInjectiveAtStep) as exc:
+        iterate_orbit(Polygon([_angle(x) for x in points], budget), d, 6, budget)
+    assert exc.value.step == len(records)
+    assert tuple(map(_spec, exc.value.__cause__.pair)) == want["pair"]
+
+
+def test_stream_iterate_builds_no_rational_angle(monkeypatch, capsys):
+    """A stream orbit's step maps only its stream vertex: the rational
+    vertices' images are read off their int pairs, and the report prints
+    them from those pairs.  So ``orbit -d 4 --horizon 200`` on a stream and
+    two rationals builds the three parsed literals' ``Angle``s and one
+    image ``Angle`` per orbit step (201 steps, T_0 .. T_200), where the
+    image sort used to build 603.  A stream iterate's rational slots stay
+    empty until ``vertices`` is read; once filled, the iterate is equal to,
+    and hashes as, a polygon built afresh on its vertices, which are the
+    images of the previous iterate's vertices."""
+    argv = ["orbit", "-d", "4", "--horizon", "200",
+            "gen:thue_morse?base=4&shift=209", "0/1", "2/3"]
+    built = []
+    init = Angle.__init__
+
+    def counting(self, n, q, source=None, *rest):
+        built.append(source is not None)  # a stream angle
+        init(self, n, q, source, *rest)
+
+    monkeypatch.setattr(Angle, "__init__", counting)
+    assert main(argv) == 0
+    assert (len(built), built.count(True)) == (3 + 201, 1 + 201)
+    monkeypatch.undo()
+    capsys.readouterr()
+
+    P = Polygon([parse_angle(t) for t in argv[5:]])
+    records = iterate_orbit(P, 4, 6)
+    for prev, rec in zip(records, records[1:]):
+        Q = rec.polygon
+        assert Q._vertices.count(None) == 2  # the two rationals, not yet built
+        assert Q.card == 3
+        vs = Q.vertices
+        assert None not in Q._vertices
+        fresh = Polygon(vs)
+        assert Q == fresh and hash(Q) == hash(fresh)
+        assert set(vs) == {angles.map_angle(v, 4) for v in prev.polygon.vertices}
 
 
 # ---------------------------------------------------------------------------

@@ -54,15 +54,17 @@ def test_imports_are_stdlib_or_package(path):
     assert outside == [], f"{path.name} imports {outside}"
 
 
-PROFILE_INTERNALS = {"_sizes", "_rems", "nums", "enclosures", "size_num"}
+PROFILE_INTERNALS = {"_sizes", "_rems", "nums", "enclosures", "size_num", "_vertices"}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_only_geometry_reads_the_int_representation(path):
     """No module but ``geometry.py`` reads the int representation of a hole
     profile or polygon (``_sizes``, ``_rems``, ``nums``, ``enclosures``,
-    ``size_num``) or tests a ``.den`` against None, so whether a profile is
-    exact is decided in one module."""
+    ``size_num``, and ``_vertices``, whose rational slots a stream iterate
+    leaves empty) or tests a ``.den`` against None, so whether a profile is
+    exact is decided in one module, and only it reads a vertex tuple with
+    empty slots."""
     if path.name == "geometry.py":
         return
     hits = []
